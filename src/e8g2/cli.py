@@ -37,6 +37,7 @@ from .weyl import (
     M2_INDICES,
     classify_survivors,
     enumerate_double_cosets,
+    parabolic_order,
     pivot_element,
     resolve_swap47,
     support_filter,
@@ -50,6 +51,12 @@ INTERNAL_ERRORS = (ArithmeticError, InexactDivision)
 
 class UsageError(Exception):
     """Bad manifest, unknown check id, or invalid configuration."""
+
+
+# weyl-enumerate refuses a left subset J with more cosets |W|/|W_J| than
+# this: the BFS keeps every left representative (about 1 KB each), and
+# the M2 census needs 17280.
+MAX_LEFT_COSETS = 100_000
 
 
 # -- configuration and manifest ---------------------------------------------------
@@ -403,8 +410,13 @@ def _enumerate_main(argv: list[str]) -> int:
     parser.add_argument("--right", required=True,
                         help="right subset: M1, M2, or comma-separated node indices")
     args = parser.parse_args(argv)
-    reps = enumerate_double_cosets(_e8(), _parse_subset(args.left),
-                                   _parse_subset(args.right))
+    left, right = _parse_subset(args.left), _parse_subset(args.right)
+    rs = _e8()
+    n_left = parabolic_order(rs) // parabolic_order(rs, left)
+    if n_left > MAX_LEFT_COSETS:
+        raise UsageError(f"--left {args.left!r} has {n_left} left cosets, "
+                         f"over the limit of {MAX_LEFT_COSETS}")
+    reps = enumerate_double_cosets(rs, left, right)
     out = [str(len(reps))] + words_json(reps)
     print("\n".join(out))
     return 0

@@ -605,18 +605,6 @@ class RatFunc:
 
 # -- module-level operation names -------------------------------------------
 
-def add(f, g):
-    return f + g
-
-
-def mul(f, g):
-    return f * g
-
-
-def divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    return f.divexact(g)
-
-
 def equals(f, g) -> bool:
     if isinstance(f, LaurentPoly) and isinstance(g, LaurentPoly):
         return f == g

@@ -13,6 +13,7 @@ digit strings, matching the w[...] notation used in all reports.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Sequence
 
 from .rootsys import RootSystem, Root, root_key
@@ -232,20 +233,25 @@ def min_coset_rep(
 
 
 def enumerate_min_left_reps(rs: RootSystem, J: Iterable[int]) -> list[WeylElt]:
-    """All minimal-length representatives of W_J \\ W, breadth-first.
+    """All minimal-length representatives of W_J \\ W, sorted by (length, cols).
 
     The set {w : w^{-1} alpha_j > 0 for all j in J} is closed under passing
     to shorter elements in right weak order, so BFS by length-increasing
     right multiplication visits each exactly once.  w*s_i stays inside iff
-    alpha_i is not among the w^{-1} alpha_j.
+    alpha_i is not among the w^{-1} alpha_j.  Every step raises the length
+    by one, so the BFS level at which an element is first seen is its
+    length; it is stored on the element and never recomputed.
     """
     Jt = tuple(J)
     simple = rs.simple
     ident = WeylElt.identity(rs)
+    ident._len = 0
     seen = {ident.cols}
     out = [ident]
     frontier = [ident]
+    level = 0
     while frontier:
+        level += 1
         new = []
         for w in frontier:
             blocked = {w.inv_cols[j - 1] for j in Jt}
@@ -257,6 +263,7 @@ def enumerate_min_left_reps(rs: RootSystem, J: Iterable[int]) -> list[WeylElt]:
                 cand = w.right_mul(i)
                 if cand.cols not in seen:
                     seen.add(cand.cols)
+                    cand._len = level
                     new.append(cand)
         out.extend(new)
         frontier = new
@@ -291,18 +298,73 @@ def group_order(rs: RootSystem, J: Iterable[int] | None = None) -> int:
     return len(seen)
 
 
+# |W(E_n)|; A_n and D_n orders are given by formula in _component_order.
+_E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
+
+
+def _component_order(rs: RootSystem, comp: set[int]) -> int:
+    """|W| of the connected simply-laced Dynkin diagram on comp."""
+    n = len(comp)
+    nbrs = {a: [b for b in comp if b != a and rs.cartan[a - 1][b - 1]] for a in comp}
+    branches = [a for a in comp if len(nbrs[a]) > 2]
+    if not branches:
+        return factorial(n + 1)  # A_n
+    (c,) = branches
+    arms = []
+    for a in nbrs[c]:
+        prev, length = c, 1
+        while len(nbrs[a]) == 2:
+            prev, a = a, next(b for b in nbrs[a] if b != prev)
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[:2] == [1, 1]:
+        return 2 ** (n - 1) * factorial(n)  # D_n
+    if arms[:2] == [1, 2] and n in _E_ORDERS:
+        return _E_ORDERS[n]
+    raise ValueError(f"unsupported Dynkin component {sorted(comp)} with arms {arms}")
+
+
+def parabolic_order(rs: RootSystem, J: Iterable[int] | None = None) -> int:
+    """|W_J| in closed form, without enumeration: the product over the
+    connected components of the Dynkin subdiagram on J of (n+1)! for A_n,
+    2^(n-1)*n! for D_n and the orders of E6, E7, E8.  Simply-laced only."""
+    rest = set(J) if J is not None else set(range(1, rs.rank + 1))
+    order = 1
+    while rest:
+        comp = {rest.pop()}
+        stack = list(comp)
+        while stack:
+            a = stack.pop()
+            for b in [b for b in rest if rs.cartan[a - 1][b - 1]]:
+                if rs.cartan[a - 1][b - 1] != -1 or rs.cartan[b - 1][a - 1] != -1:
+                    raise ValueError("parabolic_order needs a simply-laced root system")
+                rest.remove(b)
+                comp.add(b)
+                stack.append(b)
+        order *= _component_order(rs, comp)
+    return order
+
+
 def enumerate_group(rs: RootSystem, J: Iterable[int] | None = None) -> list[WeylElt]:
-    """All elements of W_J (small instances only)."""
+    """All elements of W_J (small instances only), sorted by (length, cols).
+
+    A breadth-first search of the Cayley graph over the generators J, so
+    the level at which an element is first seen is its length."""
     Jt = tuple(J) if J is not None else tuple(range(1, rs.rank + 1))
     ident = WeylElt.identity(rs)
+    ident._len = 0
     found = {ident.cols: ident}
     frontier = [ident]
+    level = 0
     while frontier:
+        level += 1
         new = []
         for w in frontier:
             for i in Jt:
                 cand = w.right_mul(i)
                 if cand.cols not in found:
+                    cand._len = level
                     found[cand.cols] = cand
                     new.append(cand)
         frontier = new
@@ -457,4 +519,24 @@ def classify_survivors(rs: RootSystem, survivors: Iterable[WeylElt]) -> dict:
 
 
 def words_json(reps: Iterable[WeylElt]) -> list[str]:
-    return [w.word() for w in reps]
+    """The canonical reduced word (WeylElt.word) of each element, in order.
+
+    The canonical word satisfies word(w) = word(w*s_i) + str(i) for the
+    smallest right descent i, so each element's word extends the word of
+    that prefix.  A memo keyed on cols, local to the call, renders every
+    prefix met once; for minimal left-coset representatives the prefixes
+    are themselves representatives, so the memo stays within that set."""
+    memo: dict[tuple[Root, ...], str] = {}
+    out = []
+    for w in reps:
+        chain = []
+        while w.cols not in memo and not w.is_identity():
+            i = next(j + 1 for j, c in enumerate(w.cols) if sum(c) < 0)
+            chain.append((w.cols, str(i)))
+            w = w.right_mul(i)
+        word = memo.get(w.cols, "")
+        for cols, letter in reversed(chain):
+            word += letter
+            memo[cols] = word
+        out.append(word)
+    return out

@@ -282,6 +282,16 @@ class TestMain:
         code = cli.main(["weyl-enumerate", "--left", "M2", "--right", "4,9"])
         assert code == 2
 
+    @pytest.mark.parametrize("left", ["", "1"])
+    def test_enumerate_refuses_huge_quotient(self, left, monkeypatch, capsys):
+        def no_enumeration(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(cli, "enumerate_double_cosets", no_enumeration)
+        code = cli.main(["weyl-enumerate", "--left", left, "--right", "4,7"])
+        assert code == 2
+        assert "left cosets" in capsys.readouterr().err
+
     def test_enumerate_flagship_counts(self, capsys):
         code = cli.main(["weyl-enumerate", "--left", "M2", "--right", "4,7"])
         assert code == 0

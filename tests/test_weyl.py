@@ -19,10 +19,12 @@ from e8g2.weyl import (
     in_parabolic_by_inversions,
     longest_element,
     min_coset_rep,
+    parabolic_order,
     pivot_element,
     radical_intersection,
     resolve_swap47,
     support_filter,
+    words_json,
 )
 
 E8 = RootSystem(E8_CARTAN)
@@ -185,6 +187,73 @@ def test_coset_counting_invariant_e8(double_cosets):
     reps = enumerate_min_left_reps(E8, M2_INDICES)
     assert len(reps) == 17280
     assert len(reps) * group_order(E8, M2_INDICES) == 696729600
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _poincare(degrees):
+    """prod_d [d]_t with [d]_t = 1 + t + ... + t^(d-1), as coefficients."""
+    out = [1]
+    for d in degrees:
+        out = _poly_mul(out, [1] * d)
+    return out
+
+
+def _length_profile(reps):
+    profile = [0] * (max(w.length() for w in reps) + 1)
+    for w in reps:
+        profile[w.length()] += 1
+    return profile
+
+
+@pytest.mark.parametrize("rs, J, degrees, degrees_J", [
+    (E8, M2_INDICES, (2, 8, 12, 14, 18, 20, 24, 30), (2, 3, 4, 5, 6, 7, 8)),
+    (G2, (), (2, 6), ()),
+    (G2, (1,), (2, 6), (2,)),
+    (G2, (2,), (2, 6), (2,)),
+    (G2, (1, 2), (2, 6), (2, 6)),
+], ids=["E8-M2", "G2-empty", "G2-1", "G2-2", "G2-12"])
+def test_min_left_rep_lengths_match_poincare_quotient(rs, J, degrees, degrees_J):
+    # sum over minimal reps of t^l(w) is W(t)/W_J(t); checked in the form
+    # profile * W_J(t) == W(t), which needs no polynomial division
+    reps = enumerate_min_left_reps(rs, J)
+    assert _poly_mul(_length_profile(reps), _poincare(degrees_J)) == _poincare(degrees)
+    assert [w.length() for w in reps] == sorted(w.length() for w in reps)
+
+
+def test_enumerate_group_lengths_are_inversion_counts():
+    for J in [None, (1,), (2,)]:
+        for w in enumerate_group(G2, J):
+            assert w.length() == len(w.inversion_set())
+
+
+def test_words_json_matches_word(double_cosets):
+    for rs, reps in [(G2, enumerate_group(G2)), (E8, double_cosets[::50])]:
+        words = words_json(reps)
+        assert words == [w.word() for w in reps]
+        for w, word in zip(reps, words):
+            assert evaluate_word(rs, word) == w
+            assert len(word) == len(w.inversion_set()) == w.length()
+
+
+def test_parabolic_order_closed_form():
+    assert parabolic_order(E8) == 696729600
+    assert parabolic_order(E8, ()) == 1
+    assert parabolic_order(E8, M2_INDICES) == 40320  # A7
+    assert parabolic_order(E8, M1_INDICES) == 322560  # D7
+    assert parabolic_order(E8, (1, 2, 3, 4, 5, 6)) == 51840  # E6
+    assert parabolic_order(E8, (1, 2, 3, 4, 5, 6, 7)) == 2903040  # E7
+    for J in [(1,), (1, 3), (2, 4, 5), (2, 3, 4, 5), (1, 2, 3, 4, 5),
+              (1, 3, 4, 6, 7), (2, 3, 4, 5, 7, 8)]:
+        assert parabolic_order(E8, J) == group_order(E8, J)
+    with pytest.raises(ValueError):
+        parabolic_order(G2)
 
 
 def test_support_filter_counts(double_cosets, survivors):
