@@ -1,0 +1,431 @@
+"""The verification checks: every check body, frozen expectation and report.
+
+Each check is declared once, by the ``@check`` decorator on its body, with
+its id, its ``paper_location`` and the minimum of each param it accepts.
+The decorator registers it in ``REGISTRY``, which maps
+id -> (run, params, report_only):
+
+* ``run(params, config)`` calls the body with the manifest params as
+  keyword arguments, times it and builds the one ``CheckReport``;
+* ``params`` maps each accepted param name to its least allowed value;
+* ``report_only`` is the single source of a check's report-only status:
+  such a report never passes or fails, so it never gates the exit code.
+
+A body returns ``(ok, expected, computed)``.  A param named ``D`` is the
+truncation degree: it falls back to ``config.truncation_degree`` and is
+reported as the report's ``truncation``.  Checks register in definition
+order, which is the order ``e8g2 --all`` runs them in.
+"""
+
+from __future__ import annotations
+
+import functools
+import time
+from dataclasses import dataclass
+
+from . import zeta
+from .cheval import (
+    CHARACTER_SUPPORT_ROOTS,
+    build_constants,
+    character_conditions,
+    d0_structure_check,
+    default_character,
+    symbolic_conjugator,
+)
+from .g2chars import POSITIVE_ROOTS, Weight, dimension, spherical, sym_series, weyl_character
+from .rootsys import e8
+from .symra import LaurentPoly, RatFunc
+from .weyl import (
+    M2_INDICES,
+    WORD_INTERTWINER,
+    classify_survivors,
+    enumerate_double_cosets,
+    pivot_element,
+    resolve_swap47,
+    support_filter,
+)
+
+REPORT_FIELDS = ("id", "paper_location", "status", "expected", "computed", "truncation", "runtime_ms")
+
+
+@dataclass
+class CheckReport:
+    """One verification outcome; the JSON field order is part of the schema."""
+
+    id: str
+    paper_location: str
+    status: str  # pass | fail | report-only
+    expected: object
+    computed: object
+    truncation: int | None
+    runtime_ms: int
+
+    def to_json_dict(self) -> dict:
+        return {k: getattr(self, k) for k in REPORT_FIELDS}
+
+
+REGISTRY: dict = {}
+
+
+def check(check_id: str, paper_location: str, params: dict | None = None,
+          report_only: bool = False):
+    """Register the decorated body under ``check_id`` (see the module doc)."""
+    minimums = params or {}
+
+    def register(body):
+        def run(manifest_params: dict, config) -> CheckReport:
+            kwargs = dict(manifest_params)
+            if "D" in minimums:
+                kwargs.setdefault("D", config.truncation_degree)
+            started = time.perf_counter()
+            ok, expected, computed = body(**kwargs)
+            status = "report-only" if report_only else ("pass" if ok else "fail")
+            return CheckReport(check_id, paper_location, status, expected, computed,
+                               kwargs.get("D"),
+                               int(round((time.perf_counter() - started) * 1000)))
+
+        REGISTRY[check_id] = (run, minimums, report_only)
+        return body
+
+    return register
+
+
+# the full acceptance suite at its stated degrees
+DEFAULT_ENTRIES = (
+    ("weyl.double_cosets", {}),
+    ("rootsys.root_data", {}),
+    ("cheval.structure", {}),
+    ("cheval.conditions", {}),
+    ("zeta.gk_products", {}),
+    ("zeta.closed_forms", {}),
+    ("zeta.check3", {"D": 10}),
+    ("zeta.sum_cases", {"n_max": 6, "m_max": 4}),
+    ("zeta.end_to_end", {"D": 8}),
+    ("g2chars.characters", {}),
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _constants():
+    return build_constants(e8())
+
+
+# -- frozen expectations ---------------------------------------------------
+
+CENSUS = {"double_cosets": 6576, "survivors": 25, "S_sht": 9,
+          "S_lng": 16, "S_lng_prime": 8, "unmatched": 0}
+
+ROOT_DATA = {
+    "radical_size": 78,
+    "swap_inversions": [
+        "00000100", "00000110", "00000111", "00001100", "00001110",
+        "00001111", "00011100", "00011110", "00011111", "00111100",
+        "00111110", "00111111", "01122210", "01122211", "01122221",
+    ],
+    # complement of the inner radical subgroup inside the big radical
+    "radical_complement": [
+        "11110000", "11111000", "11121000", "11221000",
+        "12232100", "12232110", "12232111",
+    ],
+    "pivot_positive_nodes": [2, 3, 4, 5],
+    "swap_sends_4_to": "00000010",
+    "swap_sends_7_to": "00010000",
+}
+
+STRUCTURE = {"table_size": 13440, "triangles_checked": 13440, "violations": 0,
+             "antisymmetry_violations": 0, "negation_violations": 0,
+             "d0_passed": True, "d0_abelian": True, "d0_sl2_stable": True}
+
+# conjugator coordinates set to zero for the pivot's triviality conditions
+CONJUGATOR_ZEROED = ("00111100", "00111110", "01122210", "01122211", "01122221")
+
+# conditions at the pivot element under cheval's sign convention
+# (monomial supports are convention-independent; individual signs are not)
+CONDITIONS = {"conditions": 7, "nonzero": {
+    "11110000": "delta_00111111",
+    "11111000": "-delta_00011111",
+    "11121000": "delta_00001111",
+    "11221000": "-delta_00001100*delta_00011110 + delta_00001110*delta_00011100"
+                " + delta_00000111",
+    "12232100": "delta_00000110",
+    "12232110": "-delta_00000100",
+}}
+
+CHARACTERS = {"spherical_unit": True, "dim_fundamental": 7, "plethysm_identity": True}
+
+
+# -- checks, in registration order ---------------------------------------------------
+
+
+@check("weyl.double_cosets", "double-coset-census")
+def _double_cosets():
+    rs = e8()
+    reps = enumerate_double_cosets(rs, M2_INDICES, (4, 7))
+    supp = [rs.parse_root(s) for s in CHARACTER_SUPPORT_ROOTS]
+    survivors = support_filter(reps, supp)
+    classified = classify_survivors(rs, survivors)
+    computed = {
+        "double_cosets": len(reps),
+        "survivors": len(survivors),
+        "S_sht": len(classified["S_sht"]),
+        "S_lng": len(classified["S_lng"]),
+        "S_lng_prime": len(classified["S_lng_prime"]),
+        "unmatched": len(classified["unmatched"]),
+    }
+    return computed == CENSUS, CENSUS, computed
+
+
+@check("rootsys.root_data", "parabolic-root-data")
+def _root_data():
+    rs = e8()
+    swap = resolve_swap47(rs)["element"]
+    pivot, _, _ = pivot_element(rs)
+    computed = {
+        "radical_size": len(rs.radical_roots(1)),
+        "swap_inversions": sorted(rs.root_str(a) for a in swap.inversion_set()),
+        "radical_complement": sorted(
+            rs.root_str(a) for a in rs.radical_roots(1) if sum(pivot.act(a)) > 0),
+        "pivot_positive_nodes": [i for i in (2, 3, 4, 5)
+                                 if sum(pivot.act(rs.simple[i - 1])) > 0],
+        "swap_sends_4_to": rs.root_str(swap.act(rs.simple[3])),
+        "swap_sends_7_to": rs.root_str(swap.act(rs.simple[6])),
+    }
+    return computed == ROOT_DATA, ROOT_DATA, computed
+
+
+@check("cheval.structure", "structure-constant-table")
+def _structure():
+    rep = _constants().jacobi_triangle_report()
+    d0 = d0_structure_check(e8())
+    computed = {
+        "table_size": rep["table_size"],
+        "triangles_checked": rep["triangles_checked"],
+        "violations": rep["violations"],
+        "antisymmetry_violations": rep["antisymmetry_violations"],
+        "negation_violations": rep["negation_violations"],
+        "d0_passed": d0["passed"],
+        "d0_abelian": d0["abelian"],
+        "d0_sl2_stable": d0["sl2_stable"],
+    }
+    return computed == STRUCTURE, STRUCTURE, computed
+
+
+@check("cheval.conditions", "character-triviality-conditions")
+def _conditions():
+    rs = e8()
+    pivot, _, _ = pivot_element(rs)
+    conds = character_conditions(
+        pivot, default_character(rs),
+        symbolic_conjugator(_constants(), zeroed=CONJUGATOR_ZEROED))
+    computed = {
+        "conditions": len(conds),
+        "nonzero": {r: p.to_text() for r, p in sorted(conds.items())
+                    if not p.is_zero()},
+    }
+    return computed == CONDITIONS, CONDITIONS, computed
+
+
+@check("zeta.gk_products", "intertwiner-constant-products")
+def _gk_products():
+    """Constant-term products as exact key multisets: the parabolic product
+    over the 92 relevant roots cancels to the frozen numerator/denominator
+    keys (denominator = normalizing factor), and the intertwiner word's
+    product telescopes to its frozen five-over-five ratio."""
+    para_num = sorted(zeta.Z1_NUM_KEYS + zeta.Z2_NUM_KEYS)
+    para = zeta.gk_product(zeta.parabolic_context(), "parabolic")
+    para_num_ok = para.num_keys() == para_num
+    para_den_ok = para.den_keys() == list(zeta.N_KEYS)
+    inter = zeta.gk_product(zeta.intertwiner_context(), "weyl_word", WORD_INTERTWINER)
+    inter_ok = (inter.num_keys() == sorted(zeta.INTERTWINER_NUM_KEYS)
+                and inter.den_keys() == sorted(zeta.INTERTWINER_DEN_KEYS))
+    n_val_ok = zeta.named("N").value.equals(
+        RatFunc(zeta._ONE, {k: 1 for k in para.den_keys()}, reduce=False))
+    ok = para_num_ok and para_den_ok and inter_ok and n_val_ok
+    return ok, {
+        "parabolic_num": [list(k) for k in para_num],
+        "parabolic_den": [list(k) for k in zeta.N_KEYS],
+        "intertwiner_num": [list(k) for k in zeta.INTERTWINER_NUM_KEYS],
+        "intertwiner_den": [list(k) for k in zeta.INTERTWINER_DEN_KEYS],
+    }, {
+        "parabolic_num_match": para_num_ok, "parabolic_den_match": para_den_ok,
+        "intertwiner_match": inter_ok, "den_equals_normalizing_factor": n_val_ok,
+    }
+
+
+@check("zeta.closed_forms", "local-integral-closed-forms")
+def _closed_forms():
+    """The closed-form engine end to end: operator assembly against the
+    frozen four-variable form, the summation oracle against its substitution
+    on the full grid, the T0 application against its frozen three-term form,
+    all three valuation cases of the local integral against
+    Z * I0 / ((1-xq^7)(1-xq^8)), and the one-row kernel factorization."""
+    om, mono, one = zeta._om, zeta._mono, zeta._ONE
+    frozen = zeta._frozen_cj0()
+    assembly_ok = zeta.assemble_cj0() == frozen
+    variant_differs = not (
+        zeta.assemble_cj0(zeta._cj21()).substitute(1, 2).equals(frozen.substitute(1, 2)))
+    grid_ok = all(
+        zeta.j_oracle(B, C).equals(frozen.substitute(B, C))
+        for B in range(6) for C in range(B, 6))
+    t0_ok = zeta.t_operators("T0", frozen) == zeta._frozen_t0_cj0()
+
+    z = zeta._factor_product(zeta.Z_FACTOR_KEYS)
+
+    def direct(n, m):
+        return RatFunc(z * zeta._i0_poly(n, m), {(1, 7): 1, (1, 8): 1})
+
+    closed_I = zeta.closed_I
+    cases_ok = closed_I(0, 0, "both-unit").equals(direct(0, 0))
+    cases_ok = cases_ok and all(
+        closed_I(n, 0, "t2-unit").equals(direct(n, 0)) for n in range(7))
+    cases_ok = cases_ok and all(
+        closed_I(n, m, "t2-nonunit").equals(direct(n, m))
+        for m in range(1, 4) for n in range(4))
+    boundary_ok = closed_I(0, 0, "t2-unit").equals(closed_I(0, 0, "both-unit"))
+    one_row_ok = all(
+        zeta._i0_poly(n, 0) == om(x=1, q=8) * (
+            om(x=1, q=6) * (one + mono(1, x=2, q=13))
+            - om(x=1, q=5) * mono(1, x=n + 1, q=7 * n + 7))
+        for n in range(11))
+    family = (("Z", {}), ("z0", {}), ("N", {}), ("Z1", {}), ("Z2", {}),
+              ("I0", {"n": 2, "m": 1}), ("J0c", {}), ("J1c", {}), ("J2c", {}),
+              ("cJ21", {}), ("cJ22", {}), ("cJ0", {}))
+    named_ok = all(zeta.named(i, **kw).self_check() for i, kw in family)
+    ok = (assembly_ok and variant_differs and grid_ok and t0_ok and cases_ok
+          and boundary_ok and one_row_ok and named_ok)
+    return ok, {
+        "assembly": "matches frozen closed form",
+        "oracle_grid": "0 <= B <= C <= 5",
+        "t0_application": "matches frozen three-term form",
+        "cases": "all equal Z*I0/((1-xq^7)(1-xq^8))",
+    }, {
+        "assembly_matches": assembly_ok,
+        "rejected_operand_variant_differs": variant_differs,
+        "oracle_grid_matches": grid_ok,
+        "t0_matches": t0_ok,
+        "cases_match": cases_ok,
+        "unit_boundary_agrees": boundary_ok,
+        "one_row_kernel_factors": one_row_ok,
+        "named_family_self_checks": named_ok,
+        "notes": [
+            "triple-slot reduction read as valuations (m-1, n+m-1); the"
+            " four-slot variant is inconsistent with the case identities",
+            "the nonunit-case shift coefficient is used as x^5*q^35"],
+    }
+
+
+@check("zeta.check3", "main-identity-series", params={"D": 1})
+def _main_identity_series(D):
+    """Main identity, series route: the mass-weighted kernel sum equals the
+    boundary product times the one-row character series, compared as exact
+    Laurent coefficients in (q, a, b) through x-degree D."""
+    ok = zeta._measure_sum(D).truncate_var("x", D) == zeta.boundary_series(D)
+    return ok, "x-coefficients 0..D agree in (q, a, b)", {
+        "equal": ok,
+        "pairs_summed": sum(1 for n in range(D + 1) for m in range((D - n) // 2 + 1)),
+    }
+
+
+@check("zeta.sum_cases", "main-identity-finite-cases", params={"n_max": 0, "m_max": 0})
+def _main_identity_cases(n_max=6, m_max=4):
+    """Main identity, finite-case route: for each highest weight lam the
+    mass-weighted kernel sum over lam + S0 collapses to the boundary product
+    times (xq^8)^n for one-row lam and to zero otherwise.  Exact rational
+    identity per pair, no truncation."""
+    mono = zeta._mono
+    sums, _ = zeta._subset_table()
+    z0q = zeta._factor_product(zeta.Z0_FACTOR_KEYS) * zeta._QHAT.rename(zeta.XQ)
+    failures = []
+    for n in range(n_max + 1):
+        for m in range(m_max + 1):
+            lam = Weight(n, m)
+            lhs = LaurentPoly.zero(zeta.XQ)
+            for nu in sums:
+                w = Weight(lam.n + nu.n, lam.m + nu.m)
+                if not w.dominant:
+                    continue
+                coeff = zeta.p_coefficient(w, lam) * zeta._q_clear(w)
+                tau0 = mono(1, x=w.n + 2 * w.m, q=8 * w.n + 15 * w.m)
+                lhs = lhs + coeff.rename(zeta.XQ) * zeta._i0_poly(w.n, w.m) * tau0
+            rhs = z0q * mono(1, x=n, q=8 * n) if m == 0 else LaurentPoly.zero(zeta.XQ)
+            if lhs != rhs:
+                failures.append(f"{n},{m}")
+    return not failures, f"all pairs with n <= {n_max}, m <= {m_max} collapse", {
+        "pairs_checked": (n_max + 1) * (m_max + 1), "failures": failures}
+
+
+@check("zeta.end_to_end", "normalized-integral-vs-l-series", params={"D": 1})
+def _end_to_end(D):
+    """Normalized-integral identity: the assembled kernel series times the
+    normalizing factor equals the two-variable L-series with its quadratic
+    factor, as truncated x-series; and the mass perturbation breaks it."""
+    sv = zeta.SERIES_VARS
+    z4 = zeta._factor_product(zeta.Z_FACTOR_KEYS).rename(sv)
+    den = {(1, 7, 0, 0): 1, (1, 8, 0, 0): 1}
+    for k, j in zeta.N_KEYS:
+        den[(k, j, 0, 0)] = den.get((k, j, 0, 0), 0) + 1
+    lhs = RatFunc(z4 * zeta._measure_sum(D), den, reduce=False).truncate("x", D)
+    rhs = RatFunc(zeta._QHAT.rename(sv) * zeta._char_series(D),
+                  {(2, 16, 0, 0): 1}, reduce=False).truncate("x", D)
+    identity_ok = lhs == rhs
+    perturbed = RatFunc(z4 * zeta._measure_sum(D, perturb_mass=True), den,
+                        reduce=False).truncate("x", D)
+    control_ok = perturbed != rhs
+    return identity_ok and control_ok, {
+        "identity": "truncated series agree", "negative_control": "perturbed mass differs",
+    }, {"identity": identity_ok, "negative_control_differs": control_ok}
+
+
+@check("g2chars.characters", "spherical-character-layer")
+def _characters():
+    sph_ok = spherical((0, 0)).equals(1)
+    dim7 = dimension(weyl_character((1, 0)))
+    chis, syms = sym_series(8)
+    brion_ok = all(
+        (syms[r] - (syms[r - 2] if r >= 2 else LaurentPoly.zero(syms[r].vars)))
+        == chis[r]
+        for r in range(9))
+    computed = {"spherical_unit": sph_ok, "dim_fundamental": dim7,
+                "plethysm_identity": brion_ok}
+    return computed == CHARACTERS, CHARACTERS, computed
+
+
+@check("zeta.tau_points", "torus-points")
+def _tau_points():
+    """For each torus point exhibit a positive root alpha with point^alpha = q,
+    and confirm the second/third points are the first twisted by the
+    kernel-polynomial term monomials."""
+    t0, t1, t2 = zeta.TAU_POINTS
+    hits = {tp.name: [f"{b.n},{b.m}" for b in POSITIVE_ROOTS
+                      if tp.weight_exponents(b) == (0, 1)]
+            for tp in zeta.TAU_POINTS}
+    twist_ok = (
+        t1.omega1 == t0.omega1
+        and t1.omega2 == (t0.omega2[0] + 1, t0.omega2[1] + 8)
+        and t2.omega1 == (t0.omega1[0] + 1, t0.omega1[1] + 7)
+        and t2.omega2 == (t0.omega2[0] + 1, t0.omega2[1] + 8)
+    )
+    pairing_ok = all(
+        zeta._pairing_with_double_rho((n, m)) == 6 * n + 10 * m
+        for n in range(4) for m in range(4))
+    ok = all(hits.values()) and twist_ok and pairing_ok
+    return ok, {
+        "roots_with_value_q": "at least one per point", "twists": "term monomials",
+        "double_rho_pairing": "6n+10m",
+    }, {"roots_with_value_q": hits, "twists_match": twist_ok, "double_rho_pairing": pairing_ok}
+
+
+@check("zeta.pole_factors", "pole-candidate-factors", params={"order": 0}, report_only=True)
+def _pole_factors(order=1):
+    """The labeled numerator factors of the parabolic product, the input
+    list for pole bookkeeping at each character order."""
+    prod = zeta.gk_product(zeta.parabolic_context(order), "parabolic")
+    return None, "numerator factors (k, j, k mod order)", {
+        "order": order, "factors": [list(t) for t in prod.labeled("num")]}
+
+
+@check("weyl.swap47", "swap-word-comparison", report_only=True)
+def _swap47():
+    res = resolve_swap47(e8())
+    return None, "comparison of the two circulating swap-word spellings", {
+        k: v for k, v in res.items() if k != "element"}

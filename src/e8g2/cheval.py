@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Mapping, Sequence
 
-from .rootsys import RootSystem, build_root_system, E8_CARTAN, root_key
+from .rootsys import RootSystem, e8, root_key
 from .symra import LaurentPoly
 from .weyl import WeylElt, radical_intersection, evaluate_word, WORD_SWAP47_A
 
@@ -518,7 +518,7 @@ def d0_structure_check(rs: RootSystem | None = None) -> dict:
     either node-4 or node-7 simple root from each either leaves the root
     system or lands back in the list (the two SL2's normalize the group)."""
     if rs is None:
-        rs = build_root_system(E8_CARTAN)
+        rs = e8()
     roots = [rs.parse_root(s) for s in D0_ROOTS]
     rset = set(rs.roots)
     listed = set(roots)

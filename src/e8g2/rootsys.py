@@ -8,6 +8,7 @@ roots print with a leading minus.  All enumerations are ordered by
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -212,5 +213,7 @@ def restrict_root(tr: TorusRestriction, rs: RootSystem, alpha: Root) -> tuple[in
     return tr.restrict(rs, alpha)
 
 
-def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
-    return RootSystem(cartan)
+@functools.lru_cache(maxsize=1)
+def e8() -> RootSystem:
+    """The E8 root system, built once per process and shared by every caller."""
+    return RootSystem(E8_CARTAN)

@@ -19,14 +19,13 @@ Everything here is exact arithmetic over the two-variable Laurent ring in
 * the closed form of the local integral (``closed_I``) in its three
   valuation cases, each equal to Z*I0/((1-xq^7)(1-xq^8));
 * weight-coefficient enumeration over the rank-two Weyl group
-  (``p_coefficient``) and the truncated series checks ``verify_check3``,
-  ``verify_sum_cases`` and ``end_to_end``, reported as ``CheckReport``
-  records.
+  (``p_coefficient``), the mass-weighted kernel sum (``_measure_sum``) and
+  the boundary series (``boundary_series``) that the series identities in
+  ``e8g2.checks`` compare.
 """
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,9 +43,9 @@ from .g2chars import (
     weyl_character,
     weyl_images,
 )
-from .rootsys import E8_CARTAN, RootSystem
+from .rootsys import RootSystem, e8
 from .symra import LaurentPoly, RatFunc, one_minus
-from .weyl import WORD_INTERTWINER, evaluate_word
+from .weyl import evaluate_word
 
 XQ = ("x", "q")
 SERIES_VARS = ("x", "q", "a", "b")
@@ -62,34 +61,6 @@ def _mono(coeff: int = 1, **pows: int) -> LaurentPoly:
 
 _ONE = LaurentPoly.const(XQ, 1)
 _ZERO_RF = RatFunc(LaurentPoly.zero(XQ))
-
-
-# -- check reports ---------------------------------------------------
-
-REPORT_FIELDS = ("id", "paper_location", "status", "expected", "computed", "truncation", "runtime_ms")
-
-
-@dataclass
-class CheckReport:
-    """One verification outcome; the JSON field order is part of the schema."""
-
-    id: str
-    paper_location: str
-    status: str  # pass | fail | report-only
-    expected: object
-    computed: object
-    truncation: int | None
-    runtime_ms: int
-
-    def to_json_dict(self) -> dict:
-        return {k: getattr(self, k) for k in REPORT_FIELDS}
-
-
-def _report(check_id: str, location: str, started: float, ok: bool | None,
-            expected, computed, truncation: int | None = None) -> CheckReport:
-    status = "report-only" if ok is None else ("pass" if ok else "fail")
-    ms = int(round((time.perf_counter() - started) * 1000))
-    return CheckReport(check_id, location, status, expected, computed, truncation, ms)
 
 
 # -- zeta-factor products ---------------------------------------------------
@@ -161,26 +132,16 @@ class GKContext:
             raise ValueError("parabolic index out of range")
 
 
-_E8_RS: RootSystem | None = None
-
-
-def _e8() -> RootSystem:
-    global _E8_RS
-    if _E8_RS is None:
-        _E8_RS = RootSystem(E8_CARTAN)
-    return _E8_RS
-
-
 PARABOLIC_FORMS = tuple((1, 0) if i == 1 else (0, 0) for i in range(8))
 INTERTWINER_FORMS = ((1, -6), (1, -6), (1, -6), (-2, 14), (1, -6), (-1, 7), (1, -6), (1, -5))
 
 
 def parabolic_context(chi_order: int = 1) -> GKContext:
-    return GKContext(_e8(), 2, PARABOLIC_FORMS, chi_order)
+    return GKContext(e8(), 2, PARABOLIC_FORMS, chi_order)
 
 
 def intertwiner_context(chi_order: int = 1) -> GKContext:
-    return GKContext(_e8(), 2, INTERTWINER_FORMS, chi_order)
+    return GKContext(e8(), 2, INTERTWINER_FORMS, chi_order)
 
 
 def gk_product(ctx: GKContext, mode: str, word: str | None = None) -> ZetaProduct:
@@ -638,32 +599,6 @@ def _pairing_with_double_rho(w) -> int:
     return total
 
 
-def verify_tau_remark() -> CheckReport:
-    """For each torus point exhibit a positive root alpha with point^alpha = q,
-    and confirm the second/third points are the first twisted by the
-    kernel-polynomial term monomials."""
-    started = time.perf_counter()
-    hits = {}
-    for tp in TAU_POINTS:
-        found = [f"{b.n},{b.m}" for b in POSITIVE_ROOTS if tp.weight_exponents(b) == (0, 1)]
-        hits[tp.name] = found
-    twist_ok = (
-        TAU_POINTS[1].omega1 == TAU_POINTS[0].omega1
-        and TAU_POINTS[1].omega2 == (TAU_POINTS[0].omega2[0] + 1, TAU_POINTS[0].omega2[1] + 8)
-        and TAU_POINTS[2].omega1 == (TAU_POINTS[0].omega1[0] + 1, TAU_POINTS[0].omega1[1] + 7)
-        and TAU_POINTS[2].omega2 == (TAU_POINTS[0].omega2[0] + 1, TAU_POINTS[0].omega2[1] + 8)
-    )
-    pairing_ok = all(
-        _pairing_with_double_rho((n, m)) == 6 * n + 10 * m
-        for n in range(4) for m in range(4))
-    ok = all(hits[tp.name] for tp in TAU_POINTS) and twist_ok and pairing_ok
-    return _report(
-        "zeta.tau_points", "torus-points", started, ok,
-        {"roots_with_value_q": "at least one per point", "twists": "term monomials",
-         "double_rho_pairing": "6n+10m"},
-        {"roots_with_value_q": hits, "twists_match": twist_ok, "double_rho_pairing": pairing_ok})
-
-
 # -- finite summation family ---------------------------------------------------
 
 
@@ -829,7 +764,7 @@ def p_coefficient(varpi, lam) -> LaurentPoly:
     return total
 
 
-# -- truncated series checks ---------------------------------------------------
+# -- truncated series ---------------------------------------------------
 
 
 def _mono4(coeff: int = 1, **pows: int) -> LaurentPoly:
@@ -857,174 +792,9 @@ def _char_series(D: int) -> LaurentPoly:
     return out
 
 
-def verify_check3(D: int = 10) -> CheckReport:
-    """Main identity, series route: the mass-weighted kernel sum equals the
-    boundary product times the one-row character series, compared as exact
-    Laurent coefficients in (q, a, b) through x-degree D."""
-    if D < 1:
-        raise ValueError("truncation degree must be >= 1")
-    started = time.perf_counter()
-    lhs = _measure_sum(D).truncate_var("x", D)
-    rhs_full = (_factor_product(Z0_FACTOR_KEYS).rename(SERIES_VARS)
-                * _QHAT.rename(SERIES_VARS)).mul_trunc(_char_series(D), "x", D)
-    ok = lhs == rhs_full
-    return _report(
-        "zeta.check3", "main-identity-series", started, ok,
-        "x-coefficients 0..D agree in (q, a, b)",
-        {"equal": ok, "pairs_summed": sum(1 for n in range(D + 1)
-                                          for m in range((D - n) // 2 + 1))},
-        truncation=D)
-
-
-def verify_sum_cases(n_max: int = 6, m_max: int = 4) -> CheckReport:
-    """Main identity, finite-case route: for each highest weight lam the
-    mass-weighted kernel sum over lam + S0 collapses to the boundary product
-    times (xq^8)^n for one-row lam and to zero otherwise.  Exact rational
-    identity per pair, no truncation."""
-    started = time.perf_counter()
-    sums, _ = _subset_table()
-    z0q = _factor_product(Z0_FACTOR_KEYS) * _QHAT.rename(XQ)
-    failures = []
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            lam = Weight(n, m)
-            lhs = LaurentPoly.zero(XQ)
-            for nu in sums:
-                w = Weight(lam.n + nu.n, lam.m + nu.m)
-                if not w.dominant:
-                    continue
-                coeff = p_coefficient(w, lam) * _q_clear(w)
-                tau0 = _mono(1, x=w.n + 2 * w.m, q=8 * w.n + 15 * w.m)
-                lhs = lhs + coeff.rename(XQ) * _i0_poly(w.n, w.m) * tau0
-            rhs = z0q * _mono(1, x=n, q=8 * n) if m == 0 else LaurentPoly.zero(XQ)
-            if lhs != rhs:
-                failures.append(f"{n},{m}")
-    ok = not failures
-    return _report(
-        "zeta.sum_cases", "main-identity-finite-cases", started, ok,
-        f"all pairs with n <= {n_max}, m <= {m_max} collapse",
-        {"pairs_checked": (n_max + 1) * (m_max + 1), "failures": failures})
-
-
-def end_to_end(D: int = 10) -> CheckReport:
-    """Normalized-integral identity: the assembled kernel series times the
-    normalizing factor equals the two-variable L-series with its quadratic
-    factor, as truncated x-series; and the mass perturbation breaks it."""
-    if D < 1:
-        raise ValueError("truncation degree must be >= 1")
-    started = time.perf_counter()
-    z4 = _factor_product(Z_FACTOR_KEYS).rename(SERIES_VARS)
-    den = {(1, 7, 0, 0): 1, (1, 8, 0, 0): 1}
-    for k, j in N_KEYS:
-        den[(k, j, 0, 0)] = den.get((k, j, 0, 0), 0) + 1
-    lhs = RatFunc(z4 * _measure_sum(D), den, reduce=False).truncate("x", D)
-    rhs = RatFunc(_QHAT.rename(SERIES_VARS) * _char_series(D),
-                  {(2, 16, 0, 0): 1}, reduce=False).truncate("x", D)
-    identity_ok = lhs == rhs
-    perturbed = RatFunc(z4 * _measure_sum(D, perturb_mass=True), den,
-                        reduce=False).truncate("x", D)
-    control_ok = perturbed != rhs
-    ok = identity_ok and control_ok
-    return _report(
-        "zeta.end_to_end", "normalized-integral-vs-l-series", started, ok,
-        {"identity": "truncated series agree", "negative_control": "perturbed mass differs"},
-        {"identity": identity_ok, "negative_control_differs": control_ok},
-        truncation=D)
-
-
-# -- bundled structural checks ---------------------------------------------------
-
-
-def verify_gk_products() -> CheckReport:
-    """Constant-term products as exact key multisets: the parabolic product
-    over the 92 relevant roots cancels to the frozen numerator/denominator
-    keys (denominator = normalizing factor), and the intertwiner word's
-    product telescopes to its frozen five-over-five ratio."""
-    started = time.perf_counter()
-    para = gk_product(parabolic_context(), "parabolic")
-    para_num_ok = para.num_keys() == sorted(Z1_NUM_KEYS + Z2_NUM_KEYS)
-    para_den_ok = para.den_keys() == list(N_KEYS)
-    inter = gk_product(intertwiner_context(), "weyl_word", WORD_INTERTWINER)
-    inter_ok = (inter.num_keys() == sorted(INTERTWINER_NUM_KEYS)
-                and inter.den_keys() == sorted(INTERTWINER_DEN_KEYS))
-    n_val_ok = named("N").value.equals(
-        RatFunc(_ONE, {k: 1 for k in para.den_keys()}, reduce=False))
-    ok = para_num_ok and para_den_ok and inter_ok and n_val_ok
-    return _report(
-        "zeta.gk_products", "intertwiner-constant-products", started, ok,
-        {"parabolic_num": [list(k) for k in sorted(Z1_NUM_KEYS + Z2_NUM_KEYS)],
-         "parabolic_den": [list(k) for k in N_KEYS],
-         "intertwiner_num": [list(k) for k in INTERTWINER_NUM_KEYS],
-         "intertwiner_den": [list(k) for k in INTERTWINER_DEN_KEYS]},
-        {"parabolic_num_match": para_num_ok, "parabolic_den_match": para_den_ok,
-         "intertwiner_match": inter_ok, "den_equals_normalizing_factor": n_val_ok})
-
-
-def verify_closed_forms() -> CheckReport:
-    """The closed-form engine end to end: operator assembly against the
-    frozen four-variable form, the summation oracle against its substitution
-    on the full grid, the T0 application against its frozen three-term form,
-    all three valuation cases of the local integral against
-    Z * I0 / ((1-xq^7)(1-xq^8)), and the one-row kernel factorization."""
-    started = time.perf_counter()
-    frozen = _frozen_cj0()
-    assembly_ok = assemble_cj0() == frozen
-    variant_differs = not (
-        assemble_cj0(_cj21()).substitute(1, 2).equals(frozen.substitute(1, 2)))
-    grid_ok = all(
-        j_oracle(B, C).equals(frozen.substitute(B, C))
-        for B in range(6) for C in range(B, 6))
-    t0_ok = t_operators("T0", frozen) == _frozen_t0_cj0()
-
-    z = _factor_product(Z_FACTOR_KEYS)
-
-    def direct(n, m):
-        return RatFunc(z * _i0_poly(n, m), {(1, 7): 1, (1, 8): 1})
-
-    cases_ok = closed_I(0, 0, "both-unit").equals(direct(0, 0))
-    cases_ok = cases_ok and all(
-        closed_I(n, 0, "t2-unit").equals(direct(n, 0)) for n in range(7))
-    cases_ok = cases_ok and all(
-        closed_I(n, m, "t2-nonunit").equals(direct(n, m))
-        for m in range(1, 4) for n in range(4))
-    boundary_ok = closed_I(0, 0, "t2-unit").equals(closed_I(0, 0, "both-unit"))
-    one_row_ok = all(
-        _i0_poly(n, 0) == _om(x=1, q=8) * (
-            _om(x=1, q=6) * (_ONE + _mono(1, x=2, q=13))
-            - _om(x=1, q=5) * _mono(1, x=n + 1, q=7 * n + 7))
-        for n in range(11))
-    family = (("Z", {}), ("z0", {}), ("N", {}), ("Z1", {}), ("Z2", {}),
-              ("I0", {"n": 2, "m": 1}), ("J0c", {}), ("J1c", {}), ("J2c", {}),
-              ("cJ21", {}), ("cJ22", {}), ("cJ0", {}))
-    named_ok = all(named(i, **kw).self_check() for i, kw in family)
-    ok = (assembly_ok and variant_differs and grid_ok and t0_ok and cases_ok
-          and boundary_ok and one_row_ok and named_ok)
-    return _report(
-        "zeta.closed_forms", "local-integral-closed-forms", started, ok,
-        {"assembly": "matches frozen closed form",
-         "oracle_grid": "0 <= B <= C <= 5",
-         "t0_application": "matches frozen three-term form",
-         "cases": "all equal Z*I0/((1-xq^7)(1-xq^8))"},
-        {"assembly_matches": assembly_ok,
-         "rejected_operand_variant_differs": variant_differs,
-         "oracle_grid_matches": grid_ok,
-         "t0_matches": t0_ok,
-         "cases_match": cases_ok,
-         "unit_boundary_agrees": boundary_ok,
-         "one_row_kernel_factors": one_row_ok,
-         "named_family_self_checks": named_ok,
-         "notes": [
-             "triple-slot reduction read as valuations (m-1, n+m-1); the"
-             " four-slot variant is inconsistent with the case identities",
-             "the nonunit-case shift coefficient is used as x^5*q^35"]})
-
-
-def pole_factor_report(chi_order: int = 1) -> CheckReport:
-    """Report-only: the labeled numerator factors of the parabolic product,
-    the input list for pole bookkeeping at each character order."""
-    started = time.perf_counter()
-    prod = gk_product(parabolic_context(chi_order), "parabolic")
-    return _report(
-        "zeta.pole_factors", "pole-candidate-factors", started, None,
-        "numerator factors (k, j, k mod order)",
-        {"order": chi_order, "factors": [list(t) for t in prod.labeled("num")]})
+def boundary_series(D: int) -> LaurentPoly:
+    """Right-hand side of the main series identity through x-degree D: the
+    boundary product times the identity-coset mass times the one-row
+    character series."""
+    return (_factor_product(Z0_FACTOR_KEYS).rename(SERIES_VARS)
+            * _QHAT.rename(SERIES_VARS)).mul_trunc(_char_series(D), "x", D)

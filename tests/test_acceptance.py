@@ -1,61 +1,27 @@
 """Acceptance gate: the eight primary criteria, one test and one printed
-pass/fail line per criterion, each enforced at its stated time budget."""
+pass/fail line per criterion, each enforced at its stated time budget.
+
+Every criterion runs its entries of the default manifest through
+``cli.run``, the same code path as the ``e8g2`` command."""
 
 import contextlib
 import time
 
-import pytest
-
-from e8g2 import zeta
-from e8g2.cheval import (
-    CHARACTER_SUPPORT_ROOTS,
-    build_constants,
-    character_conditions,
-    d0_structure_check,
-    default_character,
-    symbolic_conjugator,
-)
-from e8g2.g2chars import dimension, spherical, sym_series, weyl_character
-from e8g2.rootsys import E8_CARTAN, RootSystem
-from e8g2.symra import LaurentPoly
-from e8g2.weyl import (
-    M2_INDICES,
-    classify_survivors,
-    enumerate_double_cosets,
-    pivot_element,
-    resolve_swap47,
-    support_filter,
-)
+from e8g2.checks import CENSUS, CHARACTERS, CONDITIONS, ROOT_DATA, STRUCTURE
+from e8g2.cli import DEFAULT_MANIFEST, Manifest, RunConfig, run
 
 BUDGET_SECONDS = {1: 60, 2: 5, 3: 60, 4: 5, 5: 120, 6: 600, 7: 600, 8: 60}
 
-SWAP_INVERSION_STRINGS = [
-    "00000100", "00000110", "00000111", "00001100", "00001110",
-    "00001111", "00011100", "00011110", "00011111", "00111100",
-    "00111110", "00111111", "01122210", "01122211", "01122221",
-]
 
-RADICAL_COMPLEMENT_STRINGS = [
-    "11110000", "11111000", "11121000", "11221000",
-    "12232100", "12232110", "12232111",
-]
-
-CONJUGATOR_ZEROED = ("00111100", "00111110", "01122210", "01122211", "01122221")
-
-EXPECTED_CONDITION_TEXT = {
-    "11110000": "delta_00111111",
-    "11111000": "-delta_00011111",
-    "11121000": "delta_00001111",
-    "11221000": "-delta_00001100*delta_00011110 + delta_00001110*delta_00011100"
-                " + delta_00000111",
-    "12232100": "delta_00000110",
-    "12232110": "-delta_00000100",
-}
-
-
-@pytest.fixture(scope="module")
-def rs():
-    return RootSystem(E8_CARTAN)
+def run_default(*ids):
+    """Run the default-manifest entries with these ids, in manifest order;
+    every report must pass."""
+    entries = tuple(e for e in DEFAULT_MANIFEST.entries if e.id in ids)
+    assert sorted(e.id for e in entries) == sorted(ids)
+    status, reports = run(Manifest(entries), RunConfig())
+    assert status == 0
+    assert [r.status for r in reports] == ["pass"] * len(ids)
+    return {r.id: r for r in reports}
 
 
 @contextlib.contextmanager
@@ -73,76 +39,32 @@ def criterion(number: int, summary: str):
         f"criterion {number} exceeded its {BUDGET_SECONDS[number]}s budget")
 
 
-def test_criterion_1_coset_counts(rs):
+def test_criterion_1_coset_counts():
     with criterion(1, "double-coset census 6576 / 25 / 9 / 16 / 8"):
-        reps = enumerate_double_cosets(rs, M2_INDICES, (4, 7))
-        assert len(reps) == 6576
-        supp = [rs.parse_root(s) for s in CHARACTER_SUPPORT_ROOTS]
-        survivors = support_filter(reps, supp)
-        assert len(survivors) == 25
-        classified = classify_survivors(rs, survivors)
-        assert len(classified["S_sht"]) == 9
-        assert len(classified["S_lng"]) == 16
-        assert len(classified["S_lng_prime"]) == 8
-        assert classified["unmatched"] == []
+        rep = run_default("weyl.double_cosets")["weyl.double_cosets"]
+        assert rep.computed == CENSUS
 
 
-def test_criterion_2_root_data(rs):
+def test_criterion_2_root_data():
     with criterion(2, "78 radical roots, the 15- and 7-root lists, "
                       "positivity on nodes 2-5, and the 4<->7 swap"):
-        assert len(rs.radical_roots(1)) == 78
-        swap = resolve_swap47(rs)["element"]
-        inv = sorted(rs.root_str(a) for a in swap.inversion_set())
-        assert inv == sorted(SWAP_INVERSION_STRINGS)
-        pivot, _, _ = pivot_element(rs)
-        comp = sorted(rs.root_str(a) for a in rs.radical_roots(1)
-                      if sum(pivot.act(a)) > 0)
-        assert comp == sorted(RADICAL_COMPLEMENT_STRINGS)
-        for i in (2, 3, 4, 5):
-            assert sum(pivot.act(rs.simple[i - 1])) > 0
-        assert swap.act(rs.simple[3]) == rs.simple[6]
-        assert swap.act(rs.simple[6]) == rs.simple[3]
+        rep = run_default("rootsys.root_data")["rootsys.root_data"]
+        assert rep.computed == ROOT_DATA
 
 
-def test_criterion_3_chevalley_layer(rs):
+def test_criterion_3_chevalley_layer():
     with criterion(3, "exhaustive Jacobi sweep, block-structure report, "
                       "and the frozen triviality conditions with signs"):
-        sc = build_constants(rs)
-        rep = sc.jacobi_triangle_report()
-        assert rep["table_size"] == 13440
-        assert rep["triangles_checked"] == 13440
-        assert rep["violations"] == 0
-        assert rep["antisymmetry_violations"] == 0
-        assert rep["negation_violations"] == 0
-
-        d0 = d0_structure_check(rs)
-        assert d0["passed"] and d0["abelian"] and d0["sl2_stable"]
-
-        pivot, _, _ = pivot_element(rs)
-        conds = character_conditions(
-            pivot, default_character(rs),
-            symbolic_conjugator(sc, zeroed=CONJUGATOR_ZEROED))
-        nonzero = {r: p for r, p in conds.items() if not p.is_zero()}
-        assert {r: p.to_text() for r, p in nonzero.items()} == EXPECTED_CONDITION_TEXT
-        # quadratic support with per-monomial signs
-        quad = nonzero["11221000"]
-        support = {}
-        for e, c in quad.coeffs.items():
-            names = tuple(sorted(v for v, p in zip(quad.vars, e)
-                                 for _ in range(p)))
-            support[names] = c
-        assert support == {
-            ("delta_00000111",): 1,
-            ("delta_00001100", "delta_00011110"): -1,
-            ("delta_00001110", "delta_00011100"): 1,
-        }
+        reps = run_default("cheval.structure", "cheval.conditions")
+        assert reps["cheval.structure"].computed == STRUCTURE
+        # the condition texts carry every monomial with its sign
+        assert reps["cheval.conditions"].computed == CONDITIONS
 
 
 def test_criterion_4_zeta_factor_products():
     with criterion(4, "parabolic product cancels to the normalizing-factor "
                       "denominator and the intertwiner-word product matches"):
-        rep = zeta.verify_gk_products()
-        assert rep.status == "pass"
+        rep = run_default("zeta.gk_products")["zeta.gk_products"]
         assert rep.computed["parabolic_num_match"]
         assert rep.computed["parabolic_den_match"]
         assert rep.computed["intertwiner_match"]
@@ -152,8 +74,7 @@ def test_criterion_4_zeta_factor_products():
 def test_criterion_5_closed_form_engine():
     with criterion(5, "operator assembly, oracle grid, boundary-weight "
                       "application, and all three closed-integral cases"):
-        rep = zeta.verify_closed_forms()
-        assert rep.status == "pass"
+        rep = run_default("zeta.closed_forms")["zeta.closed_forms"]
         for key in ("assembly_matches", "rejected_operand_variant_differs",
                     "oracle_grid_matches", "t0_matches", "cases_match",
                     "unit_boundary_agrees", "one_row_kernel_factors",
@@ -164,19 +85,18 @@ def test_criterion_5_closed_form_engine():
 def test_criterion_6_main_identity():
     with criterion(6, "series identity exact through x-degree 10 and the "
                       "finite-case route for n <= 6, m <= 4"):
-        rep = zeta.verify_check3(10)
-        assert rep.status == "pass"
-        assert rep.truncation == 10
-        cases = zeta.verify_sum_cases(6, 4)
-        assert cases.status == "pass"
-        assert cases.computed["failures"] == []
+        reps = run_default("zeta.check3", "zeta.sum_cases")
+        assert reps["zeta.check3"].truncation == 10
+        assert reps["zeta.check3"].computed["equal"]
+        cases = reps["zeta.sum_cases"].computed
+        assert cases == {"pairs_checked": 35, "failures": []}
 
 
 def test_criterion_7_end_to_end():
     with criterion(7, "normalized integral equals the L-series through "
                       "x-degree 8 and the mass perturbation breaks it"):
-        rep = zeta.end_to_end(8)
-        assert rep.status == "pass"
+        rep = run_default("zeta.end_to_end")["zeta.end_to_end"]
+        assert rep.truncation == 8
         assert rep.computed == {"identity": True,
                                 "negative_control_differs": True}
 
@@ -184,9 +104,5 @@ def test_criterion_7_end_to_end():
 def test_criterion_8_character_layer():
     with criterion(8, "spherical normalization, 7-dimensional fundamental "
                       "character, and the symmetric-power series identity"):
-        assert spherical((0, 0)).equals(1)
-        assert dimension(weyl_character((1, 0))) == 7
-        chis, syms = sym_series(8)
-        for r in range(9):
-            prev = syms[r - 2] if r >= 2 else LaurentPoly.zero(syms[r].vars)
-            assert syms[r] - prev == chis[r]
+        rep = run_default("g2chars.characters")["g2chars.characters"]
+        assert rep.computed == CHARACTERS

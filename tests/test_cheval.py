@@ -19,25 +19,12 @@ from e8g2.cheval import (
     swap_conjugator_roots,
     symbolic_conjugator,
 )
-from e8g2.rootsys import A2_CARTAN, E8_CARTAN, G2_CARTAN, RootSystem, root_key
+from e8g2.checks import CONDITIONS, CONJUGATOR_ZEROED
+from e8g2.rootsys import A2_CARTAN, G2_CARTAN, RootSystem, e8, root_key
 from e8g2.weyl import WeylElt, pivot_element
 
-E8 = RootSystem(E8_CARTAN)
+E8 = e8()
 SC = build_constants(E8)
-
-PART1_ZEROED = ("00111100", "00111110", "01122210", "01122211", "01122221")
-
-# conditions at the pivot element under the module's sign convention
-# (monomial supports are convention-independent; individual signs are not)
-EXPECTED_CONDITIONS = {
-    "11110000": "delta_00111111",
-    "11111000": "-delta_00011111",
-    "11121000": "delta_00001111",
-    "11221000": "-delta_00001100*delta_00011110 + delta_00001110*delta_00011100"
-                " + delta_00000111",
-    "12232100": "delta_00000110",
-    "12232110": "-delta_00000100",
-}
 
 
 def word(factors):
@@ -235,11 +222,11 @@ def test_swap_conjugator_roots_abelian():
 def test_pivot_conditions_frozen():
     pivot, _, _ = pivot_element(E8)
     psi = default_character(E8)
-    delta = symbolic_conjugator(SC, zeroed=PART1_ZEROED)
+    delta = symbolic_conjugator(SC, zeroed=CONJUGATOR_ZEROED)
     conds = character_conditions(pivot, psi, delta)
     assert len(conds) == 7
     nonzero = {r: p.to_text() for r, p in conds.items() if not p.is_zero()}
-    assert nonzero == EXPECTED_CONDITIONS
+    assert nonzero == CONDITIONS["nonzero"]
 
 
 def test_pivot_conditions_pattern():
@@ -247,7 +234,7 @@ def test_pivot_conditions_pattern():
     # quadratic relating the remaining coordinate to a 2x2 determinant
     pivot, _, _ = pivot_element(E8)
     conds = character_conditions(
-        pivot, default_character(E8), symbolic_conjugator(SC, zeroed=PART1_ZEROED))
+        pivot, default_character(E8), symbolic_conjugator(SC, zeroed=CONJUGATOR_ZEROED))
     nonzero = {r: p for r, p in conds.items() if not p.is_zero()}
     linear = {r: p for r, p in nonzero.items() if len(p) == 1}
     forced = set()
@@ -300,7 +287,7 @@ def test_conditions_empty_support():
 def test_conditions_factor_order_independent():
     pivot, _, _ = pivot_element(E8)
     psi = default_character(E8)
-    fwd = symbolic_conjugator(SC, zeroed=PART1_ZEROED)
+    fwd = symbolic_conjugator(SC, zeroed=CONJUGATOR_ZEROED)
     rev = UnipotentWord(SC, tuple(reversed(fwd.factors)))
     a = character_conditions(pivot, psi, fwd)
     b = character_conditions(pivot, psi, rev)
@@ -325,8 +312,8 @@ def test_character_support_validation():
 def test_conditions_json_export():
     pivot, _, _ = pivot_element(E8)
     conds = character_conditions(
-        pivot, default_character(E8), symbolic_conjugator(SC, zeroed=PART1_ZEROED))
+        pivot, default_character(E8), symbolic_conjugator(SC, zeroed=CONJUGATOR_ZEROED))
     rows = json.loads(conditions_to_json(conds))
-    assert [row["root"] for row in rows] == sorted(EXPECTED_CONDITIONS)
+    assert [row["root"] for row in rows] == sorted(CONDITIONS["nonzero"])
     by_root = {row["root"]: row["condition"] for row in rows}
-    assert by_root == EXPECTED_CONDITIONS
+    assert by_root == CONDITIONS["nonzero"]

@@ -3,6 +3,7 @@ deterministic report serialization, parallel execution, and the coset
 enumeration entry point."""
 
 import json
+import pathlib
 import re
 
 import pytest
@@ -20,7 +21,10 @@ from e8g2.cli import (
     emit,
     run,
 )
-from e8g2.zeta import REPORT_FIELDS, CheckReport, SingularShift
+from e8g2.checks import REPORT_FIELDS, CheckReport
+from e8g2.zeta import SingularShift
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def synthetic_report(check_id: str, status: str) -> CheckReport:
@@ -35,7 +39,7 @@ def synthetic_registry(statuses):
         def func(params, config, _cid=cid, _status=status):
             return synthetic_report(_cid, _status)
 
-        reg[cid] = (func, frozenset(), status == "report-only")
+        reg[cid] = (func, {}, status == "report-only")
     return reg
 
 
@@ -93,6 +97,14 @@ class TestManifest:
         with pytest.raises(UsageError, match="must be an integer"):
             run(manifest, RunConfig())
 
+    def test_readme_lists_the_registry(self):
+        text = README.read_text()
+        para = text[text.index("Registered checks:"):].split("\n\n")[0]
+        _, report_only = para.split("report-only")
+        assert set(re.findall(r"`([^`]+)`", para)) == set(REGISTRY)
+        assert set(re.findall(r"`([^`]+)`", report_only)) == {
+            cid for cid, (_, _, flag) in REGISTRY.items() if flag}
+
     def test_default_manifest_is_acceptance_suite(self):
         ids = [e.id for e in DEFAULT_MANIFEST.entries]
         assert ids == [
@@ -138,7 +150,7 @@ class TestExitContract:
         def boom(params, config):
             raise SingularShift("engineered for the test")
 
-        monkeypatch.setitem(cli.REGISTRY, "syn.boom", (boom, frozenset(), False))
+        monkeypatch.setitem(cli.REGISTRY, "syn.boom", (boom, {}, False))
         code = cli.main(["e8g2", "--check", "syn.boom"])
         assert code == 3
         assert "internal arithmetic error" in capsys.readouterr().err
@@ -160,6 +172,12 @@ def small_manifest():
     ))
 
 
+def normalized_json(config):
+    """The small manifest's JSON report with the runtimes zeroed."""
+    _, reports = run(small_manifest(), config)
+    return re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', emit(reports, "json"))
+
+
 class TestRunner:
     def test_reports_in_manifest_order(self):
         status, reports = run(small_manifest(), RunConfig())
@@ -175,20 +193,10 @@ class TestRunner:
         assert reports[0].truncation == 3
 
     def test_parallel_matches_serial(self):
-        manifest = small_manifest()
-        _, serial = run(manifest, RunConfig())
-        _, parallel = run(manifest, RunConfig(parallelism=2))
-        assert [r.id for r in serial] == [r.id for r in parallel]
-        assert [r.status for r in serial] == [r.status for r in parallel]
-        assert [r.computed for r in serial] == [r.computed for r in parallel]
+        assert normalized_json(RunConfig(parallelism=2)) == normalized_json(RunConfig())
 
     def test_json_deterministic_excluding_runtime(self):
-        def normalized():
-            _, reports = run(small_manifest(), RunConfig(format="json"))
-            return re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0',
-                          emit(reports, "json"))
-
-        assert normalized() == normalized()
+        assert normalized_json(RunConfig()) == normalized_json(RunConfig())
 
     def test_json_key_order_is_schema_order(self):
         _, reports = run(small_manifest(), RunConfig())
@@ -263,6 +271,19 @@ class TestMain:
 
     def test_bad_degree(self, capsys):
         assert cli.main(["e8g2", "--check", "zeta.check3", "--degree", "0"]) == 2
+
+    @pytest.mark.parametrize("entry", [
+        {"id": "zeta.check3", "params": {"D": 0}},
+        {"id": "zeta.pole_factors", "params": {"order": -1}},
+        {"id": "zeta.sum_cases", "params": {"n_max": -1, "m_max": -3}},
+    ], ids=["check3-D", "pole_factors-order", "sum_cases-n_max-m_max"])
+    def test_param_below_minimum(self, entry, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([entry]))
+        assert cli.main(["e8g2", "--manifest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be >=" in err
+        assert "Traceback" not in err
 
     def test_bad_manifest_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from e8g2.checks import ROOT_DATA
 from e8g2.rootsys import (
     A1_CARTAN,
     A2_CARTAN,
@@ -9,11 +10,12 @@ from e8g2.rootsys import (
     E8_CARTAN,
     G2_CARTAN,
     RootSystem,
+    e8,
     restrict_root,
 )
 
 
-E8 = RootSystem(E8_CARTAN)
+E8 = e8()
 G2 = RootSystem(G2_CARTAN)
 
 
@@ -103,22 +105,12 @@ def test_restrict_psi_u_t_roots():
     assert restrict_root(tr, E8, E8.parse_root("11222221")) == (1, 1)
 
 
-U_COMPLEMENT_7 = [
-    "11110000",
-    "11111000",
-    "11121000",
-    "11221000",
-    "12232100",
-    "12232110",
-    "12232111",
-]
-
-
 def test_restrict_sum_over_inner_radical():
     # Sum over the 71 radical roots remaining after removing the 7-root
     # complement: the character t -> t1^5 t2^10 = (t1 t2^2)^5.
     tr = DEFAULT_EMBEDDING
-    u0 = [a for a in E8.radical_roots(1) if E8.root_str(a) not in set(U_COMPLEMENT_7)]
+    complement = set(ROOT_DATA["radical_complement"])
+    u0 = [a for a in E8.radical_roots(1) if E8.root_str(a) not in complement]
     assert len(u0) == 71
     s1 = s2 = 0
     for a in u0:

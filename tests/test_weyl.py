@@ -1,6 +1,9 @@
 import pytest
 
-from e8g2.rootsys import E8_CARTAN, G2_CARTAN, RootSystem
+from e8g2 import weyl
+from e8g2.checks import CENSUS, ROOT_DATA
+from e8g2.cheval import CHARACTER_SUPPORT_ROOTS
+from e8g2.rootsys import G2_CARTAN, RootSystem, e8
 from e8g2.weyl import (
     M1_INDICES,
     M2_INDICES,
@@ -27,22 +30,12 @@ from e8g2.weyl import (
     words_json,
 )
 
-E8 = RootSystem(E8_CARTAN)
+E8 = e8()
 G2 = RootSystem(G2_CARTAN)
 
-PSI_SUPPORT = ["11221111", "11122111", "12232210", "11233210"]
-
-SWAP_INVERSIONS = [
-    "00000100", "00000110", "00000111", "00001100", "00001110",
-    "00001111", "00011100", "00011110", "00011111", "00111100",
-    "00111110", "00111111", "01122210", "01122211", "01122221",
-]
-
+SWAP_INVERSIONS = ROOT_DATA["swap_inversions"]
 # complement of the inner radical subgroup inside the big radical
-INNER_COMPLEMENT = [
-    "11110000", "11111000", "11121000", "11221000",
-    "12232100", "12232110", "12232111",
-]
+INNER_COMPLEMENT = ROOT_DATA["radical_complement"]
 # complement for its swap-conjugate
 OUTER_COMPLEMENT = [
     "12343210", "12343211", "12343221", "12343321",
@@ -57,7 +50,7 @@ def double_cosets():
 
 @pytest.fixture(scope="module")
 def survivors(double_cosets):
-    supp = [E8.parse_root(s) for s in PSI_SUPPORT]
+    supp = [E8.parse_root(s) for s in CHARACTER_SUPPORT_ROOTS]
     return support_filter(double_cosets, supp)
 
 
@@ -154,7 +147,7 @@ def test_target_words_are_minimal_double_reps():
 
 
 def test_double_coset_count(double_cosets):
-    assert len(double_cosets) == 6576
+    assert len(double_cosets) == CENSUS["double_cosets"]
 
 
 def test_double_cosets_are_distinct_minimal(double_cosets):
@@ -187,6 +180,31 @@ def test_coset_counting_invariant_e8(double_cosets):
     reps = enumerate_min_left_reps(E8, M2_INDICES)
     assert len(reps) == 17280
     assert len(reps) * group_order(E8, M2_INDICES) == 696729600
+
+
+def test_double_cosets_as_orbits_on_left_cosets(monkeypatch):
+    # second derivation of the census: W_{4,7} acting on the right of the
+    # 17280 left cosets W_J w has one orbit per double coset; count the
+    # orbits by union-find, without the double-coset enumeration
+    def no_enumeration(*args):
+        raise AssertionError("enumerate_double_cosets called")
+
+    monkeypatch.setattr(weyl, "enumerate_double_cosets", no_enumeration)
+    reps = enumerate_min_left_reps(E8, M2_INDICES)
+    parent = {w.cols: w.cols for w in reps}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for w in reps:
+        for k in (4, 7):
+            image = min_coset_rep(M2_INDICES, w.right_mul(k)).cols
+            parent[find(image)] = find(w.cols)
+    orbits = sum(1 for c in parent if find(c) == c)
+    assert orbits == CENSUS["double_cosets"]
 
 
 def _poly_mul(f, g):
@@ -257,7 +275,7 @@ def test_parabolic_order_closed_form():
 
 
 def test_support_filter_counts(double_cosets, survivors):
-    assert len(survivors) == 25
+    assert len(survivors) == CENSUS["survivors"]
     assert support_filter(double_cosets[:50], []) == double_cosets[:50]
     ident = WeylElt.identity(E8)
     assert support_filter([ident], [E8.simple[0]]) == []
@@ -266,10 +284,8 @@ def test_support_filter_counts(double_cosets, survivors):
 
 
 def test_classification_counts(classified):
-    assert len(classified["S_sht"]) == 9
-    assert len(classified["S_lng"]) == 16
-    assert len(classified["S_lng_prime"]) == 8
-    assert classified["unmatched"] == []
+    for key in ("S_sht", "S_lng", "S_lng_prime", "unmatched"):
+        assert len(classified[key]) == CENSUS[key], key
 
 
 def test_short_class_shares_one_reduction(classified):

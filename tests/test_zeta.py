@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e8g2 import zeta as z
+from e8g2.checks import REPORT_FIELDS
+from e8g2.cli import Manifest, ManifestEntry, RunConfig, UsageError, run
 from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.weyl import WORD_INTERTWINER
 from e8g2.zeta import XQ, SingularShift, XPoly
@@ -18,6 +20,12 @@ MONO = z._mono
 
 def rf(num, den=None):
     return RatFunc(num, den or {})
+
+
+def run_check(check_id, **params):
+    """One registered check through the runner; returns its report."""
+    _, (report,) = run(Manifest((ManifestEntry(check_id, params),)), RunConfig())
+    return report
 
 
 # -- zeta-factor products ---------------------------------------------------
@@ -142,7 +150,7 @@ class TestNamedFamily:
 
 class TestTauPoints:
     def test_remark_check_passes(self):
-        rep = z.verify_tau_remark()
+        rep = run_check("zeta.tau_points")
         assert rep.status == "pass"
         assert rep.computed["roots_with_value_q"]["tau0"] == ["2,-1"]
 
@@ -392,33 +400,39 @@ class TestWeightCoefficients:
 
 class TestSeriesChecks:
     def test_main_identity_series_small(self):
-        rep = z.verify_check3(4)
+        rep = run_check("zeta.check3", D=4)
         assert rep.status == "pass"
         assert rep.truncation == 4
 
+    def test_main_identity_series_negative_control(self):
+        # with every per-coset mass constant replaced by 1, the identity that
+        # zeta.check3 verifies fails
+        perturbed = z._measure_sum(4, perturb_mass=True).truncate_var("x", 4)
+        assert perturbed != z.boundary_series(4)
+
     def test_main_identity_finite_cases_small(self):
-        rep = z.verify_sum_cases(3, 2)
+        rep = run_check("zeta.sum_cases", n_max=3, m_max=2)
         assert rep.status == "pass"
         assert rep.computed["failures"] == []
 
     def test_end_to_end_small(self):
-        rep = z.end_to_end(3)
+        rep = run_check("zeta.end_to_end", D=3)
         assert rep.status == "pass"
         assert rep.computed == {"identity": True, "negative_control_differs": True}
         assert rep.truncation == 3
 
     def test_degree_must_be_positive(self):
-        with pytest.raises(ValueError):
-            z.verify_check3(0)
-        with pytest.raises(ValueError):
-            z.end_to_end(-1)
+        with pytest.raises(UsageError):
+            run_check("zeta.check3", D=0)
+        with pytest.raises(UsageError):
+            run_check("zeta.end_to_end", D=-1)
 
     def test_report_field_order(self):
-        rep = z.verify_tau_remark()
-        assert list(rep.to_json_dict()) == list(z.REPORT_FIELDS)
+        rep = run_check("zeta.tau_points")
+        assert list(rep.to_json_dict()) == list(REPORT_FIELDS)
 
     def test_pole_factor_report(self):
-        rep = z.pole_factor_report(3)
+        rep = run_check("zeta.pole_factors", order=3)
         assert rep.status == "report-only"
         assert rep.computed["factors"] == [
             [1, 10, 1], [1, 11, 1], [1, 12, 1], [1, 13, 1], [1, 14, 1],
