@@ -32,7 +32,16 @@ from .cheval import (
     default_character,
     symbolic_conjugator,
 )
-from .g2chars import POSITIVE_ROOTS, Weight, dimension, spherical, sym_series, weyl_character
+from .g2chars import (
+    POSITIVE_ROOTS,
+    Weight,
+    dimension,
+    p_coefficient,
+    s0_and_p,
+    spherical,
+    sym_series,
+    weyl_character,
+)
 from .rootsys import e8
 from .symra import LaurentPoly, RatFunc
 from .weyl import (
@@ -333,7 +342,7 @@ def _main_identity_cases(n_max=6, m_max=4):
     times (xq^8)^n for one-row lam and to zero otherwise.  Exact rational
     identity per pair, no truncation."""
     mono = zeta._mono
-    sums, _ = zeta._subset_table()
+    sums, _ = s0_and_p()
     z0q = zeta._factor_product(zeta.Z0_FACTOR_KEYS) * zeta._QHAT.rename(zeta.XQ)
     failures = []
     for n in range(n_max + 1):
@@ -344,7 +353,7 @@ def _main_identity_cases(n_max=6, m_max=4):
                 w = Weight(lam.n + nu.n, lam.m + nu.m)
                 if not w.dominant:
                     continue
-                coeff = zeta.p_coefficient(w, lam) * zeta._q_clear(w)
+                coeff = p_coefficient(w, lam) * zeta._q_clear(w)
                 tau0 = mono(1, x=w.n + 2 * w.m, q=8 * w.n + 15 * w.m)
                 lhs = lhs + coeff.rename(zeta.XQ) * zeta._i0_poly(w.n, w.m) * tau0
             rhs = z0q * mono(1, x=n, q=8 * n) if m == 0 else LaurentPoly.zero(zeta.XQ)

@@ -263,9 +263,6 @@ class UnipotentWord:
 
     # -- basic structure ---------------------------------------------------
 
-    def with_vars(self, vars: tuple[str, ...]) -> "UnipotentWord":
-        return UnipotentWord(self.sc, self.factors, vars)
-
     def times(self, other: "UnipotentWord") -> "UnipotentWord":
         """Concatenation (no canonicalization)."""
         if other.sc is not self.sc:

@@ -9,7 +9,8 @@ polynomials in (a, b).  On these coordinates the simple reflections act by
 
 and rho = (1, 1) (the unique weight pairing to 1 with both simple
 coroots).  Provides alternating sums, Weyl characters by exact division,
-the subset-sum expansion of prod (1 - 1/q tau^-alpha), the measure
+the subset-sum expansion of prod (1 - 1/q tau^-alpha), the weight
+coefficients P(w) = sum_lam p_lam(w) chi_lam built from it, the measure
 constants attached to torus cosets, the spherical-function formula, and
 the symmetric-power series of the 7-dimensional representation.
 """
@@ -17,6 +18,7 @@ the symmetric-power series of the 7-dimensional representation.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import NamedTuple
 
 from .symra import LaurentPoly, RatFunc
@@ -24,10 +26,6 @@ from .symra import LaurentPoly, RatFunc
 CHAR_VARS = ("a", "b")
 Q_VARS = ("q",)
 FULL_VARS = ("q", "a", "b")
-
-# FormalChar is a LaurentPoly over CHAR_VARS; no subclass needed, the
-# alias just names the contract.
-FormalChar = LaurentPoly
 
 
 class Weight(NamedTuple):
@@ -134,6 +132,7 @@ def alt_sum(w) -> LaurentPoly:
 ALT_RHO = alt_sum(RHO)
 
 
+@lru_cache(maxsize=4096)
 def weyl_character(w) -> LaurentPoly:
     """Character of the irreducible representation with highest weight w,
     as the exact ratio of alternating sums."""
@@ -190,6 +189,7 @@ def char_to_json(char: LaurentPoly) -> str:
 # -- subset-sum expansion ---------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def s0_and_p() -> tuple[tuple[Weight, ...], dict[Weight, LaurentPoly]]:
     """Expand prod_{alpha > 0} (1 - 1/q tau^-alpha) over the 64 subsets of
     the positive roots: returns the distinct subset sums (sorted) and, for
@@ -212,6 +212,46 @@ def s0_and_p() -> tuple[tuple[Weight, ...], dict[Weight, LaurentPoly]]:
         if any(poly.values())
     }
     return tuple(sorted(out)), out
+
+
+# -- weight coefficients ---------------------------------------------------
+
+
+def p_coefficient(varpi, lam) -> LaurentPoly:
+    """Coefficient of the irreducible character of highest weight lam in the
+    weight coefficient at varpi: exhaustive enumeration over the twelve
+    rank-two Weyl elements and the 64 positive-root subsets, each pair
+    (w, S) with varpi + rho - sum(S) = w(lam + rho) contributing
+    sign(w) * (-1/q)^|S|.  Nonzero only when varpi lies in lam + S0."""
+    varpi, lam = _wt(varpi), _wt(lam)
+    if not (varpi.dominant and lam.dominant):
+        raise ValueError("both weights must be dominant")
+    _, table = s0_and_p()
+    total = LaurentPoly.zero(Q_VARS)
+    for img, sgn in weyl_images(Weight(lam.n + RHO.n, lam.m + RHO.m)):
+        nu = Weight(varpi.n + RHO.n - img.n, varpi.m + RHO.m - img.m)
+        if nu in table:
+            total = total + table[nu] * sgn
+    return total
+
+
+def weight_coefficient(w) -> LaurentPoly:
+    """The weight coefficient P(w) = sum_lam p_coefficient(w, lam) chi_lam
+    over the dominant lam = w - nu, nu a subset sum: the expansion of
+    sum_nu P_nu A(w + rho - nu) / A(rho) in irreducible characters, with
+    no division by A(rho).  Exact in (q, a, b)."""
+    w = _wt(w)
+    if not w.dominant:
+        raise ValueError(f"valuation pair must be dominant, got {tuple(w)}")
+    sums, _ = s0_and_p()
+    acc = LaurentPoly.zero(FULL_VARS)
+    for nu in sums:
+        lam = Weight(w.n - nu.n, w.m - nu.m)
+        if lam.dominant:
+            p = p_coefficient(w, lam)
+            if p:  # skip building characters whose coefficient cancels
+                acc = acc + p.rename(FULL_VARS) * weyl_character(lam).rename(FULL_VARS)
+    return acc
 
 
 # -- measure constants ---------------------------------------------------
@@ -245,23 +285,13 @@ Q_CONSTANTS = QConstants()
 
 def spherical(w) -> RatFunc:
     """Value of the normalized spherical function at the torus coset of
-    valuation pair w = (n, m): q^{-3n-5m}/Q times the subset-sum expansion
-    of the alternating-sum ratios.  Exact in (q, a, b); the 1/Q denominator
-    is carried as (1 - 1/q)^2 / ((1 - 1/q^2)(1 - 1/q^6))."""
+    valuation pair w = (n, m): q^{-3n-5m}/Q times the weight coefficient
+    P(w).  Exact in (q, a, b); the 1/Q denominator is carried as
+    (1 - 1/q)^2 / ((1 - 1/q^2)(1 - 1/q^6))."""
     w = _wt(w)
-    if not w.dominant:
-        raise ValueError(f"valuation pair must be dominant, got {tuple(w)}")
-    sums, table = s0_and_p()
-    acc = LaurentPoly.zero(FULL_VARS)
-    for nu in sums:
-        shifted = Weight(w.n + RHO.n - nu.n, w.m + RHO.m - nu.m)
-        term = table[nu].rename(FULL_VARS) * alt_sum(shifted).rename(FULL_VARS)
-        acc = acc + term
-    # each orbit sum is 0 or +-(dominant orbit sum), so the ratio is exact
-    ratio = acc.divexact(ALT_RHO.rename(FULL_VARS))
     pref = LaurentPoly.monomial(FULL_VARS, 1, q=-(3 * w.n + 5 * w.m))
     unit = LaurentPoly(FULL_VARS, {(0, 0, 0): 1, (-1, 0, 0): -1})
-    num = pref * ratio * unit * unit
+    num = pref * weight_coefficient(w) * unit * unit
     return RatFunc(num, {(-2, 0, 0): 1, (-6, 0, 0): 1})
 
 

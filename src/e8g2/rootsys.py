@@ -36,6 +36,10 @@ A2_CARTAN = [[2, -1], [-1, 2]]
 
 Root = tuple  # integer coefficient vector over simple roots
 
+# reflection-closure bound: E8, the largest finite type built here, has 240
+# roots, so passing this proves the Cartan matrix is not of finite type
+MAX_ROOTS = 50_000
+
 
 def root_key(alpha: Root) -> tuple:
     return (sum(alpha), alpha)
@@ -44,7 +48,7 @@ def root_key(alpha: Root) -> tuple:
 class RootSystem:
     """Finite crystallographic root system from a Cartan matrix."""
 
-    def __init__(self, cartan: Sequence[Sequence[int]], max_roots: int = 50_000):
+    def __init__(self, cartan: Sequence[Sequence[int]]):
         self.cartan = tuple(tuple(row) for row in cartan)
         self.rank = len(cartan)
         if any(len(row) != self.rank for row in cartan):
@@ -63,7 +67,7 @@ class RootSystem:
                         roots.add(beta)
                         new.append(beta)
             frontier = new
-            if len(roots) > max_roots:
+            if len(roots) > MAX_ROOTS:
                 raise ValueError(
                     "reflection closure exceeded the finite-type bound; "
                     "Cartan matrix is not of finite type")
@@ -79,14 +83,6 @@ class RootSystem:
 
     def is_root(self, alpha: Iterable[int]) -> bool:
         return tuple(alpha) in self._root_set
-
-    @staticmethod
-    def is_positive(alpha: Root) -> bool:
-        return sum(alpha) > 0
-
-    @staticmethod
-    def height(alpha: Root) -> int:
-        return sum(alpha)
 
     def pairing(self, alpha: Root, i: int) -> int:
         """<alpha, alpha_i^vee> for the 1-indexed simple coroot."""

@@ -38,6 +38,11 @@ class TruncationError(ValueError):
     """Raised when a denominator factor cannot be expanded as a series."""
 
 
+# guard on divexact's elimination loop; an exact division takes one step per
+# quotient term, far fewer than this
+MAX_DIVISION_STEPS = 200_000
+
+
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
 
@@ -98,11 +103,6 @@ class LaurentPoly:
     def leading_term(self) -> tuple[tuple[int, ...], int]:
         e = max(self.coeffs, key=_grlex_key)
         return e, self.coeffs[e]
-
-    def degree(self, var: str) -> int:
-        """Largest exponent of ``var`` (0 for the zero polynomial)."""
-        i = self.vars.index(var)
-        return max((e[i] for e in self.coeffs), default=0)
 
     def low_degree(self, var: str) -> int:
         i = self.vars.index(var)
@@ -189,17 +189,19 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.vars == other.vars and self.coeffs == other.coeffs
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented  # let RatFunc.__eq__ handle poly == ratfunc
+        return self.vars == other.vars and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.vars, frozenset(self.coeffs.items())))
 
-    def divexact(self, d: "LaurentPoly", max_steps: int = 200_000) -> "LaurentPoly":
+    def divexact(self, d: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises InexactDivision if self is not a multiple of d.
 
         Standard leading-term elimination in graded-lex order.  For an exact
-        division the loop runs once per quotient term; the step cap only
-        guards the non-terminating inexact case.
+        division the loop runs once per quotient term; the step cap
+        (``MAX_DIVISION_STEPS``) only guards the non-terminating inexact case.
         """
         self._check(d)
         if d.is_zero():
@@ -242,7 +244,7 @@ class LaurentPoly:
                 else:
                     rem.pop(k, None)
             steps += 1
-            if steps > max_steps:
+            if steps > MAX_DIVISION_STEPS:
                 raise InexactDivision("division did not terminate; not an exact multiple")
         return LaurentPoly(self.vars, out)
 
@@ -363,12 +365,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()!r})"
-
-    def to_json(self) -> dict:
-        return {
-            "vars": list(self.vars),
-            "terms": [[list(e), self.coeffs[e]] for e in sorted(self.coeffs, key=_grlex_key, reverse=True)],
-        }
 
 
 def _normalize_factor(vars: tuple[str, ...], v: tuple[int, ...]) -> tuple[tuple[int, ...], "LaurentPoly | None"]:
@@ -603,25 +599,7 @@ class RatFunc:
         return f"RatFunc({self.to_text()!r})"
 
 
-# -- module-level operation names -------------------------------------------
-
-def equals(f, g) -> bool:
-    if isinstance(f, LaurentPoly) and isinstance(g, LaurentPoly):
-        return f == g
-    if isinstance(f, LaurentPoly):
-        f = RatFunc.from_poly(f)
-    return f.equals(g)
-
-
-def substitute(f, assignments, out_vars=None):
-    return f.substitute(assignments, out_vars)
-
-
-def truncate(f: RatFunc, var: str = "x", degree: int = 10) -> LaurentPoly:
-    if isinstance(f, LaurentPoly):
-        return f.truncate_var(var, degree)
-    return f.truncate(var, degree)
-
+# -- module-level constructors -------------------------------------------
 
 def one_minus(vars: tuple[str, ...], **powers: int) -> LaurentPoly:
     """The binomial 1 - X^powers, the building block of every denominator.

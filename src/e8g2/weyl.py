@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
 
-from .rootsys import RootSystem, Root, root_key
+from .rootsys import RootSystem, Root
 
 # Distinguished words used across the package (all over E8 simple indices).
 # The two target words for the parabolic double-coset classification:
@@ -100,9 +100,6 @@ class WeylElt:
         inv_cols = tuple(other.inv_act(c) for c in self.inv_cols)
         return WeylElt(self.rs, cols, inv_cols)
 
-    def __matmul__(self, other: "WeylElt") -> "WeylElt":
-        return self.compose(other)
-
     def inverse(self) -> "WeylElt":
         return WeylElt(self.rs, self.inv_cols, self.cols)
 
@@ -150,12 +147,6 @@ class WeylElt:
         """{alpha > 0 : w(alpha) < 0}, sorted in the standard root order."""
         return [a for a in self.rs.positive if sum(self.act(a)) < 0]
 
-    def descents_right(self) -> list[int]:
-        return [j + 1 for j, c in enumerate(self.cols) if sum(c) < 0]
-
-    def descents_left(self) -> list[int]:
-        return [j + 1 for j, c in enumerate(self.inv_cols) if sum(c) < 0]
-
     def word(self) -> str:
         """A canonical reduced word (greedy smallest right descent)."""
         w = self
@@ -177,16 +168,6 @@ def evaluate_word(rs: RootSystem, word: str | Sequence[int]) -> WeylElt:
             raise ValueError(f"letter {i} out of range 1..{rs.rank}")
         w = w.right_mul(i)
     return w
-
-
-def act(w: WeylElt, alpha: Root) -> Root:
-    if not w.rs.is_root(alpha):
-        raise ValueError(f"{alpha} is not a root")
-    return w.act(alpha)
-
-
-def inversion_set(w: WeylElt) -> list[Root]:
-    return w.inversion_set()
 
 
 # -- coset machinery ------------------------------------------------------

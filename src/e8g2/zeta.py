@@ -18,10 +18,11 @@ Everything here is exact arithmetic over the two-variable Laurent ring in
   reconstructs the frozen four-variable closed form;
 * the closed form of the local integral (``closed_I``) in its three
   valuation cases, each equal to Z*I0/((1-xq^7)(1-xq^8));
-* weight-coefficient enumeration over the rank-two Weyl group
-  (``p_coefficient``), the mass-weighted kernel sum (``_measure_sum``) and
-  the boundary series (``boundary_series``) that the series identities in
-  ``e8g2.checks`` compare.
+* the mass-weighted kernel sum (``_measure_sum``), which weights each
+  valuation pair by its G2 weight coefficient (``g2chars.weight_coefficient``,
+  cached here as ``_p_char``), and the boundary series
+  (``boundary_series``) that the series identities in ``e8g2.checks``
+  compare.
 """
 
 from __future__ import annotations
@@ -32,16 +33,12 @@ from functools import lru_cache
 from typing import Mapping
 
 from .g2chars import (
-    ALT_RHO,
     FULL_VARS,
     POSITIVE_ROOTS,
     Q_CONSTANTS,
-    RHO,
     Weight,
-    alt_sum,
-    s0_and_p,
+    weight_coefficient,
     weyl_character,
-    weyl_images,
 )
 from .rootsys import RootSystem, e8
 from .symra import LaurentPoly, RatFunc, one_minus
@@ -709,18 +706,7 @@ def closed_I(n: int, m: int, case: str) -> RatFunc:
     return head * t0j0.substitute(m, n + m)
 
 
-# -- weight-coefficient machinery ---------------------------------------------------
-
-
-@lru_cache(maxsize=1)
-def _subset_table():
-    sums, table = s0_and_p()
-    return sums, table
-
-
-@lru_cache(maxsize=1)
-def _alt_rho_full() -> LaurentPoly:
-    return ALT_RHO.rename(FULL_VARS)
+# -- mass-weighted kernel sum ---------------------------------------------------
 
 
 _QHAT = Q_CONSTANTS.Q  # the identity-coset mass, a polynomial in 1/q
@@ -733,35 +719,9 @@ def _q_clear(w) -> LaurentPoly:
     return _QHAT.divexact(Q_CONSTANTS.select(w))
 
 
-@lru_cache(maxsize=4096)
-def _p_char(wt: tuple[int, int]) -> LaurentPoly:
-    """Sum over subset sums nu of P_nu(1/q) times the signed-orbit-sum ratio
-    at wt + rho - nu: the character-valued weight coefficient, exact in
-    (q, a, b)."""
-    sums, table = _subset_table()
-    acc = LaurentPoly.zero(FULL_VARS)
-    for nu in sums:
-        mu = Weight(wt[0] + RHO.n - nu.n, wt[1] + RHO.m - nu.m)
-        acc = acc + table[nu].rename(FULL_VARS) * alt_sum(mu).rename(FULL_VARS)
-    return acc.divexact(_alt_rho_full())
-
-
-def p_coefficient(varpi, lam) -> LaurentPoly:
-    """Coefficient of the irreducible character of highest weight lam in the
-    weight coefficient at varpi: exhaustive enumeration over the twelve
-    rank-two Weyl elements and the 64 positive-root subsets, each pair
-    (w, S) with varpi + rho - sum(S) = w(lam + rho) contributing
-    sign(w) * (-1/q)^|S|.  Nonzero only when varpi lies in lam + S0."""
-    varpi, lam = Weight(*varpi), Weight(*lam)
-    if not (varpi.dominant and lam.dominant):
-        raise ValueError("both weights must be dominant")
-    _, table = _subset_table()
-    total = LaurentPoly.zero(("q",))
-    for img, sgn in weyl_images(Weight(lam.n + RHO.n, lam.m + RHO.m)):
-        nu = Weight(varpi.n + RHO.n - img.n, varpi.m + RHO.m - img.m)
-        if nu in table:
-            total = total + table[nu] * sgn
-    return total
+# every series sum (check3, then end_to_end's identity and its negative
+# control) reads the same valuation pairs' coefficients, so they are cached
+_p_char = lru_cache(maxsize=4096)(weight_coefficient)
 
 
 # -- truncated series ---------------------------------------------------

@@ -8,7 +8,6 @@ from e8g2.cheval import (
     CHARACTER_SUPPORT_ROOTS,
     CharacterSupport,
     D0_ROOTS,
-    StructureConstants,
     UnipotentWord,
     build_constants,
     character_conditions,

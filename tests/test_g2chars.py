@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from e8g2.g2chars import (
     ALT_RHO,
+    FULL_VARS,
     POSITIVE_ROOTS,
     Q_CONSTANTS,
     RHO,
-    SHORT_POSITIVE_ROOTS,
     V7_WEIGHTS,
     WEYL_GROUP,
     Weight,
@@ -20,9 +20,9 @@ from e8g2.g2chars import (
     spherical,
     sym_series,
     twist,
+    weight_coefficient,
     weyl_character,
     weyl_dimension,
-    weyl_images,
 )
 from e8g2.rootsys import G2_CARTAN, RootSystem
 from e8g2.symra import LaurentPoly, RatFunc
@@ -176,6 +176,21 @@ def test_s0_reconstructs_product():
         mono = LaurentPoly.monomial(vars, 1, a=-nu.n, b=-nu.m)
         recon = recon + table[nu].rename(vars) * mono
     assert recon == direct
+
+
+def test_weight_coefficient_against_alternating_sums():
+    # independent oracle for the one weight-coefficient route, in
+    # multiplication form: A(rho) P(w) == sum_nu P_nu A(w + rho - nu), on
+    # every valuation pair with n + 2m <= 10 (the pairs check3 sums at D = 10)
+    sums, table = s0_and_p()
+    alt_rho = ALT_RHO.rename(FULL_VARS)
+    for n in range(11):
+        for m in range((10 - n) // 2 + 1):
+            rhs = LaurentPoly.zero(FULL_VARS)
+            for nu in sums:
+                mu = (n + RHO.n - nu.n, m + RHO.m - nu.m)
+                rhs = rhs + table[nu].rename(FULL_VARS) * alt_sum(mu).rename(FULL_VARS)
+            assert alt_rho * weight_coefficient((n, m)) == rhs, (n, m)
 
 
 def test_q_constants():

@@ -10,10 +10,7 @@ from e8g2.symra import (
     LaurentPoly,
     RatFunc,
     TruncationError,
-    equals,
     one_minus,
-    substitute,
-    truncate,
 )
 
 XQ = ("x", "q")
@@ -38,7 +35,8 @@ def test_equals_product_vs_expanded():
         - mono(1, x=1, q=8)
         - mono(1, x=3, q=21)
     )
-    assert equals(lhs, rhs)
+    assert lhs == rhs
+    assert RatFunc.from_poly(lhs).equals(rhs)
 
 
 def test_substitute_homomorphism():
@@ -195,9 +193,18 @@ def test_text_is_canonical(a):
     assert a.to_text() == b.to_text()
 
 
-def test_module_level_truncate_dispatch():
+def test_truncate_and_substitute_methods():
     p = mono(1, x=4) + LaurentPoly.const(XQ, 1)
-    assert truncate(p, "x", 2) == LaurentPoly.const(XQ, 1)
+    assert p.truncate_var("x", 2) == LaurentPoly.const(XQ, 1)
     r = RatFunc(LaurentPoly.const(XQ, 1), {(1, 0): 1})
-    assert truncate(r, "x", 1) == LaurentPoly.const(XQ, 1) + mono(1, x=1)
-    assert substitute(p, {"x": mono(1, q=1)}, XQ) == mono(1, q=4) + LaurentPoly.const(XQ, 1)
+    assert r.truncate("x", 1) == LaurentPoly.const(XQ, 1) + mono(1, x=1)
+    assert p.substitute({"x": mono(1, q=1)}, XQ) == mono(1, q=4) + LaurentPoly.const(XQ, 1)
+
+
+def test_poly_ratfunc_equality_is_symmetric():
+    one_p, one_r = LaurentPoly.const(XQ, 1), RatFunc.one(XQ)
+    assert one_r == one_p and one_p == one_r
+    assert not (one_r != one_p) and not (one_p != one_r)
+    two_p = LaurentPoly.const(XQ, 2)
+    assert one_r != two_p and two_p != one_r
+    assert not (one_r == two_p) and not (two_p == one_r)

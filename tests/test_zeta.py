@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from e8g2 import zeta as z
 from e8g2.checks import REPORT_FIELDS
 from e8g2.cli import Manifest, ManifestEntry, RunConfig, UsageError, run
+from e8g2.g2chars import p_coefficient, s0_and_p
 from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.weyl import WORD_INTERTWINER
 from e8g2.zeta import XQ, SingularShift, XPoly
@@ -361,14 +362,14 @@ class TestClosedIntegral:
 
 class TestWeightCoefficients:
     def test_identity_pair_is_full_mass(self):
-        assert z.p_coefficient((0, 0), (0, 0)) == z._QHAT
+        assert p_coefficient((0, 0), (0, 0)) == z._QHAT
 
     def test_regular_pair_leading_term(self):
-        p = z.p_coefficient((1, 0), (1, 0))
+        p = p_coefficient((1, 0), (1, 0))
         assert p.coefficient_of("q", 0) == LaurentPoly.const((), 1)
 
     def test_support_inside_shifted_subset_sums(self):
-        sums, _ = z._subset_table()
+        sums, _ = s0_and_p()
         offsets = {(s.n, s.m) for s in sums}
         lam = (1, 1)
         for dn in range(-2, 7):
@@ -376,15 +377,15 @@ class TestWeightCoefficients:
                 w = (lam[0] + dn, lam[1] + dm)
                 if w[0] < 0 or w[1] < 0:
                     continue
-                if not z.p_coefficient(w, lam).is_zero():
+                if not p_coefficient(w, lam).is_zero():
                     assert (dn, dm) in offsets, w
 
     def test_far_weight_gives_zero(self):
-        assert z.p_coefficient((5, 5), (0, 0)).is_zero()
+        assert p_coefficient((5, 5), (0, 0)).is_zero()
 
     def test_non_dominant_rejected(self):
         with pytest.raises(ValueError):
-            z.p_coefficient((-1, 0), (0, 0))
+            p_coefficient((-1, 0), (0, 0))
 
     def test_mass_clearing_is_exact(self):
         one_q = LaurentPoly.const(("q",), 1)
