@@ -19,7 +19,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .checks import DEFAULT_ENTRIES, REGISTRY, CheckReport
+from .checks import DEFAULT_ENTRIES, MAX_SERIES_DEGREE, REGISTRY, CheckReport
 from .rootsys import e8 as _e8
 from .symra import InexactDivision
 from .weyl import (
@@ -110,7 +110,7 @@ DEFAULT_MANIFEST = Manifest(tuple(
 # -- running and emitting ---------------------------------------------------
 
 
-def _validate(manifest: Manifest, registry) -> None:
+def _validate(manifest: Manifest, registry, config: RunConfig) -> None:
     for entry in manifest.entries:
         if entry.id not in registry:
             known = ", ".join(sorted(registry))
@@ -126,6 +126,12 @@ def _validate(manifest: Manifest, registry) -> None:
             if v < minimums[k]:
                 raise UsageError(
                     f"param {k!r} of {entry.id!r} must be >= {minimums[k]}, got {v}")
+        if "D" in minimums:
+            degree = entry.params.get("D", config.truncation_degree)
+            if degree > MAX_SERIES_DEGREE:
+                source = "param 'D'" if "D" in entry.params else "truncation degree"
+                raise UsageError(f"{source} of {entry.id!r} must be <= "
+                                 f"{MAX_SERIES_DEGREE}, got {degree}")
 
 
 def _run_entry(check_id: str, params: dict, config: RunConfig) -> CheckReport:
@@ -137,7 +143,7 @@ def run(manifest: Manifest, config: RunConfig, registry=None) -> tuple[int, list
     """Execute every manifest entry and return (exit_status, reports) with
     the reports in manifest order regardless of execution order."""
     reg = REGISTRY if registry is None else registry
-    _validate(manifest, reg)
+    _validate(manifest, reg, config)
     if config.parallelism > 1 and registry is None and len(manifest.entries) > 1:
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
             futures = [pool.submit(_run_entry, e.id, e.params, config)
@@ -223,7 +229,8 @@ def _runner_main(argv: list[str]) -> int:
                         help="run every registered check, report-only ones included")
     parser.add_argument("--degree", type=int, default=10,
                         help="truncation degree for series checks without "
-                             "an explicit D param (default 10)")
+                             "an explicit D param (default 10, at most "
+                             f"{MAX_SERIES_DEGREE})")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON report array instead of text lines")
     parser.add_argument("--jobs", type=int, default=1,

@@ -10,7 +10,7 @@ calculus) runs on the two classes defined here:
 
 * ``RatFunc`` -- a Laurent polynomial divided by a *factored* denominator
   prod (1 - X^v)^m.  Keeping the denominator factored makes cancellation,
-  substitution and geometric-series truncation cheap and exact.
+  substitution and series truncation cheap and exact.
 
 The canonical monomial order is graded lexicographic over the declared
 variable list; canonical text serialization sorts by it, so equal values
@@ -26,7 +26,6 @@ always print identically.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Mapping
 
 
@@ -566,22 +565,41 @@ class RatFunc:
     def truncate(self, var: str, degree: int) -> LaurentPoly:
         """Exact series expansion through ``var``-degree ``degree``.
 
-        Every denominator factor must have positive degree in ``var``; each
-        (1 - X^v)^-m is expanded geometrically and multiplied in truncated.
+        Every denominator factor must have positive degree in ``var``.  The
+        numerator, truncated and bucketed by ``var``-degree, is divided by
+        each 1 - X^v once per unit of multiplicity with the recurrence
+        f_d = g_d + X^v * f_{d - v_var}, ascending from the numerator's
+        lowest ``var``-degree (which may be negative); each division costs
+        one pass over the terms.
         """
         i = self.vars.index(var)
-        out = self.num.truncate_var(var, degree)
-        for v, m in sorted(self.den.items(), key=lambda kv: _grlex_key(kv[0])):
+        for v in self.den:
             if v[i] <= 0:
                 raise TruncationError(
                     f"denominator factor 1 - X^{v} has no positive {var}-degree; cannot expand")
-            terms: dict[tuple[int, ...], int] = {}
-            k = 0
-            while k * v[i] <= degree + max(0, -out.low_degree(var)):
-                terms[tuple(k * x for x in v)] = comb(k + m - 1, m - 1)
-                k += 1
-            out = out.mul_trunc(LaurentPoly(self.vars, terms), var, degree)
-        return out
+        buckets: dict[int, dict[tuple[int, ...], int]] = {}
+        for e, c in self.num.coeffs.items():
+            if e[i] <= degree:
+                buckets.setdefault(e[i], {})[e] = c
+        if not buckets:
+            return LaurentPoly(self.vars, {})
+        low = min(buckets)
+        for v, m in self.den.items():
+            step = v[i]
+            for _ in range(m):
+                for d in range(low + step, degree + 1):
+                    prev = buckets.get(d - step)
+                    if not prev:
+                        continue
+                    cur = buckets.setdefault(d, {})
+                    for e, c in prev.items():
+                        k = tuple(x + y for x, y in zip(e, v))
+                        s = cur.get(k, 0) + c
+                        if s:
+                            cur[k] = s
+                        else:
+                            del cur[k]
+        return LaurentPoly(self.vars, {e: c for b in buckets.values() for e, c in b.items()})
 
     # -- serialization ---------------------------------------------------
 

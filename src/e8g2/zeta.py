@@ -731,18 +731,30 @@ def _mono4(coeff: int = 1, **pows: int) -> LaurentPoly:
     return LaurentPoly.monomial(SERIES_VARS, coeff, **pows)
 
 
+def _pair_kernel(n: int, m: int) -> LaurentPoly:
+    """The kernel polynomial of pair (n, m) shifted by its torus monomial
+    x^{n+2m} q^{8n+15m}, in (x, q, a, b); its x-degrees are all >= n + 2m."""
+    return (_i0_poly(n, m) * _mono(1, x=n + 2 * m, q=8 * n + 15 * m)).rename(SERIES_VARS)
+
+
 def _measure_sum(D: int, perturb_mass: bool = False) -> LaurentPoly:
     """Mass-cleared kernel sum over valuation pairs with n + 2m <= D, as a
-    Laurent polynomial in (x, q, a, b).  With perturb_mass the per-coset
-    mass constants are all replaced by 1 (the negative control)."""
-    acc = LaurentPoly.zero(SERIES_VARS)
+    Laurent polynomial in (x, q, a, b) truncated at x-degree D.  With
+    perturb_mass the per-coset mass constants are all replaced by 1 (the
+    negative control).  Each pair's product is truncated as it is formed
+    and added into one accumulator."""
+    acc: dict[tuple[int, ...], int] = {}
     for n in range(D + 1):
         for m in range((D - n) // 2 + 1):
             clear = _QHAT if perturb_mass else _q_clear((n, m))
             coeff = (_p_char((n, m)) * clear.rename(FULL_VARS)).rename(SERIES_VARS)
-            term = coeff * _i0_poly(n, m).rename(SERIES_VARS)
-            acc = acc + term * _mono4(1, x=n + 2 * m, q=8 * n + 15 * m)
-    return acc
+            for e, c in coeff.mul_trunc(_pair_kernel(n, m), "x", D).coeffs.items():
+                s = acc.get(e, 0) + c
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+    return LaurentPoly(SERIES_VARS, acc)
 
 
 def _char_series(D: int) -> LaurentPoly:

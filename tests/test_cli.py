@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e8g2 import cli
+from e8g2 import cli, zeta
 from e8g2.cli import (
     DEFAULT_MANIFEST,
     REGISTRY,
@@ -21,7 +21,7 @@ from e8g2.cli import (
     emit,
     run,
 )
-from e8g2.checks import REPORT_FIELDS, CheckReport
+from e8g2.checks import MAX_SERIES_DEGREE, REPORT_FIELDS, CheckReport
 from e8g2.zeta import SingularShift
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -172,9 +172,10 @@ def small_manifest():
     ))
 
 
-def normalized_json(config):
-    """The small manifest's JSON report with the runtimes zeroed."""
-    _, reports = run(small_manifest(), config)
+def normalized_json(config, manifest=None):
+    """A manifest's JSON report (default: the small manifest) with the
+    runtimes zeroed."""
+    _, reports = run(manifest or small_manifest(), config)
     return re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', emit(reports, "json"))
 
 
@@ -194,6 +195,11 @@ class TestRunner:
 
     def test_parallel_matches_serial(self):
         assert normalized_json(RunConfig(parallelism=2)) == normalized_json(RunConfig())
+
+    def test_parallel_matches_serial_default_manifest(self):
+        serial = normalized_json(RunConfig(), DEFAULT_MANIFEST)
+        assert '"status": "fail"' not in serial
+        assert normalized_json(RunConfig(parallelism=2), DEFAULT_MANIFEST) == serial
 
     def test_json_deterministic_excluding_runtime(self):
         assert normalized_json(RunConfig()) == normalized_json(RunConfig())
@@ -284,6 +290,26 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must be >=" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("check_id", ["zeta.check3", "zeta.end_to_end"])
+    @pytest.mark.parametrize("route", ["manifest", "degree"])
+    def test_series_degree_above_cap(self, check_id, route, tmp_path,
+                                     monkeypatch, capsys):
+        def no_series(*args, **kwargs):
+            raise AssertionError("series work started")
+
+        monkeypatch.setattr(zeta, "_measure_sum", no_series)
+        monkeypatch.setattr(zeta, "boundary_series", no_series)
+        too_high = MAX_SERIES_DEGREE + 1
+        if route == "manifest":
+            path = tmp_path / "manifest.json"
+            path.write_text(json.dumps([{"id": check_id, "params": {"D": too_high}}]))
+            argv = ["e8g2", "--manifest", str(path)]
+        else:
+            argv = ["e8g2", "--check", check_id, "--degree", str(too_high)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"must be <= {MAX_SERIES_DEGREE}" in err
 
     def test_bad_manifest_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

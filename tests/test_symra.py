@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -208,3 +209,75 @@ def test_poly_ratfunc_equality_is_symmetric():
     two_p = LaurentPoly.const(XQ, 2)
     assert one_r != two_p and two_p != one_r
     assert not (one_r == two_p) and not (two_p == one_r)
+
+
+# -- truncation kernels against independent routes --------------------------
+
+
+def geometric_truncate(r, degree):
+    """The former series route of ``RatFunc.truncate``, kept as a reference:
+    multiply the truncated numerator by each factor's geometric series
+    sum_k C(k+m-1, m-1) X^{kv}, long enough to reach ``degree`` from the
+    numerator's lowest x-degree."""
+    out = r.num.truncate_var("x", degree)
+    for v, m in r.den.items():
+        terms = {}
+        k = 0
+        while k * v[0] <= degree + max(0, -out.low_degree("x")):
+            terms[tuple(k * x for x in v)] = comb(k + m - 1, m - 1)
+            k += 1
+        out = out.mul_trunc(LaurentPoly(XQ, terms), "x", degree)
+    return out
+
+
+@st.composite
+def series_ratfuncs(draw):
+    """(r, degree): one to three denominator factors of x-degree 1, 2 or 3
+    with multiplicities up to 3, a numerator that may reach x-degree -3, and
+    half the time a numerator divisible by one factor, so that terms cancel
+    during the expansion."""
+    den = draw(st.dictionaries(st.tuples(st.integers(1, 3), st.integers(-2, 4)),
+                               st.integers(1, 3), min_size=1, max_size=3))
+    num = draw(laurent_polys())
+    if draw(st.booleans()):
+        vx, vq = draw(st.sampled_from(sorted(den)))
+        num = num * one_minus(XQ, x=vx, q=vq)
+    return RatFunc(num, den, reduce=False), draw(st.integers(0, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_ratfuncs())
+def test_truncate_matches_geometric_route(case):
+    r, degree = case
+    assert r.truncate("x", degree) == geometric_truncate(r, degree)
+
+
+@settings(max_examples=25, deadline=None)
+@given(series_ratfuncs())
+def test_truncate_matches_sympy_series(case):
+    sympy = pytest.importorskip("sympy")
+    x, q = sympy.symbols("x q")
+
+    def to_sympy(p):
+        return sympy.Add(*(c * x ** e[0] * q ** e[1] for e, c in p.coeffs.items()))
+
+    r, degree = case
+    expr = to_sympy(r.num) / sympy.Mul(
+        *((1 - x ** v[0] * q ** v[1]) ** m for v, m in r.den.items()))
+    want = sympy.series(expr, x, 0, degree + 1).removeO()
+    assert sympy.expand(want - to_sympy(r.truncate("x", degree))) == 0
+
+
+def test_truncate_negative_degree_numerator_and_cancellation():
+    # x^-2 (1 - x*q)^2 / (1 - x*q)^2 = x^-2 exactly: every term beyond the
+    # numerator's cancels in the expansion
+    num = mono(1, x=-2) * one_minus(XQ, x=1, q=1) ** 2
+    r = RatFunc(num, {(1, 1): 2}, reduce=False)
+    assert r.truncate("x", 4) == mono(1, x=-2)
+    assert r.truncate("x", -3) == LaurentPoly.zero(XQ)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_polys(), laurent_polys(), st.sampled_from(XQ), st.integers(-4, 6))
+def test_mul_trunc_matches_truncated_product(a, b, var, degree):
+    assert a.mul_trunc(b, var, degree) == (a * b).truncate_var(var, degree)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e8g2 import zeta as z
-from e8g2.checks import REPORT_FIELDS
+from e8g2.checks import MAX_SERIES_DEGREE, REPORT_FIELDS, _first_difference
 from e8g2.cli import Manifest, ManifestEntry, RunConfig, UsageError, run
-from e8g2.g2chars import p_coefficient, s0_and_p
+from e8g2.g2chars import FULL_VARS, p_coefficient, s0_and_p
 from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.weyl import WORD_INTERTWINER
 from e8g2.zeta import XQ, SingularShift, XPoly
@@ -398,6 +398,44 @@ class TestWeightCoefficients:
 
 # -- truncated series checks ---------------------------------------------------
 
+# where the perturbed-mass series first leaves the boundary series at D = 4
+PERTURBED_D4_DIFFERENCE = {"x_degree": 0, "monomial": "q^-1", "computed": 4, "expected": 2}
+
+
+def full_product_measure_sum(D, perturb_mass=False):
+    """The former series route, kept as a reference: every pair's full
+    product coefficient * I0(n, m) * x^{n+2m} q^{8n+15m}, summed untruncated."""
+    acc = LaurentPoly.zero(z.SERIES_VARS)
+    for n in range(D + 1):
+        for m in range((D - n) // 2 + 1):
+            clear = z._QHAT if perturb_mass else z._q_clear((n, m))
+            coeff = (z._p_char((n, m)) * clear.rename(FULL_VARS)).rename(z.SERIES_VARS)
+            term = coeff * z._i0_poly(n, m).rename(z.SERIES_VARS)
+            acc = acc + term * LaurentPoly.monomial(
+                z.SERIES_VARS, 1, x=n + 2 * m, q=8 * n + 15 * m)
+    return acc
+
+
+class TestTruncationFirst:
+    @pytest.mark.parametrize("D", range(1, 6))
+    def test_matches_full_product_route(self, D):
+        z4 = z._factor_product(z.Z_FACTOR_KEYS).rename(z.SERIES_VARS)
+        for perturb_mass in (False, True):
+            full = full_product_measure_sum(D, perturb_mass)
+            got = z._measure_sum(D, perturb_mass)
+            assert got == full.truncate_var("x", D)
+            # the numerator end_to_end builds
+            assert z4.mul_trunc(got, "x", D) == (z4 * full).truncate_var("x", D)
+
+    def test_no_factor_has_negative_x_degree(self):
+        # truncating a factor before multiplying is exact only because the
+        # other factor has no negative x-degree: Z, and every pair kernel at
+        # every accepted degree (the pair coefficients are free of x)
+        assert z._factor_product(z.Z_FACTOR_KEYS).low_degree("x") >= 0
+        D = MAX_SERIES_DEGREE
+        assert all(z._pair_kernel(n, m).low_degree("x") >= 0
+                   for n in range(D + 1) for m in range((D - n) // 2 + 1))
+
 
 class TestSeriesChecks:
     def test_main_identity_series_small(self):
@@ -407,9 +445,25 @@ class TestSeriesChecks:
 
     def test_main_identity_series_negative_control(self):
         # with every per-coset mass constant replaced by 1, the identity that
-        # zeta.check3 verifies fails
-        perturbed = z._measure_sum(4, perturb_mass=True).truncate_var("x", 4)
-        assert perturbed != z.boundary_series(4)
+        # zeta.check3 verifies fails, first at x^0: the (0, 0) pair's mass
+        # is no longer cleared
+        perturbed = z._measure_sum(4, perturb_mass=True)
+        want = z.boundary_series(4)
+        assert perturbed != want
+        assert _first_difference(perturbed, want) == PERTURBED_D4_DIFFERENCE
+
+    def test_failing_series_checks_locate_the_difference(self, monkeypatch):
+        measure_sum = z._measure_sum
+        monkeypatch.setattr(z, "_measure_sum",
+                            lambda D, perturb_mass=False: measure_sum(D, True))
+        rep = run_check("zeta.check3", D=4)
+        assert rep.status == "fail"
+        assert rep.computed == {"equal": False, "pairs_summed": 9,
+                                "first_difference": PERTURBED_D4_DIFFERENCE}
+        rep = run_check("zeta.end_to_end", D=4)
+        assert rep.status == "fail"
+        assert rep.computed == {"identity": False, "negative_control_differs": True,
+                                "first_difference": PERTURBED_D4_DIFFERENCE}
 
     def test_main_identity_finite_cases_small(self):
         rep = run_check("zeta.sum_cases", n_max=3, m_max=2)
