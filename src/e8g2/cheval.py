@@ -24,8 +24,7 @@ vanishing patterns and monomial supports are convention-independent.
 
 from __future__ import annotations
 
-import json
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .rootsys import RootSystem, e8, root_key
 from .symra import LaurentPoly
@@ -494,16 +493,6 @@ def character_conditions(
                 f"character value on {rs.root_str(g)} is not linear in {var_v}")
         out[rs.root_str(g)] = linear
     return out
-
-
-def conditions_to_json(conditions: Mapping[str, LaurentPoly]) -> str:
-    """JSON export: one entry per radical root, nonzero conditions only."""
-    rows = [
-        {"root": root, "condition": poly.to_text()}
-        for root, poly in sorted(conditions.items())
-        if not poly.is_zero()
-    ]
-    return json.dumps(rows, indent=2)
 
 
 # -- structure reports ---------------------------------------------------

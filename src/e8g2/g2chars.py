@@ -8,7 +8,8 @@ polynomials in (a, b).  On these coordinates the simple reflections act by
     s1 (n, m) = (-n, n + m)          s2 (n, m) = (n + 3m, -m)
 
 and rho = (1, 1) (the unique weight pairing to 1 with both simple
-coroots).  Provides alternating sums, Weyl characters by exact division,
+coroots).  Provides alternating sums, Weyl characters (the alternating
+sum of w + rho divided by the six binomials of the Weyl denominator),
 the subset-sum expansion of prod (1 - 1/q tau^-alpha), the weight
 coefficients P(w) = sum_lam p_lam(w) chi_lam built from it, the measure
 constants attached to torus cosets, the spherical-function formula, and
@@ -17,7 +18,6 @@ the symmetric-power series of the 7-dimensional representation.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -135,11 +135,17 @@ ALT_RHO = alt_sum(RHO)
 @lru_cache(maxsize=4096)
 def weyl_character(w) -> LaurentPoly:
     """Character of the irreducible representation with highest weight w,
-    as the exact ratio of alternating sums."""
+    as the exact ratio A(w + rho) / A(rho) of alternating sums.  By the Weyl
+    denominator formula A(rho) = tau^rho prod_{alpha > 0} (1 - tau^-alpha),
+    so the ratio is tau^-rho A(w + rho) divided by those six binomials."""
     w = _wt(w)
     if not w.dominant:
         raise ValueError(f"highest weight must be dominant, got {tuple(w)}")
-    return alt_sum(Weight(w.n + RHO.n, w.m + RHO.m)).divexact(ALT_RHO)
+    out = (alt_sum(Weight(w.n + RHO.n, w.m + RHO.m))
+           * LaurentPoly.monomial(CHAR_VARS, 1, a=-RHO.n, b=-RHO.m))
+    for alpha in POSITIVE_ROOTS:
+        out = out.divexact((-alpha.n, -alpha.m))
+    return out
 
 
 def dimension(char: LaurentPoly) -> int:
@@ -178,12 +184,6 @@ def decompose(char: LaurentPoly) -> dict[Weight, int]:
         out[top] = out.get(top, 0) + mult
         rest = rest - weyl_character(top) * mult
     return out
-
-
-def char_to_json(char: LaurentPoly) -> str:
-    """Weight -> multiplicity map with 'n,m' keys, sorted."""
-    items = sorted(char.coeffs.items())
-    return json.dumps({f"{e[0]},{e[1]}": c for e, c in items}, indent=2)
 
 
 # -- subset-sum expansion ---------------------------------------------------

@@ -9,7 +9,6 @@ roots print with a leading minus.  All enumerations are ordered by
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -157,16 +156,6 @@ class RootSystem:
                     inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
         # row i of (A^T)^{-1} is column i of A^{-1}, i.e. omega_i
         return [tuple(inv[i]) for i in range(n)]
-
-    # -- serialization ----------------------------------------------------
-
-    def export_roots(self, roots: Iterable[Root]) -> str:
-        return json.dumps([self.root_str(a) for a in roots])
-
-    @classmethod
-    def from_json(cls, text: str) -> "RootSystem":
-        data = json.loads(text)
-        return cls(data["cartan"])
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ always print identically.
 >>> f = LaurentPoly.monomial(x_q, 1) - LaurentPoly.monomial(x_q, 1, x=1, q=7)
 >>> g = LaurentPoly.monomial(x_q, 1) + LaurentPoly.monomial(x_q, 1, x=1, q=7)
 >>> (f * g).to_text()
-'1 - x^2*q^14'
+'-x^2*q^14 + 1'
 """
 
 from __future__ import annotations
@@ -30,16 +30,12 @@ from typing import Iterable, Mapping
 
 
 class InexactDivision(ValueError):
-    """Raised when divexact is called on a non-divisible pair."""
+    """Raised by ``LaurentPoly.divexact(v)`` when the polynomial is not a
+    multiple of the binomial 1 - X^v."""
 
 
 class TruncationError(ValueError):
     """Raised when a denominator factor cannot be expanded as a series."""
-
-
-# guard on divexact's elimination loop; an exact division takes one step per
-# quotient term, far fewer than this
-MAX_DIVISION_STEPS = 200_000
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -195,56 +191,41 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash((self.vars, frozenset(self.coeffs.items())))
 
-    def divexact(self, d: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises InexactDivision if self is not a multiple of d.
+    def divexact(self, v: tuple[int, ...]) -> "LaurentPoly":
+        """The quotient self / (1 - X^v); raises InexactDivision unless it is
+        a Laurent polynomial.
 
-        Standard leading-term elimination in graded-lex order.  For an exact
-        division the loop runs once per quotient term; the step cap
-        (``MAX_DIVISION_STEPS``) only guards the non-terminating inexact case.
+        The quotient f satisfies f_e = self_e + f_{e-v}, so along each line
+        e + Zv it is the running sum of self's coefficients from the line's
+        low end.  It is finite, i.e. the division is exact, iff every line
+        sums to 0.
+
+        >>> x_q = ("x", "q")
+        >>> one_minus(x_q, x=2, q=14).divexact((1, 7)).to_text()
+        'x*q^7 + 1'
         """
-        self._check(d)
-        if d.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return self
-        if len(d.coeffs) == 1:
-            (ed, cd), = d.coeffs.items()
-            out = {}
-            for e, c in self.coeffs.items():
-                if c % cd:
-                    raise InexactDivision(f"coefficient {c} not divisible by {cd}")
-                out[tuple(i - j for i, j in zip(e, ed))] = c // cd
-            return LaurentPoly(self.vars, out)
-        ed, cd = d.leading_term()
-        rem = dict(self.coeffs)
+        if len(v) != len(self.vars):
+            raise ValueError(f"exponent vector {v} does not match variables {self.vars}")
+        i = next((j for j, x in enumerate(v) if x), None)
+        if i is None:
+            raise ZeroDivisionError("division by 1 - X^0 = 0")
+        step = v[i]
+        # each term sits at position k on the line through base = e - k*v
+        lines: dict[tuple[int, ...], dict[int, int]] = {}
+        for e, c in self.coeffs.items():
+            k = e[i] // step
+            lines.setdefault(tuple(x - k * y for x, y in zip(e, v)), {})[k] = c
+        if any(sum(line.values()) for line in lines.values()):
+            raise InexactDivision(f"not a multiple of 1 - X^{v}")
         out: dict[tuple[int, ...], int] = {}
-        steps = 0
-        # For an exact quotient every term has total degree >= the floor
-        # below (the bottom graded component of a product is the product of
-        # the bottom components), so falling under it proves inexactness --
-        # without this, dividing by a binomial with unit leading coefficient
-        # would only fail at the step cap.
-        floor = min(sum(e) for e in self.coeffs) - min(sum(e) for e in d.coeffs)
-        while rem:
-            er = max(rem, key=_grlex_key)
-            cr = rem[er]
-            if cr % cd:
-                raise InexactDivision("leading coefficient does not divide")
-            e = tuple(i - j for i, j in zip(er, ed))
-            if sum(e) < floor:
-                raise InexactDivision("quotient degree fell below the exact floor")
-            c = cr // cd
-            out[e] = out.get(e, 0) + c
-            for em, cm in d.coeffs.items():
-                k = tuple(i + j for i, j in zip(e, em))
-                v = rem.get(k, 0) - c * cm
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
-            steps += 1
-            if steps > MAX_DIVISION_STEPS:
-                raise InexactDivision("division did not terminate; not an exact multiple")
+        for base, line in lines.items():
+            ks = sorted(line)
+            run = 0
+            for k, nxt in zip(ks, ks[1:]):
+                run += line[k]
+                if run:
+                    for j in range(k, nxt):
+                        out[tuple(x + j * y for x, y in zip(base, v))] = run
         return LaurentPoly(self.vars, out)
 
     # -- structure maps ---------------------------------------------------
@@ -366,6 +347,16 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_text()!r})"
 
 
+def _times_binomials(p: LaurentPoly, factors: Mapping[tuple[int, ...], int]) -> LaurentPoly:
+    """p * prod (1 - X^v)^m; a nonpositive multiplicity m contributes nothing."""
+    one = (0,) * len(p.vars)
+    for v, m in factors.items():
+        f = LaurentPoly(p.vars, {one: 1, v: -1})
+        for _ in range(m):
+            p = p * f
+    return p
+
+
 def _normalize_factor(vars: tuple[str, ...], v: tuple[int, ...]) -> tuple[tuple[int, ...], "LaurentPoly | None"]:
     """Normalize a denominator factor 1 - X^v so the exponent vector has a
     positive first nonzero entry.  Returns (vector, numerator adjustment).
@@ -412,10 +403,9 @@ class RatFunc:
         num = self.num
         for v in sorted(self.den, key=_grlex_key):
             m = self.den[v]
-            factor = LaurentPoly(num.vars, {(0,) * len(num.vars): 1, v: -1})
             while m > 0:
                 try:
-                    num = num.divexact(factor)
+                    num = num.divexact(v)
                     m -= 1
                 except InexactDivision:
                     break
@@ -443,12 +433,7 @@ class RatFunc:
         return self.num.is_zero()
 
     def den_poly(self) -> LaurentPoly:
-        out = LaurentPoly.const(self.vars, 1)
-        for v, m in self.den.items():
-            f = LaurentPoly(self.vars, {(0,) * len(self.vars): 1, v: -1})
-            for _ in range(m):
-                out = out * f
-        return out
+        return _times_binomials(LaurentPoly.const(self.vars, 1), self.den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -468,20 +453,8 @@ class RatFunc:
         den: dict[tuple[int, ...], int] = dict(self.den)
         for v, m in other.den.items():
             den[v] = max(den.get(v, 0), m)
-        a = self.num
-        for v, m in den.items():
-            extra = m - self.den.get(v, 0)
-            if extra:
-                f = LaurentPoly(self.vars, {(0,) * len(self.vars): 1, v: -1})
-                for _ in range(extra):
-                    a = a * f
-        b = other.num
-        for v, m in den.items():
-            extra = m - other.den.get(v, 0)
-            if extra:
-                f = LaurentPoly(self.vars, {(0,) * len(self.vars): 1, v: -1})
-                for _ in range(extra):
-                    b = b * f
+        a = _times_binomials(self.num, {v: m - self.den.get(v, 0) for v, m in den.items()})
+        b = _times_binomials(other.num, {v: m - other.den.get(v, 0) for v, m in den.items()})
         return RatFunc(a + b, den)
 
     def __radd__(self, other) -> "RatFunc":
@@ -514,18 +487,8 @@ class RatFunc:
         if self.num.vars != other.num.vars:
             return False
         # cross-multiply over the non-shared factors only
-        a = self.num
-        b = other.num
-        for v, m in other.den.items():
-            extra = m - min(m, self.den.get(v, 0))
-            f = LaurentPoly(self.vars, {(0,) * len(self.vars): 1, v: -1})
-            for _ in range(extra):
-                a = a * f
-        for v, m in self.den.items():
-            extra = m - min(m, other.den.get(v, 0))
-            f = LaurentPoly(self.vars, {(0,) * len(self.vars): 1, v: -1})
-            for _ in range(extra):
-                b = b * f
+        a = _times_binomials(self.num, {v: m - self.den.get(v, 0) for v, m in other.den.items()})
+        b = _times_binomials(other.num, {v: m - other.den.get(v, 0) for v, m in self.den.items()})
         return a == b
 
     def __eq__(self, other) -> bool:
@@ -608,7 +571,7 @@ class RatFunc:
             return self.num.to_text()
         factors = []
         for v in sorted(self.den, key=_grlex_key):
-            f = LaurentPoly(self.vars, {(0,) * len(self.vars): 1, v: -1}).to_text()
+            f = _times_binomials(LaurentPoly.const(self.vars, 1), {v: 1}).to_text()
             m = self.den[v]
             factors.append(f"({f})" + (f"^{m}" if m > 1 else ""))
         return f"({self.num.to_text()}) / ({'*'.join(factors)})"
@@ -630,7 +593,7 @@ def one_minus(vars: tuple[str, ...], **powers: int) -> LaurentPoly:
         e[vars.index(name)] += p
     if not any(e):
         return LaurentPoly.zero(vars)  # 1 - X^0 collapses to 0
-    return LaurentPoly(vars, {(0,) * len(vars): 1, tuple(e): -1})
+    return _times_binomials(LaurentPoly.const(vars, 1), {tuple(e): 1})
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from .g2chars import (
     FULL_VARS,
     POSITIVE_ROOTS,
     Q_CONSTANTS,
+    Q_VARS,
     Weight,
     weight_coefficient,
     weyl_character,
@@ -710,13 +711,20 @@ def closed_I(n: int, m: int, case: str) -> RatFunc:
 
 
 _QHAT = Q_CONSTANTS.Q  # the identity-coset mass, a polynomial in 1/q
+_ONE_Q = LaurentPoly.const(Q_VARS, 1)
 
 
 def _q_clear(w) -> LaurentPoly:
     """The identity-coset mass divided by the coset's own mass constant --
     always a polynomial in 1/q, so multiplying the main identity through by
     the full mass keeps everything in the Laurent ring."""
-    return _QHAT.divexact(Q_CONSTANTS.select(w))
+    mass = Q_CONSTANTS.select(w)
+    if mass == _QHAT:
+        return _ONE_Q
+    if mass == _ONE_Q:
+        return _QHAT
+    # the edge mass 1 + 1/q: Q = (1 + 1/q)(1 + 1/q + ... + 1/q^5)
+    return one_minus(Q_VARS, q=-6).divexact((-1,))
 
 
 # every series sum (check3, then end_to_end's identity and its negative

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -11,7 +10,6 @@ from e8g2.cheval import (
     UnipotentWord,
     build_constants,
     character_conditions,
-    conditions_to_json,
     conjugate,
     d0_structure_check,
     default_character,
@@ -307,12 +305,3 @@ def test_character_support_validation():
     with pytest.raises(ValueError):
         CharacterSupport(E8, [("00000100", 1)])  # not a radical root
 
-
-def test_conditions_json_export():
-    pivot, _, _ = pivot_element(E8)
-    conds = character_conditions(
-        pivot, default_character(E8), symbolic_conjugator(SC, zeroed=CONJUGATOR_ZEROED))
-    rows = json.loads(conditions_to_json(conds))
-    assert [row["root"] for row in rows] == sorted(CONDITIONS["nonzero"])
-    by_root = {row["root"]: row["condition"] for row in rows}
-    assert by_root == CONDITIONS["nonzero"]

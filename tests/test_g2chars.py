@@ -1,10 +1,9 @@
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from e8g2.g2chars import (
     ALT_RHO,
+    CHAR_VARS,
     FULL_VARS,
     POSITIVE_ROOTS,
     Q_CONSTANTS,
@@ -13,7 +12,6 @@ from e8g2.g2chars import (
     WEYL_GROUP,
     Weight,
     alt_sum,
-    char_to_json,
     decompose,
     dimension,
     s0_and_p,
@@ -25,7 +23,7 @@ from e8g2.g2chars import (
     weyl_dimension,
 )
 from e8g2.rootsys import G2_CARTAN, RootSystem
-from e8g2.symra import LaurentPoly, RatFunc
+from e8g2.symra import LaurentPoly, RatFunc, one_minus
 from e8g2.weyl import enumerate_group
 
 # independently derived signed orbit of rho (12 terms, the denominator)
@@ -85,6 +83,18 @@ def test_positive_roots_consistent():
 def test_alt_rho_frozen():
     assert ALT_RHO.coeffs == ALT_RHO_TERMS
     assert alt_sum(RHO).coeffs == ALT_RHO_TERMS
+
+
+def test_weyl_denominator_factorisation():
+    # A(rho) = tau^rho prod_{alpha > 0} (1 - tau^-alpha), the factorisation
+    # weyl_character divides by; multiplying back gives A(w + rho)
+    prod = LaurentPoly.monomial(CHAR_VARS, 1, a=RHO.n, b=RHO.m)
+    for alpha in POSITIVE_ROOTS:
+        prod = prod * one_minus(CHAR_VARS, a=-alpha.n, b=-alpha.m)
+    assert prod == ALT_RHO
+    for n in range(4):
+        for m in range(4):
+            assert weyl_character((n, m)) * ALT_RHO == alt_sum((n + RHO.n, m + RHO.m))
 
 
 def test_alt_sum_on_wall_vanishes():
@@ -250,13 +260,6 @@ def test_sym_dimensions():
     _, syms = sym_series(6)
     for r, s in enumerate(syms):
         assert dimension(s) == comb(r + 6, 6)
-
-
-def test_char_json_roundtrip():
-    ch = weyl_character((1, 0))
-    data = json.loads(char_to_json(ch))
-    assert data["0,0"] == 1 and data["1,0"] == 1 and data["2,-1"] == 1
-    assert len(data) == 7
 
 
 def test_weight_dominance():

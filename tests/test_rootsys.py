@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from e8g2.checks import ROOT_DATA
@@ -22,6 +20,10 @@ G2 = RootSystem(G2_CARTAN)
 def test_g2_counts():
     assert len(G2.roots) == 12
     assert len(G2.positive) == 6
+    # in simple-root coordinates: a1, a2, a1+a2, 2a1+a2, 3a1+a2, 3a1+2a2
+    positive = [(0, 1), (1, 0), (1, 1), (2, 1), (3, 1), (3, 2)]
+    assert sorted(G2.positive) == positive
+    assert sorted(G2.roots) == sorted(positive + [(-a, -b) for a, b in positive])
 
 
 def test_e8_counts():
@@ -128,13 +130,6 @@ def test_restrict_linearity_in_negation():
         assert ne == (-e[0], -e[1])
     with pytest.raises(ValueError):
         restrict_root(tr, E8, (0,) * 8)
-
-
-def test_json_export_and_load():
-    text = E8.export_roots(E8.radical_roots(2)[:3])
-    assert json.loads(text) == [E8.root_str(a) for a in E8.radical_roots(2)[:3]]
-    clone = RootSystem.from_json(json.dumps({"cartan": G2_CARTAN}))
-    assert clone.roots == G2.roots
 
 
 def test_fundamental_weights_pairing():

@@ -60,18 +60,25 @@ def test_substitute_negative_power_needs_unit_monomial():
 
 def test_divexact_and_inexact():
     f = one_minus(XQ, x=2, q=14)
-    g = one_minus(XQ, x=1, q=7)
-    q = f.divexact(g)
-    assert q == LaurentPoly.const(XQ, 1) + mono(1, x=1, q=7)
+    assert f.divexact((1, 7)) == LaurentPoly.const(XQ, 1) + mono(1, x=1, q=7)
+    # 1 - X^2w = -X^w (1 + X^w) (1 - X^-w)
+    assert f.divexact((-1, -7)) == -mono(1, x=1, q=7) - mono(1, x=2, q=14)
+    # the running sum fills the gaps along a line: 1 + q + ... + q^4
+    assert one_minus(XQ, q=5).divexact((0, 1)) == LaurentPoly(XQ, {(0, k): 1 for k in range(5)})
+    assert LaurentPoly.zero(XQ).divexact((2, -1)) == LaurentPoly.zero(XQ)
     with pytest.raises(InexactDivision):
-        (f + LaurentPoly.const(XQ, 1)).divexact(g)
+        (f + LaurentPoly.const(XQ, 1)).divexact((1, 7))
+    with pytest.raises(InexactDivision):
+        f.divexact((1, 0))
+    with pytest.raises(ValueError, match="does not match"):
+        f.divexact((1,))
 
 
-def test_divexact_monomial_path():
-    f = mono(6, x=3, q=2) - mono(4, x=1)
-    assert f.divexact(mono(2, x=1)) == mono(3, x=2, q=2) - LaurentPoly.const(XQ, 2)
-    with pytest.raises(InexactDivision):
-        f.divexact(mono(4, x=1))
+def test_divexact_by_zero_vector():
+    with pytest.raises(ZeroDivisionError):
+        one_minus(XQ, x=1).divexact((0, 0))
+    with pytest.raises(ZeroDivisionError):
+        LaurentPoly.zero(XQ).divexact((0, 0))
 
 
 def test_geometric_truncation():
@@ -179,12 +186,27 @@ def test_ring_laws(a, b, c):
     assert a - a == LaurentPoly.zero(XQ)
 
 
-@settings(max_examples=40, deadline=None)
-@given(laurent_polys(), laurent_polys())
-def test_divexact_roundtrip(a, b):
-    if b.is_zero():
-        return
-    assert (a * b).divexact(b) == a
+nonzero_vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+
+
+def binomial(v):
+    return one_minus(XQ, x=v[0], q=v[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_polys(), nonzero_vectors)
+def test_divexact_roundtrip(a, v):
+    assert (a * binomial(v)).divexact(v) == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_polys(), nonzero_vectors, st.integers(-4, 4), st.integers(-4, 4),
+       st.sampled_from((1, -1)))
+def test_divexact_rejects_a_unit_monomial_offset(a, v, ex, eq, sign):
+    # a unit monomial sums to +-1 on its own line, so no multiple of
+    # 1 - X^v differs from another by one
+    with pytest.raises(InexactDivision):
+        (a * binomial(v) + mono(sign, x=ex, q=eq)).divexact(v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -281,3 +303,78 @@ def test_truncate_negative_degree_numerator_and_cancellation():
 @given(laurent_polys(), laurent_polys(), st.sampled_from(XQ), st.integers(-4, 6))
 def test_mul_trunc_matches_truncated_product(a, b, var, degree):
     assert a.mul_trunc(b, var, degree) == (a * b).truncate_var(var, degree)
+
+
+# -- rational functions against sympy ---------------------------------------
+
+
+def sympy_expr(sympy, r):
+    """A LaurentPoly or RatFunc in (x, q) as a sympy expression."""
+    x, q = sympy.symbols("x q")
+
+    def poly(p):
+        return sympy.Add(*(c * x ** e[0] * q ** e[1] for e, c in p.coeffs.items()))
+
+    if isinstance(r, LaurentPoly):
+        return poly(r)
+    return poly(r.num) / sympy.Mul(
+        *((1 - x ** v[0] * q ** v[1]) ** m for v, m in r.den.items()))
+
+
+def has_monomial_denominator(sympy, expr):
+    """Whether expr is a Laurent polynomial, after sympy's cancel."""
+    _, den = sympy.fraction(sympy.cancel(expr))
+    return sympy.Poly(den, *sympy.symbols("x q")).is_monomial
+
+
+@st.composite
+def ratfuncs(draw):
+    """Up to two denominator factors 1 - X^v, v of either sign, with
+    multiplicities up to 3, and half the time a numerator divisible by one
+    of them, so that construction cancels."""
+    den = draw(st.dictionaries(nonzero_vectors, st.integers(1, 3), max_size=2))
+    num = draw(laurent_polys())
+    if den and draw(st.booleans()):
+        num = num * binomial(draw(st.sampled_from(sorted(den))))
+    return RatFunc(num, den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(laurent_polys(), nonzero_vectors, st.integers(0, 3), st.integers(1, 3))
+def test_cancel_matches_sympy(a, v, k, m):
+    # RatFunc(num, {v: m}) equals num / (1 - X^v)^m and keeps exactly the
+    # factors sympy cannot cancel
+    sympy = pytest.importorskip("sympy")
+    num = a * binomial(v) ** k
+    r = RatFunc(num, {v: m})
+    want = sympy_expr(sympy, RatFunc(num, {v: m}, reduce=False))
+    assert sympy.cancel(sympy_expr(sympy, r) - want) == 0
+    cancelled = m - sum(r.den.values())
+    assert cancelled >= min(k, m)
+    if cancelled < m:
+        x, q = sympy.symbols("x q")
+        assert not has_monomial_denominator(
+            sympy, sympy_expr(sympy, num) / (1 - x ** v[0] * q ** v[1]) ** (cancelled + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(ratfuncs(), ratfuncs())
+def test_ratfunc_mul_matches_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    got = sympy_expr(sympy, a * b)
+    assert sympy.cancel(got - sympy_expr(sympy, a) * sympy_expr(sympy, b)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(ratfuncs(), ratfuncs(), st.booleans(), nonzero_vectors, st.integers(1, 2))
+def test_ratfunc_equals_matches_sympy(a, b, same, w, k):
+    # half the cases compare a with itself rewritten over an extra factor
+    sympy = pytest.importorskip("sympy")
+    if same:
+        den = dict(a.den)
+        den[w] = den.get(w, 0) + k
+        b = RatFunc(a.num * binomial(w) ** k, den, reduce=False)
+    want = sympy.cancel(sympy_expr(sympy, a) - sympy_expr(sympy, b)) == 0
+    assert a.equals(b) == want == b.equals(a)
+    if same:
+        assert want
