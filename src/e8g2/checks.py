@@ -268,7 +268,7 @@ def _gk_products():
     inter_ok = (inter.num_keys() == sorted(zeta.INTERTWINER_NUM_KEYS)
                 and inter.den_keys() == sorted(zeta.INTERTWINER_DEN_KEYS))
     n_val_ok = zeta.named("N").value.equals(
-        RatFunc(zeta._ONE, {k: 1 for k in para.den_keys()}, reduce=False))
+        RatFunc(zeta._ONE, {k: 1 for k in para.den_keys()}))
     ok = para_num_ok and para_den_ok and inter_ok and n_val_ok
     return ok, {
         "parabolic_num": [list(k) for k in para_num],
@@ -402,11 +402,11 @@ def _end_to_end(D):
         # the measure sum and z4 have no negative x-degree, so their
         # truncated product is the truncated numerator
         num = z4.mul_trunc(zeta._measure_sum(D, perturb_mass), "x", D)
-        return RatFunc(num, den, reduce=False).truncate("x", D)
+        return RatFunc(num, den).truncate("x", D)
 
     lhs = normalized(False)
     rhs = RatFunc(zeta._QHAT.rename(sv) * zeta._char_series(D),
-                  {(2, 16, 0, 0): 1}, reduce=False).truncate("x", D)
+                  {(2, 16, 0, 0): 1}).truncate("x", D)
     identity_ok = lhs == rhs
     control_ok = normalized(True) != rhs
     computed = {"identity": identity_ok, "negative_control_differs": control_ok}

@@ -129,9 +129,6 @@ def alt_sum(w) -> LaurentPoly:
     return LaurentPoly(CHAR_VARS, out)
 
 
-ALT_RHO = alt_sum(RHO)
-
-
 @lru_cache(maxsize=4096)
 def weyl_character(w) -> LaurentPoly:
     """Character of the irreducible representation with highest weight w,

@@ -9,12 +9,14 @@ calculus) runs on the two classes defined here:
   point anywhere in this package.
 
 * ``RatFunc`` -- a Laurent polynomial divided by a *factored* denominator
-  prod (1 - X^v)^m.  Keeping the denominator factored makes cancellation,
-  substitution and series truncation cheap and exact.
+  prod (1 - X^v)^m, kept exactly as constructed: there is no normal form
+  and no cancellation.  Equality is decided by cross-multiplying over the
+  factors the two sides do not share, a value is zero iff its numerator
+  is, and series truncation divides by one factor at a time.
 
 The canonical monomial order is graded lexicographic over the declared
-variable list; canonical text serialization sorts by it, so equal values
-always print identically.
+variable list; canonical text serialization sorts by it, so equal Laurent
+polynomials always print identically.
 
 >>> x_q = ("x", "q")
 >>> f = LaurentPoly.monomial(x_q, 1) - LaurentPoly.monomial(x_q, 1, x=1, q=7)
@@ -114,11 +116,6 @@ class LaurentPoly:
                 out[k] = out.get(k, 0) + c
         return LaurentPoly(sub, out)
 
-    def is_unit_monomial(self) -> bool:
-        if len(self.coeffs) != 1:
-            return False
-        return abs(next(iter(self.coeffs.values()))) == 1
-
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "LaurentPoly") -> None:
@@ -168,11 +165,7 @@ class LaurentPoly:
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            if not self.is_unit_monomial():
-                raise ValueError("negative power of a non-unit polynomial")
-            (e, c), = self.coeffs.items()
-            sign = -1 if (c < 0 and n % 2) else 1
-            return LaurentPoly(self.vars, {tuple(x * n for x in e): sign})
+            raise ValueError("negative power of a Laurent polynomial")
         out = LaurentPoly.const(self.vars, 1)
         base = self
         while n:
@@ -229,41 +222,6 @@ class LaurentPoly:
         return LaurentPoly(self.vars, out)
 
     # -- structure maps ---------------------------------------------------
-
-    def substitute(self, assignments: Mapping[str, "LaurentPoly"], out_vars: tuple[str, ...] | None = None) -> "LaurentPoly":
-        """Ring homomorphism: each assigned variable maps to its image,
-        unassigned variables carry over to the output context by name.
-
-        Negative powers of an assigned variable require its image to be a
-        unit monomial (+-1 times a monomial).
-        """
-        if out_vars is None:
-            out_vars = self.vars if not assignments else next(iter(assignments.values())).vars
-        images: list[LaurentPoly] = []
-        for name in self.vars:
-            if name in assignments:
-                img = assignments[name]
-                if img.vars != out_vars:
-                    raise ValueError(f"image of {name} not in output context {out_vars}")
-                images.append(img)
-            else:
-                images.append(LaurentPoly.monomial(out_vars, 1, **{name: 1}))
-        out = LaurentPoly.zero(out_vars)
-        pow_cache: dict[tuple[int, int], LaurentPoly] = {}
-        for e, c in self.coeffs.items():
-            term = LaurentPoly.const(out_vars, c)
-            for i, p in enumerate(e):
-                if p == 0:
-                    continue
-                key = (i, p)
-                if key not in pow_cache:
-                    img = images[i]
-                    if p < 0 and not img.is_unit_monomial():
-                        raise ValueError(f"negative power of {self.vars[i]} needs a unit-monomial image")
-                    pow_cache[key] = img ** p
-                term = term * pow_cache[key]
-            out = out + term
-        return out
 
     def rename(self, out_vars: tuple[str, ...]) -> "LaurentPoly":
         """Embed into a (super)context containing all current variables."""
@@ -375,11 +333,19 @@ def _normalize_factor(vars: tuple[str, ...], v: tuple[int, ...]) -> tuple[tuple[
 
 
 class RatFunc:
-    """num / prod (1 - X^v)^m with the factored denominator kept explicit."""
+    """num / prod (1 - X^v)^m with the factored denominator kept explicit.
+
+    The value is stored as built: each factor is only sign-normalized (its
+    exponent vector's first nonzero entry made positive) and a zero
+    numerator drops the denominator.  Nothing is cancelled, so two equal
+    values may hold different numerators and denominators; compare them
+    with ``equals`` (or ``==``), which cross-multiplies, never by fields.
+    ``is_zero`` holds iff the numerator is zero.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: Mapping[tuple[int, ...], int] | None = None, reduce: bool = True):
+    def __init__(self, num: LaurentPoly, den: Mapping[tuple[int, ...], int] | None = None):
         den = dict(den or {})
         for v, m in list(den.items()):
             if m < 0:
@@ -393,27 +359,7 @@ class RatFunc:
                 num = num * (adj ** m)
                 den[w] = den.get(w, 0) + m
         self.num = num
-        self.den = den
-        if reduce and den and not num.is_zero():
-            self._cancel()
-        if num.is_zero():
-            self.den = {}
-
-    def _cancel(self) -> None:
-        num = self.num
-        for v in sorted(self.den, key=_grlex_key):
-            m = self.den[v]
-            while m > 0:
-                try:
-                    num = num.divexact(v)
-                    m -= 1
-                except InexactDivision:
-                    break
-            if m:
-                self.den[v] = m
-            else:
-                del self.den[v]
-        self.num = num
+        self.den = {} if num.is_zero() else den
 
     # -- constructors ---------------------------------------------------
 
@@ -461,7 +407,7 @@ class RatFunc:
         return self.__add__(other)
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den, reduce=False)
+        return RatFunc(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFunc":
         return self + (-self._coerce(other))
@@ -474,13 +420,6 @@ class RatFunc:
         return RatFunc(self.num * other.num, den)
 
     __rmul__ = __mul__
-
-    def divided_by_factors(self, factors: Mapping[tuple[int, ...], int]) -> "RatFunc":
-        """Divide by prod (1 - X^v)^m given as a factor multiset."""
-        den = dict(self.den)
-        for v, m in factors.items():
-            den[v] = den.get(v, 0) + m
-        return RatFunc(self.num, den)
 
     def equals(self, other) -> bool:
         other = self._coerce(other)
@@ -500,24 +439,6 @@ class RatFunc:
         raise TypeError("RatFunc is unhashable; compare with equals()")
 
     # -- structure maps ---------------------------------------------------
-
-    def substitute(self, assignments: Mapping[str, LaurentPoly], out_vars: tuple[str, ...] | None = None) -> "RatFunc":
-        """Substitute; denominator factor images must stay of the form
-        1 - monomial (coefficient +1), which holds for monomial assignments.
-        """
-        num = self.num.substitute(assignments, out_vars)
-        den: dict[tuple[int, ...], int] = {}
-        for v, m in self.den.items():
-            mono = LaurentPoly(self.vars, {v: 1}).substitute(assignments, out_vars)
-            if len(mono.coeffs) != 1:
-                raise ValueError("denominator factor image is not a monomial")
-            (e, c), = mono.coeffs.items()
-            if c != 1:
-                raise ValueError("denominator factor image has coefficient != 1")
-            if not any(e):
-                raise ZeroDivisionError("substitution sends a denominator factor to zero")
-            den[e] = den.get(e, 0) + m
-        return RatFunc(num, den)
 
     def evaluate(self, values: Mapping[str, Fraction | int]) -> Fraction:
         d = self.den_poly().evaluate(values)

@@ -26,13 +26,8 @@ WORD_COSET_LONG = "2431542345654231435427654231435426543765428765423143542654376
 # (two different spellings circulate; resolve_swap47 picks the usable one):
 WORD_SWAP47_A = "345678243546576"
 WORD_SWAP47_B = "345678245673456"
-# The element realizing the outer reversal on the rank-2 subgroup:
-WORD_REVERSAL = "657486576"
 # Intertwining word whose Gindikin-Karpelevich product is computed in zeta:
 WORD_INTERTWINER = "243154234654237654"
-# Its completion to the full reduction word (intertwiner * residual part):
-WORD_REDUCTION_FULL = "243154234565423145765423187"
-WORD_REDUCTION_RESIDUAL = "131257687"
 
 M2_INDICES = (1, 3, 4, 5, 6, 7, 8)  # Levi omitting node 2
 M1_INDICES = (2, 3, 4, 5, 6, 7, 8)  # Levi omitting node 1

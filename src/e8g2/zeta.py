@@ -105,7 +105,7 @@ class ZetaProduct:
         den: dict[tuple[int, ...], int] = {}
         for k, j in self.num_keys():
             den[(k, j)] = den.get((k, j), 0) + 1
-        return RatFunc(num_poly, den, reduce=False)
+        return RatFunc(num_poly, den)
 
 
 @dataclass(frozen=True)
@@ -260,8 +260,7 @@ class XPoly:
 
 
 def _shift_ratio(c: RatFunc, num: LaurentPoly | None, den_keys: list[tuple[int, int]]) -> RatFunc:
-    out = c if num is None else c * num
-    return out.divided_by_factors({k: sum(1 for d in den_keys if d == k) for k in set(den_keys)})
+    return c * RatFunc(_ONE if num is None else num, Counter(den_keys))
 
 
 def _singular(which: str, key: tuple[int, ...]) -> SingularShift:
@@ -493,7 +492,7 @@ class NamedPoly:
         if ident == "N":
             para = gk_product(parabolic_context(), "parabolic")
             return self.value.equals(
-                RatFunc(_ONE, {k: 1 for k in para.den_keys()}, reduce=False))
+                RatFunc(_ONE, {k: 1 for k in para.den_keys()}))
         if ident in ("Z1", "Z2"):
             para = gk_product(parabolic_context(), "parabolic")
             keys_ok = (para.num_keys() == sorted(Z1_NUM_KEYS + Z2_NUM_KEYS)
@@ -532,7 +531,7 @@ def named(identifier: str, **params: int) -> NamedPoly:
             raise ValueError("valuations must be nonnegative")
         value = _i0_poly(n, m)
     elif identifier == "N":
-        value = RatFunc(_ONE, {k: 1 for k in N_KEYS}, reduce=False)
+        value = RatFunc(_ONE, {k: 1 for k in N_KEYS})
     elif identifier == "Z1":
         value = _zeta_multiset_value(Z1_NUM_KEYS, Z1_DEN_KEYS)
     elif identifier == "Z2":

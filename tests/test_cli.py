@@ -2,6 +2,7 @@
 deterministic report serialization, parallel execution, and the coset
 enumeration entry point."""
 
+import hashlib
 import json
 import pathlib
 import re
@@ -25,6 +26,8 @@ from e8g2.checks import MAX_SERIES_DEGREE, REPORT_FIELDS, CheckReport
 from e8g2.zeta import SingularShift
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+# sha256 of the default manifest's JSON report with every runtime zeroed
+DEFAULT_REPORT_SHA256 = "8702ce8262599572aa04d23ba0961fe647e58057c09065d0800406475c30c6ef"
 
 
 def synthetic_report(check_id: str, status: str) -> CheckReport:
@@ -199,6 +202,9 @@ class TestRunner:
     def test_parallel_matches_serial_default_manifest(self):
         serial = normalized_json(RunConfig(), DEFAULT_MANIFEST)
         assert '"status": "fail"' not in serial
+        # the default report's bytes are frozen: a change to them is a
+        # change to what the package reports, not a refactor
+        assert hashlib.sha256(serial.encode()).hexdigest() == DEFAULT_REPORT_SHA256
         assert normalized_json(RunConfig(parallelism=2), DEFAULT_MANIFEST) == serial
 
     def test_json_deterministic_excluding_runtime(self):

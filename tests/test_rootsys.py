@@ -1,6 +1,8 @@
+from math import prod
+
 import pytest
 
-from e8g2.checks import ROOT_DATA
+from e8g2.checks import ROOT_DATA, STRUCTURE
 from e8g2.rootsys import (
     A1_CARTAN,
     A2_CARTAN,
@@ -11,6 +13,7 @@ from e8g2.rootsys import (
     e8,
     restrict_root,
 )
+from e8g2.weyl import parabolic_order
 
 
 E8 = e8()
@@ -54,6 +57,40 @@ def test_radical_counts():
     assert len(G2.radical_roots(1)) == 5
     with pytest.raises(ValueError):
         E8.radical_roots(9)
+
+
+# degrees of the basic invariants; a Weyl group with degrees d_i has order
+# prod(d_i) and sum(d_i - 1) positive roots
+E8_DEGREES = (2, 8, 12, 14, 18, 20, 24, 30)
+D7_DEGREES = (2, 4, 6, 8, 10, 12, 7)
+
+
+def test_radical_size_from_degrees():
+    # the node-1 radical is Phi+(E8) minus the positive roots of its Levi D7
+    assert prod(E8_DEGREES) == parabolic_order(E8)
+    assert prod(D7_DEGREES) == parabolic_order(E8, range(2, 9))
+    e8_positive = sum(d - 1 for d in E8_DEGREES)
+    d7_positive = sum(d - 1 for d in D7_DEGREES)
+    assert (e8_positive, d7_positive) == (120, 42)
+    levi = RootSystem([row[1:] for row in E8_CARTAN[1:]])
+    assert len(levi.positive) == d7_positive
+    assert e8_positive - d7_positive == ROOT_DATA["radical_size"]
+
+
+def test_structure_table_size_from_gram_pairing():
+    # the table has one constant per ordered pair of roots whose sum is a
+    # root; E8 is simply laced with (a, a) = 2, so those are exactly the
+    # pairs with Gram pairing -1, and each root has 56 such partners
+    def gram(a, b):
+        return sum(a[i] * E8_CARTAN[i][j] * b[j] for i in range(8) for j in range(8))
+
+    assert all(gram(a, a) == 2 for a in E8.roots)
+    images = [[sum(a[i] * E8_CARTAN[i][j] for i in range(8)) for j in range(8)]
+              for a in E8.roots]
+    partners = [sum(1 for b in E8.roots if sum(x * y for x, y in zip(ca, b)) == -1)
+                for ca in images]
+    assert set(partners) == {56}
+    assert sum(partners) == 240 * 56 == STRUCTURE["table_size"]
 
 
 def test_radical_closed_under_addition():

@@ -73,7 +73,7 @@ class TestZetaProducts:
         prod = z.gk_product(z.parabolic_context(), "parabolic")
         assert z.named("N").value.equals(
             RatFunc(LaurentPoly.const(XQ, 1),
-                    {k: 1 for k in prod.den_keys()}, reduce=False))
+                    {k: 1 for k in prod.den_keys()}))
 
 
 # -- named family ---------------------------------------------------
