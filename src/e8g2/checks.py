@@ -462,7 +462,7 @@ def _pole_factors(order=1):
     list for pole bookkeeping at each character order."""
     prod = zeta.gk_product(zeta.parabolic_context(order), "parabolic")
     return None, "numerator factors (k, j, k mod order)", {
-        "order": order, "factors": [list(t) for t in prod.labeled("num")]}
+        "order": order, "factors": [list(t) for t in prod.labeled()]}
 
 
 @check("weyl.swap47", "swap-word-comparison", report_only=True)

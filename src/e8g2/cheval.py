@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .rootsys import RootSystem, e8, root_key
+from .rootsys import RootSystem, root_key
 from .symra import LaurentPoly
 from .weyl import WeylElt, radical_intersection, evaluate_word, WORD_SWAP47_A
 
@@ -104,20 +104,6 @@ class StructureConstants:
                     self.table[(a, b)] = self._value(a, b)
 
     # -- queries ---------------------------------------------------
-
-    def n(self, a, b) -> int:
-        """N[a,b] for roots with a+b a root; ValueError otherwise."""
-        a = self._coerce_root(a)
-        b = self._coerce_root(b)
-        try:
-            return self.table[(a, b)]
-        except KeyError:
-            raise ValueError(
-                f"no table entry: {self.rs.root_str(a)} + {self.rs.root_str(b)}"
-                " is not a root") from None
-
-    def has_pair(self, a, b) -> bool:
-        return (self._coerce_root(a), self._coerce_root(b)) in self.table
 
     def _coerce_root(self, a) -> Root:
         if isinstance(a, str):
@@ -383,15 +369,14 @@ def conjugate(word: UnipotentWord, by: UnipotentWord) -> UnipotentWord:
 
 
 class CharacterSupport:
-    """A character of the radical attached to ``radical_index``, given by
+    """A character of the radical of P_1, given by
     u -> psi(sum_i c_i u_{beta_i}) over distinct radical roots beta_i."""
 
-    __slots__ = ("rs", "pairs", "radical_index")
+    __slots__ = ("rs", "pairs")
 
-    def __init__(self, rs: RootSystem, pairs: Iterable[tuple], radical_index: int = 1):
+    def __init__(self, rs: RootSystem, pairs: Iterable[tuple]):
         self.rs = rs
-        self.radical_index = radical_index
-        radical = set(rs.radical_roots(radical_index))
+        radical = set(rs.radical_roots(1))
         out: list[tuple[Root, object]] = []
         seen: set[Root] = set()
         for root, coeff in pairs:
@@ -432,11 +417,7 @@ def swap_conjugator_roots(rs: RootSystem) -> list[Root]:
     return evaluate_word(rs, WORD_SWAP47_A).inversion_set()
 
 
-def symbolic_conjugator(
-    sc: StructureConstants,
-    zeroed: Sequence[str] = (),
-    prefix: str = "delta_",
-) -> UnipotentWord:
+def symbolic_conjugator(sc: StructureConstants, zeroed: Sequence[str] = ()) -> UnipotentWord:
     """The generic element prod x_alpha(delta_alpha) over the 15 swap
     roots, in their listed order, with the ``zeroed`` coordinates omitted."""
     rs = sc.rs
@@ -445,19 +426,16 @@ def symbolic_conjugator(
     for root in swap_conjugator_roots(rs):
         if root in drop:
             continue
-        factors.append((root, f"{prefix}{rs.root_str(root)}"))
+        factors.append((root, f"delta_{rs.root_str(root)}"))
     return UnipotentWord(sc, factors)
 
 
 def character_conditions(
-    sigma: WeylElt,
-    psi: CharacterSupport,
-    delta: UnipotentWord,
-    parabolic_index: int = 2,
+    sigma: WeylElt, psi: CharacterSupport, delta: UnipotentWord
 ) -> dict[str, LaurentPoly]:
     """Polynomial conditions for the delta-conjugated character to be
-    trivial on the part of the radical that sigma carries into the
-    standard parabolic.
+    trivial on the part of the radical of P_1 that sigma carries into the
+    standard parabolic P_2.
 
     For each root g of that intersection, the conjugated character on
     x_g(v) equals psi(c_g(delta) * v); the returned map sends the root's
@@ -472,8 +450,7 @@ def character_conditions(
             raise ValueError(
                 f"conjugator factor {rs.root_str(root)} lies outside the "
                 "swap-element root set")
-    radical = radical_intersection(
-        rs, sigma, radical_index=psi.radical_index, parabolic_index=parabolic_index)
+    radical = radical_intersection(rs, sigma)
     var_v = "v"
     inv = delta.inverse()
     out: dict[str, LaurentPoly] = {}
@@ -498,13 +475,11 @@ def character_conditions(
 # -- structure reports ---------------------------------------------------
 
 
-def d0_structure_check(rs: RootSystem | None = None) -> dict:
+def d0_structure_check(rs: RootSystem) -> dict:
     """Verify the distinguished five-root configuration: (a) no two of the
     roots sum to a root (the group they span is abelian); (b) subtracting
     either node-4 or node-7 simple root from each either leaves the root
     system or lands back in the list (the two SL2's normalize the group)."""
-    if rs is None:
-        rs = e8()
     roots = [rs.parse_root(s) for s in D0_ROOTS]
     rset = set(rs.roots)
     listed = set(roots)

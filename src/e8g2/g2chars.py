@@ -100,22 +100,6 @@ def weyl_images(w) -> list[tuple[Weight, int]]:
     return [(_mat_apply(M, w), s) for M, s in WEYL_GROUP]
 
 
-def twist(char: LaurentPoly, M) -> LaurentPoly:
-    """Transport a character through a Weyl matrix: each monomial's
-    (a, b)-exponent vector is replaced by its image.  Extra leading
-    variables (e.g. q) are untouched."""
-    ia = char.vars.index("a")
-    ib = char.vars.index("b")
-    out = {}
-    for exp, c in char.coeffs.items():
-        img = _mat_apply(M, Weight(exp[ia], exp[ib]))
-        e = list(exp)
-        e[ia], e[ib] = img.n, img.m
-        e = tuple(e)
-        out[e] = out.get(e, 0) + c
-    return LaurentPoly(char.vars, out)
-
-
 # -- alternating sums and characters ---------------------------------------------------
 
 
@@ -148,39 +132,6 @@ def weyl_character(w) -> LaurentPoly:
 def dimension(char: LaurentPoly) -> int:
     """Dimension = sum of weight multiplicities."""
     return sum(char.coeffs.values())
-
-
-def weyl_dimension(w) -> int:
-    """Product formula for the dimension: independent of the character
-    expansion, used to cross-check it.  The six factors are the pairings
-    of w + rho with the positive coroots."""
-    w = _wt(w)
-    n, m = w.n + 1, w.m + 1
-    num = n * m * (n + 3 * m) * (2 * n + 3 * m) * (n + m) * (n + 2 * m)
-    den = 1 * 1 * 4 * 5 * 2 * 3
-    if num % den:
-        raise ArithmeticError("dimension formula did not divide")
-    return num // den
-
-
-def decompose(char: LaurentPoly) -> dict[Weight, int]:
-    """Write a Weyl-invariant character as a sum of irreducibles by
-    repeatedly stripping the highest surviving weight.  Raises if the
-    input is not a nonnegative integer combination."""
-    rest = char
-    out: dict[Weight, int] = {}
-    # 3n + 5m is positive on every positive root, so its maximum over the
-    # support is attained at a highest weight
-    while not rest.is_zero():
-        exp, mult = max(
-            rest.coeffs.items(), key=lambda kv: (3 * kv[0][0] + 5 * kv[0][1], kv[0]))
-        top = Weight(*exp)
-        if not top.dominant or mult < 0:
-            raise ValueError(
-                f"not a nonnegative sum of irreducible characters at {tuple(top)}")
-        out[top] = out.get(top, 0) + mult
-        rest = rest - weyl_character(top) * mult
-    return out
 
 
 # -- subset-sum expansion ---------------------------------------------------

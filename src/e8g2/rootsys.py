@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 E8_CARTAN = [
@@ -97,10 +96,6 @@ class RootSystem:
         out[i - 1] -= c
         return tuple(out)
 
-    def add_roots(self, a: Root, b: Root) -> Root | None:
-        s = tuple(x + y for x, y in zip(a, b))
-        return s if s in self._root_set else None
-
     # -- printing -------------------------------------------------------
 
     def root_str(self, alpha: Root) -> str:
@@ -134,28 +129,6 @@ class RootSystem:
         the negatives living in the Levi."""
         i = levi_omitted_index - 1
         return {a for a in self.roots if sum(a) > 0 or a[i] == 0}
-
-    # -- fundamental weights (exact, for parabolic-membership tests) ------
-
-    def fundamental_weights(self) -> list[tuple[Fraction, ...]]:
-        """omega_i in the simple-root basis: columns of (A^T)^{-1}."""
-        n = self.rank
-        a = [[Fraction(self.cartan[j][i]) for j in range(n)] for i in range(n)]
-        inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if a[r][col] != 0)
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            d = a[col][col]
-            a[col] = [v / d for v in a[col]]
-            inv[col] = [v / d for v in inv[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                    inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-        # row i of (A^T)^{-1} is column i of A^{-1}, i.e. omega_i
-        return [tuple(inv[i]) for i in range(n)]
 
 
 @dataclass(frozen=True)

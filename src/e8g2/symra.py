@@ -27,8 +27,7 @@ polynomials always print identically.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class InexactDivision(ValueError):
@@ -74,17 +73,6 @@ class LaurentPoly:
         for name, p in powers.items():
             e[vars.index(name)] += p
         return cls(vars, {tuple(e): coeff})
-
-    @classmethod
-    def from_terms(cls, vars: tuple[str, ...], terms: Iterable[tuple[int, dict[str, int]]]) -> "LaurentPoly":
-        out: dict[tuple[int, ...], int] = {}
-        for coeff, powers in terms:
-            e = [0] * len(vars)
-            for name, p in powers.items():
-                e[vars.index(name)] += p
-            k = tuple(e)
-            out[k] = out.get(k, 0) + coeff
-        return cls(vars, out)
 
     # -- basic queries ---------------------------------------------------
 
@@ -234,22 +222,7 @@ class LaurentPoly:
             out[tuple(k)] = c
         return LaurentPoly(out_vars, out)
 
-    def evaluate(self, values: Mapping[str, Fraction | int]) -> Fraction:
-        total = Fraction(0)
-        vals = [Fraction(values[v]) for v in self.vars]
-        for e, c in self.coeffs.items():
-            t = Fraction(c)
-            for v, p in zip(vals, e):
-                t *= v ** p
-            total += t
-        return total
-
-    # -- truncation helpers ---------------------------------------------------
-
-    def truncate_var(self, var: str, degree: int) -> "LaurentPoly":
-        """Drop all monomials with exponent of ``var`` above ``degree``."""
-        i = self.vars.index(var)
-        return LaurentPoly(self.vars, {e: c for e, c in self.coeffs.items() if e[i] <= degree})
+    # -- truncated product ---------------------------------------------------
 
     def mul_trunc(self, other: "LaurentPoly", var: str, degree: int) -> "LaurentPoly":
         """Product, discarding monomials above ``degree`` in ``var``."""
@@ -276,7 +249,7 @@ class LaurentPoly:
     def to_text(self) -> str:
         """Canonical text form: graded-lex descending, explicit exponents.
 
-        >>> LaurentPoly.from_terms(("x",), [(1, {}), (-1, {"x": 2})]).to_text()
+        >>> (LaurentPoly.monomial(("x",), 1) - LaurentPoly.monomial(("x",), 1, x=2)).to_text()
         '-x^2 + 1'
         """
         if not self.coeffs:
@@ -378,9 +351,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def den_poly(self) -> LaurentPoly:
-        return _times_binomials(LaurentPoly.const(self.vars, 1), self.den)
-
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other) -> "RatFunc":
@@ -438,13 +408,7 @@ class RatFunc:
     def __hash__(self) -> int:
         raise TypeError("RatFunc is unhashable; compare with equals()")
 
-    # -- structure maps ---------------------------------------------------
-
-    def evaluate(self, values: Mapping[str, Fraction | int]) -> Fraction:
-        d = self.den_poly().evaluate(values)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return self.num.evaluate(values) / d
+    # -- series expansion ---------------------------------------------------
 
     def truncate(self, var: str, degree: int) -> LaurentPoly:
         """Exact series expansion through ``var``-degree ``degree``.

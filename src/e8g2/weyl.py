@@ -12,7 +12,6 @@ digit strings, matching the w[...] notation used in all reports.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -54,13 +53,6 @@ class WeylElt:
     def identity(cls, rs: RootSystem) -> "WeylElt":
         return cls(rs, rs.simple, rs.simple)
 
-    @classmethod
-    def generator(cls, rs: RootSystem, i: int) -> "WeylElt":
-        if not 1 <= i <= rs.rank:
-            raise ValueError(f"simple-reflection index {i} out of range")
-        cols = tuple(rs.reflect(i, a) for a in rs.simple)
-        return cls(rs, cols, cols)
-
     # -- actions ----------------------------------------------------------
 
     def act(self, alpha: Iterable[int]) -> Root:
@@ -71,28 +63,13 @@ class WeylElt:
                     out[k] += n * col[k]
         return tuple(out)
 
-    def act_fractional(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.rs.rank
-        for n, col in zip(v, self.cols):
-            if n:
-                for k in range(self.rs.rank):
-                    out[k] += n * col[k]
-        return tuple(out)
-
-    def inv_act(self, alpha: Iterable[int]) -> Root:
-        out = [0] * self.rs.rank
-        for n, col in zip(alpha, self.inv_cols):
-            if n:
-                for k in range(self.rs.rank):
-                    out[k] += n * col[k]
-        return tuple(out)
-
     # -- group structure ----------------------------------------------------
 
     def compose(self, other: "WeylElt") -> "WeylElt":
         """self o other: apply other first."""
         cols = tuple(self.act(c) for c in other.cols)
-        inv_cols = tuple(other.inv_act(c) for c in self.inv_cols)
+        other_inv = other.inverse()
+        inv_cols = tuple(other_inv.act(c) for c in self.inv_cols)
         return WeylElt(self.rs, cols, inv_cols)
 
     def inverse(self) -> "WeylElt":
@@ -144,13 +121,7 @@ class WeylElt:
 
     def word(self) -> str:
         """A canonical reduced word (greedy smallest right descent)."""
-        w = self
-        letters = []
-        while not w.is_identity():
-            i = next(j + 1 for j, c in enumerate(w.cols) if sum(c) < 0)
-            w = w.right_mul(i)
-            letters.append(i)
-        return "".join(str(i) for i in reversed(letters))
+        return words_json([self])[0]
 
     def __repr__(self) -> str:
         return f"WeylElt(w[{self.word()}])"
@@ -168,44 +139,25 @@ def evaluate_word(rs: RootSystem, word: str | Sequence[int]) -> WeylElt:
 # -- coset machinery ------------------------------------------------------
 
 
-def min_coset_rep(
-    J: Iterable[int],
-    w: WeylElt,
-    side: str = "left",
-    K: Iterable[int] | None = None,
-) -> WeylElt:
-    """Unique minimal-length element of W_J*w (left), w*W_K (right), or
-    W_J*w*W_K (double, with K).  Idempotent."""
-    Jt = tuple(J)
-    if side == "left":
-        changed = True
-        while changed:
-            changed = False
-            for j in Jt:
-                if sum(w.inv_cols[j - 1]) < 0:
-                    w = w.left_mul(j)
-                    changed = True
-        return w
-    if side == "right":
-        Kt = tuple(K) if K is not None else Jt
-        changed = True
-        while changed:
-            changed = False
-            for k in Kt:
-                if sum(w.cols[k - 1]) < 0:
-                    w = w.right_mul(k)
-                    changed = True
-        return w
-    if side == "double":
-        if K is None:
-            raise ValueError("double-sided reduction needs K")
-        while True:
-            before = w
-            w = min_coset_rep(Jt, w, "left")
-            w = min_coset_rep(K, w, "right")
-            if w == before:
-                return w
-    raise ValueError(f"unknown side {side!r}")
+def min_coset_rep(J: Iterable[int], w: WeylElt, K: Iterable[int] = ()) -> WeylElt:
+    """The unique minimal-length element of W_J*w*W_K.  Left descents in J
+    and right descents in K are dropped until none remain; each step
+    shortens w inside its double coset, and the one element of the double
+    coset with no such descents is its minimum.  An empty K gives the left
+    coset W_J*w, an empty J the right coset w*W_K.  Idempotent."""
+    Jt, Kt = tuple(J), tuple(K)
+    changed = True
+    while changed:
+        changed = False
+        for j in Jt:
+            if sum(w.inv_cols[j - 1]) < 0:
+                w = w.left_mul(j)
+                changed = True
+        for k in Kt:
+            if sum(w.cols[k - 1]) < 0:
+                w = w.right_mul(k)
+                changed = True
+    return w
 
 
 def enumerate_min_left_reps(rs: RootSystem, J: Iterable[int]) -> list[WeylElt]:
@@ -252,26 +204,6 @@ def enumerate_double_cosets(rs: RootSystem, J: Iterable[int], K: Iterable[int]) 
     Kt = tuple(K)
     reps = enumerate_min_left_reps(rs, J)
     return [w for w in reps if all(sum(w.cols[k - 1]) > 0 for k in Kt)]
-
-
-def group_order(rs: RootSystem, J: Iterable[int] | None = None) -> int:
-    """|W_J| by breadth-first closure (J defaults to all simple indices)."""
-    Jt = tuple(J) if J is not None else tuple(range(1, rs.rank + 1))
-    ident = WeylElt.identity(rs)
-    seen = {ident.cols}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for w in frontier:
-            for i in Jt:
-                if sum(w.cols[i - 1]) < 0:
-                    continue
-                cand = w.right_mul(i)
-                if cand.cols not in seen:
-                    seen.add(cand.cols)
-                    new.append(cand)
-        frontier = new
-    return len(seen)
 
 
 # |W(E_n)|; A_n and D_n orders are given by formula in _component_order.
@@ -322,68 +254,10 @@ def parabolic_order(rs: RootSystem, J: Iterable[int] | None = None) -> int:
     return order
 
 
-def enumerate_group(rs: RootSystem, J: Iterable[int] | None = None) -> list[WeylElt]:
-    """All elements of W_J (small instances only), sorted by (length, cols).
-
-    A breadth-first search of the Cayley graph over the generators J, so
-    the level at which an element is first seen is its length."""
-    Jt = tuple(J) if J is not None else tuple(range(1, rs.rank + 1))
-    ident = WeylElt.identity(rs)
-    ident._len = 0
-    found = {ident.cols: ident}
-    frontier = [ident]
-    level = 0
-    while frontier:
-        level += 1
-        new = []
-        for w in frontier:
-            for i in Jt:
-                cand = w.right_mul(i)
-                if cand.cols not in found:
-                    cand._len = level
-                    found[cand.cols] = cand
-                    new.append(cand)
-        frontier = new
-    out = list(found.values())
-    out.sort(key=lambda w: (w.length(), w.cols))
-    return out
-
-
-def longest_element(rs: RootSystem, J: Iterable[int] | None = None) -> WeylElt:
-    Jt = tuple(J) if J is not None else tuple(range(1, rs.rank + 1))
-    w = WeylElt.identity(rs)
-    progress = True
-    while progress:
-        progress = False
-        for j in Jt:
-            if sum(w.cols[j - 1]) > 0:
-                w = w.right_mul(j)
-                progress = True
-    return w
-
-
 def in_parabolic(w: WeylElt, J: Iterable[int]) -> bool:
     """w lies in the standard parabolic subgroup W_J, i.e. every reduced
-    word for w uses only letters from J.  Tested by stabilization of the
-    fundamental weights omega_j for j outside J."""
-    rs = w.rs
-    Jset = set(J)
-    weights = rs.fundamental_weights()
-    for j in range(1, rs.rank + 1):
-        if j in Jset:
-            continue
-        if w.act_fractional(weights[j - 1]) != weights[j - 1]:
-            return False
-    return True
-
-
-def in_parabolic_by_inversions(w: WeylElt, J: Iterable[int]) -> bool:
-    """Same predicate through the inversion-set support criterion."""
-    Jset = set(J)
-    for a in w.inversion_set():
-        if any(c != 0 and (k + 1) not in Jset for k, c in enumerate(a)):
-            return False
-    return True
+    word for w uses only letters from J: the coset W_J*w is W_J itself."""
+    return min_coset_rep(J, w).is_identity()
 
 
 # -- the survivor pipeline -------------------------------------------------
@@ -446,13 +320,11 @@ def pivot_element(rs: RootSystem) -> tuple[WeylElt, WeylElt, dict]:
     return pivot, swap, report
 
 
-def radical_intersection(
-    rs: RootSystem, w: WeylElt, radical_index: int = 1, parabolic_index: int = 2
-) -> list[Root]:
-    """Roots of the radical U(P_radical_index) whose w-image lies in the
-    root set of the standard parabolic P_parabolic_index."""
-    par = rs.parabolic_roots(parabolic_index)
-    return [a for a in rs.radical_roots(radical_index) if w.act(a) in par]
+def radical_intersection(rs: RootSystem, w: WeylElt) -> list[Root]:
+    """Roots of the radical U(P_1) whose w-image lies in the root set of
+    the standard parabolic P_2."""
+    par = rs.parabolic_roots(2)
+    return [a for a in rs.radical_roots(1) if w.act(a) in par]
 
 
 def classify_survivors(rs: RootSystem, survivors: Iterable[WeylElt]) -> dict:
@@ -462,13 +334,13 @@ def classify_survivors(rs: RootSystem, survivors: Iterable[WeylElt]) -> dict:
     and letter 7."""
     sht = evaluate_word(rs, WORD_COSET_SHORT)
     lng = evaluate_word(rs, WORD_COSET_LONG)
-    red_sht = min_coset_rep(M2_INDICES, sht, "double", K=M1_INDICES)
-    red_lng = min_coset_rep(M2_INDICES, lng, "double", K=M1_INDICES)
+    red_sht = min_coset_rep(M2_INDICES, sht, M1_INDICES)
+    red_lng = min_coset_rep(M2_INDICES, lng, M1_INDICES)
     if red_sht == red_lng:
         raise ValueError("the two target double cosets coincide; classification is vacuous")
     S_sht, S_lng, unmatched = [], [], []
     for w in survivors:
-        r = min_coset_rep(M2_INDICES, w, "double", K=M1_INDICES)
+        r = min_coset_rep(M2_INDICES, w, M1_INDICES)
         if r == red_sht:
             S_sht.append(w)
         elif r == red_lng:

@@ -93,9 +93,9 @@ class ZetaProduct:
     def den_keys(self) -> list[tuple[int, int]]:
         return sorted(self.den.elements())
 
-    def labeled(self, side: str = "num") -> list[tuple[int, int, int]]:
-        keys = self.num_keys() if side == "num" else self.den_keys()
-        return [(k, j, k % self.order if self.order else k) for k, j in keys]
+    def labeled(self) -> list[tuple[int, int, int]]:
+        """The numerator keys (k, j), each with its label k mod order."""
+        return [(k, j, k % self.order if self.order else k) for k, j in self.num_keys()]
 
     def value(self) -> RatFunc:
         """The product as an exact rational function of (x, q)."""

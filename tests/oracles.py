@@ -1,0 +1,157 @@
+"""Independent oracles the tests check the package against.
+
+Each routine here derives a known quantity by a route the package itself
+does not take, so that agreement is evidence rather than repetition:
+
+* ``group_order`` -- |W_J| as the size of a W_J-orbit of weights;
+* ``enumerate_group`` -- all of W_J by brute-force closure (small J only);
+* ``twist``, ``weyl_dimension``, ``decompose`` -- G2 character facts from
+  the Weyl action on exponents, the product formula and highest-weight
+  stripping;
+* ``truncate_var`` -- truncation after a full product, the reference for
+  ``mul_trunc`` and the series routes;
+* ``evaluate`` -- exact evaluation of a Laurent polynomial or rational
+  function at a rational point.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from e8g2.g2chars import Weight, weyl_character
+from e8g2.symra import LaurentPoly, RatFunc
+from e8g2.weyl import WeylElt
+
+
+def group_order(rs, J=None) -> int:
+    """|W_J| as the size of the W_J-orbit of mu = sum_{j in J} omega_j.
+
+    In fundamental-weight coordinates mu_i = <mu, alpha_i^vee>, the simple
+    reflection is s_i(mu) = mu - mu_i * alpha_i, where alpha_i has
+    coordinates <alpha_i, alpha_k^vee> = cartan[k][i].  mu pairs to 1 with
+    every coroot of J, so it is J-regular: its stabiliser in W_J is trivial
+    and the orbit is in bijection with W_J (Stembridge, MSJ Memoirs 11).
+    Uses neither ``WeylElt`` nor ``parabolic_order``."""
+    Jt = tuple(J) if J is not None else tuple(range(1, rs.rank + 1))
+    alphas = {i: tuple(row[i - 1] for row in rs.cartan) for i in Jt}
+    mu = tuple(1 if i in Jt else 0 for i in range(1, rs.rank + 1))
+    seen = {mu}
+    frontier = [mu]
+    while frontier:
+        new = []
+        for mu in frontier:
+            for i in Jt:
+                c = mu[i - 1]
+                img = tuple(x - c * a for x, a in zip(mu, alphas[i]))
+                if img not in seen:
+                    seen.add(img)
+                    new.append(img)
+        frontier = new
+    return len(seen)
+
+
+def enumerate_group(rs, J=None) -> list[WeylElt]:
+    """All elements of W_J (small instances only), sorted by (length, cols).
+
+    A breadth-first search of the Cayley graph over the generators J, so
+    the level at which an element is first seen is its length."""
+    Jt = tuple(J) if J is not None else tuple(range(1, rs.rank + 1))
+    ident = WeylElt.identity(rs)
+    ident._len = 0
+    found = {ident.cols: ident}
+    frontier = [ident]
+    level = 0
+    while frontier:
+        level += 1
+        new = []
+        for w in frontier:
+            for i in Jt:
+                cand = w.right_mul(i)
+                if cand.cols not in found:
+                    cand._len = level
+                    found[cand.cols] = cand
+                    new.append(cand)
+        frontier = new
+    out = list(found.values())
+    out.sort(key=lambda w: (w.length(), w.cols))
+    return out
+
+
+# -- G2 characters ---------------------------------------------------
+
+
+def twist(char: LaurentPoly, M) -> LaurentPoly:
+    """Transport a character through a Weyl matrix: each monomial's
+    (a, b)-exponent vector is replaced by its image.  Extra leading
+    variables (e.g. q) are untouched."""
+    ia = char.vars.index("a")
+    ib = char.vars.index("b")
+    out = {}
+    for exp, c in char.coeffs.items():
+        n, m = exp[ia], exp[ib]
+        e = list(exp)
+        e[ia], e[ib] = M[0][0] * n + M[0][1] * m, M[1][0] * n + M[1][1] * m
+        e = tuple(e)
+        out[e] = out.get(e, 0) + c
+    return LaurentPoly(char.vars, out)
+
+
+def weyl_dimension(w) -> int:
+    """Product formula for the dimension: independent of the character
+    expansion, used to cross-check it.  The six factors are the pairings
+    of w + rho with the positive coroots."""
+    n, m = w[0] + 1, w[1] + 1
+    num = n * m * (n + 3 * m) * (2 * n + 3 * m) * (n + m) * (n + 2 * m)
+    den = 1 * 1 * 4 * 5 * 2 * 3
+    if num % den:
+        raise ArithmeticError("dimension formula did not divide")
+    return num // den
+
+
+def decompose(char: LaurentPoly) -> dict[Weight, int]:
+    """Write a Weyl-invariant character as a sum of irreducibles by
+    repeatedly stripping the highest surviving weight.  Raises if the
+    input is not a nonnegative integer combination."""
+    rest = char
+    out: dict[Weight, int] = {}
+    # 3n + 5m is positive on every positive root, so its maximum over the
+    # support is attained at a highest weight
+    while not rest.is_zero():
+        exp, mult = max(
+            rest.coeffs.items(), key=lambda kv: (3 * kv[0][0] + 5 * kv[0][1], kv[0]))
+        top = Weight(*exp)
+        if not top.dominant or mult < 0:
+            raise ValueError(
+                f"not a nonnegative sum of irreducible characters at {tuple(top)}")
+        out[top] = out.get(top, 0) + mult
+        rest = rest - weyl_character(top) * mult
+    return out
+
+
+# -- Laurent polynomials and rational functions ---------------------------
+
+
+def truncate_var(p: LaurentPoly, var: str, degree: int) -> LaurentPoly:
+    """p without the monomials whose exponent of ``var`` exceeds ``degree``."""
+    i = p.vars.index(var)
+    return LaurentPoly(p.vars, {e: c for e, c in p.coeffs.items() if e[i] <= degree})
+
+
+def evaluate(f: LaurentPoly | RatFunc, point: dict) -> Fraction:
+    """The exact value of f at ``point`` (variable name -> rational);
+    ZeroDivisionError where a denominator factor 1 - X^v vanishes."""
+    if isinstance(f, RatFunc):
+        den = Fraction(1)
+        for v, m in f.den.items():
+            den *= (1 - evaluate(LaurentPoly(f.vars, {v: 1}), point)) ** m
+        if den == 0:
+            raise ZeroDivisionError("denominator vanishes at the evaluation point")
+        return evaluate(f.num, point) / den
+    vals = [Fraction(point[v]) for v in f.vars]
+    total = Fraction(0)
+    for e, c in f.coeffs.items():
+        t = Fraction(c)
+        for x, p in zip(vals, e):
+            t *= x ** p
+        total += t
+    return total

@@ -34,11 +34,9 @@ def word(factors):
 def test_a2_convention():
     sc = build_constants(RootSystem(A2_CARTAN))
     a1, a2 = sc.rs.simple
-    assert sc.n(a1, a2) == 1
-    assert sc.n(a2, a1) == -1
-    with pytest.raises(ValueError):
-        sc.n(a1, a1)  # 2*a1 is not a root: no table entry
-    assert not sc.has_pair(a1, a1)
+    assert sc.table[(a1, a2)] == 1
+    assert sc.table[(a2, a1)] == -1
+    assert (a1, a1) not in sc.table  # 2*a1 is not a root: no table entry
 
 
 def test_non_simply_laced_rejected():
@@ -57,7 +55,7 @@ def test_e8_table_exhaustive():
 
 def test_extraspecial_pairs_are_plus_one():
     for g, (a, b) in SC._extraspecial.items():
-        assert SC.n(a, b) == 1
+        assert SC.table[(a, b)] == 1
 
 
 def test_values_all_units():

@@ -28,6 +28,10 @@ from e8g2.zeta import SingularShift
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # sha256 of the default manifest's JSON report with every runtime zeroed
 DEFAULT_REPORT_SHA256 = "8702ce8262599572aa04d23ba0961fe647e58057c09065d0800406475c30c6ef"
+# the same for the registered checks outside the default manifest, so that
+# every registered check's report is frozen
+OTHER_CHECKS = ("zeta.tau_points", "zeta.pole_factors", "weyl.swap47")
+OTHER_REPORT_SHA256 = "7309d269a024f899edc9b0f1419d78ccba1e276489276541af51999c3466cb7e"
 
 
 def synthetic_report(check_id: str, status: str) -> CheckReport:
@@ -206,6 +210,13 @@ class TestRunner:
         # change to what the package reports, not a refactor
         assert hashlib.sha256(serial.encode()).hexdigest() == DEFAULT_REPORT_SHA256
         assert normalized_json(RunConfig(parallelism=2), DEFAULT_MANIFEST) == serial
+
+    def test_checks_outside_default_manifest_frozen(self):
+        default_ids = {e.id for e in DEFAULT_MANIFEST.entries}
+        assert [cid for cid in REGISTRY if cid not in default_ids] == list(OTHER_CHECKS)
+        manifest = Manifest(tuple(ManifestEntry(cid) for cid in OTHER_CHECKS))
+        text = normalized_json(RunConfig(), manifest)
+        assert hashlib.sha256(text.encode()).hexdigest() == OTHER_REPORT_SHA256
 
     def test_json_deterministic_excluding_runtime(self):
         assert normalized_json(RunConfig()) == normalized_json(RunConfig())

@@ -11,19 +11,16 @@ from e8g2.g2chars import (
     WEYL_GROUP,
     Weight,
     alt_sum,
-    decompose,
     dimension,
     s0_and_p,
     spherical,
     sym_series,
-    twist,
     weight_coefficient,
     weyl_character,
-    weyl_dimension,
 )
 from e8g2.rootsys import G2_CARTAN, RootSystem
 from e8g2.symra import LaurentPoly, RatFunc, one_minus
-from e8g2.weyl import enumerate_group
+from oracles import decompose, enumerate_group, twist, weyl_dimension
 
 # independently derived signed orbit of rho (12 terms, the denominator)
 ALT_RHO_TERMS = {

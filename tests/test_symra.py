@@ -13,6 +13,7 @@ from e8g2.symra import (
     TruncationError,
     one_minus,
 )
+from oracles import evaluate, truncate_var
 
 XQ = ("x", "q")
 
@@ -75,7 +76,7 @@ def test_truncation_idempotent_tower():
     r = RatFunc(LaurentPoly.const(XQ, 1), {(1, 1): 2, (2, 3): 1})
     d6 = r.truncate("x", 6)
     d3 = r.truncate("x", 3)
-    assert d6.truncate_var("x", 3) == d3
+    assert truncate_var(d6, "x", 3) == d3
 
 
 def test_truncation_requires_positive_degree_factor():
@@ -145,8 +146,8 @@ def test_random_evaluation_consistency():
             "q": Fraction(rng.randint(1, 60), rng.randint(1, 60)),
         }
         try:
-            lhs = g.evaluate(pt)
-            rhs = h.evaluate(pt)
+            lhs = evaluate(g, pt)
+            rhs = evaluate(h, pt)
         except ZeroDivisionError:
             continue
         assert lhs == rhs
@@ -205,7 +206,7 @@ def test_text_is_canonical(a):
 
 def test_truncate_methods():
     p = mono(1, x=4) + LaurentPoly.const(XQ, 1)
-    assert p.truncate_var("x", 2) == LaurentPoly.const(XQ, 1)
+    assert truncate_var(p, "x", 2) == LaurentPoly.const(XQ, 1)
     r = RatFunc(LaurentPoly.const(XQ, 1), {(1, 0): 1})
     assert r.truncate("x", 1) == LaurentPoly.const(XQ, 1) + mono(1, x=1)
 
@@ -232,7 +233,7 @@ def geometric_truncate(r, degree):
     multiply the truncated numerator by each factor's geometric series
     sum_k C(k+m-1, m-1) X^{kv}, long enough to reach ``degree`` from the
     numerator's lowest x-degree."""
-    out = r.num.truncate_var("x", degree)
+    out = truncate_var(r.num, "x", degree)
     for v, m in r.den.items():
         terms = {}
         k = 0
@@ -293,7 +294,7 @@ def test_truncate_negative_degree_numerator_and_cancellation():
 @settings(max_examples=100, deadline=None)
 @given(laurent_polys(), laurent_polys(), st.sampled_from(XQ), st.integers(-4, 6))
 def test_mul_trunc_matches_truncated_product(a, b, var, degree):
-    assert a.mul_trunc(b, var, degree) == (a * b).truncate_var(var, degree)
+    assert a.mul_trunc(b, var, degree) == truncate_var(a * b, var, degree)
 
 
 # -- rational functions against sympy ---------------------------------------
