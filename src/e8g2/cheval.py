@@ -239,10 +239,6 @@ class UnipotentWord:
         self.factors = tuple(norm)
 
     @classmethod
-    def identity(cls, sc: StructureConstants) -> "UnipotentWord":
-        return cls(sc, ())
-
-    @classmethod
     def generator(cls, sc: StructureConstants, root, coeff) -> "UnipotentWord":
         return cls(sc, [(root, coeff)])
 

@@ -71,6 +71,9 @@ class RootSystem:
                     "Cartan matrix is not of finite type")
         self.roots = sorted(roots, key=root_key)
         self.positive = [a for a in self.roots if sum(a) > 0]
+        # 2 rho, the sum of the positive roots: beta > 0 iff (beta, rho) > 0,
+        # so (w^{-1} beta, rho) = (beta, w rho) signs w^{-1} beta from w alone
+        self.two_rho = tuple(map(sum, zip(*self.positive)))
         self._root_set = frozenset(self.roots)
         # sanity: roots come in +/- pairs and signs are coherent
         for a in self.positive:

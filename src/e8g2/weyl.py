@@ -1,7 +1,8 @@
 """Weyl-group element arithmetic and parabolic double-coset combinatorics.
 
-Elements are stored as the images of the simple roots under w and w^{-1}
-(rank-many root vectors each); the action on arbitrary roots is linear.
+An element w is stored only as its images w(alpha_i) of the simple roots
+(rank-many root vectors); the action on arbitrary roots is linear.  Left
+descents, the one fact that would need w^{-1}, are read off w(2 rho).
 The full group is never materialized: enumeration builds minimal-length
 left-coset representatives breadth-first through descent tests, then cuts
 down to distinguished double-coset representatives.
@@ -41,17 +42,16 @@ def parse_word(word: str | Sequence[int]) -> tuple[int, ...]:
 
 
 class WeylElt:
-    __slots__ = ("rs", "cols", "inv_cols", "_len")
+    __slots__ = ("rs", "cols", "_len")
 
-    def __init__(self, rs: RootSystem, cols: tuple[Root, ...], inv_cols: tuple[Root, ...]):
+    def __init__(self, rs: RootSystem, cols: tuple[Root, ...]):
         self.rs = rs
         self.cols = cols
-        self.inv_cols = inv_cols
         self._len = None
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "WeylElt":
-        return cls(rs, rs.simple, rs.simple)
+        return cls(rs, rs.simple)
 
     # -- actions ----------------------------------------------------------
 
@@ -67,37 +67,21 @@ class WeylElt:
 
     def compose(self, other: "WeylElt") -> "WeylElt":
         """self o other: apply other first."""
-        cols = tuple(self.act(c) for c in other.cols)
-        other_inv = other.inverse()
-        inv_cols = tuple(other_inv.act(c) for c in self.inv_cols)
-        return WeylElt(self.rs, cols, inv_cols)
-
-    def inverse(self) -> "WeylElt":
-        return WeylElt(self.rs, self.inv_cols, self.cols)
+        return WeylElt(self.rs, tuple(self.act(c) for c in other.cols))
 
     def right_mul(self, i: int) -> "WeylElt":
         """self * s_i (one reflection applied before self)."""
-        rs = self.rs
-        row = rs.cartan[i - 1]
+        row = self.rs.cartan[i - 1]
         ci = self.cols[i - 1]
         cols = tuple(
             c if row[j] == 0 else tuple(a - row[j] * b for a, b in zip(c, ci))
             for j, c in enumerate(self.cols)
         )
-        inv_cols = tuple(rs.reflect(i, c) for c in self.inv_cols)
-        return WeylElt(rs, cols, inv_cols)
+        return WeylElt(self.rs, cols)
 
     def left_mul(self, i: int) -> "WeylElt":
         """s_i * self."""
-        rs = self.rs
-        row = rs.cartan[i - 1]
-        ii = self.inv_cols[i - 1]
-        cols = tuple(rs.reflect(i, c) for c in self.cols)
-        inv_cols = tuple(
-            c if row[j] == 0 else tuple(a - row[j] * b for a, b in zip(c, ii))
-            for j, c in enumerate(self.inv_cols)
-        )
-        return WeylElt(rs, cols, inv_cols)
+        return WeylElt(self.rs, tuple(self.rs.reflect(i, c) for c in self.cols))
 
     def is_identity(self) -> bool:
         return self.cols == self.rs.simple
@@ -112,7 +96,7 @@ class WeylElt:
 
     def length(self) -> int:
         if self._len is None:
-            self._len = sum(1 for a in self.rs.positive if sum(self.act(a)) < 0)
+            self._len = len(self.inversion_set())
         return self._len
 
     def inversion_set(self) -> list[Root]:
@@ -144,14 +128,18 @@ def min_coset_rep(J: Iterable[int], w: WeylElt, K: Iterable[int] = ()) -> WeylEl
     and right descents in K are dropped until none remain; each step
     shortens w inside its double coset, and the one element of the double
     coset with no such descents is its minimum.  An empty K gives the left
-    coset W_J*w, an empty J the right coset w*W_K.  Idempotent."""
+    coset W_J*w, an empty J the right coset w*W_K.  Idempotent.  j is a
+    left descent iff w^{-1} alpha_j < 0, iff <w(2 rho), alpha_j^vee> < 0."""
     Jt, Kt = tuple(J), tuple(K)
+    rs = w.rs
     changed = True
     while changed:
         changed = False
+        w2rho = w.act(rs.two_rho)
         for j in Jt:
-            if sum(w.inv_cols[j - 1]) < 0:
+            if rs.pairing(w2rho, j) < 0:
                 w = w.left_mul(j)
+                w2rho = rs.reflect(j, w2rho)
                 changed = True
         for k in Kt:
             if sum(w.cols[k - 1]) < 0:
@@ -165,13 +153,13 @@ def enumerate_min_left_reps(rs: RootSystem, J: Iterable[int]) -> list[WeylElt]:
 
     The set {w : w^{-1} alpha_j > 0 for all j in J} is closed under passing
     to shorter elements in right weak order, so BFS by length-increasing
-    right multiplication visits each exactly once.  w*s_i stays inside iff
-    alpha_i is not among the w^{-1} alpha_j.  Every step raises the length
-    by one, so the BFS level at which an element is first seen is its
-    length; it is stored on the element and never recomputed.
+    right multiplication visits each exactly once.  For w inside and
+    w*s_i > w, w*s_i leaves the set iff w(alpha_i) is a simple root alpha_j
+    with j in J, and then w*s_i = s_j*w (Deodhar's lemma).  Every step
+    raises the length by one, so the BFS level at which an element is first
+    seen is its length; it is stored on the element and never recomputed.
     """
-    Jt = tuple(J)
-    simple = rs.simple
+    blocked = {rs.simple[j - 1] for j in J}
     ident = WeylElt.identity(rs)
     ident._len = 0
     seen = {ident.cols}
@@ -182,11 +170,10 @@ def enumerate_min_left_reps(rs: RootSystem, J: Iterable[int]) -> list[WeylElt]:
         level += 1
         new = []
         for w in frontier:
-            blocked = {w.inv_cols[j - 1] for j in Jt}
             for i in range(1, rs.rank + 1):
                 if sum(w.cols[i - 1]) < 0:  # length would drop
                     continue
-                if simple[i - 1] in blocked:  # would leave the rep set
+                if w.cols[i - 1] in blocked:  # would leave the rep set
                     continue
                 cand = w.right_mul(i)
                 if cand.cols not in seen:
@@ -252,12 +239,6 @@ def parabolic_order(rs: RootSystem, J: Iterable[int] | None = None) -> int:
                 stack.append(b)
         order *= _component_order(rs, comp)
     return order
-
-
-def in_parabolic(w: WeylElt, J: Iterable[int]) -> bool:
-    """w lies in the standard parabolic subgroup W_J, i.e. every reduced
-    word for w uses only letters from J: the coset W_J*w is W_J itself."""
-    return min_coset_rep(J, w).is_identity()
 
 
 # -- the survivor pipeline -------------------------------------------------
@@ -330,8 +311,9 @@ def radical_intersection(rs: RootSystem, w: WeylElt) -> list[Root]:
 def classify_survivors(rs: RootSystem, survivors: Iterable[WeylElt]) -> dict:
     """Split the support-filter survivors according to which of the two
     distinguished double cosets (for W(M2) x W(M1)) they land in, and mark
-    the long-class elements whose long-part quotient needs both letter 4
-    and letter 7."""
+    the long-class elements whose long-part quotient lng^{-1}*w needs both
+    letter 4 and letter 7.  lng^{-1}*w lies in W_K iff w*W_K = lng*W_K, so
+    each test compares minimal right-coset representatives."""
     sht = evaluate_word(rs, WORD_COSET_SHORT)
     lng = evaluate_word(rs, WORD_COSET_LONG)
     red_sht = min_coset_rep(M2_INDICES, sht, M1_INDICES)
@@ -347,15 +329,10 @@ def classify_survivors(rs: RootSystem, survivors: Iterable[WeylElt]) -> dict:
             S_lng.append(w)
         else:
             unmatched.append(w)
-    lng_inv = lng.inverse()
-    without4 = tuple(i for i in range(1, 9) if i != 4)
-    without7 = tuple(i for i in range(1, 9) if i != 7)
-    S_lng_prime = [
-        w
-        for w in S_lng
-        if not in_parabolic(lng_inv.compose(w), without4)
-        and not in_parabolic(lng_inv.compose(w), without7)
-    ]
+    without = [tuple(i for i in range(1, 9) if i != n) for n in (4, 7)]
+    lng_reps = [min_coset_rep((), lng, K) for K in without]
+    S_lng_prime = [w for w in S_lng
+                   if all(min_coset_rep((), w, K) != r for K, r in zip(without, lng_reps))]
     return {
         "S_sht": S_sht,
         "S_lng": S_lng,

@@ -95,7 +95,7 @@ def test_conjugation_action_property():
 
 def test_conjugate_by_identity():
     u = UnipotentWord.generator(SC, "11221111", "u")
-    assert conjugate(u, UnipotentWord.identity(SC)) == u
+    assert conjugate(u, UnipotentWord(SC, ())) == u
 
 
 @settings(max_examples=30, deadline=None)
@@ -256,7 +256,7 @@ def test_conditions_identity_conjugator():
     # with no conjugation, triviality reduces to the raw character support
     sigma = WeylElt.identity(E8)
     psi = default_character(E8)
-    conds = character_conditions(sigma, psi, UnipotentWord.identity(SC))
+    conds = character_conditions(sigma, psi, UnipotentWord(SC, ()))
     assert len(conds) == 78
     nonzero = {r for r, p in conds.items() if not p.is_zero()}
     assert nonzero == set(CHARACTER_SUPPORT_ROOTS)
@@ -268,7 +268,7 @@ def test_conditions_pivot_identity_conjugator_trivial():
     # the pivot carries no support root into the parabolic: no conditions
     pivot, _, _ = pivot_element(E8)
     conds = character_conditions(
-        pivot, default_character(E8), UnipotentWord.identity(SC))
+        pivot, default_character(E8), UnipotentWord(SC, ()))
     assert all(p.is_zero() for p in conds.values())
 
 

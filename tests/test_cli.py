@@ -32,6 +32,10 @@ DEFAULT_REPORT_SHA256 = "8702ce8262599572aa04d23ba0961fe647e58057c09065d08004064
 # every registered check's report is frozen
 OTHER_CHECKS = ("zeta.tau_points", "zeta.pole_factors", "weyl.swap47")
 OTHER_REPORT_SHA256 = "7309d269a024f899edc9b0f1419d78ccba1e276489276541af51999c3466cb7e"
+# the same for zeta.end_to_end at the fallback degree D = 10, which is how
+# `--all` runs it (the default manifest pins D = 8); with the two above,
+# every byte of `e8g2 --all --json` apart from the runtimes is frozen
+END_TO_END_D10_SHA256 = "e0d2c4dbec29cf804d1c256b89276882c1accd2e790deabf8d94ec91c2dbbf2d"
 
 
 def synthetic_report(check_id: str, status: str) -> CheckReport:
@@ -217,6 +221,10 @@ class TestRunner:
         manifest = Manifest(tuple(ManifestEntry(cid) for cid in OTHER_CHECKS))
         text = normalized_json(RunConfig(), manifest)
         assert hashlib.sha256(text.encode()).hexdigest() == OTHER_REPORT_SHA256
+
+    def test_end_to_end_at_fallback_degree_frozen(self):
+        text = normalized_json(RunConfig(), Manifest((ManifestEntry("zeta.end_to_end"),)))
+        assert hashlib.sha256(text.encode()).hexdigest() == END_TO_END_D10_SHA256
 
     def test_json_deterministic_excluding_runtime(self):
         assert normalized_json(RunConfig()) == normalized_json(RunConfig())
