@@ -18,6 +18,12 @@ The canonical monomial order is graded lexicographic over the declared
 variable list; canonical text serialization sorts by it, so equal Laurent
 polynomials always print identically.
 
+The public API keys terms by exponent tuples.  The truncating kernels
+(``LaurentPoly.mul_trunc``, ``RatFunc.truncate`` and the measure sum in
+``e8g2.zeta``) pack each tuple into one integer inside (``_Packing``), so
+a monomial product is one integer add and a degree bound one comparison;
+they unpack once, into tuples, on return.
+
 >>> x_q = ("x", "q")
 >>> f = LaurentPoly.monomial(x_q, 1) - LaurentPoly.monomial(x_q, 1, x=1, q=7)
 >>> g = LaurentPoly.monomial(x_q, 1) + LaurentPoly.monomial(x_q, 1, x=1, q=7)
@@ -27,6 +33,7 @@ polynomials always print identically.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Mapping
 
 
@@ -43,6 +50,64 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
 
 
+def _extent(coeffs, n: int) -> list[int]:
+    """The largest |exponent| of each of the n variables over the keys."""
+    return [max(map(abs, map(itemgetter(j), coeffs)), default=0) for j in range(n)]
+
+
+class _Packing:
+    """Exponent vectors over ``vars`` packed into one integer each.
+
+    Every exponent is a balanced signed digit in radix 2^bits, with ``var``
+    as the most significant digit, so key(e) + key(f) == key(e + f) and
+    "var-degree <= D" is ``key <= limit(D)``.  This holds while every digit
+    below ``var`` stays inside (-2^(bits-1), 2^(bits-1)): ``bounds[j]`` is
+    the largest |exponent| of variable j in any vector the caller packs or
+    forms by adding keys, and the radix is derived from them, so keys never
+    alias.  ``var``'s own digit is unbounded and its bound is ignored.
+    """
+
+    __slots__ = ("vars", "var", "low", "high", "bits", "top")
+
+    def __init__(self, vars: tuple[str, ...], var: str, bounds: list[int]):
+        self.vars = vars
+        self.var = vars.index(var)
+        self.low = [j for j in range(len(vars)) if j != self.var]  # least significant first
+        self.high = self.low[::-1]
+        self.bits = max((bounds[j] for j in self.low), default=0).bit_length() + 1
+        self.top = 1 << (self.bits * len(self.low))  # the weight of var's digit
+
+    def key(self, e: tuple[int, ...]) -> int:
+        k, bits = e[self.var], self.bits
+        for j in self.high:
+            k = (k << bits) + e[j]
+        return k
+
+    def limit(self, degree: int) -> int:
+        """The largest key whose ``var`` digit is at most ``degree``."""
+        return degree * self.top + (self.top - 1) // 2
+
+    def unpack(self, terms) -> "LaurentPoly":
+        """The Laurent polynomial of (key, coefficient) pairs with distinct
+        keys; zero coefficients are skipped."""
+        n, low, bits = len(self.vars), self.low, self.bits
+        mask, half = (1 << bits) - 1, 1 << (bits - 1)
+        out: dict[tuple[int, ...], int] = {}
+        for k, c in terms:
+            if not c:
+                continue
+            e = [0] * n
+            for j in low:
+                d = k & mask
+                if d >= half:
+                    d -= mask + 1
+                e[j] = d
+                k = (k - d) >> bits
+            e[self.var] = k
+            out[tuple(e)] = c
+        return LaurentPoly._of(self.vars, out)
+
+
 class LaurentPoly:
     """Immutable multivariate Laurent polynomial with integer coefficients."""
 
@@ -53,6 +118,13 @@ class LaurentPoly:
         self.coeffs = {e: c for e, c in coeffs.items() if c}
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _of(cls, vars: tuple[str, ...], coeffs: dict[tuple[int, ...], int]) -> "LaurentPoly":
+        """Wrap a term dict with no zero coefficient as it is, uncopied."""
+        p = cls.__new__(cls)
+        p.vars, p.coeffs = vars, coeffs
+        return p
 
     @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "LaurentPoly":
@@ -225,24 +297,30 @@ class LaurentPoly:
     # -- truncated product ---------------------------------------------------
 
     def mul_trunc(self, other: "LaurentPoly", var: str, degree: int) -> "LaurentPoly":
-        """Product, discarding monomials above ``degree`` in ``var``."""
+        """Product, discarding monomials above ``degree`` in ``var``.
+
+        On packed keys: the smaller operand is sorted, so for each term of
+        the larger one the terms that stay within the bound form a prefix.
+        """
         self._check(other)
-        i = self.vars.index(var)
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple[int, ...], int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                if ea[i] + eb[i] > degree:
-                    continue
-                k = tuple(x + y for x, y in zip(ea, eb))
-                v = out.get(k, 0) + ca * cb
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-        return LaurentPoly(self.vars, out)
+        n = len(self.vars)
+        pk = _Packing(self.vars, var, [x + y for x, y in zip(_extent(a, n), _extent(b, n))])
+        small = sorted((pk.key(e), c) for e, c in a.items())
+        limit = pk.limit(degree)
+        out: dict[int, int] = {}
+        get = out.get
+        for eb, cb in b.items():
+            kb = pk.key(eb)
+            room = limit - kb
+            for ka, ca in small:
+                if ka > room:
+                    break
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        return pk.unpack(out.items())
 
     # -- serialization ---------------------------------------------------
 
@@ -425,29 +503,35 @@ class RatFunc:
             if v[i] <= 0:
                 raise TruncationError(
                     f"denominator factor 1 - X^{v} has no positive {var}-degree; cannot expand")
-        buckets: dict[int, dict[tuple[int, ...], int]] = {}
-        for e, c in self.num.coeffs.items():
-            if e[i] <= degree:
-                buckets.setdefault(e[i], {})[e] = c
-        if not buckets:
+        num = self.num.coeffs
+        low = min((e[i] for e in num if e[i] <= degree), default=None)
+        if low is None:
             return LaurentPoly(self.vars, {})
-        low = min(buckets)
+        # each division step raises the var-degree by at least one, so at
+        # most degree - low steps reach any kept term
+        n = len(self.vars)
+        pk = _Packing(self.vars, var, [
+            x + (degree - low) * y for x, y in zip(_extent(num, n), _extent(self.den, n))])
+        buckets: dict[int, dict[int, int]] = {}
+        for e, c in num.items():
+            if e[i] <= degree:
+                buckets.setdefault(e[i], {})[pk.key(e)] = c
         for v, m in self.den.items():
-            step = v[i]
+            step, kv = v[i], pk.key(v)
             for _ in range(m):
                 for d in range(low + step, degree + 1):
                     prev = buckets.get(d - step)
                     if not prev:
                         continue
                     cur = buckets.setdefault(d, {})
-                    for e, c in prev.items():
-                        k = tuple(x + y for x, y in zip(e, v))
+                    for k, c in prev.items():
+                        k += kv
                         s = cur.get(k, 0) + c
                         if s:
                             cur[k] = s
                         else:
                             del cur[k]
-        return LaurentPoly(self.vars, {e: c for b in buckets.values() for e, c in b.items()})
+        return pk.unpack(kc for b in buckets.values() for kc in b.items())
 
     # -- serialization ---------------------------------------------------
 

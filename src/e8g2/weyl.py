@@ -129,9 +129,12 @@ def min_coset_rep(J: Iterable[int], w: WeylElt, K: Iterable[int] = ()) -> WeylEl
     shortens w inside its double coset, and the one element of the double
     coset with no such descents is its minimum.  An empty K gives the left
     coset W_J*w, an empty J the right coset w*W_K.  Idempotent.  j is a
-    left descent iff w^{-1} alpha_j < 0, iff <w(2 rho), alpha_j^vee> < 0."""
+    left descent iff w^{-1} alpha_j < 0, iff <w(2 rho), alpha_j^vee> < 0.
+    No element is longer than the number of positive roots, so more steps
+    than that prove a wrong descent test: RuntimeError."""
     Jt, Kt = tuple(J), tuple(K)
     rs = w.rs
+    steps = 0
     changed = True
     while changed:
         changed = False
@@ -140,11 +143,17 @@ def min_coset_rep(J: Iterable[int], w: WeylElt, K: Iterable[int] = ()) -> WeylEl
             if rs.pairing(w2rho, j) < 0:
                 w = w.left_mul(j)
                 w2rho = rs.reflect(j, w2rho)
+                steps += 1
                 changed = True
         for k in Kt:
             if sum(w.cols[k - 1]) < 0:
                 w = w.right_mul(k)
+                steps += 1
                 changed = True
+        if steps > len(rs.positive):
+            raise RuntimeError(
+                f"min_coset_rep took {steps} shortening steps, more than the"
+                f" {len(rs.positive)} positive roots allow")
     return w
 
 

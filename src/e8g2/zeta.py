@@ -42,11 +42,11 @@ from .g2chars import (
     weyl_character,
 )
 from .rootsys import RootSystem, e8
-from .symra import LaurentPoly, RatFunc, one_minus
+from .symra import LaurentPoly, RatFunc, _extent, _Packing, one_minus
 from .weyl import evaluate_word
 
 XQ = ("x", "q")
-SERIES_VARS = ("x", "q", "a", "b")
+SERIES_VARS = ("x",) + FULL_VARS  # x, q, a, b
 
 
 def _om(**pows: int) -> LaurentPoly:
@@ -740,28 +740,52 @@ def _mono4(coeff: int = 1, **pows: int) -> LaurentPoly:
 
 def _pair_kernel(n: int, m: int) -> LaurentPoly:
     """The kernel polynomial of pair (n, m) shifted by its torus monomial
-    x^{n+2m} q^{8n+15m}, in (x, q, a, b); its x-degrees are all >= n + 2m."""
-    return (_i0_poly(n, m) * _mono(1, x=n + 2 * m, q=8 * n + 15 * m)).rename(SERIES_VARS)
+    x^{n+2m} q^{8n+15m}, in (x, q); its x-degrees are all >= n + 2m."""
+    return _i0_poly(n, m) * _mono(1, x=n + 2 * m, q=8 * n + 15 * m)
 
 
 def _measure_sum(D: int, perturb_mass: bool = False) -> LaurentPoly:
     """Mass-cleared kernel sum over valuation pairs with n + 2m <= D, as a
     Laurent polynomial in (x, q, a, b) truncated at x-degree D.  With
     perturb_mass the per-coset mass constants are all replaced by 1 (the
-    negative control).  Each pair's product is truncated as it is formed
-    and added into one accumulator."""
-    acc: dict[tuple[int, ...], int] = {}
+    negative control).
+
+    The small factors are multiplied first.  For each pair:
+
+    1. the shifted kernel times the mass-clearing polynomial, at most
+       12 * 7 terms in (x, q);
+    2. its monomials above x-degree D are dropped, which is exact because
+       the weight coefficient has no x;
+    3. the weight coefficient, on packed keys, is shifted by each remaining
+       monomial, scaled by its coefficient and added into one packed
+       accumulator.
+
+    The accumulator is unpacked once, after the last pair.
+    """
+    pairs = []
     for n in range(D + 1):
         for m in range((D - n) // 2 + 1):
             clear = _QHAT if perturb_mass else _q_clear((n, m))
-            coeff = (_p_char((n, m)) * clear.rename(FULL_VARS)).rename(SERIES_VARS)
-            for e, c in coeff.mul_trunc(_pair_kernel(n, m), "x", D).coeffs.items():
-                s = acc.get(e, 0) + c
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-    return LaurentPoly(SERIES_VARS, acc)
+            small = _pair_kernel(n, m) * clear.rename(XQ)
+            pairs.append((_p_char((n, m)).coeffs,
+                          {(x, q, 0, 0): c for (x, q), c in small.coeffs.items() if x <= D}))
+    # a weight exponent e over FULL_VARS is (0, *e) over SERIES_VARS
+    bounds = [0] * len(SERIES_VARS)
+    for coeff, small in pairs:
+        ext = [0, *_extent(coeff, len(FULL_VARS))]
+        bounds = [max(bound, x + y)
+                  for bound, x, y in zip(bounds, ext, _extent(small, len(SERIES_VARS)))]
+    pk = _Packing(SERIES_VARS, "x", bounds)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for coeff, small in pairs:
+        packed = [(pk.key((0, *e)), c) for e, c in coeff.items()]
+        for e, c in small.items():
+            shift = pk.key(e)
+            for k, v in packed:
+                k += shift
+                acc[k] = get(k, 0) + c * v
+    return pk.unpack(acc.items())
 
 
 def _char_series(D: int) -> LaurentPoly:

@@ -228,19 +228,22 @@ def test_poly_ratfunc_equality_is_symmetric():
 # -- truncation kernels against independent routes --------------------------
 
 
-def geometric_truncate(r, degree):
+def geometric_truncate(r, degree, var="x"):
     """The former series route of ``RatFunc.truncate``, kept as a reference:
     multiply the truncated numerator by each factor's geometric series
-    sum_k C(k+m-1, m-1) X^{kv}, long enough to reach ``degree`` from the
-    numerator's lowest x-degree."""
-    out = truncate_var(r.num, "x", degree)
+    sum_k C(k+m-1, m-1) X^{kv}, long enough to span ``degree`` less the
+    numerator's lowest ``var``-degree, and truncate the full product."""
+    i = r.vars.index(var)
+    out = truncate_var(r.num, var, degree)
+    if not out:
+        return out
     for v, m in r.den.items():
         terms = {}
         k = 0
-        while k * v[0] <= degree + max(0, -out.low_degree("x")):
+        while k * v[i] <= degree - out.low_degree(var):
             terms[tuple(k * x for x in v)] = comb(k + m - 1, m - 1)
             k += 1
-        out = out.mul_trunc(LaurentPoly(XQ, terms), "x", degree)
+        out = truncate_var(out * LaurentPoly(r.vars, terms), var, degree)
     return out
 
 
@@ -295,6 +298,83 @@ def test_truncate_negative_degree_numerator_and_cancellation():
 @given(laurent_polys(), laurent_polys(), st.sampled_from(XQ), st.integers(-4, 6))
 def test_mul_trunc_matches_truncated_product(a, b, var, degree):
     assert a.mul_trunc(b, var, degree) == truncate_var(a * b, var, degree)
+
+
+# -- packed kernels on wide exponents ---------------------------------------
+#
+# mul_trunc and truncate pack exponent vectors into integers with a radix
+# derived from the operands; these cases put the truncation variable in any
+# of three or four positions, negative exponents everywhere, and half the
+# time exponents around +-10^6, where a radix too small would alias keys.
+
+BIG = 10 ** 6
+VARS4 = ("x", "y", "z", "w")
+
+
+def wide_exponent(draw, big):
+    return draw(st.sampled_from((-big, 0, big))) + draw(st.integers(-3, 3))
+
+
+@st.composite
+def wide_products(draw):
+    """(a, b, var, degree), with degree cutting through the var-degrees of
+    the product."""
+    vars = VARS4[:draw(st.integers(3, 4))]
+    big = draw(st.sampled_from((0, BIG)))
+
+    def poly():
+        return LaurentPoly(vars, {
+            tuple(wide_exponent(draw, big) for _ in vars): draw(st.integers(-9, 9))
+            for _ in range(draw(st.integers(0, 6)))})
+
+    a, b = poly(), poly()
+    var = draw(st.sampled_from(vars))
+    i = vars.index(var)
+    degrees = sorted({ea[i] + eb[i] for ea in a.coeffs for eb in b.coeffs}) or [0]
+    return a, b, var, draw(st.sampled_from(degrees)) + draw(st.integers(-1, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_products())
+def test_mul_trunc_on_wide_exponents(case):
+    a, b, var, degree = case
+    assert a.mul_trunc(b, var, degree) == truncate_var(a * b, var, degree)
+
+
+@st.composite
+def wide_series(draw):
+    """(r, var, degree): one or two factors of var-degree 1..3; var's own
+    exponents share one offset with the degree, so the expansion stays short
+    while every other exponent may be around +-10^6; half the time the
+    numerator is divisible by a factor, so that terms cancel."""
+    vars = VARS4[:draw(st.integers(3, 4))]
+    var = draw(st.sampled_from(vars))
+    i = vars.index(var)
+    big = draw(st.sampled_from((0, BIG)))
+    offset = draw(st.sampled_from((-big, 0, big)))
+    den = {}
+    for _ in range(draw(st.integers(1, 2))):
+        # entries before var's are >= 0, so the factor stays as drawn
+        v = [draw(st.sampled_from((0, big))) + draw(st.integers(0, 2)) if j < i
+             else wide_exponent(draw, big) for j in range(len(vars))]
+        v[i] = draw(st.integers(1, 3))
+        den[tuple(v)] = draw(st.integers(1, 2))
+    num = {}
+    for _ in range(draw(st.integers(0, 5))):
+        e = [wide_exponent(draw, big) for _ in vars]
+        e[i] = offset + draw(st.integers(-3, 3))
+        num[tuple(e)] = draw(st.integers(-9, 9))
+    num = LaurentPoly(vars, num)
+    if draw(st.booleans()):
+        num = num * LaurentPoly(vars, {(0,) * len(vars): 1, draw(st.sampled_from(sorted(den))): -1})
+    return RatFunc(num, den), var, offset + draw(st.integers(-1, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_series())
+def test_truncate_on_wide_exponents(case):
+    r, var, degree = case
+    assert r.truncate(var, degree) == geometric_truncate(r, degree, var)
 
 
 # -- rational functions against sympy ---------------------------------------

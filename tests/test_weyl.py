@@ -314,6 +314,15 @@ def test_min_coset_rep_matches_brute_force(rs):
                 assert min_coset_rep(J, w, K) == expected
 
 
+def test_min_coset_rep_refuses_to_loop(monkeypatch):
+    # a descent test that always fires would shorten w forever; the step
+    # bound (one step per positive root at most) turns that into an error
+    rs = RootSystem(G2_CARTAN)
+    monkeypatch.setattr(rs, "pairing", lambda alpha, i: -1)
+    with pytest.raises(RuntimeError, match="shortening steps"):
+        min_coset_rep((1, 2), WeylElt.identity(rs))
+
+
 def test_word_roundtrip():
     for text in (WORD_SWAP47_A, WORD_COSET_SHORT, WORD_COSET_LONG, "243154"):
         w = evaluate_word(E8, text)
