@@ -297,7 +297,7 @@ def _closed_forms():
     grid_ok = all(
         zeta.j_oracle(B, C).equals(frozen.substitute(B, C))
         for B in range(6) for C in range(B, 6))
-    t0_ok = zeta.t_operators("T0", frozen) == zeta._frozen_t0_cj0()
+    t0_ok = zeta._t0_cj0() == zeta._frozen_t0_cj0()
 
     z = zeta._factor_product(zeta.Z_FACTOR_KEYS)
 
@@ -379,8 +379,7 @@ def _main_identity_cases(n_max=6, m_max=4):
                 if not w.dominant:
                     continue
                 coeff = p_coefficient(w, lam) * zeta._q_clear(w)
-                tau0 = mono(1, x=w.n + 2 * w.m, q=8 * w.n + 15 * w.m)
-                lhs = lhs + coeff.rename(zeta.XQ) * zeta._i0_poly(w.n, w.m) * tau0
+                lhs = lhs + coeff.rename(zeta.XQ) * zeta._pair_kernel(w.n, w.m)
             rhs = z0q * mono(1, x=n, q=8 * n) if m == 0 else LaurentPoly.zero(zeta.XQ)
             if lhs != rhs:
                 failures.append(f"{n},{m}")

@@ -33,7 +33,7 @@ they unpack once, into tuples, on return.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Mapping
 
 
@@ -357,12 +357,22 @@ class LaurentPoly:
 
 
 def _times_binomials(p: LaurentPoly, factors: Mapping[tuple[int, ...], int]) -> LaurentPoly:
-    """p * prod (1 - X^v)^m; a nonpositive multiplicity m contributes nothing."""
-    one = (0,) * len(p.vars)
+    """p * prod (1 - X^v)^m; a nonpositive multiplicity m contributes nothing.
+
+    Each unit of multiplicity is one pass over the terms, a shift: p - X^v p
+    is p with every term e also subtracted at e + v.
+    """
     for v, m in factors.items():
-        f = LaurentPoly(p.vars, {one: 1, v: -1})
         for _ in range(m):
-            p = p * f
+            out = dict(p.coeffs)
+            for e, c in p.coeffs.items():
+                k = tuple(map(add, e, v))
+                s = out.get(k, 0) - c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+            p = LaurentPoly._of(p.vars, out)
     return p
 
 
@@ -399,6 +409,8 @@ class RatFunc:
     def __init__(self, num: LaurentPoly, den: Mapping[tuple[int, ...], int] | None = None):
         den = dict(den or {})
         for v, m in list(den.items()):
+            if len(v) != len(num.vars):
+                raise ValueError(f"exponent vector {v} does not match variables {num.vars}")
             if m < 0:
                 raise ValueError("negative multiplicity in denominator")
             if m == 0:
@@ -562,7 +574,7 @@ def one_minus(vars: tuple[str, ...], **powers: int) -> LaurentPoly:
         e[vars.index(name)] += p
     if not any(e):
         return LaurentPoly.zero(vars)  # 1 - X^0 collapses to 0
-    return _times_binomials(LaurentPoly.const(vars, 1), {tuple(e): 1})
+    return LaurentPoly._of(vars, {(0,) * len(vars): 1, tuple(e): -1})
 
 
 if __name__ == "__main__":

@@ -12,7 +12,9 @@ Everything here is exact arithmetic over the two-variable Laurent ring in
   pairs meaning 1/(1 - x^k q^j); products over root sets cancel by exact
   multiset arithmetic and carry a formal character label k mod o;
 * the finite summation family (``j_oracle`` and its two-variable and
-  three-variable building blocks), evaluated term by term;
+  three-variable building blocks); every block is a weighted sum of the
+  same three fixed polynomials, so ``j_oracle`` adds up the weights of its
+  terms and multiplies by the fixed polynomials once;
 * five shift operators on a six-variable bookkeeping ring (``t_operators``)
   whose coefficients are rational in (x, q), with an assembly routine that
   reconstructs the frozen four-variable closed form;
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Mapping
 
 from .g2chars import (
@@ -42,7 +44,7 @@ from .g2chars import (
     weyl_character,
 )
 from .rootsys import RootSystem, e8
-from .symra import LaurentPoly, RatFunc, _extent, _Packing, one_minus
+from .symra import LaurentPoly, RatFunc, _extent, _Packing, _times_binomials, one_minus
 from .weyl import evaluate_word
 
 XQ = ("x", "q")
@@ -330,16 +332,29 @@ def t_operators(which: str, f: XPoly) -> XPoly:
     return XPoly(out)
 
 
+# The fixed polynomials below are built on first use and then shared:
+# nothing mutates a LaurentPoly's coeffs, a RatFunc's den or an XPoly's
+# terms in place.
+
+
+@cache
 def _block_a() -> LaurentPoly:
     return _om(x=2, q=12) * _om(x=1, q=6)
 
 
+@cache
 def _block_b() -> LaurentPoly:
     return _om(x=1, q=5) * _om(x=2, q=13)
 
 
+@cache
 def _block_c() -> LaurentPoly:
     return _om(q=-1) * _mono(1, x=1, q=6) * _om(x=1, q=7)
+
+
+def _over_blocks(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly) -> LaurentPoly:
+    """A*a + B*b + C*c over the three fixed blocks."""
+    return _block_a() * a + _block_b() * b + _block_c() * c
 
 
 def _cj21() -> XPoly:
@@ -361,6 +376,7 @@ def _cj22() -> XPoly:
     })
 
 
+@cache
 def _frozen_cj0() -> XPoly:
     """The four-variable closed form, frozen coefficient by coefficient."""
     om5, om6 = _om(x=1, q=5), _om(x=1, q=6)
@@ -390,6 +406,12 @@ def _frozen_t0_cj0() -> XPoly:
         (1, 8, 0, 0, 0, 0): pref * (-1 * _om(x=1, q=5) * _om(x=1, q=6)),
         (0, 1, 1, 7, 0, 0): pref * (-1 * _mono(1, q=-1) * _om(x=1, q=5) * _om(x=1, q=8)),
     })
+
+
+@cache
+def _t0_cj0() -> XPoly:
+    """T0 applied to the frozen closed form; ``closed_I`` substitutes it."""
+    return t_operators("T0", _frozen_cj0())
 
 
 def assemble_cj0(operand34: XPoly | None = None) -> XPoly:
@@ -423,12 +445,18 @@ def _factor_product(keys) -> LaurentPoly:
     return out
 
 
+@cache
+def _i0_factors() -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """The fixed factors (F, G, H) of every kernel polynomial I0(n, m)."""
+    return (_om(x=1, q=6) * _om(x=3, q=21), _om(x=1, q=5) * _om(x=1, q=6),
+            _om(x=1, q=5) * _om(x=1, q=8))
+
+
 def _i0_poly(n: int, m: int) -> LaurentPoly:
-    first = _om(x=1, q=6) * _om(x=3, q=21)
-    second = _mono(1, x=m + 1, q=8 * (m + 1)) * _om(x=1, q=5) * _om(x=1, q=6)
-    third = (_mono(1, x=n + 1, q=7 * (n + 1)) * _mono(1, x=m, q=8 * m)
-             * _om(x=1, q=5) * _om(x=1, q=8))
-    return first - second - third
+    """I0(n, m) = F - (xq^8)^(m+1) G - (xq^7)^(n+1) (xq^8)^m H."""
+    first, g, h = _i0_factors()
+    return (first - _mono(1, x=m + 1, q=8 * (m + 1)) * g
+            - _mono(1, x=n + m + 1, q=7 * (n + 1) + 8 * m) * h)
 
 
 def _i0_expanded(n: int, m: int) -> LaurentPoly:
@@ -599,19 +627,23 @@ def _pairing_with_double_rho(w) -> int:
 # -- finite summation family ---------------------------------------------------
 
 
+def _bracket_weights(C: int, E: int | None) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """The weights (a, b, c) of the innermost block's bracket
+    A*a + B*b + C*c over the three fixed blocks, each at most two monomials;
+    E = None means the third valuation is unbounded."""
+    b = _mono(-1, x=C + 1, q=7 * (C + 1))
+    if E is None or E >= C:
+        return _ONE, b, _mono(1, x=2 * (C + 1), q=13 * (C + 1))
+    return (_om(x=2 * (E + 1), q=13 * (E + 1)), b * _om(x=E + 1, q=6 * (E + 1)),
+            LaurentPoly.zero(XQ))
+
+
 def j_case4(C: int, E: int | None = None) -> RatFunc:
     """Innermost two-parameter building block; E = None means the third
     valuation is unbounded.  Zero whenever a parameter is negative."""
     if C < 0 or (E is not None and E < 0):
         return _ZERO_RF
-    A, B, Cc = _block_a(), _block_b(), _block_c()
-    if E is None or E >= C:
-        br = (A - B * _mono(1, x=C + 1, q=7 * (C + 1))
-              + Cc * _mono(1, x=2 * (C + 1), q=13 * (C + 1)))
-    else:
-        br = (A * (_ONE - _mono(1, x=2 * (E + 1), q=13 * (E + 1)))
-              - _mono(1, x=C + 1, q=7 * (C + 1)) * B * (_ONE - _mono(1, x=E + 1, q=6 * (E + 1))))
-    return RatFunc(br, {(1, 7): 1, (2, 13): 1})
+    return RatFunc(_over_blocks(*_bracket_weights(C, E)), {(1, 7): 1, (2, 13): 1})
 
 
 def j_case2(B: int, C: int, E: int | None = None) -> RatFunc:
@@ -625,28 +657,44 @@ def j_case2(B: int, C: int, E: int | None = None) -> RatFunc:
 
 def j_oracle(B: int, C: int) -> RatFunc:
     """Direct finite-summation value of the outer integral at valuations
-    (B, C): four summation blocks over shells, each term a three-parameter
-    block evaluated in closed form.  Requires B <= C (negatives give zero);
-    cross-validated against substitution into the frozen closed form.
+    (B, C): four summation blocks over shells, each term a monomial times a
+    power of u = 1 - 1/q times a three-parameter block.  Requires B <= C
+    (negatives give zero); cross-validated against substitution into the
+    frozen closed form.
+
+    The sum is added by linearity over the three fixed blocks: every term's
+    block j_case2(B', C', E) is om6 * (A*a + B*b + C*c) over one common
+    denominator, with short weights a, b, c.  The weights are summed per
+    power of u, and the blocks are multiplied in once, at the end.
     """
     if B < 0 or C < 0:
         return _ZERO_RF
     if B > C:
         raise ValueError("first valuation must not exceed the second")
-    u = RatFunc.from_poly(_om(q=-1))
-    total = j_case2(B, C)
-    for el in range(1, B + 1):
-        total = total + u * _mono(1, x=el, q=8 * el) * j_case2(B - el, C - el)
+    # (power of u, x, q, B', C', E) of the term u^power x^x q^q j_case2(B', C', E);
+    # with 0 <= B <= C no parameter is negative
+    terms = [(0, 0, 0, B, C, None)]
     for k in range(1, B + 1):
-        total = total + u * _mono(1, x=2 * k, q=13 * k) * j_case2(B - k, C)
-    for k in range(1, B + 1):
-        inner = _ZERO_RF
-        for el in range(k):
-            inner = inner + _mono(1, q=-el) * j_case2(B - k, C, C - k + el)
-        for el in range(1, B - k + 1):
-            inner = inner + _mono(1, x=el, q=8 * el) * j_case2(B - k - el, C - el, C - k - el)
-        total = total + u * u * _mono(1, x=2 * k, q=14 * k) * inner
-    return total
+        terms.append((1, k, 8 * k, B - k, C - k, None))
+        terms.append((1, 2 * k, 13 * k, B - k, C, None))
+        terms += [(2, 2 * k, 14 * k - el, B - k, C, C - k + el) for el in range(k)]
+        terms += [(2, 2 * k + el, 14 * k + 8 * el, B - k - el, C - el, C - k - el)
+                  for el in range(1, B - k + 1)]
+    sums = [({}, {}, {}) for _ in range(3)]  # sums[power of u] = weights (a, b, c)
+    for power, tx, tq, b, c, e in terms:
+        # the monomial times j_case2's factor 1 - (xq^7)^(B'+1)
+        head = ((tx, tq, 1), (tx + b + 1, tq + 7 * (b + 1), -1))
+        for acc, w in zip(sums[power], _bracket_weights(c, e)):
+            for (wx, wq), wc in w.coeffs.items():
+                for hx, hq, hc in head:
+                    key = (hx + wx, hq + wq)
+                    acc[key] = acc.get(key, 0) + hc * wc
+    u = {(0, -1): 1}  # u = 1 - 1/q as a binomial factor
+    weights = [LaurentPoly(XQ, s0) + _times_binomials(
+                   LaurentPoly(XQ, s1) + _times_binomials(LaurentPoly(XQ, s2), u), u)
+               for s0, s1, s2 in zip(*sums)]
+    return RatFunc(_times_binomials(_over_blocks(*weights), {(1, 6): 1}),
+                   {(1, 7): 2, (2, 13): 1})
 
 
 # -- closed form of the local integral ---------------------------------------------------
@@ -654,6 +702,7 @@ def j_oracle(B: int, C: int) -> RatFunc:
 CLOSED_I_CASES = ("both-unit", "t2-unit", "t2-nonunit")
 
 
+@cache
 def _p0_times_om7() -> RatFunc:
     """(1-x)(1-xq^2)(1-xq^3)(1-xq^4)(1-x^2 q^10) / (1-xq^6): the rank-one
     constant times the factor that cancels one denominator."""
@@ -702,8 +751,7 @@ def closed_I(n: int, m: int, case: str) -> RatFunc:
         return head * (_reduced_j0(n) - _mono(1, x=4, q=26) * _reduced_j0(n - 2))
     if m < 1:
         raise ValueError("t2-nonunit means the second valuation is positive")
-    t0j0 = t_operators("T0", _frozen_cj0())
-    return head * t0j0.substitute(m, n + m)
+    return head * _t0_cj0().substitute(m, n + m)
 
 
 # -- mass-weighted kernel sum ---------------------------------------------------

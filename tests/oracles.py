@@ -11,7 +11,10 @@ does not take, so that agreement is evidence rather than repetition:
 * ``truncate_var`` -- truncation after a full product, the reference for
   ``mul_trunc`` and the series routes;
 * ``evaluate`` -- exact evaluation of a Laurent polynomial or rational
-  function at a rational point.
+  function at a rational point;
+* ``j_oracle_by_terms`` -- the summation oracle added term by term, one
+  ``j_case2`` rational function per term, the reference for ``j_oracle``'s
+  sum by linearity.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from fractions import Fraction
 from e8g2.g2chars import Weight, weyl_character
 from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.weyl import WeylElt
+from e8g2.zeta import XQ, j_case2
 
 
 def group_order(rs, J=None) -> int:
@@ -154,4 +158,30 @@ def evaluate(f: LaurentPoly | RatFunc, point: dict) -> Fraction:
         for x, p in zip(vals, e):
             t *= x ** p
         total += t
+    return total
+
+
+# -- the finite summation family ---------------------------------------------
+
+
+def j_oracle_by_terms(B: int, C: int) -> RatFunc:
+    """The summation oracle at valuations 0 <= B <= C as a sum of RatFuncs:
+    four blocks of terms, each a monomial and a power of u = 1 - 1/q times
+    ``j_case2``."""
+    def mono(**pows):
+        return LaurentPoly.monomial(XQ, 1, **pows)
+
+    u = RatFunc.from_poly(LaurentPoly.const(XQ, 1) - mono(q=-1))
+    total = j_case2(B, C)
+    for el in range(1, B + 1):
+        total = total + u * mono(x=el, q=8 * el) * j_case2(B - el, C - el)
+    for k in range(1, B + 1):
+        total = total + u * mono(x=2 * k, q=13 * k) * j_case2(B - k, C)
+    for k in range(1, B + 1):
+        inner = RatFunc(LaurentPoly.zero(XQ))
+        for el in range(k):
+            inner = inner + mono(q=-el) * j_case2(B - k, C, C - k + el)
+        for el in range(1, B - k + 1):
+            inner = inner + mono(x=el, q=8 * el) * j_case2(B - k - el, C - el, C - k - el)
+        total = total + u * u * mono(x=2 * k, q=14 * k) * inner
     return total

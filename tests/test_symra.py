@@ -11,11 +11,13 @@ from e8g2.symra import (
     LaurentPoly,
     RatFunc,
     TruncationError,
+    _times_binomials,
     one_minus,
 )
 from oracles import evaluate, truncate_var
 
 XQ = ("x", "q")
+VARS4 = ("x", "y", "z", "w")
 
 
 def mono(c=1, **p):
@@ -102,6 +104,14 @@ def test_ratfunc_negative_factor_normalization():
     assert r.equals(direct)
 
 
+@pytest.mark.parametrize("v", [(1,), (1, 7, 5)], ids=["too-short", "too-long"])
+def test_ratfunc_rejects_a_factor_of_the_wrong_length(v):
+    with pytest.raises(ValueError, match="does not match"):
+        RatFunc(LaurentPoly.const(XQ, 1), {v: 1})
+    with pytest.raises(ValueError, match="does not match"):
+        RatFunc(LaurentPoly.const(XQ, 1), {(1, 7): 1, v: 1})
+
+
 def test_ratfunc_add_mul_equals():
     a = RatFunc(LaurentPoly.const(XQ, 1), {(1, 7): 1})
     b = RatFunc(LaurentPoly.const(XQ, 1), {(1, 8): 1})
@@ -179,6 +189,35 @@ nonzero_vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
 
 def binomial(v):
     return one_minus(XQ, x=v[0], q=v[1])
+
+
+@st.composite
+def binomial_products(draw):
+    """(p, v, m) over 2 to 4 variables with negative exponents allowed;
+    half the time p is 1 + X^v + ... + X^(k v) times a monomial, whose
+    product with 1 - X^v telescopes to two terms."""
+    vars = VARS4[:draw(st.integers(2, 4))]
+    exps = st.tuples(*[st.integers(-3, 3)] * len(vars))
+    v = draw(exps.filter(any))
+    if draw(st.booleans()):
+        e0, c = draw(exps), draw(st.integers(-9, 9).filter(bool))
+        p = LaurentPoly(vars, {tuple(x + k * y for x, y in zip(e0, v)): c
+                               for k in range(draw(st.integers(1, 4)))})
+    else:
+        p = LaurentPoly(vars, draw(st.dictionaries(exps, st.integers(-9, 9), max_size=6)))
+    return p, v, draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(binomial_products())
+def test_times_binomials_matches_generic_products(case):
+    p, v, m = case
+    want = p
+    for _ in range(m):
+        want = want * LaurentPoly(p.vars, {(0,) * len(p.vars): 1, v: -1})
+    got = _times_binomials(p, {v: m})
+    assert got == want
+    assert all(got.coeffs.values())
 
 
 @settings(max_examples=100, deadline=None)
@@ -308,7 +347,6 @@ def test_mul_trunc_matches_truncated_product(a, b, var, degree):
 # time exponents around +-10^6, where a radix too small would alias keys.
 
 BIG = 10 ** 6
-VARS4 = ("x", "y", "z", "w")
 
 
 def wide_exponent(draw, big):

@@ -3,6 +3,9 @@ bookkeeping-ring shift operators, the finite summation family against the
 frozen closed form, the local-integral cases, weight coefficients, and the
 truncated series checks."""
 
+import inspect
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,7 @@ from e8g2.g2chars import FULL_VARS, p_coefficient, s0_and_p
 from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.weyl import WORD_INTERTWINER
 from e8g2.zeta import XQ, SingularShift, XPoly
-from oracles import truncate_var
+from oracles import j_oracle_by_terms, truncate_var
 
 OM = z._om
 MONO = z._mono
@@ -188,6 +191,12 @@ class TestSummationFamily:
             for C in range(B, 6):
                 assert z.j_oracle(B, C).equals(frozen.substitute(B, C)), (B, C)
 
+    def test_oracle_matches_the_sum_by_terms(self):
+        # the benchmark's grid; it includes the branch of j_case4 with E < C
+        for C in range(12):
+            for B in range(C + 1):
+                assert z.j_oracle(B, C).equals(j_oracle_by_terms(B, C)), (B, C)
+
     def test_negative_parameters_give_zero(self):
         assert z.j_oracle(-1, 3).is_zero()
         assert z.j_oracle(-2, -1).is_zero()
@@ -203,6 +212,37 @@ class TestSummationFamily:
         assert z.j_case4(2, 5).equals(z.j_case4(2))
         assert z.j_case4(2, 2).equals(z.j_case4(2))
         assert not z.j_case4(2, 1).equals(z.j_case4(2))
+
+
+# -- fixed polynomials built once ---------------------------------------------
+
+
+def cached_builders():
+    """Every zero-argument builder in zeta whose value is cached and shared."""
+    return {name: f for name, f in vars(z).items()
+            if hasattr(f, "cache_info") and f.__module__ == z.__name__
+            and not inspect.signature(f).parameters}
+
+
+def snapshot(value):
+    if isinstance(value, tuple):
+        return tuple(map(snapshot, value))
+    if isinstance(value, XPoly):
+        return {k: c.to_text() for k, c in value.terms.items()}
+    return value.to_text()
+
+
+def test_cached_values_survive_repeated_checks():
+    builders = cached_builders()
+    assert set(builders) == {"_block_a", "_block_b", "_block_c", "_frozen_cj0",
+                             "_t0_cj0", "_i0_factors", "_p0_times_om7"}
+    before = {name: snapshot(f()) for name, f in builders.items()}
+    manifest = Manifest((ManifestEntry("zeta.closed_forms"), ManifestEntry("zeta.sum_cases")))
+    first, second = (run(manifest, RunConfig())[1] for _ in range(2))
+    assert [r.status for r in first] == ["pass", "pass"]
+    assert [replace(r, runtime_ms=0) for r in first] == [replace(r, runtime_ms=0) for r in second]
+    assert all(f() is f() for f in builders.values())
+    assert {name: snapshot(f()) for name, f in builders.items()} == before
 
 
 # -- shift operators ---------------------------------------------------
