@@ -47,7 +47,6 @@ from .rootsys import e8
 from .symra import LaurentPoly, RatFunc
 from .weyl import (
     M2_INDICES,
-    WORD_INTERTWINER,
     classify_survivors,
     enumerate_double_cosets,
     pivot_element,
@@ -262,14 +261,13 @@ def _gk_products():
     keys (denominator = normalizing factor), and the intertwiner word's
     product telescopes to its frozen five-over-five ratio."""
     para_num = sorted(zeta.Z1_NUM_KEYS + zeta.Z2_NUM_KEYS)
-    para = zeta.gk_product(zeta.parabolic_context(), "parabolic")
+    para = zeta.parabolic_product()
     para_num_ok = para.num_keys() == para_num
     para_den_ok = para.den_keys() == list(zeta.N_KEYS)
-    inter = zeta.gk_product(zeta.intertwiner_context(), "weyl_word", WORD_INTERTWINER)
+    inter = zeta.intertwiner_product()
     inter_ok = (inter.num_keys() == sorted(zeta.INTERTWINER_NUM_KEYS)
                 and inter.den_keys() == sorted(zeta.INTERTWINER_DEN_KEYS))
-    n_val_ok = zeta.named("N").value.equals(
-        RatFunc(zeta._ONE, {k: 1 for k in para.den_keys()}))
+    n_val_ok = zeta.named("N").value.equals(RatFunc(zeta._ONE, para.den))
     ok = para_num_ok and para_den_ok and inter_ok and n_val_ok
     return ok, {
         "parabolic_num": [list(k) for k in para_num],
@@ -460,9 +458,8 @@ def _tau_points():
 def _pole_factors(order=1):
     """The labeled numerator factors of the parabolic product, the input
     list for pole bookkeeping at each character order."""
-    prod = zeta.gk_product(zeta.parabolic_context(order), "parabolic")
     return None, "numerator factors (k, j, k mod order)", {
-        "order": order, "factors": [list(t) for t in prod.labeled()]}
+        "order": order, "factors": [list(t) for t in zeta.parabolic_product(order).labeled()]}
 
 
 @check("weyl.swap47", "swap-word-comparison", report_only=True)

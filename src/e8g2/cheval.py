@@ -74,7 +74,7 @@ class StructureConstants:
     Jacobi identity, applied recursively.
     """
 
-    __slots__ = ("rs", "_root_set", "_extraspecial", "_memo", "table")
+    __slots__ = ("rs", "_root_set", "_extraspecial", "table")
 
     def __init__(self, rs: RootSystem):
         n = rs.rank
@@ -96,12 +96,12 @@ class StructureConstants:
                 if b in self._root_set and _is_positive(b):
                     self._extraspecial[g] = (a, b)
                     break
-        self._memo: dict[tuple[Root, Root], int] = {}
+        # _value memoizes each pair into table
         self.table: dict[tuple[Root, Root], int] = {}
         for a in rs.roots:
             for b in rs.roots:
                 if _add(a, b) in self._root_set:
-                    self.table[(a, b)] = self._value(a, b)
+                    self._value(a, b)
 
     # -- queries ---------------------------------------------------
 
@@ -117,7 +117,7 @@ class StructureConstants:
 
     def _value(self, a: Root, b: Root) -> int:
         key = (a, b)
-        got = self._memo.get(key)
+        got = self.table.get(key)
         if got is not None:
             return got
         pa, pb = _is_positive(a), _is_positive(b)
@@ -130,7 +130,7 @@ class StructureConstants:
             # N[a,b] = N[b,c] = N[c,a]; one rotation has equal signs
             c = _neg(_add(a, b))
             v = self._value(b, c) if _is_positive(_add(a, b)) else self._value(c, a)
-        self._memo[key] = v
+        self.table[key] = v
         return v
 
     def _positive_value(self, a: Root, b: Root) -> int:
@@ -293,8 +293,8 @@ class UnipotentWord:
 
     # -- normal form ---------------------------------------------------
 
-    def _check_nilpotent(self, extra: Iterable[Root] = ()) -> None:
-        closure = set(self.support()) | set(extra)
+    def _check_nilpotent(self) -> None:
+        closure = set(self.support())
         frontier = True
         while frontier:
             frontier = False

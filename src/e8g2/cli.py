@@ -155,9 +155,13 @@ def run(manifest: Manifest, config: RunConfig, registry=None) -> tuple[int, list
     return status, reports
 
 
-def _excerpt(obj, limit: int = 300) -> str:
+# the longest expected/computed excerpt a failing text line shows
+EXCERPT_LIMIT = 300
+
+
+def _excerpt(obj) -> str:
     text = json.dumps(obj, sort_keys=True, default=str)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+    return text if len(text) <= EXCERPT_LIMIT else text[: EXCERPT_LIMIT - 3] + "..."
 
 
 def emit(reports: list[CheckReport], format: str = "text") -> str:

@@ -205,27 +205,8 @@ def weight_coefficient(w) -> LaurentPoly:
 # -- measure constants ---------------------------------------------------
 
 
-class QConstants:
-    """The mass Q of the identity double coset and its selector over
-    valuation classes: Q when both coordinates are 0, 1 + 1/q when exactly
-    one is 0 and the other positive, 1 otherwise."""
-
-    def __init__(self):
-        self.Q = LaurentPoly(Q_VARS, {
-            (0,): 1, (-1,): 2, (-2,): 2, (-3,): 2, (-4,): 2, (-5,): 2, (-6,): 1})
-        self._edge = LaurentPoly(Q_VARS, {(0,): 1, (-1,): 1})
-        self._bulk = LaurentPoly.const(Q_VARS, 1)
-
-    def select(self, w) -> LaurentPoly:
-        w = _wt(w)
-        if w.n == 0 and w.m == 0:
-            return self.Q
-        if (w.n == 0) != (w.m == 0) and max(w.n, w.m) > 0:
-            return self._edge
-        return self._bulk
-
-
-Q_CONSTANTS = QConstants()
+# the mass Q of the identity double coset, a polynomial in 1/q
+Q = LaurentPoly(Q_VARS, {(0,): 1, (-1,): 2, (-2,): 2, (-3,): 2, (-4,): 2, (-5,): 2, (-6,): 1})
 
 
 # -- spherical function ---------------------------------------------------

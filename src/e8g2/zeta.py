@@ -8,9 +8,11 @@ Everything here is exact arithmetic over the two-variable Laurent ring in
   normalizing factor N as a zeta-factor multiset, the two constant-term
   products Z1/Z2, the three tau-decomposition coefficients, and the
   bookkeeping-ring elements used by the shift operators;
-* zeta-factor products (``ZetaProduct``/``gk_product``): factors are (k, j)
-  pairs meaning 1/(1 - x^k q^j); products over root sets cancel by exact
-  multiset arithmetic and carry a formal character label k mod o;
+* the two constant-term products (``parabolic_product`` over the 92 roots
+  of the P2 radical, ``intertwiner_product`` over the inversion set of the
+  intertwining word): factors are (k, j) pairs meaning 1/(1 - x^k q^j),
+  each product telescopes by exact multiset cancellation, and a numerator
+  factor carries a formal character label k mod order;
 * the finite summation family (``j_oracle`` and its two-variable and
   three-variable building blocks); every block is a weighted sum of the
   same three fixed polynomials, so ``j_oracle`` adds up the weights of its
@@ -37,15 +39,15 @@ from typing import Mapping
 from .g2chars import (
     FULL_VARS,
     POSITIVE_ROOTS,
-    Q_CONSTANTS,
+    Q,
     Q_VARS,
     Weight,
     weight_coefficient,
     weyl_character,
 )
-from .rootsys import RootSystem, e8
+from .rootsys import e8
 from .symra import LaurentPoly, RatFunc, _extent, _Packing, _times_binomials, one_minus
-from .weyl import evaluate_word
+from .weyl import WORD_INTERTWINER, evaluate_word
 
 XQ = ("x", "q")
 SERIES_VARS = ("x",) + FULL_VARS  # x, q, a, b
@@ -72,22 +74,8 @@ class ZetaProduct:
     17ks - j; its formal character label is k mod order (k itself when the
     order is 0, meaning infinite)."""
 
-    def __init__(self, order: int = 1):
-        if order < 0:
-            raise ValueError("character order must be >= 0")
-        self.order = order
-        self.num: Counter = Counter()
-        self.den: Counter = Counter()
-
-    def times_ratio(self, num_key: tuple[int, int], den_key: tuple[int, int]) -> None:
-        self.num[num_key] += 1
-        self.den[den_key] += 1
-
-    def cancel(self) -> "ZetaProduct":
-        common = self.num & self.den
-        self.num -= common
-        self.den -= common
-        return self
+    def __init__(self, num: Counter, den: Counter, order: int):
+        self.num, self.den, self.order = num, den, order
 
     def num_keys(self) -> list[tuple[int, int]]:
         return sorted(self.num.elements())
@@ -99,83 +87,46 @@ class ZetaProduct:
         """The numerator keys (k, j), each with its label k mod order."""
         return [(k, j, k % self.order if self.order else k) for k, j in self.num_keys()]
 
-    def value(self) -> RatFunc:
-        """The product as an exact rational function of (x, q)."""
-        num_poly = _ONE
-        for k, j in self.den_keys():
-            num_poly = num_poly * _om(x=k, q=j)
-        den: dict[tuple[int, ...], int] = {}
-        for k, j in self.num_keys():
-            den[(k, j)] = den.get((k, j), 0) + 1
-        return RatFunc(num_poly, den)
+
+def _telescoped(arguments, order: int) -> ZetaProduct:
+    """One ratio per factor argument 17Ks - J: numerator key (K, J) over
+    denominator key (K, J - 1).  Every argument lies in the convergence
+    half-plane, and the product telescopes by multiset cancellation."""
+    num, den = Counter(), Counter()
+    for K, J in arguments:
+        num[(K, J)] += 1
+        den[(K, J - 1)] += 1
+    common = num & den
+    return ZetaProduct(num - common, den - common, order)
 
 
-@dataclass(frozen=True)
-class GKContext:
-    """Evaluation context for a constant-term product: the ambient root
-    system, the parabolic node index, one affine-linear exponent form
-    (k_i, b_i) per simple root meaning 17*k_i*s + b_i, and the formal
-    character order (0 = infinite)."""
-
-    rs: RootSystem
-    parabolic_index: int
-    forms: tuple[tuple[int, int], ...]
-    chi_order: int = 1
-
-    def __post_init__(self):
-        if len(self.forms) != self.rs.rank:
-            raise ValueError("need one exponent form per simple root")
-        for f in self.forms:
-            if len(f) != 2 or not all(isinstance(c, int) for c in f):
-                raise ValueError(f"malformed exponent form {f!r}: want integer (k, b)")
-        if not 1 <= self.parabolic_index <= self.rs.rank:
-            raise ValueError("parabolic index out of range")
+def parabolic_product(order: int = 1) -> ZetaProduct:
+    """The constant-term product over the 92 roots of the P2 radical (the
+    positive roots with a positive coefficient at node 2).  A root alpha
+    has argument <s - rho, alpha^vee>, which is 17 alpha_2 s - ht(alpha)."""
+    if order < 0:
+        raise ValueError("character order must be >= 0")
+    return _telescoped(((a[1], sum(a)) for a in e8().radical_roots(2)), order)
 
 
-PARABOLIC_FORMS = tuple((1, 0) if i == 1 else (0, 0) for i in range(8))
+# the intertwiner's affine-linear exponent form (k_i, b_i) per simple root,
+# meaning 17*k_i*s + b_i
 INTERTWINER_FORMS = ((1, -6), (1, -6), (1, -6), (-2, 14), (1, -6), (-1, 7), (1, -6), (1, -5))
 
 
-def parabolic_context(chi_order: int = 1) -> GKContext:
-    return GKContext(e8(), 2, PARABOLIC_FORMS, chi_order)
+def intertwiner_product() -> ZetaProduct:
+    """The constant-term product over the inversion set of the intertwining
+    word.  A root alpha has argument <rho - s, alpha^vee>, which is
+    -(sum of c_i (17 k_i s + b_i)) + ht(alpha) over its coefficients c_i."""
+    arguments = []
+    for alpha in evaluate_word(e8(), WORD_INTERTWINER).inversion_set():
+        K = -sum(c * k for c, (k, _) in zip(alpha, INTERTWINER_FORMS))
+        J = sum(c * b for c, (_, b) in zip(alpha, INTERTWINER_FORMS)) - sum(alpha)
+        arguments.append((K, J))
+    return _telescoped(arguments, 1)
 
 
-def intertwiner_context(chi_order: int = 1) -> GKContext:
-    return GKContext(e8(), 2, INTERTWINER_FORMS, chi_order)
-
-
-def gk_product(ctx: GKContext, mode: str, word: str | None = None) -> ZetaProduct:
-    """Factor product over a root set, one ratio per root.
-
-    mode "parabolic": roots are the positive roots whose coefficient at the
-    parabolic node is positive, and the factor argument is <s - rho, alpha^vee>
-    (large positive real part for large Re(s)).  mode "weyl_word": roots are
-    the inversion set of the given word, with argument <rho - s, alpha^vee> --
-    in both cases every argument lands in the convergence half-plane and the
-    product telescopes.  An argument 17Ks - J contributes numerator key (K, J)
-    and denominator key (K, J - 1).
-    """
-    prod = ZetaProduct(ctx.chi_order)
-    if mode == "parabolic":
-        idx = ctx.parabolic_index - 1
-        roots = [a for a in ctx.rs.positive if a[idx] > 0]
-        sign = 1
-    elif mode == "weyl_word":
-        if word is None:
-            raise ValueError("weyl_word mode needs a word")
-        roots = evaluate_word(ctx.rs, word).inversion_set()
-        sign = -1
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    for alpha in roots:
-        height = sum(alpha)
-        K = sign * sum(c * k for c, (k, _) in zip(alpha, ctx.forms))
-        J = sign * (height - sum(c * b for c, (_, b) in zip(alpha, ctx.forms)))
-        prod.times_ratio((K, J), (K, J - 1))
-    return prod.cancel()
-
-
-# expected multisets for the two standard contexts, frozen from the
+# expected multisets for the two constant-term products, frozen from the
 # telescoped products (verified against an independent recomputation)
 Z1_NUM_KEYS = ((1, 10), (1, 11), (1, 12), (1, 13), (1, 14), (1, 16))
 Z1_DEN_KEYS = ((1, 0), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6))
@@ -475,23 +426,8 @@ def _i0_expanded(n: int, m: int) -> LaurentPoly:
     return out
 
 
-def _tau_coeff(which: int) -> LaurentPoly:
-    if which == 0:
-        return _om(x=1, q=6) * _om(x=3, q=21)
-    if which == 1:
-        return _mono(1, x=1, q=8) * _om(x=1, q=5) * _om(x=1, q=6)
-    if which == 2:
-        return _mono(1, x=1, q=7) * _om(x=1, q=5) * _om(x=1, q=8)
-    raise ValueError(which)
-
-
 def _zeta_multiset_value(num_keys, den_keys) -> RatFunc:
-    prod = ZetaProduct()
-    for k in num_keys:
-        prod.num[k] += 1
-    for k in den_keys:
-        prod.den[k] += 1
-    return prod.value()
+    return RatFunc(_factor_product(den_keys), Counter(num_keys))
 
 
 @dataclass(frozen=True)
@@ -518,21 +454,19 @@ class NamedPoly:
         if ident == "I0":
             return self.value == _i0_expanded(p["n"], p["m"])
         if ident == "N":
-            para = gk_product(parabolic_context(), "parabolic")
-            return self.value.equals(
-                RatFunc(_ONE, {k: 1 for k in para.den_keys()}))
+            return self.value.equals(RatFunc(_ONE, parabolic_product().den))
         if ident in ("Z1", "Z2"):
-            para = gk_product(parabolic_context(), "parabolic")
+            para = parabolic_product()
             keys_ok = (para.num_keys() == sorted(Z1_NUM_KEYS + Z2_NUM_KEYS)
                        and para.den_keys() == list(N_KEYS))
             mine = (_zeta_multiset_value(Z1_NUM_KEYS, Z1_DEN_KEYS) if ident == "Z1"
                     else _zeta_multiset_value(Z2_NUM_KEYS, Z2_DEN_KEYS))
             return keys_ok and self.value.equals(mine)
         if ident in ("J0c", "J1c", "J2c"):
+            j0, j1, j2 = (named(i).value for i in ("J0c", "J1c", "J2c"))
             return all(
                 _i0_expanded(n, m) == (
-                    _tau_coeff(0) - _tau_coeff(1) * _mono(1, x=m, q=8 * m)
-                    - _tau_coeff(2) * _mono(1, x=n + m, q=7 * n + 8 * m))
+                    j0 - j1 * _mono(1, x=m, q=8 * m) - j2 * _mono(1, x=n + m, q=7 * n + 8 * m))
                 for n, m in ((2, 1), (3, 2)))
         if ident == "cJ21":
             want = j_case2(1, 3) * RatFunc(_om(x=1, q=7) ** 2 * _om(x=2, q=13), {(1, 6): 1})
@@ -564,12 +498,11 @@ def named(identifier: str, **params: int) -> NamedPoly:
         value = _zeta_multiset_value(Z1_NUM_KEYS, Z1_DEN_KEYS)
     elif identifier == "Z2":
         value = _zeta_multiset_value(Z2_NUM_KEYS, Z2_DEN_KEYS)
-    elif identifier == "J0c":
-        value = _tau_coeff(0)
-    elif identifier == "J1c":
-        value = _tau_coeff(1)
-    elif identifier == "J2c":
-        value = _tau_coeff(2)
+    elif identifier in ("J0c", "J1c", "J2c"):
+        # the tau-decomposition coefficients F, xq^8 G and xq^7 H
+        f, g, h = _i0_factors()
+        value = {"J0c": f, "J1c": _mono(1, x=1, q=8) * g,
+                 "J2c": _mono(1, x=1, q=7) * h}[identifier]
     elif identifier in ("cJ21", "cJ22", "cJ0"):
         base = {"cJ21": _cj21, "cJ22": _cj22, "cJ0": _frozen_cj0}[identifier]()
         if "B" in params or "C" in params:
@@ -706,23 +639,15 @@ CLOSED_I_CASES = ("both-unit", "t2-unit", "t2-nonunit")
 def _p0_times_om7() -> RatFunc:
     """(1-x)(1-xq^2)(1-xq^3)(1-xq^4)(1-x^2 q^10) / (1-xq^6): the rank-one
     constant times the factor that cancels one denominator."""
-    num = _ONE
-    for k, j in ((1, 0), (1, 2), (1, 3), (1, 4), (2, 10)):
-        num = num * _om(x=k, q=j)
-    return RatFunc(num, {(1, 6): 1})
-
-
-def _cj41(xx: LaurentPoly, yy: LaurentPoly) -> LaurentPoly:
-    """The one-sided quadratic bracket in a monomial pair (xx, yy)."""
-    return _block_a() - _block_b() * xx * yy ** 7 + _block_c() * xx ** 2 * yy ** 13
+    return RatFunc(_factor_product(INTERTWINER_DEN_KEYS), {(1, 6): 1})
 
 
 def _reduced_j0(t: int) -> RatFunc:
     """The closed form after the second valuation pair collapses to (x, q):
-    a single quadratic bracket at (x^{t+1}, q^{t+1}).  Defined for any
-    integer t (no zero-guard -- the bracket itself vanishes where it must)."""
-    br = _cj41(_mono(1, x=t + 1), _mono(1, q=t + 1))
-    return RatFunc(_om(x=1, q=6) * br, {(1, 7): 1, (2, 13): 1})
+    the unbounded innermost bracket at C = t.  Defined for any integer t
+    (no zero-guard -- the bracket itself vanishes where it must)."""
+    return RatFunc(_om(x=1, q=6) * _over_blocks(*_bracket_weights(t, None)),
+                   {(1, 7): 1, (2, 13): 1})
 
 
 def closed_I(n: int, m: int, case: str) -> RatFunc:
@@ -757,21 +682,24 @@ def closed_I(n: int, m: int, case: str) -> RatFunc:
 # -- mass-weighted kernel sum ---------------------------------------------------
 
 
-_QHAT = Q_CONSTANTS.Q  # the identity-coset mass, a polynomial in 1/q
+_QHAT = Q  # the identity-coset mass, a polynomial in 1/q
 _ONE_Q = LaurentPoly.const(Q_VARS, 1)
+# Q over the edge mass 1 + 1/q: Q = (1 + 1/q)(1 + 1/q + ... + 1/q^5)
+_EDGE_CLEAR = one_minus(Q_VARS, q=-6).divexact((-1,))
 
 
 def _q_clear(w) -> LaurentPoly:
-    """The identity-coset mass divided by the coset's own mass constant --
-    always a polynomial in 1/q, so multiplying the main identity through by
-    the full mass keeps everything in the Laurent ring."""
-    mass = Q_CONSTANTS.select(w)
-    if mass == _QHAT:
+    """The identity-coset mass Q divided by the mass constant of the
+    dominant pair w = (n, m), which is Q at (0, 0), 1 + 1/q when exactly
+    one coordinate is 0, and 1 otherwise.  The quotient is always a
+    polynomial in 1/q, so multiplying the main identity through by the full
+    mass keeps everything in the Laurent ring."""
+    n, m = w
+    if n == 0 and m == 0:
         return _ONE_Q
-    if mass == _ONE_Q:
-        return _QHAT
-    # the edge mass 1 + 1/q: Q = (1 + 1/q)(1 + 1/q + ... + 1/q^5)
-    return one_minus(Q_VARS, q=-6).divexact((-1,))
+    if n == 0 or m == 0:
+        return _EDGE_CLEAR
+    return _QHAT
 
 
 # every series sum (check3, then end_to_end's identity and its negative

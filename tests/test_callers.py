@@ -4,7 +4,14 @@ read.  A reference is a bare name, an attribute name or a string constant
 (``bench/spans.py`` names the methods it wraps as strings).  Dunder methods
 and ``@check`` bodies, which the registry reaches, are exempt, and so are
 the few definitions in ``TEST_ONLY``.  A helper only tests call belongs in
-``tests/oracles.py`` or nowhere."""
+``tests/oracles.py`` or nowhere.
+
+A second scan asks the same of each defaulted parameter: some call in src/
+or bench/ sets it, by keyword or by position.  Otherwise its default is the
+only value in use and should be a constant, unless ``TEST_SEAMS`` lists it.
+A call is matched to a def by name, and to an ``__init__`` by its class's
+name; a call with ``*args`` or ``**kwargs`` counts as setting what it may
+set."""
 
 import ast
 from pathlib import Path
@@ -17,6 +24,11 @@ PROGRAM = sorted(p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py"))
 TEST_ONLY = (
     ("conjugate", "pins how the conjugating words move radical factors"),
     ("restrict_root", "pins the torus restriction of the radical roots"),
+)
+
+# defaulted parameters that only tests set, each a seam for a test fake
+TEST_SEAMS = (
+    ("run(registry)", "runs synthetic check registries through the real runner"),
 )
 
 
@@ -67,6 +79,87 @@ def test_every_definition_has_a_caller():
     package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
     rows = uncalled(package, [p.read_text() for p in PROGRAM])
     exempt = {name for name, _ in TEST_ONLY}
+    assert [row for row in rows if row.split()[-1] not in exempt] == []
+    # and each exemption is still needed
+    assert {row.split()[-1] for row in rows} == exempt
+
+
+def _defaulted(fn, owner: str | None) -> list[tuple[str, int | None]]:
+    """(name, call position) of each defaulted parameter of ``fn``; the
+    position counts a call's positional arguments, so it skips a method's
+    ``self`` and is None for a keyword-only parameter."""
+    positional = fn.args.posonlyargs + fn.args.args
+    skip = owner is not None and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    first = len(positional) - len(fn.args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, int, str, int | None]]:
+    """(callee name, line, parameter, call position) of each defaulted
+    parameter of each def, apart from ``@check`` bodies and dunders other
+    than ``__init__``, which is named by its class."""
+    tree = ast.parse(source)
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             for f in c.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_check_body(fn):
+            continue
+        cls = owner.get(id(fn))
+        if fn.name == "__init__" and cls is not None:
+            name = cls
+        elif fn.name.startswith("__") and fn.name.endswith("__"):
+            continue
+        else:
+            name = fn.name
+        out += [(name, fn.lineno, arg, pos) for arg, pos in _defaulted(fn, cls)]
+    return out
+
+
+def _sets(call: ast.Call, arg: str, pos: int | None) -> bool:
+    if any(kw.arg is None or kw.arg == arg for kw in call.keywords):
+        return True
+    if pos is None:
+        return False
+    return (pos < len(call.args)
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_defaults(package: dict[str, str], program: list[str]) -> list[str]:
+    """``path:line name(param)`` of each defaulted parameter in ``package``
+    that no call in ``program`` sets."""
+    calls: dict[str, list[ast.Call]] = {}
+    for src in program:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return sorted(f"{path}:{line} {name}({arg})" for path, src in package.items()
+                  for name, line, arg, pos in defaulted_parameters(src)
+                  if not any(_sets(c, arg, pos) for c in calls.get(name, ())))
+
+
+def test_scan_flags_an_unset_default():
+    src = ("def f(a, b=1, *, c=2):\n    pass\n\n\n"
+           "class K:\n    def __init__(self, n=0):\n        pass\n\n"
+           "    def m(self, k=0):\n        pass\n\n\n"
+           "@check('x', 'y')\ndef _body(order=1):\n    pass\n\n\n"
+           "f(0)\nK().m(1)\n")
+    assert unset_defaults({"m.py": src}, [src]) == ["m.py:1 f(b)", "m.py:1 f(c)", "m.py:6 K(n)"]
+    assert unset_defaults({"m.py": src}, [src, "f(0, 5, c=3)\nK(n=2)"]) == []
+    # *args may set any positional parameter, **kwargs any parameter
+    assert unset_defaults({"m.py": src}, [src, "f(*xs)\nK(**kw)"]) == ["m.py:1 f(c)"]
+
+
+def test_every_default_is_set_by_a_caller():
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    rows = unset_defaults(package, [p.read_text() for p in PROGRAM])
+    exempt = {name for name, _ in TEST_SEAMS}
     assert [row for row in rows if row.split()[-1] not in exempt] == []
     # and each exemption is still needed
     assert {row.split()[-1] for row in rows} == exempt

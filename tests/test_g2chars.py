@@ -5,7 +5,7 @@ from e8g2.g2chars import (
     CHAR_VARS,
     FULL_VARS,
     POSITIVE_ROOTS,
-    Q_CONSTANTS,
+    Q,
     RHO,
     V7_WEIGHTS,
     WEYL_GROUP,
@@ -199,17 +199,12 @@ def test_weight_coefficient_against_alternating_sums():
 
 
 def test_q_constants():
-    assert Q_CONSTANTS.Q.coeffs == {
+    assert Q.coeffs == {
         (0,): 1, (-1,): 2, (-2,): 2, (-3,): 2, (-4,): 2, (-5,): 2, (-6,): 1}
     # (1 - 1/q^2)(1 - 1/q^6) == Q (1 - 1/q)^2
     q = ("q",)
     u = lambda k: LaurentPoly(q, {(0,): 1, (-k,): -1})
-    assert u(2) * u(6) == Q_CONSTANTS.Q * u(1) * u(1)
-    assert Q_CONSTANTS.select((0, 0)) == Q_CONSTANTS.Q
-    edge = LaurentPoly(q, {(0,): 1, (-1,): 1})
-    assert Q_CONSTANTS.select((3, 0)) == edge
-    assert Q_CONSTANTS.select((0, 1)) == edge
-    assert Q_CONSTANTS.select((2, 5)).to_text() == "1"
+    assert u(2) * u(6) == Q * u(1) * u(1)
 
 
 def test_spherical_normalization():
@@ -226,7 +221,7 @@ def test_spherical_leading_term():
     # at q^{-3n-5m}: this pins which valuation pairs with which weight
     for n, m in [(1, 0), (0, 1), (1, 1)]:
         val = spherical((n, m))
-        qomega = val * RatFunc.from_poly(Q_CONSTANTS.Q.rename(FULL_VARS))
+        qomega = val * RatFunc.from_poly(Q.rename(FULL_VARS))
         cleared = (LaurentPoly.monomial(FULL_VARS, 1, q=-(3 * n + 5 * m))
                    * weight_coefficient((n, m)))
         assert qomega.equals(RatFunc.from_poly(cleared)), "Q * omega should be a polynomial"

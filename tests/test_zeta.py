@@ -14,8 +14,8 @@ from e8g2 import zeta as z
 from e8g2.checks import MAX_SERIES_DEGREE, REPORT_FIELDS, _first_difference
 from e8g2.cli import Manifest, ManifestEntry, RunConfig, UsageError, run
 from e8g2.g2chars import FULL_VARS, p_coefficient, s0_and_p
+from e8g2.rootsys import e8
 from e8g2.symra import LaurentPoly, RatFunc
-from e8g2.weyl import WORD_INTERTWINER
 from e8g2.zeta import XQ, SingularShift, XPoly
 from oracles import j_oracle_by_terms, truncate_var
 
@@ -38,43 +38,25 @@ def run_check(check_id, **params):
 
 class TestZetaProducts:
     def test_parabolic_product_multisets(self):
-        prod = z.gk_product(z.parabolic_context(), "parabolic")
+        prod = z.parabolic_product()
         assert prod.num_keys() == sorted(z.Z1_NUM_KEYS + z.Z2_NUM_KEYS)
         assert prod.den_keys() == list(z.N_KEYS)
 
     def test_parabolic_root_count(self):
-        ctx = z.parabolic_context()
-        assert sum(1 for a in ctx.rs.positive if a[1] > 0) == 92
+        assert len(e8().radical_roots(2)) == 92
 
     def test_intertwiner_word_product(self):
-        prod = z.gk_product(z.intertwiner_context(), "weyl_word", WORD_INTERTWINER)
+        prod = z.intertwiner_product()
         assert prod.num_keys() == sorted(z.INTERTWINER_NUM_KEYS)
         assert prod.den_keys() == sorted(z.INTERTWINER_DEN_KEYS)
 
-    def test_identity_word_gives_unit(self):
-        prod = z.gk_product(z.intertwiner_context(), "weyl_word", "")
-        assert not prod.num and not prod.den
-        assert prod.value().equals(RatFunc.one(XQ))
-
     def test_character_labels(self):
-        prod = z.gk_product(z.parabolic_context(chi_order=3), "parabolic")
-        labels = prod.labeled()
+        labels = z.parabolic_product(3).labeled()
         assert all(lab == k % 3 for k, _, lab in labels)
         assert (3, 29, 0) in labels
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            z.gk_product(z.parabolic_context(), "sideways")
-
-    def test_malformed_forms_rejected(self):
-        rs = z.parabolic_context().rs
-        with pytest.raises(ValueError):
-            z.GKContext(rs, 2, ((1, 0),) * 7)
-        with pytest.raises(ValueError):
-            z.GKContext(rs, 2, (((1,),) + ((0, 0),) * 7))
-
     def test_normalizing_factor_is_parabolic_denominator(self):
-        prod = z.gk_product(z.parabolic_context(), "parabolic")
+        prod = z.parabolic_product()
         assert z.named("N").value.equals(
             RatFunc(LaurentPoly.const(XQ, 1),
                     {k: 1 for k in prod.den_keys()}))
@@ -435,6 +417,9 @@ class TestWeightCoefficients:
         edge = z._q_clear((1, 0))
         assert edge * LaurentPoly(("q",), {(0,): 1, (-1,): 1}) == z._QHAT
         assert z._q_clear((0, 3)) == edge
+        assert z._q_clear((3, 0)) == edge
+        assert z._q_clear((0, 1)) == edge
+        assert z._q_clear((2, 5)) == z._QHAT
 
 
 # -- truncated series checks ---------------------------------------------------
@@ -534,3 +519,9 @@ class TestSeriesChecks:
             [1, 10, 1], [1, 11, 1], [1, 12, 1], [1, 13, 1], [1, 14, 1],
             [1, 16, 1], [2, 17, 2], [2, 19, 2], [2, 21, 2], [2, 23, 2],
             [3, 29, 0]]
+        # order 0 is infinite: each factor's label is k itself
+        rep = run_check("zeta.pole_factors", order=0)
+        assert rep.computed["factors"] == [
+            [1, 10, 1], [1, 11, 1], [1, 12, 1], [1, 13, 1], [1, 14, 1],
+            [1, 16, 1], [2, 17, 2], [2, 19, 2], [2, 21, 2], [2, 23, 2],
+            [3, 29, 3]]
