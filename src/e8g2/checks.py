@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from . import zeta
@@ -208,7 +209,7 @@ def _double_cosets():
 def _root_data():
     rs = e8()
     swap = resolve_swap47(rs)["element"]
-    pivot, _, _ = pivot_element(rs)
+    pivot = pivot_element(rs)
     computed = {
         "radical_size": len(rs.radical_roots(1)),
         "swap_inversions": sorted(rs.root_str(a) for a in swap.inversion_set()),
@@ -242,7 +243,7 @@ def _structure():
 @check("cheval.conditions", "character-triviality-conditions")
 def _conditions():
     rs = e8()
-    pivot, _, _ = pivot_element(rs)
+    pivot = pivot_element(rs)
     conds = character_conditions(
         pivot, default_character(rs),
         symbolic_conjugator(_constants(), zeroed=CONJUGATOR_ZEROED))
@@ -267,7 +268,7 @@ def _gk_products():
     inter = zeta.intertwiner_product()
     inter_ok = (inter.num_keys() == sorted(zeta.INTERTWINER_NUM_KEYS)
                 and inter.den_keys() == sorted(zeta.INTERTWINER_DEN_KEYS))
-    n_val_ok = zeta.named("N").value.equals(RatFunc(zeta._ONE, para.den))
+    n_val_ok = RatFunc(zeta._ONE, Counter(zeta.N_KEYS)).equals(RatFunc(zeta._ONE, para.den))
     ok = para_num_ok and para_den_ok and inter_ok and n_val_ok
     return ok, {
         "parabolic_num": [list(k) for k in para_num],
@@ -315,10 +316,20 @@ def _closed_forms():
             om(x=1, q=6) * (one + mono(1, x=2, q=13))
             - om(x=1, q=5) * mono(1, x=n + 1, q=7 * n + 7))
         for n in range(11))
-    family = (("Z", {}), ("z0", {}), ("N", {}), ("Z1", {}), ("Z2", {}),
-              ("I0", {"n": 2, "m": 1}), ("J0c", {}), ("J1c", {}), ("J2c", {}),
-              ("cJ21", {}), ("cJ22", {}), ("cJ0", {}))
-    named_ok = all(zeta.named(i, **kw).self_check() for i, kw in family)
+    # the product-family identities, with N = 1/prod over N_KEYS:
+    # Z (1-xq^5)(1-xq^6)(1-x^2q^14)(1-x^2q^16)(1-x^3q^21) N = 1,
+    # Z z0 (1-x^2q^16) N = (1-xq^7)(1-xq^8), I0 against its twelve monomials,
+    # and the two bookkeeping elements against the three-parameter block
+    n_den = Counter(zeta.N_KEYS)
+    rest = zeta._factor_product(((1, 5), (1, 6), (2, 14), (2, 16), (3, 21)))
+    z0 = zeta._factor_product(zeta.Z0_FACTOR_KEYS)
+    ratio = RatFunc(om(x=1, q=7) ** 2 * om(x=2, q=13), {(1, 6): 1})
+    named_ok = (
+        RatFunc(z * rest, n_den).equals(RatFunc.one(zeta.XQ))
+        and RatFunc(z * z0 * om(x=2, q=16), n_den).equals(om(x=1, q=7) * om(x=1, q=8))
+        and all(zeta._i0_poly(n, m) == zeta._i0_expanded(n, m) for n, m in ((2, 1), (3, 2)))
+        and zeta._cj21().substitute(1, 3).equals(zeta.j_case2(1, 3) * ratio)
+        and zeta._cj22().substitute(1, 3, 0).equals(zeta.j_case2(1, 3, 0) * ratio))
     ok = (assembly_ok and variant_differs and grid_ok and t0_ok and cases_ok
           and boundary_ok and one_row_ok and named_ok)
     return ok, {

@@ -49,15 +49,11 @@ MAX_LEFT_COSETS = 100_000
 @dataclass(frozen=True)
 class RunConfig:
     truncation_degree: int = 10
-    format: str = "text"  # text | json
     parallelism: int = 1
-    output: str | None = None
 
     def __post_init__(self):
         if self.truncation_degree < 1:
             raise UsageError("truncation degree must be >= 1")
-        if self.format not in ("text", "json"):
-            raise UsageError(f"unknown output format {self.format!r}")
         if self.parallelism < 1:
             raise UsageError("parallelism degree must be >= 1")
 
@@ -242,9 +238,7 @@ def _runner_main(argv: list[str]) -> int:
     parser.add_argument("--output", help="write the report there instead of stdout")
     args = parser.parse_args(argv)
 
-    config = RunConfig(truncation_degree=args.degree,
-                       format="json" if args.json else "text",
-                       parallelism=args.jobs, output=args.output)
+    config = RunConfig(truncation_degree=args.degree, parallelism=args.jobs)
     if args.manifest:
         manifest = Manifest.from_path(args.manifest)
     elif args.check:
@@ -255,13 +249,13 @@ def _runner_main(argv: list[str]) -> int:
         manifest = DEFAULT_MANIFEST
 
     status, reports = run(manifest, config)
-    text = emit(reports, config.format)
-    if config.output:
+    text = emit(reports, "json" if args.json else "text")
+    if args.output:
         try:
-            with open(config.output, "w") as fh:
+            with open(args.output, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write report to {config.output}: {exc}")
+            raise UsageError(f"cannot write report to {args.output}: {exc}")
     else:
         sys.stdout.write(text)
     return status

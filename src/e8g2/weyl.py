@@ -13,7 +13,6 @@ digit strings, matching the w[...] notation used in all reports.
 
 from __future__ import annotations
 
-from math import factorial
 from typing import Iterable, Sequence
 
 from .rootsys import RootSystem, Root
@@ -202,51 +201,20 @@ def enumerate_double_cosets(rs: RootSystem, J: Iterable[int], K: Iterable[int]) 
     return [w for w in reps if all(sum(w.cols[k - 1]) > 0 for k in Kt)]
 
 
-# |W(E_n)|; A_n and D_n orders are given by formula in _component_order.
-_E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
-
-
-def _component_order(rs: RootSystem, comp: set[int]) -> int:
-    """|W| of the connected simply-laced Dynkin diagram on comp."""
-    n = len(comp)
-    nbrs = {a: [b for b in comp if b != a and rs.cartan[a - 1][b - 1]] for a in comp}
-    branches = [a for a in comp if len(nbrs[a]) > 2]
-    if not branches:
-        return factorial(n + 1)  # A_n
-    (c,) = branches
-    arms = []
-    for a in nbrs[c]:
-        prev, length = c, 1
-        while len(nbrs[a]) == 2:
-            prev, a = a, next(b for b in nbrs[a] if b != prev)
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return 2 ** (n - 1) * factorial(n)  # D_n
-    if arms[:2] == [1, 2] and n in _E_ORDERS:
-        return _E_ORDERS[n]
-    raise ValueError(f"unsupported Dynkin component {sorted(comp)} with arms {arms}")
-
-
 def parabolic_order(rs: RootSystem, J: Iterable[int] | None = None) -> int:
     """|W_J| in closed form, without enumeration: the product over the
-    connected components of the Dynkin subdiagram on J of (n+1)! for A_n,
-    2^(n-1)*n! for D_n and the orders of E6, E7, E8.  Simply-laced only."""
-    rest = set(J) if J is not None else set(range(1, rs.rank + 1))
-    order = 1
-    while rest:
-        comp = {rest.pop()}
-        stack = list(comp)
-        while stack:
-            a = stack.pop()
-            for b in [b for b in rest if rs.cartan[a - 1][b - 1]]:
-                if rs.cartan[a - 1][b - 1] != -1 or rs.cartan[b - 1][a - 1] != -1:
-                    raise ValueError("parabolic_order needs a simply-laced root system")
-                rest.remove(b)
-                comp.add(b)
-                stack.append(b)
-        order *= _component_order(rs, comp)
+    positive roots alpha supported on J of (ht alpha + 1) / ht alpha
+    (Macdonald, "The Poincare series of a Coxeter group", Math. Ann. 199,
+    1972).  J defaults to every node."""
+    on = set(range(1, rs.rank + 1) if J is None else J)
+    num = den = 1
+    for a in rs.positive:
+        if all(i + 1 in on for i, c in enumerate(a) if c):
+            num *= sum(a) + 1
+            den *= sum(a)
+    order, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(f"height product {num}/{den} is not an integer")
     return order
 
 
@@ -288,26 +256,17 @@ def resolve_swap47(rs: RootSystem) -> dict:
     return {"element": chosen, **report}
 
 
-def pivot_element(rs: RootSystem) -> tuple[WeylElt, WeylElt, dict]:
+def pivot_element(rs: RootSystem) -> WeylElt:
     """The composite element (long coset word composed after the 4/7 swap)
-    used to anchor the orbit analysis, together with the swap element and
-    the resolution report.
+    used to anchor the orbit analysis.
 
     Composition order: the swap acts first.  This is the order under which
     the composite sends alpha_2..alpha_5 to positive roots AND exactly 7
     radical roots of P_1 to positive roots, with the swap carrying that
     7-element set onto the matching set for the conjugated subgroup; the
     opposite order leaves only a 4-element positive part and is rejected."""
-    res = resolve_swap47(rs)
-    swap = res["element"]
-    lng = evaluate_word(rs, WORD_COSET_LONG)
-    pivot = lng.compose(swap)  # swap acts first
-    report = {k: v for k, v in res.items() if k != "element"}
-    report["composition"] = "long_then_swap"
-    report["positivity_2345"] = all(
-        sum(pivot.act(rs.simple[i - 1])) > 0 for i in (2, 3, 4, 5)
-    )
-    return pivot, swap, report
+    swap = resolve_swap47(rs)["element"]
+    return evaluate_word(rs, WORD_COSET_LONG).compose(swap)  # swap acts first
 
 
 def radical_intersection(rs: RootSystem, w: WeylElt) -> list[Root]:
@@ -347,8 +306,6 @@ def classify_survivors(rs: RootSystem, survivors: Iterable[WeylElt]) -> dict:
         "S_lng": S_lng,
         "S_lng_prime": S_lng_prime,
         "unmatched": unmatched,
-        "reduced_short": red_sht,
-        "reduced_long": red_lng,
     }
 
 

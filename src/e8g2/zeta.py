@@ -3,11 +3,10 @@
 Everything here is exact arithmetic over the two-variable Laurent ring in
 (x, q) -- trunc series only at the very end, and only in x:
 
-* named product families (``named``): the correction polynomial Z, the
-  twelve-term kernel polynomial I0(n,m), the boundary product z0, the
-  normalizing factor N as a zeta-factor multiset, the two constant-term
-  products Z1/Z2, the three tau-decomposition coefficients, and the
-  bookkeeping-ring elements used by the shift operators;
+* three named members (``named``): the correction polynomial Z, the
+  twelve-term kernel polynomial I0(n,m) and the four-variable closed form
+  cJ0, optionally substituted at valuations (B, C); the identities that tie
+  the product families together are checked once each, in ``e8g2.checks``;
 * the two constant-term products (``parabolic_product`` over the 92 roots
   of the P2 radical, ``intertwiner_product`` over the inversion set of the
   intertwining word): factors are (k, j) pairs meaning 1/(1 - x^k q^j),
@@ -383,17 +382,15 @@ def assemble_cj0(operand34: XPoly | None = None) -> XPoly:
     return inner.scale(pref)
 
 
-# -- named product families ---------------------------------------------------
+# -- named members ---------------------------------------------------
 
 Z_FACTOR_KEYS = ((1, 0), (1, 2), (1, 3), (1, 4), (2, 10), (2, 12))
 Z0_FACTOR_KEYS = ((1, 5), (1, 6), (1, 7), (1, 8), (2, 14), (3, 21))
 
 
 def _factor_product(keys) -> LaurentPoly:
-    out = _ONE
-    for k, j in keys:
-        out = out * _om(x=k, q=j)
-    return out
+    """prod (1 - x^k q^j) over the keys (k, j)."""
+    return _times_binomials(_ONE, Counter(keys))
 
 
 @cache
@@ -412,7 +409,7 @@ def _i0_poly(n: int, m: int) -> LaurentPoly:
 
 def _i0_expanded(n: int, m: int) -> LaurentPoly:
     """The kernel polynomial written out as twelve explicit monomials --
-    the independent route for its self-check."""
+    the independent route the closed-forms check compares it with."""
     terms = (
         (1, 0, 0), (-1, 1, 6), (-1, 3, 21), (1, 4, 27),
         (-1, m + 1, 8 * (m + 1)), (1, m + 2, 8 * m + 14),
@@ -426,94 +423,34 @@ def _i0_expanded(n: int, m: int) -> LaurentPoly:
     return out
 
 
-def _zeta_multiset_value(num_keys, den_keys) -> RatFunc:
-    return RatFunc(_factor_product(den_keys), Counter(num_keys))
-
-
 @dataclass(frozen=True)
 class NamedPoly:
-    """A named member of the product families.  ``self_check`` recomputes
-    the value along an independent route (an alternative display, a
-    cross-family identity, or the operator assembly) and compares."""
+    """The value of a named member."""
 
-    identifier: str
     value: object
-    params: tuple[tuple[str, int], ...] = ()
-
-    def self_check(self) -> bool:
-        p = dict(self.params)
-        ident = self.identifier
-        if ident == "Z":
-            rest = _factor_product(((1, 5), (1, 6), (2, 14), (2, 16), (3, 21)))
-            lhs = RatFunc.from_poly(self.value * rest) * named("N").value
-            return lhs.equals(RatFunc.one(XQ))
-        if ident == "z0":
-            lhs = RatFunc.from_poly(
-                _factor_product(Z_FACTOR_KEYS) * self.value * _om(x=2, q=16)) * named("N").value
-            return lhs.equals(RatFunc.from_poly(_om(x=1, q=7) * _om(x=1, q=8)))
-        if ident == "I0":
-            return self.value == _i0_expanded(p["n"], p["m"])
-        if ident == "N":
-            return self.value.equals(RatFunc(_ONE, parabolic_product().den))
-        if ident in ("Z1", "Z2"):
-            para = parabolic_product()
-            keys_ok = (para.num_keys() == sorted(Z1_NUM_KEYS + Z2_NUM_KEYS)
-                       and para.den_keys() == list(N_KEYS))
-            mine = (_zeta_multiset_value(Z1_NUM_KEYS, Z1_DEN_KEYS) if ident == "Z1"
-                    else _zeta_multiset_value(Z2_NUM_KEYS, Z2_DEN_KEYS))
-            return keys_ok and self.value.equals(mine)
-        if ident in ("J0c", "J1c", "J2c"):
-            j0, j1, j2 = (named(i).value for i in ("J0c", "J1c", "J2c"))
-            return all(
-                _i0_expanded(n, m) == (
-                    j0 - j1 * _mono(1, x=m, q=8 * m) - j2 * _mono(1, x=n + m, q=7 * n + 8 * m))
-                for n, m in ((2, 1), (3, 2)))
-        if ident == "cJ21":
-            want = j_case2(1, 3) * RatFunc(_om(x=1, q=7) ** 2 * _om(x=2, q=13), {(1, 6): 1})
-            return _cj21().substitute(1, 3).equals(want)
-        if ident == "cJ22":
-            want = j_case2(1, 3, 0) * RatFunc(_om(x=1, q=7) ** 2 * _om(x=2, q=13), {(1, 6): 1})
-            return _cj22().substitute(1, 3, 0).equals(want)
-        if ident == "cJ0":
-            return assemble_cj0() == _frozen_cj0()
-        raise ValueError(f"unknown identifier {ident!r}")
 
 
 def named(identifier: str, **params: int) -> NamedPoly:
-    """Look up a named family member; integer parameters specialize the
-    parametric families (n, m for the kernel polynomial; B, C and
-    optionally E substitute into the bookkeeping-ring elements)."""
+    """Look up a named member: ``Z``, the correction polynomial;
+    ``I0`` with valuations n, m >= 0, the kernel polynomial; ``cJ0``, the
+    four-variable closed form, substituted when both valuation parameters
+    B and C are given."""
     if identifier == "Z":
         value: object = _factor_product(Z_FACTOR_KEYS)
-    elif identifier == "z0":
-        value = _factor_product(Z0_FACTOR_KEYS)
     elif identifier == "I0":
         n, m = params["n"], params["m"]
         if n < 0 or m < 0:
             raise ValueError("valuations must be nonnegative")
         value = _i0_poly(n, m)
-    elif identifier == "N":
-        value = RatFunc(_ONE, {k: 1 for k in N_KEYS})
-    elif identifier == "Z1":
-        value = _zeta_multiset_value(Z1_NUM_KEYS, Z1_DEN_KEYS)
-    elif identifier == "Z2":
-        value = _zeta_multiset_value(Z2_NUM_KEYS, Z2_DEN_KEYS)
-    elif identifier in ("J0c", "J1c", "J2c"):
-        # the tau-decomposition coefficients F, xq^8 G and xq^7 H
-        f, g, h = _i0_factors()
-        value = {"J0c": f, "J1c": _mono(1, x=1, q=8) * g,
-                 "J2c": _mono(1, x=1, q=7) * h}[identifier]
-    elif identifier in ("cJ21", "cJ22", "cJ0"):
-        base = {"cJ21": _cj21, "cJ22": _cj22, "cJ0": _frozen_cj0}[identifier]()
+    elif identifier == "cJ0":
+        value = _frozen_cj0()
         if "B" in params or "C" in params:
             if not ("B" in params and "C" in params):
                 raise ValueError("substitution needs both valuation parameters B and C")
-            value = base.substitute(params["B"], params["C"], params.get("E"))
-        else:
-            value = base
+            value = value.substitute(params["B"], params["C"])
     else:
         raise ValueError(f"unknown identifier {identifier!r}")
-    return NamedPoly(identifier, value, tuple(sorted(params.items())))
+    return NamedPoly(value)
 
 
 # -- torus points ---------------------------------------------------

@@ -141,7 +141,7 @@ ZWORD = [("00011100", 1), ("00001110", 1), ("00000111", -1)]
 
 def test_z_normalizes_inner_radical_complement_part():
     z = word(ZWORD)
-    pivot, _, _ = pivot_element(E8)
+    pivot = pivot_element(E8)
     radical = E8.radical_roots(1)
     inner = [a for a in radical if sum(pivot.act(a)) > 0]
     outer = [a for a in radical if sum(pivot.act(a)) < 0]
@@ -215,7 +215,7 @@ def test_swap_conjugator_roots_abelian():
 
 
 def test_pivot_conditions_frozen():
-    pivot, _, _ = pivot_element(E8)
+    pivot = pivot_element(E8)
     psi = default_character(E8)
     delta = symbolic_conjugator(SC, zeroed=CONJUGATOR_ZEROED)
     conds = character_conditions(pivot, psi, delta)
@@ -227,7 +227,7 @@ def test_pivot_conditions_frozen():
 def test_pivot_conditions_pattern():
     # convention-independent shape: five single-variable conditions plus one
     # quadratic relating the remaining coordinate to a 2x2 determinant
-    pivot, _, _ = pivot_element(E8)
+    pivot = pivot_element(E8)
     conds = character_conditions(
         pivot, default_character(E8), symbolic_conjugator(SC, zeroed=CONJUGATOR_ZEROED))
     nonzero = {r: p for r, p in conds.items() if not p.is_zero()}
@@ -266,21 +266,21 @@ def test_conditions_identity_conjugator():
 
 def test_conditions_pivot_identity_conjugator_trivial():
     # the pivot carries no support root into the parabolic: no conditions
-    pivot, _, _ = pivot_element(E8)
+    pivot = pivot_element(E8)
     conds = character_conditions(
         pivot, default_character(E8), UnipotentWord(SC, ()))
     assert all(p.is_zero() for p in conds.values())
 
 
 def test_conditions_empty_support():
-    pivot, _, _ = pivot_element(E8)
+    pivot = pivot_element(E8)
     psi = CharacterSupport(E8, [])
     conds = character_conditions(pivot, psi, symbolic_conjugator(SC))
     assert all(p.is_zero() for p in conds.values())
 
 
 def test_conditions_factor_order_independent():
-    pivot, _, _ = pivot_element(E8)
+    pivot = pivot_element(E8)
     psi = default_character(E8)
     fwd = symbolic_conjugator(SC, zeroed=CONJUGATOR_ZEROED)
     rev = UnipotentWord(SC, tuple(reversed(fwd.factors)))
@@ -291,7 +291,7 @@ def test_conditions_factor_order_independent():
 
 
 def test_conditions_reject_unsupported_root():
-    pivot, _, _ = pivot_element(E8)
+    pivot = pivot_element(E8)
     delta = UnipotentWord.generator(SC, "11221111", "t")
     with pytest.raises(ValueError):
         character_conditions(pivot, default_character(E8), delta)

@@ -62,18 +62,13 @@ class TestConfig:
         with pytest.raises(UsageError):
             RunConfig(truncation_degree=0)
 
-    def test_format_checked(self):
-        with pytest.raises(UsageError):
-            RunConfig(format="yaml")
-
     def test_parallelism_checked(self):
         with pytest.raises(UsageError):
             RunConfig(parallelism=0)
 
     def test_defaults(self):
         config = RunConfig()
-        assert (config.truncation_degree, config.format,
-                config.parallelism, config.output) == (10, "text", 1, None)
+        assert (config.truncation_degree, config.parallelism) == (10, 1)
 
 
 class TestManifest:

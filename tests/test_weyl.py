@@ -107,8 +107,8 @@ def test_long_word_action_on_node4():
 
 
 def test_pivot_positivity_and_complement():
-    pivot, swap, report = pivot_element(E8)
-    assert report["positivity_2345"]
+    pivot = pivot_element(E8)
+    swap = resolve_swap47(E8)["element"]
     for i in (2, 3, 4, 5):
         assert sum(pivot.act(E8.simple[i - 1])) > 0
     rad = E8.radical_roots(1)
@@ -267,8 +267,7 @@ def test_parabolic_order_closed_form():
     for J in [(1,), (1, 3), (2, 4, 5), (2, 3, 4, 5), (1, 2, 3, 4, 5),
               (1, 3, 4, 6, 7), (2, 3, 4, 5, 7, 8)]:
         assert parabolic_order(E8, J) == group_order(E8, J)
-    with pytest.raises(ValueError):
-        parabolic_order(G2)
+    assert parabolic_order(G2) == group_order(G2) == 12
 
 
 def test_support_filter_counts(double_cosets, survivors):
@@ -332,7 +331,7 @@ def test_word_roundtrip():
 
 
 def test_radical_intersection_pivot():
-    pivot, _, _ = pivot_element(E8)
+    pivot = pivot_element(E8)
     inter = radical_intersection(E8, pivot)
     # every radical root maps into the parabolic root set or out of it;
     # the intersection plus its complement partition the 78 roots

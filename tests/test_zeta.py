@@ -4,6 +4,7 @@ frozen closed form, the local-integral cases, weight coefficients, and the
 truncated series checks."""
 
 import inspect
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,7 @@ from oracles import j_oracle_by_terms, truncate_var
 
 OM = z._om
 MONO = z._mono
+ONE = LaurentPoly.const(XQ, 1)
 
 
 def rf(num, den=None):
@@ -57,61 +59,97 @@ class TestZetaProducts:
 
     def test_normalizing_factor_is_parabolic_denominator(self):
         prod = z.parabolic_product()
-        assert z.named("N").value.equals(
-            RatFunc(LaurentPoly.const(XQ, 1),
-                    {k: 1 for k in prod.den_keys()}))
+        assert rf(ONE, Counter(z.N_KEYS)).equals(
+            RatFunc(ONE, {k: 1 for k in prod.den_keys()}))
 
 
 # -- named family ---------------------------------------------------
 
 
+def _negated_factor(k):
+    """A stand-in for ``_i0_factors`` with its k-th factor negated."""
+    factors = z._i0_factors()
+    return lambda: tuple(-p if i == k else p for i, p in enumerate(factors))
+
+
+# the check and report flag that cover each former named-family member
+COVERING_FLAG = {
+    "N": ("zeta.gk_products", "den_equals_normalizing_factor"),
+    "Z1": ("zeta.gk_products", "parabolic_num_match"),
+    "Z2": ("zeta.gk_products", "parabolic_num_match"),
+    "cJ0": ("zeta.closed_forms", "assembly_matches"),
+}
+
+
 class TestNamedFamily:
+    # negative controls: each former named-family member, with one input of
+    # its identity replaced by a wrong value ({zeta attribute: stand-in});
+    # the report flag that checks the member must drop and the check fail.
+    # The stand-ins leave every cached builder's value alone.
     @pytest.mark.parametrize("ident,kw", [
-        ("Z", {}), ("z0", {}), ("N", {}), ("Z1", {}), ("Z2", {}),
-        ("I0", dict(n=2, m=1)), ("I0", dict(n=0, m=0)),
-        ("J0c", {}), ("J1c", {}), ("J2c", {}),
-        ("cJ21", {}), ("cJ22", {}), ("cJ0", {}),
+        ("Z", {"Z_FACTOR_KEYS": z.Z_FACTOR_KEYS[:-1]}),
+        ("z0", {"Z0_FACTOR_KEYS": z.Z0_FACTOR_KEYS[:-1]}),
+        ("N", {"N_KEYS": z.N_KEYS[:-1]}),
+        ("Z1", {"Z1_NUM_KEYS": z.Z1_NUM_KEYS[:-1]}),
+        ("Z2", {"Z2_NUM_KEYS": z.Z2_NUM_KEYS[:-1]}),
+        ("I0", {"_i0_expanded": lambda n, m, f=z._i0_expanded: f(n + 1, m)}),
+        ("I0", {"_i0_poly": lambda n, m, f=z._i0_poly: f(n, m) + ONE}),
+        ("J0c", {"_i0_factors": _negated_factor(0)}),
+        ("J1c", {"_i0_factors": _negated_factor(1)}),
+        ("J2c", {"_i0_factors": _negated_factor(2)}),
+        ("cJ21", {"_cj21": lambda f=z._cj21: f().scale(2)}),
+        ("cJ22", {"_cj22": lambda f=z._cj22: f().scale(2)}),
+        ("cJ0", {"assemble_cj0": lambda op=None, f=z.assemble_cj0: f(op).scale(2)}),
     ])
-    def test_self_checks(self, ident, kw):
-        assert z.named(ident, **kw).self_check()
+    def test_self_checks(self, ident, kw, monkeypatch):
+        for name, stand_in in kw.items():
+            monkeypatch.setattr(z, name, stand_in)
+        check_id, flag = COVERING_FLAG.get(ident, ("zeta.closed_forms", "named_family_self_checks"))
+        rep = run_check(check_id)
+        assert rep.computed[flag] is False
+        assert rep.status == "fail"
 
     def test_correction_polynomial_factors(self):
-        expected = LaurentPoly.const(XQ, 1)
+        expected = ONE
         for k, j in ((1, 0), (1, 2), (1, 3), (1, 4), (2, 10), (2, 12)):
             expected = expected * OM(x=k, q=j)
         assert z.named("Z").value == expected
 
     def test_boundary_product_factors(self):
-        expected = LaurentPoly.const(XQ, 1)
+        expected = ONE
         for k, j in ((1, 5), (1, 6), (1, 7), (1, 8), (2, 14), (3, 21)):
             expected = expected * OM(x=k, q=j)
-        assert z.named("z0").value == expected
+        assert z._factor_product(z.Z0_FACTOR_KEYS) == expected
 
     def test_kernel_polynomial_expanded_display(self):
         for n, m in ((0, 0), (1, 0), (0, 1), (2, 1), (3, 2)):
             assert z.named("I0", n=n, m=m).value == z._i0_expanded(n, m)
 
     def test_kernel_tau_decomposition(self):
+        # I0 = J0 - J1 (xq^8)^m - J2 (xq^7)^n (xq^8)^m with the
+        # tau-decomposition coefficients J0 = F, J1 = xq^8 G, J2 = xq^7 H
+        f, g, h = z._i0_factors()
+        j1, j2 = MONO(1, x=1, q=8) * g, MONO(1, x=1, q=7) * h
         for n, m in ((0, 0), (2, 1), (1, 3)):
-            rebuilt = (z.named("J0c").value
-                       - z.named("J1c").value * MONO(1, x=m, q=8 * m)
-                       - z.named("J2c").value * MONO(1, x=n + m, q=7 * n + 8 * m))
+            rebuilt = (f - j1 * MONO(1, x=m, q=8 * m)
+                       - j2 * MONO(1, x=n + m, q=7 * n + 8 * m))
             assert z.named("I0", n=n, m=m).value == rebuilt
 
     def test_normalizing_factor_identity(self):
-        lhs = (z.named("N").value
-               * rf(z.named("Z").value * z.named("z0").value * OM(x=2, q=16)))
+        lhs = (rf(ONE, Counter(z.N_KEYS))
+               * rf(z.named("Z").value * z._factor_product(z.Z0_FACTOR_KEYS)
+                    * OM(x=2, q=16)))
         assert lhs.equals(rf(OM(x=1, q=7) * OM(x=1, q=8)))
 
     def test_correction_times_normalizer(self):
-        lhs = z.named("N").value * rf(z.named("Z").value)
-        den = LaurentPoly.const(XQ, 1)
+        lhs = rf(ONE, Counter(z.N_KEYS)) * rf(z.named("Z").value)
+        den = ONE
         for k, j in ((1, 5), (1, 6), (2, 14), (2, 16), (3, 21)):
             den = den * OM(x=k, q=j)
         assert (lhs * rf(den)).equals(RatFunc.one(XQ))
 
     def test_unknown_identifier_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown identifier"):
             z.named("W")
 
     def test_negative_valuation_rejected(self):
@@ -119,16 +157,16 @@ class TestNamedFamily:
             z.named("I0", n=-1, m=0)
 
     def test_partial_substitution_rejected(self):
-        with pytest.raises(ValueError):
-            z.named("cJ21", B=1)
+        with pytest.raises(ValueError, match="both valuation parameters"):
+            z.named("cJ0", B=1)
 
     def test_substituted_bookkeeping_elements(self):
         ratio = RatFunc(OM(x=1, q=7) ** 2 * OM(x=2, q=13), {(1, 6): 1})
         for B, C in ((0, 0), (1, 2), (2, 3)):
-            got = z.named("cJ21", B=B, C=C).value
+            got = z._cj21().substitute(B, C)
             assert got.equals(z.j_case2(B, C) * ratio), (B, C)
         for B, C, E in ((0, 2, 1), (1, 3, 0), (2, 4, 2)):
-            got = z.named("cJ22", B=B, C=C, E=E).value
+            got = z._cj22().substitute(B, C, E)
             assert got.equals(z.j_case2(B, C, E) * ratio), (B, C, E)
 
 
