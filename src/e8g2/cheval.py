@@ -3,8 +3,8 @@
 Three layers, all exact over the integers:
 
 * ``StructureConstants`` -- the signs N[a,b] with [x_a(u), x_b(v)] =
-  x_{a+b}(N[a,b] u v) for a simply-laced root system, built from the
-  extraspecial-pair convention and queried for arbitrary sign patterns.
+  x_{a+b}(N[a,b] u v) for a simply-laced root system, in closed form: the
+  Frenkel-Kac cocycle, regauged so that every extraspecial pair gets +1.
 
 * ``UnipotentWord`` -- an ordered product of one-parameter factors
   x_root(coeff) with polynomial coefficients.  ``canonical`` sorts the
@@ -24,6 +24,7 @@ vanishing patterns and monomial supports are convention-independent.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 from .rootsys import RootSystem, root_key
@@ -36,45 +37,44 @@ Root = tuple[int, ...]
 # d0_structure_check, in the order its one-parameter factors are listed.
 D0_ROOTS = ("00001100", "00011100", "00001110", "00000111", "00011110")
 
-# Coefficients (root, 1) of the generic-position character on the radical
-# of the first maximal parabolic.
+# The support of the generic-position character on the radical of the
+# first maximal parabolic; each root has coefficient 1.
 CHARACTER_SUPPORT_ROOTS = ("11221111", "11122111", "12232210", "11233210")
 
 
 def _add(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _sub(a: Root, b: Root) -> Root:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _neg(a: Root) -> Root:
-    return tuple(-x for x in a)
-
-
-def _is_positive(a: Root) -> bool:
-    return sum(a) > 0
+    return tuple(map(operator.neg, a))
 
 
 def _constants_key(a: Root):
     # Height first, then earliest-support-first: among equal heights the
-    # root containing the lowest-numbered simple roots comes first, so the
-    # rank-2 base case assigns +1 to the pair (alpha_1, alpha_2).
+    # root containing the lowest-numbered simple roots comes first, so
+    # (alpha_1, alpha_2) is the extraspecial pair of alpha_1 + alpha_2.
     return (sum(a), tuple(-c for c in a))
 
 
-class StructureConstants:
-    """Commutator signs for a simply-laced root system.
+def _odd_mask(v) -> int:
+    return sum(1 << i for i, c in enumerate(v) if c & 1)
 
-    Each non-simple positive root g has an extraspecial pair: the special
-    pair (a, b), a + b = g, with a minimal in the height-then-support
-    order.  Extraspecial pairs get +1; every other value follows from
-    antisymmetry, negation, the root-triangle rotation identity, and the
-    Jacobi identity, applied recursively.
+
+class StructureConstants:
+    """Commutator signs for a simply-laced root system, in closed form.
+
+    N[a,b] = s(a) s(b) s(a+b) eps(a,b).  The Frenkel-Kac cocycle
+    eps(a,b) = (-1)^(a^T F b), F upper triangular with 1 on the diagonal
+    and at each Dynkin edge i < j, is by itself a valid table (Kac,
+    Infinite-dimensional Lie algebras, 7.8).  The gauge s, 1 on the simple
+    roots and odd under negation, gives +1 to each extraspecial pair: for
+    a non-simple positive root g, the pair (a, g - a) of positive roots
+    with a first in the height-then-support order.  Extraspecial signs
+    determine the whole table.
     """
 
-    __slots__ = ("rs", "_root_set", "_extraspecial", "table")
+    __slots__ = ("rs", "_root_set", "table")
 
     def __init__(self, rs: RootSystem):
         n = rs.rank
@@ -85,23 +85,34 @@ class StructureConstants:
                         "structure constants require a simply-laced root system")
         self.rs = rs
         self._root_set = set(rs.roots)
-        simple = set(rs.simple)
+        above = [[j for j in range(i + 1, n) if rs.cartan[i][j]] for i in range(n)]
+        odd = {a: _odd_mask(a) for a in rs.roots}
+        f_odd = {b: _odd_mask([b[i] + sum(b[j] for j in above[i]) for i in range(n)])
+                 for b in rs.roots}
+
+        def eps(a: Root, b: Root) -> int:
+            # (-1)^(a^T F b), read from the bits of a mod 2 and F b mod 2
+            return -1 if (odd[a] & f_odd[b]).bit_count() & 1 else 1
+
+        # sign holds the positive roots below g, so the first a with g - a
+        # in it is the extraspecial pair's
         scan = sorted(rs.positive, key=_constants_key)
-        self._extraspecial: dict[Root, tuple[Root, Root]] = {}
+        sign = {a: 1 for a in rs.simple}
         for g in scan:
-            if g in simple:
+            if g in sign:
                 continue
             for a in scan:
-                b = _sub(g, a)
-                if b in self._root_set and _is_positive(b):
-                    self._extraspecial[g] = (a, b)
+                b = tuple(map(operator.sub, g, a))
+                if b in sign:
+                    sign[g] = eps(a, b) * sign[a] * sign[b]
                     break
-        # _value memoizes each pair into table
+        sign.update({_neg(a): -s for a, s in sign.items()})
         self.table: dict[tuple[Root, Root], int] = {}
         for a in rs.roots:
             for b in rs.roots:
-                if _add(a, b) in self._root_set:
-                    self._value(a, b)
+                c = _add(a, b)
+                if c in self._root_set:
+                    self.table[(a, b)] = eps(a, b) * sign[a] * sign[b] * sign[c]
 
     # -- queries ---------------------------------------------------
 
@@ -113,74 +124,32 @@ class StructureConstants:
             raise ValueError(f"{a} is not a root")
         return a
 
-    # -- construction recursion ---------------------------------------------------
-
-    def _value(self, a: Root, b: Root) -> int:
-        key = (a, b)
-        got = self.table.get(key)
-        if got is not None:
-            return got
-        pa, pb = _is_positive(a), _is_positive(b)
-        if pa and pb:
-            v = self._positive_value(a, b)
-        elif not pa and not pb:
-            v = -self._value(_neg(a), _neg(b))
-        else:
-            # rotate around the triangle a + b + c = 0, on which
-            # N[a,b] = N[b,c] = N[c,a]; one rotation has equal signs
-            c = _neg(_add(a, b))
-            v = self._value(b, c) if _is_positive(_add(a, b)) else self._value(c, a)
-        self.table[key] = v
-        return v
-
-    def _positive_value(self, a: Root, b: Root) -> int:
-        if _constants_key(a) > _constants_key(b):
-            return -self._value(b, a)
-        g = _add(a, b)
-        a1, b1 = self._extraspecial[g]
-        if a == a1:
-            return 1
-        # a1 pairs with exactly one of a, b inside the quadrilateral
-        # a + b = a1 + b1; recurse through the Jacobi identity on the
-        # triple that keeps every intermediate sum a root.
-        eta = _sub(a, a1)
-        if eta in self._root_set:
-            return self._value(eta, b) * self._value(a1, b1) * self._value(a1, eta)
-        xi = _sub(b, a1)
-        return -self._value(xi, a) * self._value(a1, b1) * self._value(a1, xi)
-
-    # -- validation sweeps ---------------------------------------------------
-
-    def check_antisymmetry(self) -> int:
-        """Number of pairs violating N[a,b] = -N[b,a] (0 when consistent)."""
-        return sum(1 for (a, b), v in self.table.items() if self.table[(b, a)] != -v)
-
-    def check_negation(self) -> int:
-        """Number of pairs violating N[-a,-b] = -N[a,b]."""
-        return sum(
-            1 for (a, b), v in self.table.items()
-            if self.table[(_neg(a), _neg(b))] != -v)
+    # -- validation sweep ---------------------------------------------------
 
     def jacobi_triangle_report(self) -> dict:
-        """Exhaustive scan of root triangles a + b + c = 0.
+        """Exhaustive scan of the table in one pass.
 
-        On every triangle the three rotations N[a,b], N[b,c], N[c,a] must
-        be equal.  Returns the number of (ordered) triangles scanned and
-        the violations found.
+        On every root triangle a + b + c = 0 the three rotations N[a,b],
+        N[b,c], N[c,a] must be equal; every pair must also satisfy
+        N[b,a] = -N[a,b] and N[-a,-b] = -N[a,b].  Returns the number of
+        (ordered) triangles scanned and the violations of each rule.
         """
-        checked = 0
-        bad = []
-        for (a, b), v in self.table.items():
+        table = self.table
+        rotation = antisymmetry = negation = 0
+        for (a, b), v in table.items():
             c = _neg(_add(a, b))
-            checked += 1
-            if self.table[(b, c)] != v or self.table[(c, a)] != v:
-                bad.append((a, b, c))
+            if table[(b, c)] != v or table[(c, a)] != v:
+                rotation += 1
+            if table[(b, a)] != -v:
+                antisymmetry += 1
+            if table[(_neg(a), _neg(b))] != -v:
+                negation += 1
         return {
-            "triangles_checked": checked,
-            "violations": len(bad),
-            "antisymmetry_violations": self.check_antisymmetry(),
-            "negation_violations": self.check_negation(),
-            "table_size": len(self.table),
+            "triangles_checked": len(table),
+            "violations": rotation,
+            "antisymmetry_violations": antisymmetry,
+            "negation_violations": negation,
+            "table_size": len(table),
         }
 
 
@@ -366,45 +335,38 @@ def conjugate(word: UnipotentWord, by: UnipotentWord) -> UnipotentWord:
 
 class CharacterSupport:
     """A character of the radical of P_1, given by
-    u -> psi(sum_i c_i u_{beta_i}) over distinct radical roots beta_i."""
+    u -> psi(sum_i u_{beta_i}) over distinct radical roots beta_i."""
 
-    __slots__ = ("rs", "pairs")
+    __slots__ = ("rs", "roots")
 
-    def __init__(self, rs: RootSystem, pairs: Iterable[tuple]):
+    def __init__(self, rs: RootSystem, roots: Iterable):
         self.rs = rs
         radical = set(rs.radical_roots(1))
-        out: list[tuple[Root, object]] = []
-        seen: set[Root] = set()
-        for root, coeff in pairs:
+        out: list[Root] = []
+        for root in roots:
             root = rs.parse_root(root) if isinstance(root, str) else tuple(root)
-            if root in seen:
+            if root in out:
                 raise ValueError(f"duplicate support root {rs.root_str(root)}")
             if root not in radical:
                 raise ValueError(
                     f"{rs.root_str(root)} is not a root of the radical")
-            seen.add(root)
-            out.append((root, coeff))
-        self.pairs = tuple(out)
+            out.append(root)
+        self.roots = tuple(out)
 
     def value(self, word: UnipotentWord) -> LaurentPoly:
         """The linear functional the character applies psi to, evaluated on
         a canonical word."""
         w = word.canonical()
         out = LaurentPoly.zero(w.vars)
-        for root, coeff in self.pairs:
-            c = w.coefficient(root)
-            if isinstance(coeff, LaurentPoly):
-                c = c * coeff.rename(w.vars)
-            elif coeff != 1:
-                c = c * coeff
-            out = out + c
+        for root in self.roots:
+            out = out + w.coefficient(root)
         return out
 
 
 def default_character(rs: RootSystem) -> CharacterSupport:
     """The generic-position character used throughout: coefficient 1 on
     each of the four distinguished radical roots."""
-    return CharacterSupport(rs, [(r, 1) for r in CHARACTER_SUPPORT_ROOTS])
+    return CharacterSupport(rs, CHARACTER_SUPPORT_ROOTS)
 
 
 def swap_conjugator_roots(rs: RootSystem) -> list[Root]:

@@ -106,12 +106,12 @@ DEFAULT_MANIFEST = Manifest(tuple(
 # -- running and emitting ---------------------------------------------------
 
 
-def _validate(manifest: Manifest, registry, config: RunConfig) -> None:
+def _validate(manifest: Manifest, config: RunConfig) -> None:
     for entry in manifest.entries:
-        if entry.id not in registry:
-            known = ", ".join(sorted(registry))
+        if entry.id not in REGISTRY:
+            known = ", ".join(sorted(REGISTRY))
             raise UsageError(f"unknown check id {entry.id!r}; known ids: {known}")
-        minimums = registry[entry.id][1]
+        minimums = REGISTRY[entry.id][1]
         unknown = set(entry.params) - set(minimums)
         if unknown:
             raise UsageError(
@@ -135,18 +135,17 @@ def _run_entry(check_id: str, params: dict, config: RunConfig) -> CheckReport:
     return func(params, config)
 
 
-def run(manifest: Manifest, config: RunConfig, registry=None) -> tuple[int, list[CheckReport]]:
+def run(manifest: Manifest, config: RunConfig) -> tuple[int, list[CheckReport]]:
     """Execute every manifest entry and return (exit_status, reports) with
     the reports in manifest order regardless of execution order."""
-    reg = REGISTRY if registry is None else registry
-    _validate(manifest, reg, config)
-    if config.parallelism > 1 and registry is None and len(manifest.entries) > 1:
+    _validate(manifest, config)
+    if config.parallelism > 1 and len(manifest.entries) > 1:
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
             futures = [pool.submit(_run_entry, e.id, e.params, config)
                        for e in manifest.entries]
             reports = [f.result() for f in futures]
     else:
-        reports = [reg[e.id][0](e.params, config) for e in manifest.entries]
+        reports = [_run_entry(e.id, e.params, config) for e in manifest.entries]
     status = 1 if any(r.status == "fail" for r in reports) else 0
     return status, reports
 

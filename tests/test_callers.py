@@ -27,9 +27,7 @@ TEST_ONLY = (
 )
 
 # defaulted parameters that only tests set, each a seam for a test fake
-TEST_SEAMS = (
-    ("run(registry)", "runs synthetic check registries through the real runner"),
-)
+TEST_SEAMS = ()
 
 
 def _is_check_body(node) -> bool:

@@ -19,6 +19,7 @@ from e8g2.cheval import (
 from e8g2.checks import CONDITIONS, CONJUGATOR_ZEROED
 from e8g2.rootsys import A2_CARTAN, G2_CARTAN, RootSystem, e8, root_key
 from e8g2.weyl import WeylElt, pivot_element
+from oracles import extraspecial_pairs, structure_table_by_recursion
 
 E8 = e8()
 SC = build_constants(E8)
@@ -54,12 +55,77 @@ def test_e8_table_exhaustive():
 
 
 def test_extraspecial_pairs_are_plus_one():
-    for g, (a, b) in SC._extraspecial.items():
+    pairs = extraspecial_pairs(E8)
+    assert len(pairs) == 120 - 8
+    for g, (a, b) in pairs.items():
         assert SC.table[(a, b)] == 1
 
 
 def test_values_all_units():
     assert set(SC.table.values()) == {1, -1}
+
+
+def cartan_from_edges(rank, edges):
+    """The simply-laced Cartan matrix of a Dynkin diagram on nodes 1..rank."""
+    m = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        m[i - 1][j - 1] = m[j - 1][i - 1] = -1
+    return m
+
+
+# Reversing the numbering of a path gives the same Cartan matrix back, so
+# A4 is numbered out of path order (2-4-1-3) instead: its edges then point
+# both ways, as the reversed D4 and E6 numberings do at the branch node.
+OTHER_NUMBERINGS = {
+    "D4 reversed": cartan_from_edges(4, [(4, 3), (3, 2), (3, 1)]),
+    "E6 reversed": cartan_from_edges(6, [(6, 4), (4, 3), (3, 2), (2, 1), (5, 3)]),
+    "A4 out of path order": cartan_from_edges(4, [(2, 4), (4, 1), (1, 3)]),
+}
+
+
+@pytest.fixture(scope="module")
+def e8_oracle():
+    return structure_table_by_recursion(E8)
+
+
+def test_e8_table_matches_recursion(e8_oracle):
+    assert SC.table == e8_oracle
+
+
+@pytest.mark.parametrize("cartan", [A2_CARTAN, *OTHER_NUMBERINGS.values()],
+                         ids=["A2", *OTHER_NUMBERINGS])
+def test_table_matches_recursion(cartan):
+    rs = RootSystem(cartan)
+    sc = build_constants(rs)
+    assert sc.table == structure_table_by_recursion(rs)
+    assert all(sc.table[p] == 1 for p in extraspecial_pairs(rs).values())
+
+
+def test_sweep_catches_a_flipped_entry():
+    sc = build_constants(E8)
+    a, b = E8.simple[0], E8.simple[2]
+    sc.table[(a, b)] = -sc.table[(a, b)]
+    rep = sc.jacobi_triangle_report()
+    # the flipped pair fails its own triangle's two other rotations, and
+    # its reverse and its negation disagree with it
+    assert (rep["violations"], rep["antisymmetry_violations"],
+            rep["negation_violations"]) == (3, 2, 2)
+
+
+def test_sweeps_cannot_pin_the_gauge(e8_oracle):
+    # N'[a,b] = N[a,b] t(a) t(b) t(a+b) with t = -1 on +-g is again a
+    # consistent table, so only the oracle tells it from the convention
+    g = E8.parse_root("10100000")
+    t = {g: -1, tuple(-x for x in g): -1}
+    sc = build_constants(E8)
+    sc.table = {(a, b): v * t.get(a, 1) * t.get(b, 1)
+                * t.get(tuple(x + y for x, y in zip(a, b)), 1)
+                for (a, b), v in sc.table.items()}
+    rep = sc.jacobi_triangle_report()
+    assert (rep["violations"], rep["antisymmetry_violations"],
+            rep["negation_violations"]) == (0, 0, 0)
+    assert sc.table != e8_oracle
+    assert sc.table[E8.simple[0], E8.simple[2]] == -1  # g's extraspecial pair
 
 
 # -- word calculus ---------------------------------------------------
@@ -299,7 +365,7 @@ def test_conditions_reject_unsupported_root():
 
 def test_character_support_validation():
     with pytest.raises(ValueError):
-        CharacterSupport(E8, [("11221111", 1), ("11221111", 1)])
+        CharacterSupport(E8, ["11221111", "11221111"])
     with pytest.raises(ValueError):
-        CharacterSupport(E8, [("00000100", 1)])  # not a radical root
+        CharacterSupport(E8, ["00000100"])  # not a radical root
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import pathlib
 import re
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -134,10 +135,14 @@ class TestExitContract:
     def test_synthetic_statuses(self, statuses):
         reg = synthetic_registry(statuses)
         manifest = Manifest(tuple(ManifestEntry(cid) for cid in reg))
-        status, reports = run(manifest, RunConfig(), registry=reg)
-        assert status == (1 if "fail" in statuses else 0)
-        assert [r.id for r in reports] == [e.id for e in manifest.entries]
-        assert [r.status for r in reports] == statuses
+        # at parallelism 2 the synthetic checks reach the process pool as
+        # the patched registry of the forked workers
+        for parallelism in (1, 2):
+            with patch.dict(cli.REGISTRY, reg):
+                status, reports = run(manifest, RunConfig(parallelism=parallelism))
+            assert status == (1 if "fail" in statuses else 0)
+            assert [r.id for r in reports] == [e.id for e in manifest.entries]
+            assert [r.status for r in reports] == statuses
 
     def test_empty_manifest_passes(self):
         status, reports = run(Manifest(()), RunConfig())
@@ -146,9 +151,8 @@ class TestExitContract:
         assert emit(reports, "text") == ""
 
     def test_report_only_does_not_gate_exit(self):
-        reg = synthetic_registry(["report-only"])
-        status, reports = run(
-            Manifest((ManifestEntry("syn.0"),)), RunConfig(), registry=reg)
+        with patch.dict(cli.REGISTRY, synthetic_registry(["report-only"])):
+            status, reports = run(Manifest((ManifestEntry("syn.0"),)), RunConfig())
         assert status == 0
         assert reports[0].status == "report-only"
 
@@ -272,7 +276,7 @@ class TestMain:
     def test_all_flag_covers_registry(self, monkeypatch, capsys):
         seen = []
 
-        def record(manifest, config, registry=None):
+        def record(manifest, config):
             seen.extend(e.id for e in manifest.entries)
             return 0, []
 
