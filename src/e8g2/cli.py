@@ -18,6 +18,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing import get_context
 
 from .checks import DEFAULT_ENTRIES, MAX_SERIES_DEGREE, REGISTRY, CheckReport
 from .rootsys import e8 as _e8
@@ -38,8 +39,8 @@ class UsageError(Exception):
 
 
 # weyl-enumerate refuses a left subset J with more cosets |W|/|W_J| than
-# this: the BFS keeps every left representative (about 1 KB each), and
-# the M2 census needs 17280.
+# this: the orbit walk visits every left representative, and the M2
+# census needs 17280.
 MAX_LEFT_COSETS = 100_000
 
 
@@ -140,7 +141,11 @@ def run(manifest: Manifest, config: RunConfig) -> tuple[int, list[CheckReport]]:
     the reports in manifest order regardless of execution order."""
     _validate(manifest, config)
     if config.parallelism > 1 and len(manifest.entries) > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+        # forked workers inherit REGISTRY as it stands in this process,
+        # entries registered or patched after import included; a spawned
+        # or forkserver worker would re-import checks and miss them
+        fork = get_context("fork")
+        with ProcessPoolExecutor(max_workers=config.parallelism, mp_context=fork) as pool:
             futures = [pool.submit(_run_entry, e.id, e.params, config)
                        for e in manifest.entries]
             reports = [f.result() for f in futures]

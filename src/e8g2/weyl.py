@@ -3,9 +3,11 @@
 An element w is stored only as its images w(alpha_i) of the simple roots
 (rank-many root vectors); the action on arbitrary roots is linear.  Left
 descents, the one fact that would need w^{-1}, are read off w(2 rho).
-The full group is never materialized: enumeration builds minimal-length
-left-coset representatives breadth-first through descent tests, then cuts
-down to distinguished double-coset representatives.
+The full group is never materialized: enumeration walks the W-orbit of
+omega_J as a tree, each point's parent fixed by its smallest descent, one
+level at a time; each minimal left-coset representative gets its cols,
+length and canonical word from its parent's in one step, and only the
+distinguished double-coset representatives are kept.
 
 Words are written over the simple-reflection indices 1..8 and printed as
 digit strings, matching the w[...] notation used in all reports.
@@ -13,7 +15,7 @@ digit strings, matching the w[...] notation used in all reports.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .rootsys import RootSystem, Root
 
@@ -41,12 +43,13 @@ def parse_word(word: str | Sequence[int]) -> tuple[int, ...]:
 
 
 class WeylElt:
-    __slots__ = ("rs", "cols", "_len")
+    __slots__ = ("rs", "cols", "_len", "_word")
 
     def __init__(self, rs: RootSystem, cols: tuple[Root, ...]):
         self.rs = rs
         self.cols = cols
         self._len = None
+        self._word = None
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "WeylElt":
@@ -73,8 +76,8 @@ class WeylElt:
         row = self.rs.cartan[i - 1]
         ci = self.cols[i - 1]
         cols = tuple(
-            c if row[j] == 0 else tuple(a - row[j] * b for a, b in zip(c, ci))
-            for j, c in enumerate(self.cols)
+            c if n == 0 else tuple([a - n * b for a, b in zip(c, ci)])
+            for n, c in zip(row, self.cols)
         )
         return WeylElt(self.rs, cols)
 
@@ -103,8 +106,18 @@ class WeylElt:
         return [a for a in self.rs.positive if sum(self.act(a)) < 0]
 
     def word(self) -> str:
-        """A canonical reduced word (greedy smallest right descent)."""
-        return words_json([self])[0]
+        """The canonical reduced word: word(w) = word(w*s_i) + str(i) for
+        the smallest right descent i.  Read off the descents once, unless
+        the orbit walk already set it."""
+        if self._word is None:
+            letters = []
+            w = self
+            while not w.is_identity():
+                i = next(j + 1 for j, c in enumerate(w.cols) if sum(c) < 0)
+                letters.append(str(i))
+                w = w.right_mul(i)
+            self._word = "".join(reversed(letters))
+        return self._word
 
     def __repr__(self) -> str:
         return f"WeylElt(w[{self.word()}])"
@@ -156,49 +169,62 @@ def min_coset_rep(J: Iterable[int], w: WeylElt, K: Iterable[int] = ()) -> WeylEl
     return w
 
 
-def enumerate_min_left_reps(rs: RootSystem, J: Iterable[int]) -> list[WeylElt]:
-    """All minimal-length representatives of W_J \\ W, sorted by (length, cols).
+def _orbit_tree(rs: RootSystem, J: Iterable[int]) -> Iterator[tuple[tuple[int, ...], WeylElt]]:
+    """Every minimal-length representative of W_J \\ W, level by level.
 
-    The set {w : w^{-1} alpha_j > 0 for all j in J} is closed under passing
-    to shorter elements in right weak order, so BFS by length-increasing
-    right multiplication visits each exactly once.  For w inside and
-    w*s_i > w, w*s_i leaves the set iff w(alpha_i) is a simple root alpha_j
-    with j in J, and then w*s_i = s_j*w (Deodhar's lemma).  Every step
-    raises the length by one, so the BFS level at which an element is first
-    seen is its length; it is stored on the element and never recomputed.
-    """
-    blocked = {rs.simple[j - 1] for j in J}
+    A representative w is the point mu = w^{-1} omega_J of the W-orbit of
+    omega_J = sum of omega_j over j not in J, in fundamental-weight
+    coordinates mu_i = <mu, alpha_i^vee>.  There s_i(mu) = mu - mu_i*alpha_i,
+    where alpha_i is column i of the Cartan matrix; mu_i > 0 iff w*s_i is a
+    representative one longer, mu_i < 0 iff i is a right descent of w, and
+    mu_i = 0 iff w*s_i lies in W_J*w (Casselman, Invent. Math. 1994;
+    Stembridge, MSJ Memoirs 11).  Giving each point its smallest descent
+    as parent makes the orbit a tree, so a walk down it reaches each point
+    once with no visited set (Avis and Fukuda's reverse search, Discrete
+    Appl. Math. 65, 1996); only the current level is kept.  A child's cols
+    are one right_mul of its parent's, its length is the level, and its
+    word is the parent's word plus the letter: the canonical word.  Each
+    element is yielded as (mu, w)."""
+    rank = rs.rank
+    alphas = [tuple(row[i] for row in rs.cartan) for i in range(rank)]
+    on = set(J)
     ident = WeylElt.identity(rs)
-    ident._len = 0
-    seen = {ident.cols}
-    out = [ident]
-    frontier = [ident]
-    level = 0
-    while frontier:
-        level += 1
-        new = []
-        for w in frontier:
-            for i in range(1, rs.rank + 1):
-                if sum(w.cols[i - 1]) < 0:  # length would drop
+    ident._len, ident._word = 0, ""
+    level = [(tuple(0 if i in on else 1 for i in range(1, rank + 1)), ident)]
+    length = 0
+    while level:
+        yield from level
+        length += 1
+        children = []
+        for mu, w in level:
+            for i, m in enumerate(mu):
+                if m <= 0:
                     continue
-                if w.cols[i - 1] in blocked:  # would leave the rep set
+                nu = tuple([a - m * b for a, b in zip(mu, alphas[i])])
+                if i and min(nu[:i]) < 0:  # a smaller descent is nu's parent
                     continue
-                cand = w.right_mul(i)
-                if cand.cols not in seen:
-                    seen.add(cand.cols)
-                    cand._len = level
-                    new.append(cand)
-        out.extend(new)
-        frontier = new
-    out.sort(key=lambda w: (w.length(), w.cols))
-    return out
+                child = w.right_mul(i + 1)
+                child._len, child._word = length, w._word + str(i + 1)
+                children.append((nu, child))
+        level = children
+
+
+def enumerate_min_left_reps(rs: RootSystem, J: Iterable[int]) -> list[WeylElt]:
+    """All minimal-length representatives of W_J \\ W, sorted by (length,
+    cols), each with its length and canonical word from the orbit walk."""
+    return enumerate_double_cosets(rs, J, ())
 
 
 def enumerate_double_cosets(rs: RootSystem, J: Iterable[int], K: Iterable[int]) -> list[WeylElt]:
-    """Minimal-length representatives of W_J \\ W / W_K, deterministic order."""
-    Kt = tuple(K)
-    reps = enumerate_min_left_reps(rs, J)
-    return [w for w in reps if all(sum(w.cols[k - 1]) > 0 for k in Kt)]
+    """Minimal-length representatives of W_J \\ W / W_K, sorted by (length,
+    cols).  A minimal left representative is minimal in w*W_K too iff
+    w(alpha_k) > 0 for every k in K, iff mu_k >= 0 at its orbit point; only
+    those become part of the result, each with its length and canonical
+    word from the walk."""
+    Kt = tuple(k - 1 for k in K)
+    out = [w for mu, w in _orbit_tree(rs, J) if all(mu[k] >= 0 for k in Kt)]
+    out.sort(key=lambda w: (w._len, w.cols))
+    return out
 
 
 def parabolic_order(rs: RootSystem, J: Iterable[int] | None = None) -> int:
@@ -310,24 +336,6 @@ def classify_survivors(rs: RootSystem, survivors: Iterable[WeylElt]) -> dict:
 
 
 def words_json(reps: Iterable[WeylElt]) -> list[str]:
-    """The canonical reduced word (WeylElt.word) of each element, in order.
-
-    The canonical word satisfies word(w) = word(w*s_i) + str(i) for the
-    smallest right descent i, so each element's word extends the word of
-    that prefix.  A memo keyed on cols, local to the call, renders every
-    prefix met once; for minimal left-coset representatives the prefixes
-    are themselves representatives, so the memo stays within that set."""
-    memo: dict[tuple[Root, ...], str] = {}
-    out = []
-    for w in reps:
-        chain = []
-        while w.cols not in memo and not w.is_identity():
-            i = next(j + 1 for j, c in enumerate(w.cols) if sum(c) < 0)
-            chain.append((w.cols, str(i)))
-            w = w.right_mul(i)
-        word = memo.get(w.cols, "")
-        for cols, letter in reversed(chain):
-            word += letter
-            memo[cols] = word
-        out.append(word)
-    return out
+    """The canonical reduced word (WeylElt.word) of each element, in order;
+    for the enumerators' output these are the words the orbit walk built."""
+    return [w.word() for w in reps]

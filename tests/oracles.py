@@ -5,6 +5,10 @@ does not take, so that agreement is evidence rather than repetition:
 
 * ``group_order`` -- |W_J| as the size of a W_J-orbit of weights;
 * ``enumerate_group`` -- all of W_J by brute-force closure (small J only);
+* ``min_left_reps_by_bfs``, ``words_by_descents`` -- the minimal left-coset
+  representatives by a breadth-first search through descent tests with a
+  seen set, and their canonical words read back off the descents, the
+  reference for the orbit walk in ``weyl``;
 * ``twist``, ``weyl_dimension``, ``decompose`` -- G2 character facts from
   the Weyl action on exponents, the product formula and highest-weight
   stripping;
@@ -84,6 +88,69 @@ def enumerate_group(rs, J=None) -> list[WeylElt]:
         frontier = new
     out = list(found.values())
     out.sort(key=lambda w: (w.length(), w.cols))
+    return out
+
+
+def min_left_reps_by_bfs(rs, J) -> list[WeylElt]:
+    """All minimal-length representatives of W_J \\ W, sorted by (length, cols).
+
+    The set {w : w^{-1} alpha_j > 0 for all j in J} is closed under passing
+    to shorter elements in right weak order, so BFS by length-increasing
+    right multiplication visits each exactly once.  For w inside and
+    w*s_i > w, w*s_i leaves the set iff w(alpha_i) is a simple root alpha_j
+    with j in J, and then w*s_i = s_j*w (Deodhar's lemma).  Every step
+    raises the length by one, so the BFS level at which an element is first
+    seen is its length; it is stored on the element and never recomputed.
+    """
+    blocked = {rs.simple[j - 1] for j in J}
+    ident = WeylElt.identity(rs)
+    ident._len = 0
+    seen = {ident.cols}
+    out = [ident]
+    frontier = [ident]
+    level = 0
+    while frontier:
+        level += 1
+        new = []
+        for w in frontier:
+            for i in range(1, rs.rank + 1):
+                if sum(w.cols[i - 1]) < 0:  # length would drop
+                    continue
+                if w.cols[i - 1] in blocked:  # would leave the rep set
+                    continue
+                cand = w.right_mul(i)
+                if cand.cols not in seen:
+                    seen.add(cand.cols)
+                    cand._len = level
+                    new.append(cand)
+        out.extend(new)
+        frontier = new
+    out.sort(key=lambda w: (w.length(), w.cols))
+    return out
+
+
+def words_by_descents(reps) -> list[str]:
+    """The canonical reduced word of each element, in order, read off its
+    right descents.
+
+    The canonical word satisfies word(w) = word(w*s_i) + str(i) for the
+    smallest right descent i, so each element's word extends the word of
+    that prefix.  A memo keyed on cols, local to the call, renders every
+    prefix met once; for minimal left-coset representatives the prefixes
+    are themselves representatives, so the memo stays within that set."""
+    memo = {}
+    out = []
+    for w in reps:
+        chain = []
+        while w.cols not in memo and not w.is_identity():
+            i = next(j + 1 for j, c in enumerate(w.cols) if sum(c) < 0)
+            chain.append((w.cols, str(i)))
+            w = w.right_mul(i)
+        word = memo.get(w.cols, "")
+        for cols, letter in reversed(chain):
+            word += letter
+            memo[cols] = word
+        out.append(word)
     return out
 
 

@@ -11,7 +11,11 @@ or bench/ sets it, by keyword or by position.  Otherwise its default is the
 only value in use and should be a constant, unless ``TEST_SEAMS`` lists it.
 A call is matched to a def by name, and to an ``__init__`` by its class's
 name; a call with ``*args`` or ``**kwargs`` counts as setting what it may
-set."""
+set.
+
+A third scan asks it of each field of a dataclass or ``NamedTuple`` in
+src/e8g2: some attribute read in src/ or bench/ names it.  A field that
+nothing reads is carried for no one and should go."""
 
 import ast
 from pathlib import Path
@@ -161,3 +165,54 @@ def test_every_default_is_set_by_a_caller():
     assert [row for row in rows if row.split()[-1] not in exempt] == []
     # and each exemption is still needed
     assert {row.split()[-1] for row in rows} == exempt
+
+
+def _decorator_or_base_name(node) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def fields(source: str) -> list[tuple[str, int, str]]:
+    """(class, line, field) of each annotated field of each ``@dataclass``
+    or ``NamedTuple`` class."""
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if not (any(_decorator_or_base_name(d) == "dataclass" for d in cls.decorator_list)
+                or any(_decorator_or_base_name(b) == "NamedTuple" for b in cls.bases)):
+            continue
+        out += [(cls.name, stmt.lineno, stmt.target.id) for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return out
+
+
+def attribute_reads(source: str) -> set[str]:
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def unread_fields(package: dict[str, str], program: list[str]) -> list[str]:
+    """``path:line Class.field`` of each dataclass or NamedTuple field in
+    ``package`` that no attribute read in ``program`` names."""
+    reads = set().union(*(attribute_reads(src) for src in program))
+    return sorted(f"{path}:{line} {cls}.{name}" for path, src in package.items()
+                  for cls, line, name in fields(src) if name not in reads)
+
+
+def test_scan_flags_an_unread_field():
+    src = ("from dataclasses import dataclass\nfrom typing import NamedTuple\n\n\n"
+           "@dataclass(frozen=True)\nclass A:\n    read: int\n    unread: int\n\n\n"
+           "class B(NamedTuple):\n    n: int\n    m: int\n\n\n"
+           "class Plain:\n    ignored: int\n\n\n"
+           "a = A(1, 2)\nprint(a.read, B(0, 1).n)\na.unread = 3\n")
+    # a store, a keyword or a string naming the field is not a read
+    assert unread_fields({"m.py": src}, [src, "A(unread=1)\ngetattr(a, 'm')"]) == [
+        "m.py:13 B.m", "m.py:8 A.unread"]
+    assert unread_fields({"m.py": src}, [src, "x.unread + x.m"]) == []
+
+
+def test_every_field_is_read():
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert unread_fields(package, [p.read_text() for p in PROGRAM]) == []

@@ -6,6 +6,7 @@ import hashlib
 import json
 import pathlib
 import re
+from concurrent.futures import Future
 from unittest.mock import patch
 
 import pytest
@@ -206,6 +207,35 @@ class TestRunner:
     def test_parallel_matches_serial(self):
         assert normalized_json(RunConfig(parallelism=2)) == normalized_json(RunConfig())
 
+    def test_pool_forks_its_workers(self, monkeypatch):
+        # the workers see a patched registry only because they are forked
+        # from this process, so the start method must be named rather than
+        # left to the platform default (forkserver on Linux from Python 3.14)
+        seen = {}
+
+        class Recorder:
+            def __init__(self, **kwargs):
+                seen.update(kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        with patch.dict(cli.REGISTRY, synthetic_registry(["pass", "fail"])):
+            status, _ = run(Manifest((ManifestEntry("syn.0"), ManifestEntry("syn.1"))),
+                            RunConfig(parallelism=2))
+        assert status == 1
+        assert seen["max_workers"] == 2
+        assert seen["mp_context"].get_start_method() == "fork"
+
     def test_parallel_matches_serial_default_manifest(self):
         serial = normalized_json(RunConfig(), DEFAULT_MANIFEST)
         assert '"status": "fail"' not in serial
@@ -362,6 +392,16 @@ class TestMain:
         code = cli.main(["weyl-enumerate", "--left", left, "--right", "4,7"])
         assert code == 2
         assert "left cosets" in capsys.readouterr().err
+
+    def test_enumerate_reaches_the_guarded_name(self, monkeypatch):
+        # the refusal test above patches cli.enumerate_double_cosets; that
+        # guards something only if an accepted run does go through it
+        def no_enumeration(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(cli, "enumerate_double_cosets", no_enumeration)
+        with pytest.raises(AssertionError, match="enumeration started"):
+            cli.main(["weyl-enumerate", "--left", "M2", "--right", "4,7"])
 
     def test_enumerate_flagship_counts(self, capsys):
         code = cli.main(["weyl-enumerate", "--left", "M2", "--right", "4,7"])

@@ -24,7 +24,7 @@ from e8g2.weyl import (
     support_filter,
     words_json,
 )
-from oracles import enumerate_group, group_order
+from oracles import enumerate_group, group_order, min_left_reps_by_bfs, words_by_descents
 
 E8 = e8()
 G2 = RootSystem(G2_CARTAN)
@@ -43,6 +43,12 @@ OUTER_COMPLEMENT = [
 @pytest.fixture(scope="module")
 def double_cosets():
     return enumerate_double_cosets(E8, M2_INDICES, (4, 7))
+
+
+@pytest.fixture(scope="module")
+def bfs_left_reps():
+    """The 17280 E8/M2 left representatives by the oracle's BFS."""
+    return min_left_reps_by_bfs(E8, M2_INDICES)
 
 
 @pytest.fixture(scope="module")
@@ -173,21 +179,74 @@ def test_coset_counting_invariant_g2():
         assert len(reps) * group_order(G2, J) == 12
 
 
-def test_coset_counting_invariant_e8(double_cosets):
+def test_coset_counting_invariant_e8():
     reps = enumerate_min_left_reps(E8, M2_INDICES)
     assert len(reps) == 17280
     assert len(reps) * group_order(E8, M2_INDICES) == 696729600
 
 
-def test_double_cosets_as_orbits_on_left_cosets(monkeypatch):
+def _rows(reps, words):
+    return [(w.cols, w.length(), word) for w, word in zip(reps, words)]
+
+
+ORBIT_CASES = [(E8, M2_INDICES), (E8, M1_INDICES), (E8, (1, 2, 3, 4, 5, 6, 7)),
+               (E8, tuple(range(1, 9)))] + [(G2, J) for J in [(), (1,), (2,), (1, 2)]]
+
+
+@pytest.mark.parametrize("rs, J", ORBIT_CASES, ids=[
+    "E8-M2", "E8-M1", "E8-E7", "E8-all", "G2-empty", "G2-1", "G2-2", "G2-12"])
+def test_orbit_walk_matches_bfs_oracle(rs, J, bfs_left_reps):
+    # the walk's cols, lengths and words (the ones it built, not ones read
+    # back off the descents) against the seen-set BFS and the descent words
+    oracle = bfs_left_reps if (rs, J) == (E8, M2_INDICES) else min_left_reps_by_bfs(rs, J)
+    reps = enumerate_min_left_reps(rs, J)
+    assert _rows(reps, [w._word for w in reps]) == _rows(oracle, words_by_descents(oracle))
+
+
+def _walk_keeping_the_largest_descent(rs, J):
+    """The orbit walk with the parent rule turned round: nu's parent is its
+    largest descent.  It still reaches every point once, with the right
+    cols and lengths, but its words end in the largest descent, not the
+    smallest."""
+    alphas = [tuple(row[i] for row in rs.cartan) for i in range(rs.rank)]
+    ident = WeylElt.identity(rs)
+    ident._len, ident._word = 0, ""
+    level = [(tuple(0 if i in J else 1 for i in range(1, rs.rank + 1)), ident)]
+    out = []
+    while level:
+        out += [w for _, w in level]
+        children = []
+        for mu, w in level:
+            for i, m in enumerate(mu):
+                nu = tuple(a - m * b for a, b in zip(mu, alphas[i]))
+                if m > 0 and all(x >= 0 for x in nu[i + 1:]):
+                    child = w.right_mul(i + 1)
+                    child._len, child._word = w._len + 1, w._word + str(i + 1)
+                    children.append((nu, child))
+        level = children
+    out.sort(key=lambda w: (w.length(), w.cols))
+    return out
+
+
+def test_orbit_walk_comparison_catches_the_largest_descent_parent():
+    oracle = min_left_reps_by_bfs(E8, M1_INDICES)
+    expected = _rows(oracle, words_by_descents(oracle))
+    reps = _walk_keeping_the_largest_descent(E8, M1_INDICES)
+    assert [row[:2] for row in _rows(reps, [w._word for w in reps])] == \
+        [row[:2] for row in expected]
+    assert _rows(reps, [w._word for w in reps]) != expected
+
+
+def test_double_cosets_as_orbits_on_left_cosets(monkeypatch, bfs_left_reps):
     # second derivation of the census: W_{4,7} acting on the right of the
-    # 17280 left cosets W_J w has one orbit per double coset; count the
-    # orbits by union-find, without the double-coset enumeration
+    # 17280 left cosets W_J w (from the oracle's BFS, not the orbit walk)
+    # has one orbit per double coset; count the orbits by union-find,
+    # without the double-coset enumeration
     def no_enumeration(*args):
         raise AssertionError("enumerate_double_cosets called")
 
     monkeypatch.setattr(weyl, "enumerate_double_cosets", no_enumeration)
-    reps = enumerate_min_left_reps(E8, M2_INDICES)
+    reps = bfs_left_reps
     parent = {w.cols: w.cols for w in reps}
 
     def find(c):
@@ -251,7 +310,7 @@ def test_enumerate_group_lengths_are_inversion_counts():
 def test_words_json_matches_word(double_cosets):
     for rs, reps in [(G2, enumerate_group(G2)), (E8, double_cosets[::50])]:
         words = words_json(reps)
-        assert words == [w.word() for w in reps]
+        assert words == words_by_descents(reps)
         for w, word in zip(reps, words):
             assert evaluate_word(rs, word) == w
             assert len(word) == len(w.inversion_set()) == w.length()
