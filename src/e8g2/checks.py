@@ -36,6 +36,7 @@ from .cheval import (
 )
 from .g2chars import (
     POSITIVE_ROOTS,
+    Q,
     Weight,
     dimension,
     p_coefficient,
@@ -377,7 +378,7 @@ def _main_identity_cases(n_max=6, m_max=4):
     identity per pair, no truncation."""
     mono = zeta._mono
     sums, _ = s0_and_p()
-    z0q = zeta._factor_product(zeta.Z0_FACTOR_KEYS) * zeta._QHAT.rename(zeta.XQ)
+    z0q = zeta._factor_product(zeta.Z0_FACTOR_KEYS) * Q.rename(zeta.XQ)
     failures = []
     for n in range(n_max + 1):
         for m in range(m_max + 1):
@@ -414,7 +415,7 @@ def _end_to_end(D):
         return RatFunc(num, den).truncate("x", D)
 
     lhs = normalized(False)
-    rhs = RatFunc(zeta._QHAT.rename(sv) * zeta._char_series(D),
+    rhs = RatFunc(Q.rename(sv) * zeta._char_series(D),
                   {(2, 16, 0, 0): 1}).truncate("x", D)
     identity_ok = lhs == rhs
     control_ok = normalized(True) != rhs

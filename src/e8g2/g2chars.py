@@ -3,17 +3,19 @@
 Weights are integer pairs (n, m) meaning n*w1 + m*w2 over the fundamental
 weights.  The torus variables are a = tau^{w1}, b = tau^{w2}, so every
 weight is the Laurent monomial a^n b^m and characters are Laurent
-polynomials in (a, b).  On these coordinates the simple reflections act by
+polynomials in (a, b).  The roots, rho = (1, 1) and the 12 matrices of the
+Weyl group are derived from ``RootSystem(G2_CARTAN)`` and the orbit walk of
+``weyl``: a root's coordinates are its simple-coroot pairings, so alpha_i
+is Cartan column i, and s_i(mu) = mu - mu_i*alpha_i, that is
 
-    s1 (n, m) = (-n, n + m)          s2 (n, m) = (n + 3m, -m)
+    s1 (n, m) = (-n, n + m)          s2 (n, m) = (n + 3m, -m).
 
-and rho = (1, 1) (the unique weight pairing to 1 with both simple
-coroots).  Provides alternating sums, Weyl characters (the alternating
-sum of w + rho divided by the six binomials of the Weyl denominator),
-the subset-sum expansion of prod (1 - 1/q tau^-alpha), the weight
-coefficients P(w) = sum_lam p_lam(w) chi_lam built from it, the measure
-constants attached to torus cosets, the spherical-function formula, and
-the symmetric-power series of the 7-dimensional representation.
+Provides alternating sums, Weyl characters (the alternating sum of w + rho
+divided by the six binomials of the Weyl denominator), the subset-sum
+expansion of prod (1 - 1/q tau^-alpha), the weight coefficients
+P(w) = sum_lam p_lam(w) chi_lam built from it, the measure constants
+attached to torus cosets, the spherical-function formula, and the
+symmetric-power series of the 7-dimensional representation.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
+from .rootsys import G2_CARTAN, RootSystem
 from .symra import LaurentPoly, RatFunc
+from .weyl import enumerate_min_left_reps
 
 CHAR_VARS = ("a", "b")
 Q_VARS = ("q",)
@@ -42,62 +46,47 @@ def _wt(w) -> Weight:
     return Weight(int(n), int(m))
 
 
-RHO = Weight(1, 1)
-
-# positive roots on weight coordinates, short ones first within height
-POSITIVE_ROOTS = (
-    Weight(2, -1),   # alpha_1 (short)
-    Weight(-3, 2),   # alpha_2 (long)
-    Weight(-1, 1),   # alpha_1 + alpha_2 (short)
-    Weight(1, 0),    # 2 alpha_1 + alpha_2 (short)
-    Weight(3, -1),   # 3 alpha_1 + alpha_2 (long)
-    Weight(0, 1),    # 3 alpha_1 + 2 alpha_2 (long)
-)
-SHORT_POSITIVE_ROOTS = (Weight(2, -1), Weight(-1, 1), Weight(1, 0))
-
-# weights of the 7-dimensional representation: 0 and the short roots
-V7_WEIGHTS = (Weight(0, 0),) + SHORT_POSITIVE_ROOTS + tuple(
-    Weight(-a, -b) for a, b in SHORT_POSITIVE_ROOTS)
-
-_S1 = ((-1, 0), (1, 1))
-_S2 = ((1, 3), (0, -1))
+G2 = RootSystem(G2_CARTAN)
 
 
-def _mat_apply(M, w: Weight) -> Weight:
-    return Weight(M[0][0] * w.n + M[0][1] * w.m, M[1][0] * w.n + M[1][1] * w.m)
+def _omega(alpha) -> Weight:
+    """A root on fundamental-weight coordinates: its simple-coroot pairings."""
+    return Weight(G2.pairing(alpha, 1), G2.pairing(alpha, 2))
 
 
-def _mat_mul(A, B):
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(2)) for j in range(2))
-        for i in range(2))
+# positive roots on weight coordinates by height, alpha_1 before alpha_2
+POSITIVE_ROOTS = tuple(_omega(a) for a in sorted(G2.positive, key=lambda a: (sum(a), a[::-1])))
+RHO = Weight(*(sum(c) // 2 for c in zip(*POSITIVE_ROOTS)))
 
 
-def _build_group():
-    ident = ((1, 0), (0, 1))
-    group = {ident: 1}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for M in frontier:
-            for S in (_S1, _S2):
-                P = _mat_mul(S, M)
-                if P not in group:
-                    group[P] = -group[M]
-                    nxt.append(P)
-        frontier = nxt
-    return tuple(sorted(group.items()))
+def _matrix(word: str):
+    """The matrix of the Weyl element with this word on weight coordinates:
+    its columns are the images of the unit vectors, the last letter acting
+    first, with s_i(mu) = mu - mu_i * alpha_i."""
+    cols = []
+    for mu in ((1, 0), (0, 1)):
+        for i in map(int, reversed(word)):
+            a, k = _omega(G2.simple[i - 1]), mu[i - 1]
+            mu = (mu[0] - k * a.n, mu[1] - k * a.m)
+        cols.append(mu)
+    return tuple(zip(*cols))
 
 
 # the 12 elements as (matrix, sign) with sign = (-1)^length = det
-WEYL_GROUP = _build_group()
+WEYL_GROUP = tuple(sorted((_matrix(w.word()), (-1) ** w.length())
+                          for w in enumerate_min_left_reps(G2, ())))
 
 
 def weyl_images(w) -> list[tuple[Weight, int]]:
     """The 12 (image, sign) pairs of a weight (with repetitions when the
     stabilizer is nontrivial)."""
-    w = _wt(w)
-    return [(_mat_apply(M, w), s) for M, s in WEYL_GROUP]
+    n, m = _wt(w)
+    return [(Weight(a * n + b * m, c * n + d * m), s) for ((a, b), (c, d)), s in WEYL_GROUP]
+
+
+# weights of the 7-dimensional representation: 0 and the orbit of omega_1,
+# which is the short roots
+V7_WEIGHTS = (Weight(0, 0),) + tuple(sorted({img for img, _ in weyl_images((1, 0))}))
 
 
 # -- alternating sums and characters ---------------------------------------------------

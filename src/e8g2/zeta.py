@@ -37,14 +37,13 @@ from typing import Mapping
 
 from .g2chars import (
     FULL_VARS,
-    POSITIVE_ROOTS,
     Q,
     Q_VARS,
     Weight,
     weight_coefficient,
     weyl_character,
 )
-from .rootsys import e8
+from .rootsys import G2_CARTAN, RootSystem, e8
 from .symra import LaurentPoly, RatFunc, _extent, _Packing, _times_binomials, one_minus
 from .weyl import WORD_INTERTWINER, evaluate_word
 
@@ -478,20 +477,15 @@ TAU_POINTS = (
 )
 
 
+# 2 rho^vee over the simple coroots: the sum of the positive coroots is the
+# two_rho of the dual root system, whose Cartan matrix is the transpose
+_DOUBLE_RHO_VEE = RootSystem(tuple(zip(*G2_CARTAN))).two_rho
+
+
 def _pairing_with_double_rho(w) -> int:
-    """<w, 2 rho^vee> on fundamental-weight coordinates, summed over the
-    positive coroots with the rank-two Gram matrix [[2,3],[3,6]]."""
-    gram = ((2, 3), (3, 6))
-    n, m = w
-    total = 0
-    for beta in POSITIVE_ROOTS:
-        wb = sum(gram[i][j] * (n, m)[i] * beta[j] for i in range(2) for j in range(2))
-        bb = sum(gram[i][j] * beta[i] * beta[j] for i in range(2) for j in range(2))
-        num = 2 * wb
-        if num % bb:
-            raise ArithmeticError("coroot pairing is not integral")
-        total += num // bb
-    return total
+    """<w, 2 rho^vee> on fundamental-weight coordinates, where
+    <omega_i, alpha_j^vee> = delta_ij."""
+    return sum(c * k for c, k in zip(_DOUBLE_RHO_VEE, w))
 
 
 # -- finite summation family ---------------------------------------------------
@@ -619,7 +613,6 @@ def closed_I(n: int, m: int, case: str) -> RatFunc:
 # -- mass-weighted kernel sum ---------------------------------------------------
 
 
-_QHAT = Q  # the identity-coset mass, a polynomial in 1/q
 _ONE_Q = LaurentPoly.const(Q_VARS, 1)
 # Q over the edge mass 1 + 1/q: Q = (1 + 1/q)(1 + 1/q + ... + 1/q^5)
 _EDGE_CLEAR = one_minus(Q_VARS, q=-6).divexact((-1,))
@@ -636,7 +629,7 @@ def _q_clear(w) -> LaurentPoly:
         return _ONE_Q
     if n == 0 or m == 0:
         return _EDGE_CLEAR
-    return _QHAT
+    return Q
 
 
 # every series sum (check3, then end_to_end's identity and its negative
@@ -678,7 +671,7 @@ def _measure_sum(D: int, perturb_mass: bool = False) -> LaurentPoly:
     pairs = []
     for n in range(D + 1):
         for m in range((D - n) // 2 + 1):
-            clear = _QHAT if perturb_mass else _q_clear((n, m))
+            clear = Q if perturb_mass else _q_clear((n, m))
             small = _pair_kernel(n, m) * clear.rename(XQ)
             pairs.append((_p_char((n, m)).coeffs,
                           {(x, q, 0, 0): c for (x, q), c in small.coeffs.items() if x <= D}))
@@ -713,4 +706,4 @@ def boundary_series(D: int) -> LaurentPoly:
     boundary product times the identity-coset mass times the one-row
     character series."""
     return (_factor_product(Z0_FACTOR_KEYS).rename(SERIES_VARS)
-            * _QHAT.rename(SERIES_VARS)).mul_trunc(_char_series(D), "x", D)
+            * Q.rename(SERIES_VARS)).mul_trunc(_char_series(D), "x", D)

@@ -27,7 +27,7 @@ PROGRAM = sorted(p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py"))
 # definitions that only tests reach, each pinning a paper fact
 TEST_ONLY = (
     ("conjugate", "pins how the conjugating words move radical factors"),
-    ("restrict_root", "pins the torus restriction of the radical roots"),
+    ("restrict_root", "ties G2 to E8: the 240 roots restrict to G2's roots"),
 )
 
 # defaulted parameters that only tests set, each a seam for a test fake

@@ -34,9 +34,13 @@ wt = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
 def test_group_size_and_signs():
     assert len(WEYL_GROUP) == 12
+    assert list(WEYL_GROUP) == sorted(WEYL_GROUP)
     for M, s in WEYL_GROUP:
         det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
         assert s == det
+    # the simple reflections of the module docstring, each of sign -1
+    assert (((-1, 0), (1, 1)), -1) in WEYL_GROUP  # s1 (n, m) = (-n, n + m)
+    assert (((1, 3), (0, -1)), -1) in WEYL_GROUP  # s2 (n, m) = (n + 3m, -m)
 
 
 def test_group_matches_root_coordinate_action():

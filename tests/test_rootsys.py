@@ -1,8 +1,10 @@
+from collections import Counter
 from math import prod
 
 import pytest
 
 from e8g2.checks import ROOT_DATA, STRUCTURE
+from e8g2.g2chars import POSITIVE_ROOTS, weyl_images
 from e8g2.rootsys import (
     A1_CARTAN,
     A2_CARTAN,
@@ -10,6 +12,7 @@ from e8g2.rootsys import (
     E8_CARTAN,
     G2_CARTAN,
     RootSystem,
+    TorusRestriction,
     e8,
     restrict_root,
 )
@@ -167,3 +170,35 @@ def test_restrict_linearity_in_negation():
         assert ne == (-e[0], -e[1])
     with pytest.raises(ValueError):
         restrict_root(tr, E8, (0,) * 8)
+
+
+def _g2_weights(tr, roots):
+    """The restrictions of E8 roots along tr on G2's weight coordinates: a
+    torus pair (t1, t2) is t2*alpha_1 + t1*alpha_2 of G2, and its weight
+    coordinates are its pairings with the simple coroots."""
+    return Counter((G2.pairing((t2, t1), 1), G2.pairing((t2, t1), 2))
+                   for t1, t2 in (restrict_root(tr, E8, a) for a in roots))
+
+
+def test_e8_roots_restrict_to_g2():
+    # E8 > G2 x F4 branches the adjoint as 248 = (14, 1) + (1, 52) + (7, 26)
+    # (Slansky, Phys. Rep. 79, 1981): each short G2 root comes 1 + 26 = 27
+    # times, each long root once, and the 8 Cartan directions make up the
+    # rest of 0's 2 + 52 + 26 = 80, so 0 comes from 72 roots
+    roots = set(POSITIVE_ROOTS) | {(-n, -m) for n, m in POSITIVE_ROOTS}
+    short = roots & {img for img, _ in weyl_images(POSITIVE_ROOTS[0])}
+    assert len(short) == 6
+    adjoint = Counter({r: 27 if r in short else 1 for r in roots})
+    adjoint[(0, 0)] = 72
+    assert _g2_weights(DEFAULT_EMBEDDING, E8.roots) == adjoint
+    radical = Counter({r: 9 for r in short})
+    radical[(0, 0)] = 24
+    assert _g2_weights(DEFAULT_EMBEDDING, E8.radical_roots(1)) == radical
+    # negative control: without coroot 5 in the first coweight the torus
+    # is no longer G2's, and the multiplicities are not G2's either
+    first, second = DEFAULT_EMBEDDING.coweights
+    broken = TorusRestriction((first[:4] + (0,) + first[5:], second),
+                              DEFAULT_EMBEDDING.basis_change)
+    control = _g2_weights(broken, E8.roots)
+    assert control != adjoint
+    assert set(control.values()) == {1, 12, 32, 60}

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from e8g2 import zeta as z
 from e8g2.checks import MAX_SERIES_DEGREE, REPORT_FIELDS, _first_difference
 from e8g2.cli import Manifest, ManifestEntry, RunConfig, UsageError, run
-from e8g2.g2chars import FULL_VARS, p_coefficient, s0_and_p
+from e8g2.g2chars import FULL_VARS, Q, p_coefficient, s0_and_p
 from e8g2.rootsys import e8
 from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.zeta import XQ, SingularShift, XPoly
@@ -423,7 +423,7 @@ class TestClosedIntegral:
 
 class TestWeightCoefficients:
     def test_identity_pair_is_full_mass(self):
-        assert p_coefficient((0, 0), (0, 0)) == z._QHAT
+        assert p_coefficient((0, 0), (0, 0)) == Q
 
     def test_regular_pair_leading_term(self):
         p = p_coefficient((1, 0), (1, 0))
@@ -450,14 +450,14 @@ class TestWeightCoefficients:
 
     def test_mass_clearing_is_exact(self):
         one_q = LaurentPoly.const(("q",), 1)
-        assert z._q_clear((1, 1)) == z._QHAT
+        assert z._q_clear((1, 1)) == Q
         assert z._q_clear((0, 0)) == one_q
         edge = z._q_clear((1, 0))
-        assert edge * LaurentPoly(("q",), {(0,): 1, (-1,): 1}) == z._QHAT
+        assert edge * LaurentPoly(("q",), {(0,): 1, (-1,): 1}) == Q
         assert z._q_clear((0, 3)) == edge
         assert z._q_clear((3, 0)) == edge
         assert z._q_clear((0, 1)) == edge
-        assert z._q_clear((2, 5)) == z._QHAT
+        assert z._q_clear((2, 5)) == Q
 
 
 # -- truncated series checks ---------------------------------------------------
@@ -472,7 +472,7 @@ def full_product_measure_sum(D, perturb_mass=False):
     acc = LaurentPoly.zero(z.SERIES_VARS)
     for n in range(D + 1):
         for m in range((D - n) // 2 + 1):
-            clear = z._QHAT if perturb_mass else z._q_clear((n, m))
+            clear = Q if perturb_mass else z._q_clear((n, m))
             coeff = (z._p_char((n, m)) * clear.rename(FULL_VARS)).rename(z.SERIES_VARS)
             term = coeff * z._i0_poly(n, m).rename(z.SERIES_VARS)
             acc = acc + term * LaurentPoly.monomial(
