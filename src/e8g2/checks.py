@@ -37,12 +37,13 @@ from .cheval import (
 from .g2chars import (
     POSITIVE_ROOTS,
     Q,
+    S0,
     Weight,
+    _pairing_with_double_rho,
     dimension,
-    p_coefficient,
-    s0_and_p,
     spherical,
     sym_series,
+    weight_expansion,
     weyl_character,
 )
 from .rootsys import e8
@@ -373,26 +374,24 @@ def _main_identity_series(D):
 @check("zeta.sum_cases", "main-identity-finite-cases", params={"n_max": 0, "m_max": 0})
 def _main_identity_cases(n_max=6, m_max=4):
     """Main identity, finite-case route: for each highest weight lam the
-    mass-weighted kernel sum over lam + S0 collapses to the boundary product
-    times (xq^8)^n for one-row lam and to zero otherwise.  Exact rational
-    identity per pair, no truncation."""
-    mono = zeta._mono
-    sums, _ = s0_and_p()
+    mass-weighted kernel sum of p_lam(w) over w in lam + S0 collapses to the
+    boundary product times lam's torus monomial at tau0 for one-row lam and
+    to zero otherwise.  Exact rational identity per lam, no truncation.
+    One pass per dominant w in box + S0 adds its mass-cleared kernel, times
+    p_lam(w), into each lam of ``weight_expansion(w)`` in the box; every such
+    lam lies in w - S0 (tested), so each lam's sum is complete."""
+    box = [Weight(n, m) for n in range(n_max + 1) for m in range(m_max + 1)]
+    lhs = {lam: LaurentPoly.zero(zeta.XQ) for lam in box}
+    for w in sorted({Weight(lam.n + nu.n, lam.m + nu.m) for lam in box for nu in S0}):
+        if not w.dominant:
+            continue
+        term = zeta._pair_kernel(w.n, w.m) * zeta._q_clear(w).rename(zeta.XQ)
+        for lam, p in weight_expansion(w).items():
+            if lam in lhs:
+                lhs[lam] = lhs[lam] + p.rename(zeta.XQ) * term
     z0q = zeta._factor_product(zeta.Z0_FACTOR_KEYS) * Q.rename(zeta.XQ)
-    failures = []
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            lam = Weight(n, m)
-            lhs = LaurentPoly.zero(zeta.XQ)
-            for nu in sums:
-                w = Weight(lam.n + nu.n, lam.m + nu.m)
-                if not w.dominant:
-                    continue
-                coeff = p_coefficient(w, lam) * zeta._q_clear(w)
-                lhs = lhs + coeff.rename(zeta.XQ) * zeta._pair_kernel(w.n, w.m)
-            rhs = z0q * mono(1, x=n, q=8 * n) if m == 0 else LaurentPoly.zero(zeta.XQ)
-            if lhs != rhs:
-                failures.append(f"{n},{m}")
+    failures = [f"{n},{m}" for (n, m), got in lhs.items()
+                if got != (z0q * zeta._tau0((n, 0)) if m == 0 else LaurentPoly.zero(zeta.XQ))]
     return not failures, f"all pairs with n <= {n_max}, m <= {m_max} collapse", {
         "pairs_checked": (n_max + 1) * (m_max + 1), "failures": failures}
 
@@ -457,7 +456,7 @@ def _tau_points():
         and t2.omega2 == (t0.omega2[0] + 1, t0.omega2[1] + 8)
     )
     pairing_ok = all(
-        zeta._pairing_with_double_rho((n, m)) == 6 * n + 10 * m
+        _pairing_with_double_rho((n, m)) == 6 * n + 10 * m
         for n in range(4) for m in range(4))
     ok = all(hits.values()) and twist_ok and pairing_ok
     return ok, {

@@ -252,9 +252,6 @@ class UnipotentWord:
         return [(r, c.rename(vars)) for r, c in a.factors] == \
             [(r, c.rename(vars)) for r, c in b.factors]
 
-    def __hash__(self):
-        raise TypeError("UnipotentWord is unhashable; compare canonical forms")
-
     def __repr__(self) -> str:
         inner = " ".join(
             f"x[{self.sc.rs.root_str(r)}]({c.to_text()})" for r, c in self.factors)

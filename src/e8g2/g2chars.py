@@ -11,16 +11,25 @@ is Cartan column i, and s_i(mu) = mu - mu_i*alpha_i, that is
     s1 (n, m) = (-n, n + m)          s2 (n, m) = (n + 3m, -m).
 
 Provides alternating sums, Weyl characters (the alternating sum of w + rho
-divided by the six binomials of the Weyl denominator), the subset-sum
-expansion of prod (1 - 1/q tau^-alpha), the weight coefficients
-P(w) = sum_lam p_lam(w) chi_lam built from it, the measure constants
-attached to torus cosets, the spherical-function formula, and the
-symmetric-power series of the 7-dimensional representation.
+divided by the six binomials of the Weyl denominator), the weight
+coefficients, the identity-coset mass Q, the spherical-function formula,
+and the symmetric-power series of the 7-dimensional representation.
+
+The weight coefficients follow Macdonald's formula ("Spherical functions on
+a group of p-adic type", 1971): ``S0`` maps each subset sum nu of the
+positive roots to P_nu, with prod_{alpha > 0} (1 - 1/q tau^-alpha) =
+sum_nu P_nu tau^-nu, and A(rho) P(w) = sum_nu P_nu A(w + rho - nu).
+``_straighten`` reflects each w + rho - nu into the dominant chamber once,
+to a wall, where A vanishes, or to lam + rho with lam dominant, where
+A(w + rho - nu) = sign(u) A(lam + rho) and A(lam + rho) / A(rho) = chi_lam.
+So P(w) = sum_lam p_lam(w) chi_lam, the p_lam(w) collected by
+``weight_expansion``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 from .rootsys import G2_CARTAN, RootSystem
@@ -58,6 +67,16 @@ def _omega(alpha) -> Weight:
 POSITIVE_ROOTS = tuple(_omega(a) for a in sorted(G2.positive, key=lambda a: (sum(a), a[::-1])))
 RHO = Weight(*(sum(c) // 2 for c in zip(*POSITIVE_ROOTS)))
 
+# 2 rho^vee over the simple coroots: the sum of the positive coroots is the
+# two_rho of the dual root system, whose Cartan matrix is the transpose
+_DOUBLE_RHO_VEE = RootSystem(tuple(zip(*G2_CARTAN))).two_rho
+
+
+def _pairing_with_double_rho(w) -> int:
+    """<w, 2 rho^vee> on fundamental-weight coordinates, where
+    <omega_i, alpha_j^vee> = delta_ij."""
+    return sum(c * k for c, k in zip(_DOUBLE_RHO_VEE, w))
+
 
 def _matrix(word: str):
     """The matrix of the Weyl element with this word on weight coordinates:
@@ -75,6 +94,24 @@ def _matrix(word: str):
 # the 12 elements as (matrix, sign) with sign = (-1)^length = det
 WEYL_GROUP = tuple(sorted((_matrix(w.word()), (-1) ** w.length())
                           for w in enumerate_min_left_reps(G2, ())))
+
+
+def _subset_sums() -> dict[Weight, LaurentPoly]:
+    """Expand prod_{alpha > 0} (1 - 1/q tau^-alpha) over the 64 subsets of
+    the positive roots: each distinct subset sum nu, in sorted order, maps
+    to the polynomial P_nu collecting (-1/q)^{|subset|}; the sums whose
+    terms cancel are dropped."""
+    table: dict[Weight, dict[tuple[int], int]] = {}
+    for k in range(len(POSITIVE_ROOTS) + 1):
+        for subset in combinations(POSITIVE_ROOTS, k):
+            nu = Weight(sum(a.n for a in subset), sum(a.m for a in subset))
+            poly = table.setdefault(nu, {})
+            poly[(-k,)] = poly.get((-k,), 0) + (-1) ** k
+    return {nu: LaurentPoly(Q_VARS, poly) for nu, poly in sorted(table.items())
+            if any(poly.values())}
+
+
+S0 = _subset_sums()
 
 
 def weyl_images(w) -> list[tuple[Weight, int]]:
@@ -123,71 +160,49 @@ def dimension(char: LaurentPoly) -> int:
     return sum(char.coeffs.values())
 
 
-# -- subset-sum expansion ---------------------------------------------------
-
-
-@lru_cache(maxsize=1)
-def s0_and_p() -> tuple[tuple[Weight, ...], dict[Weight, LaurentPoly]]:
-    """Expand prod_{alpha > 0} (1 - 1/q tau^-alpha) over the 64 subsets of
-    the positive roots: returns the distinct subset sums (sorted) and, for
-    each sum nu, the polynomial collecting (-1/q)^{|subset|}."""
-    table: dict[Weight, dict[tuple[int], int]] = {}
-    for mask in range(1 << len(POSITIVE_ROOTS)):
-        n = m = 0
-        size = 0
-        for i, r in enumerate(POSITIVE_ROOTS):
-            if mask >> i & 1:
-                n += r.n
-                m += r.m
-                size += 1
-        poly = table.setdefault(Weight(n, m), {})
-        key = (-size,)
-        poly[key] = poly.get(key, 0) + (-1) ** size
-    out = {
-        nu: LaurentPoly(Q_VARS, poly)
-        for nu, poly in table.items()
-        if any(poly.values())
-    }
-    return tuple(sorted(out)), out
-
-
 # -- weight coefficients ---------------------------------------------------
 
 
-def p_coefficient(varpi, lam) -> LaurentPoly:
-    """Coefficient of the irreducible character of highest weight lam in the
-    weight coefficient at varpi: exhaustive enumeration over the twelve
-    rank-two Weyl elements and the 64 positive-root subsets, each pair
-    (w, S) with varpi + rho - sum(S) = w(lam + rho) contributing
-    sign(w) * (-1/q)^|S|.  Nonzero only when varpi lies in lam + S0."""
-    varpi, lam = _wt(varpi), _wt(lam)
-    if not (varpi.dominant and lam.dominant):
-        raise ValueError("both weights must be dominant")
-    _, table = s0_and_p()
-    total = LaurentPoly.zero(Q_VARS)
-    for img, sgn in weyl_images(Weight(lam.n + RHO.n, lam.m + RHO.m)):
-        nu = Weight(varpi.n + RHO.n - img.n, varpi.m + RHO.m - img.m)
-        if nu in table:
-            total = total + table[nu] * sgn
-    return total
+def _straighten(mu) -> tuple[int, Weight] | None:
+    """(sign(u), lam) for the Weyl element u with u(mu) = lam + rho dominant
+    regular, or None when mu lies on a wall.  While a coordinate is
+    negative, s1 or s2 is applied; each step lowers the length of the
+    element still to apply by one, so at most six are needed."""
+    n, m = mu
+    sign = 1
+    while n < 0 or m < 0:
+        n, m = (-n, n + m) if n < 0 else (n + 3 * m, -m)
+        sign = -sign
+    if n == 0 or m == 0:
+        return None
+    return sign, Weight(n - RHO.n, m - RHO.m)
 
 
-def weight_coefficient(w) -> LaurentPoly:
-    """The weight coefficient P(w) = sum_lam p_coefficient(w, lam) chi_lam
-    over the dominant lam = w - nu, nu a subset sum: the expansion of
-    sum_nu P_nu A(w + rho - nu) / A(rho) in irreducible characters, with
-    no division by A(rho).  Exact in (q, a, b)."""
+def weight_expansion(w) -> dict[Weight, LaurentPoly]:
+    """The weight coefficient at the dominant pair w on irreducible
+    characters: lam -> p_lam(w), the sum of sign(u) P_nu over the nu in S0
+    whose w + rho - nu straightens to (sign(u), lam).  Zero sums are
+    dropped."""
     w = _wt(w)
     if not w.dominant:
         raise ValueError(f"valuation pair must be dominant, got {tuple(w)}")
-    sums, _ = s0_and_p()
+    out: dict[Weight, LaurentPoly] = {}
+    for nu, p in S0.items():
+        hit = _straighten((w.n + RHO.n - nu.n, w.m + RHO.m - nu.m))
+        if hit:
+            sign, lam = hit
+            out[lam] = out[lam] + p * sign if lam in out else p * sign
+    return {lam: p for lam, p in out.items() if p}
+
+
+def weight_coefficient(w) -> LaurentPoly:
+    """The weight coefficient P(w) = sum_lam p_lam(w) chi_lam over
+    ``weight_expansion(w)``: Macdonald's sum_nu P_nu A(w + rho - nu) / A(rho)
+    in irreducible characters, with no division by A(rho).  Exact in
+    (q, a, b)."""
     acc = LaurentPoly.zero(FULL_VARS)
-    for nu in sums:
-        lam = Weight(w.n - nu.n, w.m - nu.m)
-        if lam.dominant:
-            p = p_coefficient(w, lam)
-            if p:  # skip building characters whose coefficient cancels
-                acc = acc + p.rename(FULL_VARS) * weyl_character(lam).rename(FULL_VARS)
+    for lam, p in weight_expansion(w).items():
+        acc = acc + p.rename(FULL_VARS) * weyl_character(lam).rename(FULL_VARS)
     return acc
 
 
@@ -203,11 +218,11 @@ Q = LaurentPoly(Q_VARS, {(0,): 1, (-1,): 2, (-2,): 2, (-3,): 2, (-4,): 2, (-5,):
 
 def spherical(w) -> RatFunc:
     """Value of the normalized spherical function at the torus coset of
-    valuation pair w = (n, m): q^{-3n-5m}/Q times the weight coefficient
-    P(w).  Exact in (q, a, b); the 1/Q denominator is carried as
+    valuation pair w = (n, m): q^{-<w, rho^vee>}/Q times the weight
+    coefficient P(w).  Exact in (q, a, b); the 1/Q denominator is carried as
     (1 - 1/q)^2 / ((1 - 1/q^2)(1 - 1/q^6))."""
     w = _wt(w)
-    pref = LaurentPoly.monomial(FULL_VARS, 1, q=-(3 * w.n + 5 * w.m))
+    pref = LaurentPoly.monomial(FULL_VARS, 1, q=-(_pairing_with_double_rho(w) // 2))
     unit = LaurentPoly(FULL_VARS, {(0, 0, 0): 1, (-1, 0, 0): -1})
     num = pref * weight_coefficient(w) * unit * unit
     return RatFunc(num, {(-2, 0, 0): 1, (-6, 0, 0): 1})

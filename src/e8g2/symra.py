@@ -495,9 +495,6 @@ class RatFunc:
             return NotImplemented
         return self.equals(other)
 
-    def __hash__(self) -> int:
-        raise TypeError("RatFunc is unhashable; compare with equals()")
-
     # -- series expansion ---------------------------------------------------
 
     def truncate(self, var: str, degree: int) -> LaurentPoly:

@@ -43,7 +43,7 @@ from .g2chars import (
     weight_coefficient,
     weyl_character,
 )
-from .rootsys import G2_CARTAN, RootSystem, e8
+from .rootsys import e8
 from .symra import LaurentPoly, RatFunc, _extent, _Packing, _times_binomials, one_minus
 from .weyl import WORD_INTERTWINER, evaluate_word
 
@@ -189,9 +189,6 @@ class XPoly:
             if not a.equals(b):
                 return False
         return True
-
-    def __hash__(self):
-        raise TypeError("XPoly is unhashable")
 
     def __repr__(self) -> str:
         return f"XPoly({len(self.terms)} terms)"
@@ -477,15 +474,9 @@ TAU_POINTS = (
 )
 
 
-# 2 rho^vee over the simple coroots: the sum of the positive coroots is the
-# two_rho of the dual root system, whose Cartan matrix is the transpose
-_DOUBLE_RHO_VEE = RootSystem(tuple(zip(*G2_CARTAN))).two_rho
-
-
-def _pairing_with_double_rho(w) -> int:
-    """<w, 2 rho^vee> on fundamental-weight coordinates, where
-    <omega_i, alpha_j^vee> = delta_ij."""
-    return sum(c * k for c, k in zip(_DOUBLE_RHO_VEE, w))
+def _tau0(w) -> LaurentPoly:
+    """The torus monomial of the weight w at the point tau0, in (x, q)."""
+    return LaurentPoly(XQ, {TAU_POINTS[0].weight_exponents(w): 1})
 
 
 # -- finite summation family ---------------------------------------------------
@@ -640,14 +631,10 @@ _p_char = lru_cache(maxsize=4096)(weight_coefficient)
 # -- truncated series ---------------------------------------------------
 
 
-def _mono4(coeff: int = 1, **pows: int) -> LaurentPoly:
-    return LaurentPoly.monomial(SERIES_VARS, coeff, **pows)
-
-
 def _pair_kernel(n: int, m: int) -> LaurentPoly:
     """The kernel polynomial of pair (n, m) shifted by its torus monomial
-    x^{n+2m} q^{8n+15m}, in (x, q); its x-degrees are all >= n + 2m."""
-    return _i0_poly(n, m) * _mono(1, x=n + 2 * m, q=8 * n + 15 * m)
+    at tau0, in (x, q); its x-degrees are all >= n + 2m."""
+    return _i0_poly(n, m) * _tau0((n, m))
 
 
 def _measure_sum(D: int, perturb_mass: bool = False) -> LaurentPoly:
@@ -697,7 +684,8 @@ def _measure_sum(D: int, perturb_mass: bool = False) -> LaurentPoly:
 def _char_series(D: int) -> LaurentPoly:
     out = LaurentPoly.zero(SERIES_VARS)
     for r in range(D + 1):
-        out = out + weyl_character(Weight(r, 0)).rename(SERIES_VARS) * _mono4(1, x=r, q=8 * r)
+        out = out + (weyl_character(Weight(r, 0)).rename(SERIES_VARS)
+                     * _tau0((r, 0)).rename(SERIES_VARS))
     return out
 
 

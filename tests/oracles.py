@@ -12,6 +12,9 @@ does not take, so that agreement is evidence rather than repetition:
 * ``twist``, ``weyl_dimension``, ``decompose`` -- G2 character facts from
   the Weyl action on exponents, the product formula and highest-weight
   stripping;
+* ``p_coefficient`` -- one coefficient of Macdonald's expansion by an
+  exhaustive search over the 12 Weyl images of lam + rho, the reference
+  for ``weight_expansion``'s straightening;
 * ``truncate_var`` -- truncation after a full product, the reference for
   ``mul_trunc`` and the series routes;
 * ``evaluate`` -- exact evaluation of a Laurent polynomial or rational
@@ -31,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from e8g2.cheval import _constants_key
-from e8g2.g2chars import Weight, weyl_character
+from e8g2.g2chars import Q_VARS, RHO, S0, Weight, weyl_character, weyl_images
 from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.weyl import WeylElt
 from e8g2.zeta import XQ, j_case2
@@ -203,6 +206,21 @@ def decompose(char: LaurentPoly) -> dict[Weight, int]:
         out[top] = out.get(top, 0) + mult
         rest = rest - weyl_character(top) * mult
     return out
+
+
+def p_coefficient(varpi, lam) -> LaurentPoly:
+    """The coefficient of chi_lam in the weight coefficient at varpi: each
+    of the 12 Weyl elements u with varpi + rho - nu = u(lam + rho) for some
+    nu in S0 contributes sign(u) P_nu.  Both weights must be dominant."""
+    varpi, lam = Weight(*varpi), Weight(*lam)
+    if not (varpi.dominant and lam.dominant):
+        raise ValueError("both weights must be dominant")
+    total = LaurentPoly.zero(Q_VARS)
+    for img, sign in weyl_images((lam.n + RHO.n, lam.m + RHO.m)):
+        nu = Weight(varpi.n + RHO.n - img.n, varpi.m + RHO.m - img.m)
+        if nu in S0:
+            total = total + S0[nu] * sign
+    return total
 
 
 # -- Laurent polynomials and rational functions ---------------------------

@@ -1,26 +1,29 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from e8g2 import g2chars
 from e8g2.g2chars import (
     CHAR_VARS,
     FULL_VARS,
     POSITIVE_ROOTS,
     Q,
+    Q_VARS,
     RHO,
+    S0,
     V7_WEIGHTS,
     WEYL_GROUP,
     Weight,
     alt_sum,
     dimension,
-    s0_and_p,
     spherical,
     sym_series,
     weight_coefficient,
+    weight_expansion,
     weyl_character,
 )
 from e8g2.rootsys import G2_CARTAN, RootSystem
 from e8g2.symra import LaurentPoly, RatFunc, one_minus
-from oracles import decompose, enumerate_group, twist, weyl_dimension
+from oracles import decompose, enumerate_group, p_coefficient, twist, weyl_dimension
 
 # independently derived signed orbit of rho (12 terms, the denominator)
 ALT_RHO_TERMS = {
@@ -158,17 +161,16 @@ def test_product_decomposition_nonnegative():
 
 
 def test_s0_and_p_frozen():
-    sums, table = s0_and_p()
-    assert len(sums) == 31
-    assert set(table) == set(sums)
+    assert len(S0) == 31
+    assert list(S0) == sorted(S0)
     # empty subset only
-    assert table[Weight(0, 0)].to_text() == "1"
+    assert S0[Weight(0, 0)].to_text() == "1"
     # the full subset is the unique expression of 2 rho
-    assert table[Weight(2, 2)].to_text() == "q^-6"
+    assert S0[Weight(2, 2)].to_text() == "q^-6"
     # two expressions: the root (1,0) itself and (2,-1) + (-1,1)
-    assert table[Weight(1, 0)].coeffs == {(-1,): -1, (-2,): 1}
-    assert table[Weight(0, 1)].coeffs == {(-1,): -1, (-2,): 2, (-3,): -1}
-    assert table[Weight(1, 1)].coeffs == {(-2,): 1, (-3,): -2, (-4,): 1}
+    assert S0[Weight(1, 0)].coeffs == {(-1,): -1, (-2,): 1}
+    assert S0[Weight(0, 1)].coeffs == {(-1,): -1, (-2,): 2, (-3,): -1}
+    assert S0[Weight(1, 1)].coeffs == {(-2,): 1, (-3,): -2, (-4,): 1}
 
 
 def test_s0_reconstructs_product():
@@ -179,11 +181,10 @@ def test_s0_reconstructs_product():
         factor = LaurentPoly.const(vars, 1) - LaurentPoly.monomial(
             vars, 1, q=-1, a=-r.n, b=-r.m)
         direct = direct * factor
-    sums, table = s0_and_p()
     recon = LaurentPoly.zero(vars)
-    for nu in sums:
+    for nu, p in S0.items():
         mono = LaurentPoly.monomial(vars, 1, a=-nu.n, b=-nu.m)
-        recon = recon + table[nu].rename(vars) * mono
+        recon = recon + p.rename(vars) * mono
     assert recon == direct
 
 
@@ -191,15 +192,37 @@ def test_weight_coefficient_against_alternating_sums():
     # independent oracle for the one weight-coefficient route, in
     # multiplication form: A(rho) P(w) == sum_nu P_nu A(w + rho - nu), on
     # every valuation pair with n + 2m <= 10 (the pairs check3 sums at D = 10)
-    sums, table = s0_and_p()
     alt_rho = alt_sum(RHO).rename(FULL_VARS)
     for n in range(11):
         for m in range((10 - n) // 2 + 1):
             rhs = LaurentPoly.zero(FULL_VARS)
-            for nu in sums:
+            for nu, p in S0.items():
                 mu = (n + RHO.n - nu.n, m + RHO.m - nu.m)
-                rhs = rhs + table[nu].rename(FULL_VARS) * alt_sum(mu).rename(FULL_VARS)
+                rhs = rhs + p.rename(FULL_VARS) * alt_sum(mu).rename(FULL_VARS)
             assert alt_rho * weight_coefficient((n, m)) == rhs, (n, m)
+
+
+def test_expansion_matches_orbit_search():
+    # the straightening against the exhaustive search over the 12 Weyl
+    # images of lam + rho, for every dominant lam in w - S0; no other lam
+    # may appear
+    zero = LaurentPoly.zero(Q_VARS)
+    for n in range(13):
+        for m in range(9):
+            got = weight_expansion((n, m))
+            lams = {lam for nu in S0 if (lam := Weight(n - nu.n, m - nu.m)).dominant}
+            assert set(got) <= lams, (n, m)
+            for lam in lams:
+                assert got.get(lam, zero) == p_coefficient((n, m), lam), (n, m, lam)
+
+
+def test_expansion_needs_the_reflection_signs(monkeypatch):
+    # negative control: straightening without the sign of the Weyl element
+    # no longer gives the identity pair its full mass Q
+    straighten = g2chars._straighten
+    monkeypatch.setattr(g2chars, "_straighten",
+                        lambda mu: (hit := straighten(mu)) and (1, hit[1]))
+    assert weight_expansion((0, 0)) != {Weight(0, 0): Q}
 
 
 def test_q_constants():

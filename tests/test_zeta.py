@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from e8g2 import zeta as z
 from e8g2.checks import MAX_SERIES_DEGREE, REPORT_FIELDS, _first_difference
 from e8g2.cli import Manifest, ManifestEntry, RunConfig, UsageError, run
-from e8g2.g2chars import FULL_VARS, Q, p_coefficient, s0_and_p
+from e8g2.g2chars import FULL_VARS, Q, S0, Weight, _pairing_with_double_rho, weight_expansion
 from e8g2.rootsys import e8
 from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.zeta import XQ, SingularShift, XPoly
@@ -195,7 +195,7 @@ class TestTauPoints:
     def test_double_rho_pairing(self):
         for n in range(5):
             for m in range(5):
-                assert z._pairing_with_double_rho((n, m)) == 6 * n + 10 * m
+                assert _pairing_with_double_rho((n, m)) == 6 * n + 10 * m
 
 
 # -- finite summation family vs frozen closed form --------------------------
@@ -423,30 +423,26 @@ class TestClosedIntegral:
 
 class TestWeightCoefficients:
     def test_identity_pair_is_full_mass(self):
-        assert p_coefficient((0, 0), (0, 0)) == Q
+        assert weight_expansion((0, 0)) == {Weight(0, 0): Q}
 
     def test_regular_pair_leading_term(self):
-        p = p_coefficient((1, 0), (1, 0))
+        p = weight_expansion((1, 0))[Weight(1, 0)]
         assert p.coefficient_of("q", 0) == LaurentPoly.const((), 1)
 
     def test_support_inside_shifted_subset_sums(self):
-        sums, _ = s0_and_p()
-        offsets = {(s.n, s.m) for s in sums}
-        lam = (1, 1)
-        for dn in range(-2, 7):
-            for dm in range(-2, 7):
-                w = (lam[0] + dn, lam[1] + dm)
-                if w[0] < 0 or w[1] < 0:
-                    continue
-                if not p_coefficient(w, lam).is_zero():
-                    assert (dn, dm) in offsets, w
+        # the finite-case route sums each lam over lam + S0 only, so it is
+        # complete because every lam of an expansion lies in w - S0
+        for n in range(25):
+            for m in range(15):
+                for lam in weight_expansion((n, m)):
+                    assert (n - lam.n, m - lam.m) in S0, ((n, m), lam)
 
     def test_far_weight_gives_zero(self):
-        assert p_coefficient((5, 5), (0, 0)).is_zero()
+        assert Weight(0, 0) not in weight_expansion((5, 5))
 
     def test_non_dominant_rejected(self):
         with pytest.raises(ValueError):
-            p_coefficient((-1, 0), (0, 0))
+            weight_expansion((-1, 0))
 
     def test_mass_clearing_is_exact(self):
         one_q = LaurentPoly.const(("q",), 1)
@@ -533,6 +529,13 @@ class TestSeriesChecks:
         rep = run_check("zeta.sum_cases", n_max=3, m_max=2)
         assert rep.status == "pass"
         assert rep.computed["failures"] == []
+
+    def test_main_identity_finite_cases_negative_control(self, monkeypatch):
+        # with the full mass Q on every coset, no lam collapses
+        monkeypatch.setattr(z, "_q_clear", lambda w: Q)
+        rep = run_check("zeta.sum_cases", n_max=3, m_max=2)
+        assert rep.status == "fail"
+        assert rep.computed["failures"] == [f"{n},{m}" for n in range(4) for m in range(3)]
 
     def test_end_to_end_small(self):
         rep = run_check("zeta.end_to_end", D=3)
