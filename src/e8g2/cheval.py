@@ -220,9 +220,6 @@ class UnipotentWord:
         vars = _union_vars(self.vars, other.vars)
         return UnipotentWord(self.sc, self.factors + other.factors, vars)
 
-    def __mul__(self, other: "UnipotentWord") -> "UnipotentWord":
-        return self.times(other)
-
     def inverse(self) -> "UnipotentWord":
         return UnipotentWord(
             self.sc, [(r, -c) for r, c in reversed(self.factors)], self.vars)

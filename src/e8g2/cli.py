@@ -112,23 +112,24 @@ def _validate(manifest: Manifest, config: RunConfig) -> None:
         if entry.id not in REGISTRY:
             known = ", ".join(sorted(REGISTRY))
             raise UsageError(f"unknown check id {entry.id!r}; known ids: {known}")
-        minimums = REGISTRY[entry.id][1]
-        unknown = set(entry.params) - set(minimums)
+        ranges = REGISTRY[entry.id][1]
+        unknown = set(entry.params) - set(ranges)
         if unknown:
             raise UsageError(
                 f"check {entry.id!r} does not take params {sorted(unknown)}")
         for k, v in entry.params.items():
             if not isinstance(v, int) or isinstance(v, bool):
                 raise UsageError(f"param {k!r} of {entry.id!r} must be an integer")
-            if v < minimums[k]:
-                raise UsageError(
-                    f"param {k!r} of {entry.id!r} must be >= {minimums[k]}, got {v}")
-        if "D" in minimums:
-            degree = entry.params.get("D", config.truncation_degree)
-            if degree > MAX_SERIES_DEGREE:
-                source = "param 'D'" if "D" in entry.params else "truncation degree"
-                raise UsageError(f"{source} of {entry.id!r} must be <= "
-                                 f"{MAX_SERIES_DEGREE}, got {degree}")
+            least, greatest = ranges[k]
+            if v < least:
+                raise UsageError(f"param {k!r} of {entry.id!r} must be >= {least}, got {v}")
+            if greatest is not None and v > greatest:
+                raise UsageError(f"param {k!r} of {entry.id!r} must be <= {greatest}, got {v}")
+        if "D" in ranges and "D" not in entry.params:
+            greatest = ranges["D"][1]
+            if config.truncation_degree > greatest:
+                raise UsageError(f"truncation degree of {entry.id!r} must be <= "
+                                 f"{greatest}, got {config.truncation_degree}")
 
 
 def _run_entry(check_id: str, params: dict, config: RunConfig) -> CheckReport:
@@ -231,13 +232,13 @@ def _runner_main(argv: list[str]) -> int:
                         help="run one named check (repeatable)")
     parser.add_argument("--all", action="store_true",
                         help="run every registered check, report-only ones included")
-    parser.add_argument("--degree", type=int, default=10,
+    parser.add_argument("--degree", type=int, default=RunConfig.truncation_degree,
                         help="truncation degree for series checks without "
-                             "an explicit D param (default 10, at most "
+                             "an explicit D param (default %(default)s, at most "
                              f"{MAX_SERIES_DEGREE})")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON report array instead of text lines")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=int, default=RunConfig.parallelism,
                         help="run checks in up to N worker processes")
     parser.add_argument("--output", help="write the report there instead of stdout")
     args = parser.parse_args(argv)

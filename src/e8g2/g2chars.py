@@ -78,15 +78,24 @@ def _pairing_with_double_rho(w) -> int:
     return sum(c * k for c, k in zip(_DOUBLE_RHO_VEE, w))
 
 
+# the simple roots on weight coordinates, alpha_1 then alpha_2
+_SIMPLE_ROOTS = tuple(map(_omega, G2.simple))
+
+
+def _reflect(i: int, mu) -> Weight:
+    """The simple reflection s_i(mu) = mu - mu_i * alpha_i."""
+    a, k = _SIMPLE_ROOTS[i - 1], mu[i - 1]
+    return Weight(mu[0] - k * a.n, mu[1] - k * a.m)
+
+
 def _matrix(word: str):
     """The matrix of the Weyl element with this word on weight coordinates:
     its columns are the images of the unit vectors, the last letter acting
-    first, with s_i(mu) = mu - mu_i * alpha_i."""
+    first."""
     cols = []
     for mu in ((1, 0), (0, 1)):
         for i in map(int, reversed(word)):
-            a, k = _omega(G2.simple[i - 1]), mu[i - 1]
-            mu = (mu[0] - k * a.n, mu[1] - k * a.m)
+            mu = _reflect(i, mu)
         cols.append(mu)
     return tuple(zip(*cols))
 
@@ -168,11 +177,11 @@ def _straighten(mu) -> tuple[int, Weight] | None:
     regular, or None when mu lies on a wall.  While a coordinate is
     negative, s1 or s2 is applied; each step lowers the length of the
     element still to apply by one, so at most six are needed."""
-    n, m = mu
     sign = 1
-    while n < 0 or m < 0:
-        n, m = (-n, n + m) if n < 0 else (n + 3 * m, -m)
+    while mu[0] < 0 or mu[1] < 0:
+        mu = _reflect(1 if mu[0] < 0 else 2, mu)
         sign = -sign
+    n, m = mu
     if n == 0 or m == 0:
         return None
     return sign, Weight(n - RHO.n, m - RHO.m)

@@ -184,7 +184,7 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
-            return NotImplemented  # let RatFunc.__radd__ handle poly + ratfunc
+            return NotImplemented  # poly + ratfunc is unsupported: write ratfunc + poly
         self._check(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -240,9 +240,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented  # let RatFunc.__eq__ handle poly == ratfunc
         return self.vars == other.vars and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.coeffs.items())))
 
     def divexact(self, v: tuple[int, ...]) -> "LaurentPoly":
         """The quotient self / (1 - X^v); raises InexactDivision unless it is
@@ -462,9 +459,6 @@ class RatFunc:
         a = _times_binomials(self.num, {v: m - self.den.get(v, 0) for v, m in den.items()})
         b = _times_binomials(other.num, {v: m - other.den.get(v, 0) for v, m in den.items()})
         return RatFunc(a + b, den)
-
-    def __radd__(self, other) -> "RatFunc":
-        return self.__add__(other)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)

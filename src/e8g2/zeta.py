@@ -26,13 +26,19 @@ Everything here is exact arithmetic over the two-variable Laurent ring in
   cached here as ``_p_char``), and the boundary series
   (``boundary_series``) that the series identities in ``e8g2.checks``
   compare.
+
+Every fixed factor (the three blocks, the kernel factors F, G, H and the
+frozen closed form with its T0 application) is one value built at import.
+A known product of binomials 1 - x^k q^j is applied through its keys: as
+shift passes (``symra._times_binomials``) when it multiplies, and by key
+cancellation against a denominator multiset when it divides.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Mapping
 
 from .g2chars import (
@@ -174,9 +180,6 @@ class XPoly:
                 out[k] = s
         return XPoly(out)
 
-    def __sub__(self, other: "XPoly") -> "XPoly":
-        return self + other.scale(-1)
-
     def scale(self, c: RatFunc | LaurentPoly | int) -> "XPoly":
         return XPoly({k: v * c for k, v in self.terms.items()})
 
@@ -278,33 +281,23 @@ def t_operators(which: str, f: XPoly) -> XPoly:
     return XPoly(out)
 
 
-# The fixed polynomials below are built on first use and then shared:
+# The fixed factors below are built once, at import, and then shared:
 # nothing mutates a LaurentPoly's coeffs, a RatFunc's den or an XPoly's
 # terms in place.
 
-
-@cache
-def _block_a() -> LaurentPoly:
-    return _om(x=2, q=12) * _om(x=1, q=6)
-
-
-@cache
-def _block_b() -> LaurentPoly:
-    return _om(x=1, q=5) * _om(x=2, q=13)
-
-
-@cache
-def _block_c() -> LaurentPoly:
-    return _om(q=-1) * _mono(1, x=1, q=6) * _om(x=1, q=7)
+# the three fixed blocks (A, B, C) of every innermost bracket
+_BLOCKS = (_om(x=2, q=12) * _om(x=1, q=6), _om(x=1, q=5) * _om(x=2, q=13),
+           _om(q=-1) * _mono(1, x=1, q=6) * _om(x=1, q=7))
 
 
 def _over_blocks(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly) -> LaurentPoly:
     """A*a + B*b + C*c over the three fixed blocks."""
-    return _block_a() * a + _block_b() * b + _block_c() * c
+    A, B, C = _BLOCKS
+    return A * a + B * b + C * c
 
 
 def _cj21() -> XPoly:
-    A, B, C = _block_a(), _block_b(), _block_c()
+    A, B, C = _BLOCKS
     return XPoly({
         (0, 0, 0, 0, 0, 0): A, (1, 7, 0, 0, 0, 0): -1 * A,
         (0, 0, 1, 7, 0, 0): -1 * B, (1, 7, 1, 7, 0, 0): B,
@@ -313,7 +306,7 @@ def _cj21() -> XPoly:
 
 
 def _cj22() -> XPoly:
-    A, B = _block_a(), _block_b()
+    A, B, _ = _BLOCKS
     return XPoly({
         (0, 0, 0, 0, 0, 0): A, (1, 7, 0, 0, 0, 0): -1 * A,
         (0, 0, 0, 0, 2, 13): -1 * A, (1, 7, 0, 0, 2, 13): A,
@@ -322,42 +315,37 @@ def _cj22() -> XPoly:
     })
 
 
-@cache
-def _frozen_cj0() -> XPoly:
-    """The four-variable closed form, frozen coefficient by coefficient."""
-    om5, om6 = _om(x=1, q=5), _om(x=1, q=6)
-    om12 = _om(x=2, q=12)
-    uq = _om(q=-1)  # 1 - 1/q
-    qinv = _mono(1, q=-1)
-    return XPoly({
-        (0, 0, 0, 0, 0, 0): RatFunc(om6 * om6 * om12, {(1, 7): 1, (1, 8): 1, (2, 14): 1}),
-        (0, 1, 1, 7, 0, 0): RatFunc(-1 * qinv * om5 * om12, {(1, 7): 1, (2, 13): 1}),
-        (0, 1, 2, 13, 0, 0): RatFunc(uq * _mono(1, x=1, q=5) * om6, {(1, 7): 1, (2, 13): 1}),
-        (1, 7, 1, 7, 0, 0): RatFunc(qinv * om5 * om6, {(1, 7): 2}),
-        (1, 8, 0, 0, 0, 0): RatFunc(-1 * om5 * om6 * om12, {(1, 7): 1, (1, 8): 1, (2, 13): 1}),
-        (1, 8, 2, 13, 0, 0): RatFunc(-1 * uq * _mono(1, x=1, q=5) * om6, {(1, 7): 1, (2, 13): 1}),
-        (2, 14, 0, 0, 0, 0): RatFunc(uq * _mono(1, x=1, q=6) * om6 * om12,
-                                     {(1, 7): 1, (2, 13): 1, (2, 14): 1}),
-        (2, 14, 1, 7, 0, 0): RatFunc(-1 * uq * _mono(1, x=1, q=6) * om5 * om6,
-                                     {(1, 7): 2, (2, 13): 1}),
-    })
+# the four-variable closed form, frozen coefficient by coefficient;
+# (0, -1) is the factor u = 1 - 1/q
+_FROZEN_CJ0 = XPoly({
+    (0, 0, 0, 0, 0, 0): RatFunc(_times_binomials(_ONE, {(1, 6): 2, (2, 12): 1}),
+                                {(1, 7): 1, (1, 8): 1, (2, 14): 1}),
+    (0, 1, 1, 7, 0, 0): RatFunc(_times_binomials(_mono(-1, q=-1), {(1, 5): 1, (2, 12): 1}),
+                                {(1, 7): 1, (2, 13): 1}),
+    (0, 1, 2, 13, 0, 0): RatFunc(_times_binomials(_mono(1, x=1, q=5), {(0, -1): 1, (1, 6): 1}),
+                                 {(1, 7): 1, (2, 13): 1}),
+    (1, 7, 1, 7, 0, 0): RatFunc(_times_binomials(_mono(1, q=-1), {(1, 5): 1, (1, 6): 1}),
+                                {(1, 7): 2}),
+    (1, 8, 0, 0, 0, 0): RatFunc(_times_binomials(_mono(-1), {(1, 5): 1, (1, 6): 1, (2, 12): 1}),
+                                {(1, 7): 1, (1, 8): 1, (2, 13): 1}),
+    (1, 8, 2, 13, 0, 0): RatFunc(_times_binomials(_mono(-1, x=1, q=5), {(0, -1): 1, (1, 6): 1}),
+                                 {(1, 7): 1, (2, 13): 1}),
+    (2, 14, 0, 0, 0, 0): RatFunc(
+        _times_binomials(_mono(1, x=1, q=6), {(0, -1): 1, (1, 6): 1, (2, 12): 1}),
+        {(1, 7): 1, (2, 13): 1, (2, 14): 1}),
+    (2, 14, 1, 7, 0, 0): RatFunc(
+        _times_binomials(_mono(-1, x=1, q=6), {(0, -1): 1, (1, 5): 1, (1, 6): 1}),
+        {(1, 7): 2, (2, 13): 1}),
+})
 
-
-def _frozen_t0_cj0() -> XPoly:
-    """T0 applied to the closed form: three monomials matching the
-    tau-decomposition coefficients after substitution."""
-    pref = RatFunc(_om(x=1, q=6) * _om(x=2, q=12), {(1, 7): 1, (1, 8): 1})
-    return XPoly({
-        (0, 0, 0, 0, 0, 0): pref * (_om(x=1, q=6) * _om(x=3, q=21)),
-        (1, 8, 0, 0, 0, 0): pref * (-1 * _om(x=1, q=5) * _om(x=1, q=6)),
-        (0, 1, 1, 7, 0, 0): pref * (-1 * _mono(1, q=-1) * _om(x=1, q=5) * _om(x=1, q=8)),
-    })
-
-
-@cache
-def _t0_cj0() -> XPoly:
-    """T0 applied to the frozen closed form; ``closed_I`` substitutes it."""
-    return t_operators("T0", _frozen_cj0())
+# T0 applied to the closed form: three monomials matching the
+# tau-decomposition coefficients after substitution
+_FROZEN_T0_CJ0 = XPoly({
+    (0, 0, 0, 0, 0, 0): _times_binomials(_ONE, {(1, 6): 2, (2, 12): 1, (3, 21): 1}),
+    (1, 8, 0, 0, 0, 0): _times_binomials(_mono(-1), {(1, 5): 1, (1, 6): 2, (2, 12): 1}),
+    (0, 1, 1, 7, 0, 0): _times_binomials(_mono(-1, q=-1),
+                                         {(1, 5): 1, (1, 6): 1, (1, 8): 1, (2, 12): 1}),
+}).scale(RatFunc(_ONE, {(1, 7): 1, (1, 8): 1}))
 
 
 def assemble_cj0(operand34: XPoly | None = None) -> XPoly:
@@ -389,16 +377,14 @@ def _factor_product(keys) -> LaurentPoly:
     return _times_binomials(_ONE, Counter(keys))
 
 
-@cache
-def _i0_factors() -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-    """The fixed factors (F, G, H) of every kernel polynomial I0(n, m)."""
-    return (_om(x=1, q=6) * _om(x=3, q=21), _om(x=1, q=5) * _om(x=1, q=6),
-            _om(x=1, q=5) * _om(x=1, q=8))
+# the fixed factors (F, G, H) of every kernel polynomial I0(n, m)
+_I0_FACTORS = tuple(_factor_product(keys) for keys in (
+    ((1, 6), (3, 21)), ((1, 5), (1, 6)), ((1, 5), (1, 8))))
 
 
 def _i0_poly(n: int, m: int) -> LaurentPoly:
     """I0(n, m) = F - (xq^8)^(m+1) G - (xq^7)^(n+1) (xq^8)^m H."""
-    first, g, h = _i0_factors()
+    first, g, h = _I0_FACTORS
     return (first - _mono(1, x=m + 1, q=8 * (m + 1)) * g
             - _mono(1, x=n + m + 1, q=7 * (n + 1) + 8 * m) * h)
 
@@ -439,7 +425,7 @@ def named(identifier: str, **params: int) -> NamedPoly:
             raise ValueError("valuations must be nonnegative")
         value = _i0_poly(n, m)
     elif identifier == "cJ0":
-        value = _frozen_cj0()
+        value = _FROZEN_CJ0
         if "B" in params or "C" in params:
             if not ("B" in params and "C" in params):
                 raise ValueError("substitution needs both valuation parameters B and C")
@@ -557,13 +543,6 @@ def j_oracle(B: int, C: int) -> RatFunc:
 CLOSED_I_CASES = ("both-unit", "t2-unit", "t2-nonunit")
 
 
-@cache
-def _p0_times_om7() -> RatFunc:
-    """(1-x)(1-xq^2)(1-xq^3)(1-xq^4)(1-x^2 q^10) / (1-xq^6): the rank-one
-    constant times the factor that cancels one denominator."""
-    return RatFunc(_factor_product(INTERTWINER_DEN_KEYS), {(1, 6): 1})
-
-
 def _reduced_j0(t: int) -> RatFunc:
     """The closed form after the second valuation pair collapses to (x, q):
     the unbounded innermost bracket at C = t.  Defined for any integer t
@@ -579,26 +558,30 @@ def closed_I(n: int, m: int, case: str) -> RatFunc:
     both-unit: n = m = 0, a single substitution weighted by (1 + x^3 q^18).
     t2-unit: m = 0, two shifted substitutions of the reduced closed form
     (at n = 0 this reproduces the both-unit value, so the boundary needs no
-    separate handling).  t2-nonunit: m >= 1, the T0 application substituted
-    at (m, n + m).
+    separate handling).  t2-nonunit: m >= 1, the frozen T0 application
+    substituted at (m, n + m).  Each case's value is then multiplied by
+    (1-x)(1-xq^2)(1-xq^3)(1-xq^4)(1-x^2 q^10) / (1-xq^6), the rank-one
+    constant times the factor that cancels one denominator, as five shift
+    passes over its numerator and one more denominator key.
     """
     if case not in CLOSED_I_CASES:
         raise ValueError(f"invalid case tag {case!r}; want one of {CLOSED_I_CASES}")
     if n < 0 or m < 0:
         raise ValueError("valuations must be nonnegative")
-    head = _p0_times_om7()
     if case == "both-unit":
         if (n, m) != (0, 0):
             raise ValueError("both-unit means both valuations are zero")
-        weight = RatFunc.from_poly(_ONE + _mono(1, x=3, q=18))
-        return head * weight * _frozen_cj0().substitute(0, 0)
-    if case == "t2-unit":
+        value = (_ONE + _mono(1, x=3, q=18)) * _FROZEN_CJ0.substitute(0, 0)
+    elif case == "t2-unit":
         if m != 0:
             raise ValueError("t2-unit means the second valuation is zero")
-        return head * (_reduced_j0(n) - _mono(1, x=4, q=26) * _reduced_j0(n - 2))
-    if m < 1:
-        raise ValueError("t2-nonunit means the second valuation is positive")
-    return head * _t0_cj0().substitute(m, n + m)
+        value = _reduced_j0(n) - _mono(1, x=4, q=26) * _reduced_j0(n - 2)
+    else:
+        if m < 1:
+            raise ValueError("t2-nonunit means the second valuation is positive")
+        value = _FROZEN_T0_CJ0.substitute(m, n + m)
+    return RatFunc(_times_binomials(value.num, Counter(INTERTWINER_DEN_KEYS)),
+                   Counter(value.den) + Counter({(1, 6): 1}))
 
 
 # -- mass-weighted kernel sum ---------------------------------------------------

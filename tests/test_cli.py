@@ -365,6 +365,25 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"must be <= {MAX_SERIES_DEGREE}" in err
 
+    @pytest.mark.parametrize("params", [
+        {"n_max": MAX_SERIES_DEGREE + 1, "m_max": 0},
+        {"n_max": 0, "m_max": MAX_SERIES_DEGREE // 2 + 1},
+        {"n_max": 1_000_000, "m_max": 1_000_000},
+    ], ids=["n_max", "m_max", "both-huge"])
+    def test_sum_cases_box_above_cap(self, params, tmp_path, monkeypatch, capsys):
+        def no_kernel(*args):
+            raise AssertionError("finite-case work started")
+
+        monkeypatch.setattr(zeta, "_pair_kernel", no_kernel)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([{"id": "zeta.sum_cases", "params": params}]))
+        assert cli.main(["e8g2", "--manifest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be <=" in err
+        # the guard above holds only if an accepted box reaches the kernel
+        with pytest.raises(AssertionError, match="finite-case work started"):
+            cli.main(["e8g2", "--check", "zeta.sum_cases"])
+
     def test_bad_manifest_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -3,7 +3,6 @@ bookkeeping-ring shift operators, the finite summation family against the
 frozen closed form, the local-integral cases, weight coefficients, and the
 truncated series checks."""
 
-import inspect
 from collections import Counter
 from dataclasses import replace
 
@@ -67,9 +66,8 @@ class TestZetaProducts:
 
 
 def _negated_factor(k):
-    """A stand-in for ``_i0_factors`` with its k-th factor negated."""
-    factors = z._i0_factors()
-    return lambda: tuple(-p if i == k else p for i, p in enumerate(factors))
+    """A stand-in for ``_I0_FACTORS`` with its k-th factor negated."""
+    return tuple(-p if i == k else p for i, p in enumerate(z._I0_FACTORS))
 
 
 # the check and report flag that cover each former named-family member
@@ -85,7 +83,7 @@ class TestNamedFamily:
     # negative controls: each former named-family member, with one input of
     # its identity replaced by a wrong value ({zeta attribute: stand-in});
     # the report flag that checks the member must drop and the check fail.
-    # The stand-ins leave every cached builder's value alone.
+    # The stand-ins leave every shared constant's value alone.
     @pytest.mark.parametrize("ident,kw", [
         ("Z", {"Z_FACTOR_KEYS": z.Z_FACTOR_KEYS[:-1]}),
         ("z0", {"Z0_FACTOR_KEYS": z.Z0_FACTOR_KEYS[:-1]}),
@@ -94,9 +92,9 @@ class TestNamedFamily:
         ("Z2", {"Z2_NUM_KEYS": z.Z2_NUM_KEYS[:-1]}),
         ("I0", {"_i0_expanded": lambda n, m, f=z._i0_expanded: f(n + 1, m)}),
         ("I0", {"_i0_poly": lambda n, m, f=z._i0_poly: f(n, m) + ONE}),
-        ("J0c", {"_i0_factors": _negated_factor(0)}),
-        ("J1c", {"_i0_factors": _negated_factor(1)}),
-        ("J2c", {"_i0_factors": _negated_factor(2)}),
+        ("J0c", {"_I0_FACTORS": _negated_factor(0)}),
+        ("J1c", {"_I0_FACTORS": _negated_factor(1)}),
+        ("J2c", {"_I0_FACTORS": _negated_factor(2)}),
         ("cJ21", {"_cj21": lambda f=z._cj21: f().scale(2)}),
         ("cJ22", {"_cj22": lambda f=z._cj22: f().scale(2)}),
         ("cJ0", {"assemble_cj0": lambda op=None, f=z.assemble_cj0: f(op).scale(2)}),
@@ -128,7 +126,7 @@ class TestNamedFamily:
     def test_kernel_tau_decomposition(self):
         # I0 = J0 - J1 (xq^8)^m - J2 (xq^7)^n (xq^8)^m with the
         # tau-decomposition coefficients J0 = F, J1 = xq^8 G, J2 = xq^7 H
-        f, g, h = z._i0_factors()
+        f, g, h = z._I0_FACTORS
         j1, j2 = MONO(1, x=1, q=8) * g, MONO(1, x=1, q=7) * h
         for n, m in ((0, 0), (2, 1), (1, 3)):
             rebuilt = (f - j1 * MONO(1, x=m, q=8 * m)
@@ -237,11 +235,8 @@ class TestSummationFamily:
 # -- fixed polynomials built once ---------------------------------------------
 
 
-def cached_builders():
-    """Every zero-argument builder in zeta whose value is cached and shared."""
-    return {name: f for name, f in vars(z).items()
-            if hasattr(f, "cache_info") and f.__module__ == z.__name__
-            and not inspect.signature(f).parameters}
+# the fixed values zeta builds at import and every caller shares
+SHARED_CONSTANTS = ("_BLOCKS", "_I0_FACTORS", "_FROZEN_CJ0", "_FROZEN_T0_CJ0")
 
 
 def snapshot(value):
@@ -253,16 +248,14 @@ def snapshot(value):
 
 
 def test_cached_values_survive_repeated_checks():
-    builders = cached_builders()
-    assert set(builders) == {"_block_a", "_block_b", "_block_c", "_frozen_cj0",
-                             "_t0_cj0", "_i0_factors", "_p0_times_om7"}
-    before = {name: snapshot(f()) for name, f in builders.items()}
+    constants = {name: getattr(z, name) for name in SHARED_CONSTANTS}
+    before = {name: snapshot(value) for name, value in constants.items()}
     manifest = Manifest((ManifestEntry("zeta.closed_forms"), ManifestEntry("zeta.sum_cases")))
     first, second = (run(manifest, RunConfig())[1] for _ in range(2))
     assert [r.status for r in first] == ["pass", "pass"]
     assert [replace(r, runtime_ms=0) for r in first] == [replace(r, runtime_ms=0) for r in second]
-    assert all(f() is f() for f in builders.values())
-    assert {name: snapshot(f()) for name, f in builders.items()} == before
+    assert all(getattr(z, name) is value for name, value in constants.items())
+    assert {name: snapshot(value) for name, value in constants.items()} == before
 
 
 # -- shift operators ---------------------------------------------------
@@ -321,14 +314,14 @@ class TestShiftOperators:
 
 class TestAssembly:
     def test_assembly_matches_frozen_closed_form(self):
-        assert z.assemble_cj0() == z._frozen_cj0()
+        assert z.assemble_cj0() == z._FROZEN_CJ0
 
     def test_six_term_operand_variant_differs(self):
         variant = z.assemble_cj0(z._cj21())
-        assert not variant.substitute(1, 2).equals(z._frozen_cj0().substitute(1, 2))
+        assert not variant.substitute(1, 2).equals(z._FROZEN_CJ0.substitute(1, 2))
 
     def test_boundary_weight_application_matches_frozen(self):
-        assert z.t_operators("T0", z._frozen_cj0()) == z._frozen_t0_cj0()
+        assert z.t_operators("T0", z._FROZEN_CJ0) == z._FROZEN_T0_CJ0
 
     def test_rejected_middle_term_variant_differs(self):
         pref = RatFunc(OM(x=1, q=6) * OM(x=2, q=12), {(1, 7): 1, (1, 8): 1})
@@ -337,7 +330,7 @@ class TestAssembly:
             (0, 0, 1, 7, 0, 0): pref * (-1 * OM(x=1, q=6) * OM(x=1, q=8)),
             (0, 1, 1, 7, 0, 0): pref * (-1 * MONO(1, q=-1) * OM(x=1, q=5) * OM(x=1, q=8)),
         })
-        assert z.t_operators("T0", z._frozen_cj0()) != variant
+        assert z.t_operators("T0", z._FROZEN_CJ0) != variant
 
 
 # -- closed form of the local integral --------------------------------------
@@ -480,12 +473,17 @@ class TestTruncationFirst:
     @pytest.mark.parametrize("D", range(1, 6))
     def test_matches_full_product_route(self, D):
         z4 = z._factor_product(z.Z_FACTOR_KEYS).rename(z.SERIES_VARS)
+        # Z times the normalizing factor and 1/((1-xq^7)(1-xq^8)), by all
+        # of its keys, against the keys zeta.end_to_end keeps once Z cancels
+        every_key = {(k, j, 0, 0): 1 for k, j in z.N_KEYS + ((1, 7), (1, 8))}
+        kept = {(k, j, 0, 0): 1
+                for k, j in ((1, 5), (1, 6), (1, 7), (1, 8), (2, 14), (2, 16), (3, 21))}
         for perturb_mass in (False, True):
             full = full_product_measure_sum(D, perturb_mass)
             got = z._measure_sum(D, perturb_mass)
             assert got == truncate_var(full, "x", D)
-            # the numerator end_to_end builds
-            assert z4.mul_trunc(got, "x", D) == truncate_var(z4 * full, "x", D)
+            assert (RatFunc(z4 * full, every_key).truncate("x", D)
+                    == RatFunc(got, kept).truncate("x", D))
 
     def test_no_factor_has_negative_x_degree(self):
         # truncating a factor before multiplying is exact only because the
@@ -542,6 +540,16 @@ class TestSeriesChecks:
         assert rep.status == "pass"
         assert rep.computed == {"identity": True, "negative_control_differs": True}
         assert rep.truncation == 3
+
+    def test_end_to_end_negative_control_on_z(self, monkeypatch):
+        # end_to_end cancels Z against the normalizing factor by their keys;
+        # with one factor of Z dropped, 1/(1 - x^2 q^12) is left over and
+        # the series first differ at x^2
+        monkeypatch.setattr(z, "Z_FACTOR_KEYS", z.Z_FACTOR_KEYS[:-1])
+        rep = run_check("zeta.end_to_end", D=3)
+        assert rep.status == "fail"
+        assert rep.computed["first_difference"] == {
+            "x_degree": 2, "monomial": "x^2*q^12", "computed": 9, "expected": 8}
 
     def test_degree_must_be_positive(self):
         with pytest.raises(UsageError):
