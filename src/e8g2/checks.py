@@ -80,9 +80,9 @@ REPORT_FIELDS = tuple(f.name for f in fields(CheckReport))
 REGISTRY: dict = {}
 
 # the largest truncation degree a series check accepts, from a manifest
-# param or the fallback alike: end_to_end takes about 7 s and 107 MB peak
-# RSS at D = 16 on a 2-vCPU VM (Python 3.11), and its time roughly doubles
-# every two degrees
+# param or the fallback alike: end_to_end takes about 6 s and 91 MB peak
+# RSS at D = 16 on a 2-vCPU VM (Python 3.11), and about 13 s and 182 MB at
+# D = 20
 MAX_SERIES_DEGREE = 16
 
 

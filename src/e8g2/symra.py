@@ -18,11 +18,12 @@ The canonical monomial order is graded lexicographic over the declared
 variable list; canonical text serialization sorts by it, so equal Laurent
 polynomials always print identically.
 
-The public API keys terms by exponent tuples.  The truncating kernels
-(``LaurentPoly.mul_trunc``, ``RatFunc.truncate`` and the measure sum in
-``e8g2.zeta``) pack each tuple into one integer inside (``_Packing``), so
-a monomial product is one integer add and a degree bound one comparison;
-they unpack once, into tuples, on return.
+The public API keys terms by exponent tuples.  The hot kernels
+(``LaurentPoly.mul_trunc``, ``LaurentPoly.divexact``, ``RatFunc.truncate``,
+and in other modules the weight coefficient and the measure sum) pack each
+tuple into one integer inside (``_Packing``), so a monomial product is one
+integer add, a degree bound one comparison and a step along a line of
+``divexact`` one integer add; they unpack once, into tuples, on return.
 
 >>> x_q = ("x", "q")
 >>> f = LaurentPoly.monomial(x_q, 1) - LaurentPoly.monomial(x_q, 1, x=1, q=7)
@@ -63,8 +64,10 @@ class _Packing:
     "var-degree <= D" is ``key <= limit(D)``.  This holds while every digit
     below ``var`` stays inside (-2^(bits-1), 2^(bits-1)): ``bounds[j]`` is
     the largest |exponent| of variable j in any vector the caller packs or
-    forms by adding keys, and the radix is derived from them, so keys never
-    alias.  ``var``'s own digit is unbounded and its bound is ignored.
+    forms by adding or subtracting keys, multiples included (a base
+    key(e) - k*key(v) of ``divexact`` may reach further out than e or v),
+    and the radix is derived from them, so keys never alias.  ``var``'s own
+    digit is unbounded and its bound is ignored.
     """
 
     __slots__ = ("vars", "var", "low", "high", "bits", "top")
@@ -248,7 +251,9 @@ class LaurentPoly:
         The quotient f satisfies f_e = self_e + f_{e-v}, so along each line
         e + Zv it is the running sum of self's coefficients from the line's
         low end.  It is finite, i.e. the division is exact, iff every line
-        sums to 0.
+        sums to 0.  On packed keys, with the first variable that v moves as
+        the top digit: a line is keyed by its base, and each step along it
+        adds key(v).
 
         >>> x_q = ("x", "q")
         >>> one_minus(x_q, x=2, q=14).divexact((1, 7)).to_text()
@@ -260,23 +265,31 @@ class LaurentPoly:
         if i is None:
             raise ZeroDivisionError("division by 1 - X^0 = 0")
         step = v[i]
-        # each term sits at position k on the line through base = e - k*v
-        lines: dict[tuple[int, ...], dict[int, int]] = {}
+        # each term sits at position k on the line through base = e - k*v,
+        # with |k| <= ext_i // |step| + 1; the radix must cover the bases,
+        # which reach that many multiples of |v_j| beyond the terms' extents
+        ext = _extent(self.coeffs, len(v))
+        reach = ext[i] // abs(step) + 1
+        pk = _Packing(self.vars, self.vars[i], [x + reach * abs(y) for x, y in zip(ext, v)])
+        kv = pk.key(v)
+        lines: dict[int, dict[int, int]] = {}
         for e, c in self.coeffs.items():
             k = e[i] // step
-            lines.setdefault(tuple(x - k * y for x, y in zip(e, v)), {})[k] = c
+            lines.setdefault(pk.key(e) - k * kv, {})[k] = c
         if any(sum(line.values()) for line in lines.values()):
             raise InexactDivision(f"not a multiple of 1 - X^{v}")
-        out: dict[tuple[int, ...], int] = {}
+        out: dict[int, int] = {}
         for base, line in lines.items():
             ks = sorted(line)
             run = 0
             for k, nxt in zip(ks, ks[1:]):
                 run += line[k]
                 if run:
-                    for j in range(k, nxt):
-                        out[tuple(x + j * y for x, y in zip(base, v))] = run
-        return LaurentPoly(self.vars, out)
+                    key = base + k * kv
+                    for _ in range(k, nxt):
+                        out[key] = run
+                        key += kv
+        return pk.unpack(out.items())
 
     # -- structure maps ---------------------------------------------------
 

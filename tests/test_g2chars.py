@@ -191,15 +191,34 @@ def test_s0_reconstructs_product():
 def test_weight_coefficient_against_alternating_sums():
     # independent oracle for the one weight-coefficient route, in
     # multiplication form: A(rho) P(w) == sum_nu P_nu A(w + rho - nu), on
-    # every valuation pair with n + 2m <= 10 (the pairs check3 sums at D = 10)
+    # every valuation pair with n + 2m <= 10 (the pairs check3 sums at
+    # D = 10) and on the pairs with n + 2m in {15, 16}, the largest x-degree
+    # the series checks accept, whose characters set the widest radix
     alt_rho = alt_sum(RHO).rename(FULL_VARS)
-    for n in range(11):
-        for m in range((10 - n) // 2 + 1):
-            rhs = LaurentPoly.zero(FULL_VARS)
-            for nu, p in S0.items():
-                mu = (n + RHO.n - nu.n, m + RHO.m - nu.m)
-                rhs = rhs + p.rename(FULL_VARS) * alt_sum(mu).rename(FULL_VARS)
-            assert alt_rho * weight_coefficient((n, m)) == rhs, (n, m)
+    pairs = [(n, m) for n in range(17) for m in range((16 - n) // 2 + 1)
+             if n + 2 * m <= 10 or n + 2 * m >= 15]
+    for n, m in pairs:
+        rhs = LaurentPoly.zero(FULL_VARS)
+        for nu, p in S0.items():
+            mu = (n + RHO.n - nu.n, m + RHO.m - nu.m)
+            rhs = rhs + p.rename(FULL_VARS) * alt_sum(mu).rename(FULL_VARS)
+        assert alt_rho * weight_coefficient((n, m)) == rhs, (n, m)
+
+
+def test_weight_coefficient_never_renames(monkeypatch):
+    # the coefficient is accumulated on packed keys: no product is formed
+    # in (q, a, b) one renamed polynomial at a time, as this reference does
+    w = (9, 3)
+    want = LaurentPoly.zero(FULL_VARS)
+    for lam, p in weight_expansion(w).items():
+        want = want + p.rename(FULL_VARS) * weyl_character(lam).rename(FULL_VARS)
+
+    def forbidden(self, out_vars):
+        raise AssertionError(f"rename({out_vars}) called")
+
+    monkeypatch.setattr(LaurentPoly, "rename", forbidden)
+    weyl_character.cache_clear()
+    assert weight_coefficient(w) == want
 
 
 def test_expansion_matches_orbit_search():

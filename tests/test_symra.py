@@ -415,6 +415,60 @@ def test_truncate_on_wide_exponents(case):
     assert r.truncate(var, degree) == geometric_truncate(r, degree, var)
 
 
+@pytest.mark.parametrize("vars, terms, v", [
+    (("x", "q", "a"), {(0, 0, 0): 1, (7, -1, 1): -1}, (1, 9, 0)),
+    (XQ, {(1, -1): 1, (-4, -3): -1}, (-2, 2)),
+], ids=["three-variables", "two-variables"])
+def test_divexact_radix_covers_the_line_bases(vars, terms, v):
+    # two terms on different lines, so each line sums to +-1; their bases
+    # e - k*v lie further out than the terms (for the first, (0, 0, 0) and
+    # (0, -64, 1)), and a radix sized from the terms' extents alone can
+    # merge the two lines into one that sums to 0
+    with pytest.raises(InexactDivision):
+        LaurentPoly(vars, terms).divexact(v)
+
+
+def on_line(e, f, v):
+    """Whether e - f is an integer multiple of v."""
+    i = next(j for j, x in enumerate(v) if x)
+    t, r = divmod(e[i] - f[i], v[i])
+    return not r and all(x - y == t * z for x, y, z in zip(e, f, v))
+
+
+@st.composite
+def wide_divisions(draw):
+    """(p, v, e): p over 1 to 4 variables with exponents in +-40, v with
+    entries in +-9, up to three leading zeros and a step of either sign,
+    and one more exponent e in the same range."""
+    vars = VARS4[:draw(st.integers(1, 4))]
+    n = len(vars)
+    exps = st.tuples(*[st.integers(-40, 40)] * n)
+    p = LaurentPoly(vars, draw(st.dictionaries(exps, st.integers(-9, 9), max_size=6)))
+    lead = draw(st.integers(0, n - 1))
+    v = ((0,) * lead + (draw(st.integers(-9, 9).filter(bool)),)
+         + draw(st.tuples(*[st.integers(-9, 9)] * (n - lead - 1))))
+    return p, v, draw(exps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_divisions(), st.integers(-9, 9).filter(bool))
+def test_divexact_on_wide_exponents(case, c):
+    p, v, e = case
+    multiple = _times_binomials(p, {v: 1})
+    assert multiple.divexact(v) == p
+    # every line of the multiple sums to 0; a monomial c X^e leaves its
+    # line summing to c
+    off = LaurentPoly(p.vars, {e: c})
+    with pytest.raises(InexactDivision):
+        (multiple + off).divexact(v)
+    # c X^e - c X^f with f on another line: each line sums to +-c, and a
+    # radix that merged the two lines would return a quotient
+    f = next((f for f in multiple.coeffs if not on_line(e, f, v)), None)
+    if f is not None:
+        with pytest.raises(InexactDivision):
+            (multiple + off - LaurentPoly(p.vars, {f: c})).divexact(v)
+
+
 # -- rational functions against sympy ---------------------------------------
 
 
