@@ -48,7 +48,7 @@ from .g2chars import (
     weyl_character,
 )
 from .rootsys import e8
-from .symra import LaurentPoly, RatFunc
+from .symra import LaurentPoly, RatFunc, sum_of_products
 from .weyl import (
     M2_INDICES,
     classify_survivors,
@@ -382,21 +382,22 @@ def _main_identity_cases(n_max=6, m_max=4):
     mass-weighted kernel sum of p_lam(w) over w in lam + S0 collapses to the
     boundary product times lam's torus monomial at tau0 for one-row lam and
     to zero otherwise.  Exact rational identity per lam, no truncation.
-    One pass per dominant w in box + S0 adds its mass-cleared kernel, times
-    p_lam(w), into each lam of ``weight_expansion(w)`` in the box; every such
-    lam lies in w - S0 (tested), so each lam's sum is complete."""
+    One pass per dominant w in box + S0 files (p_lam(w), its mass-cleared
+    kernel) under each lam of ``weight_expansion(w)`` in the box; every such
+    lam lies in w - S0 (tested), so each lam's sum of products is complete."""
     box = [Weight(n, m) for n in range(n_max + 1) for m in range(m_max + 1)]
-    lhs = {lam: LaurentPoly.zero(zeta.XQ) for lam in box}
+    pairs = {lam: [] for lam in box}
     for w in sorted({Weight(lam.n + nu.n, lam.m + nu.m) for lam in box for nu in S0}):
         if not w.dominant:
             continue
         term = zeta._pair_kernel(w.n, w.m) * zeta._q_clear(w).rename(zeta.XQ)
         for lam, p in weight_expansion(w).items():
-            if lam in lhs:
-                lhs[lam] = lhs[lam] + p.rename(zeta.XQ) * term
+            if lam in pairs:
+                pairs[lam].append((p, term))
     z0q = zeta._factor_product(zeta.Z0_FACTOR_KEYS) * Q.rename(zeta.XQ)
-    failures = [f"{n},{m}" for (n, m), got in lhs.items()
-                if got != (z0q * zeta._tau0((n, 0)) if m == 0 else LaurentPoly.zero(zeta.XQ))]
+    failures = [f"{n},{m}" for (n, m), lam_pairs in pairs.items()
+                if sum_of_products(zeta.XQ, lam_pairs)
+                != (z0q * zeta._tau0((n, 0)) if m == 0 else LaurentPoly.zero(zeta.XQ))]
     return not failures, f"all pairs with n <= {n_max}, m <= {m_max} collapse", {
         "pairs_checked": (n_max + 1) * (m_max + 1), "failures": failures}
 

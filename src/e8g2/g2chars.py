@@ -23,8 +23,8 @@ sum_nu P_nu tau^-nu, and A(rho) P(w) = sum_nu P_nu A(w + rho - nu).
 to a wall, where A vanishes, or to lam + rho with lam dominant, where
 A(w + rho - nu) = sign(u) A(lam + rho) and A(lam + rho) / A(rho) = chi_lam.
 So P(w) = sum_lam p_lam(w) chi_lam, the p_lam(w) collected by
-``weight_expansion``, and ``weight_coefficient`` forms that sum in one
-pass on packed integer keys over (q, a, b).
+``weight_expansion``, and ``weight_coefficient`` is that sum of products,
+one ``symra.sum_of_products`` call over (q, a, b).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .rootsys import G2_CARTAN, RootSystem
-from .symra import LaurentPoly, RatFunc, _extent, _Packing
+from .symra import LaurentPoly, RatFunc, sum_of_products
 from .weyl import enumerate_min_left_reps
 
 CHAR_VARS = ("a", "b")
@@ -209,28 +209,9 @@ def weight_coefficient(w) -> LaurentPoly:
     """The weight coefficient P(w) = sum_lam p_lam(w) chi_lam over
     ``weight_expansion(w)``: Macdonald's sum_nu P_nu A(w + rho - nu) / A(rho)
     in irreducible characters, with no division by A(rho).  Exact in
-    (q, a, b).
-
-    Every product is accumulated into one dict on packed keys over
-    ``FULL_VARS``, with q as the top digit: each term c q^e of p_lam(w)
-    adds chi_lam's keys shifted by e in that digit, scaled by c.  The (a, b)
-    digits only ever hold a character's exponents, so the radix is taken
-    from the characters' extents.  The dict is unpacked once."""
-    terms = [(p.coeffs, weyl_character(lam).coeffs) for lam, p in weight_expansion(w).items()]
-    ext = [_extent(chi, len(CHAR_VARS)) for _, chi in terms]
-    pk = _Packing(FULL_VARS, "q", [0, *map(max, zip(*ext))])
-    # keys are linear in the exponents: (e, a, b) packs to e*wq + a*wa + b*wb
-    wq, wa, wb = (pk.key(unit) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    acc: dict[int, int] = {}
-    get = acc.get
-    for p, chi in terms:
-        packed = [(a * wa + b * wb, c) for (a, b), c in chi.items()]
-        for (e,), c in p.items():
-            shift = e * wq
-            for k, v in packed:
-                k += shift
-                acc[k] = get(k, 0) + c * v
-    return pk.unpack(acc.items())
+    (q, a, b), as one ``sum_of_products`` over the pairs (p_lam(w), chi_lam)."""
+    return sum_of_products(FULL_VARS, [(p, weyl_character(lam))
+                                       for lam, p in weight_expansion(w).items()])
 
 
 # -- measure constants ---------------------------------------------------

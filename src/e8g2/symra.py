@@ -18,12 +18,13 @@ The canonical monomial order is graded lexicographic over the declared
 variable list; canonical text serialization sorts by it, so equal Laurent
 polynomials always print identically.
 
-The public API keys terms by exponent tuples.  The hot kernels
-(``LaurentPoly.mul_trunc``, ``LaurentPoly.divexact``, ``RatFunc.truncate``,
-and in other modules the weight coefficient and the measure sum) pack each
-tuple into one integer inside (``_Packing``), so a monomial product is one
-integer add, a degree bound one comparison and a step along a line of
-``divexact`` one integer add; they unpack once, into tuples, on return.
+The public API keys terms by exponent tuples.  The hot kernels pack each
+tuple into one integer inside, in a format private to this module
+(``_Packing``), so a monomial product is one integer add and a degree bound
+one comparison; each unpacks once, on return.  ``sum_of_products`` is the
+one packed accumulator: ``mul_trunc`` is its one-pair case, and every
+series sum elsewhere is one call to it.  ``divexact`` and
+``RatFunc.truncate`` are the other packed kernels.
 
 >>> x_q = ("x", "q")
 >>> f = LaurentPoly.monomial(x_q, 1) - LaurentPoly.monomial(x_q, 1, x=1, q=7)
@@ -34,7 +35,8 @@ integer add, a degree bound one comparison and a step along a line of
 
 from __future__ import annotations
 
-from operator import add, itemgetter
+from bisect import bisect_right
+from operator import add, itemgetter, mul
 from typing import Mapping
 
 
@@ -307,30 +309,10 @@ class LaurentPoly:
     # -- truncated product ---------------------------------------------------
 
     def mul_trunc(self, other: "LaurentPoly", var: str, degree: int) -> "LaurentPoly":
-        """Product, discarding monomials above ``degree`` in ``var``.
-
-        On packed keys: the smaller operand is sorted, so for each term of
-        the larger one the terms that stay within the bound form a prefix.
-        """
+        """Product, discarding monomials above ``degree`` in ``var``: the
+        one-pair ``sum_of_products``."""
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        n = len(self.vars)
-        pk = _Packing(self.vars, var, [x + y for x, y in zip(_extent(a, n), _extent(b, n))])
-        small = sorted((pk.key(e), c) for e, c in a.items())
-        limit = pk.limit(degree)
-        out: dict[int, int] = {}
-        get = out.get
-        for eb, cb in b.items():
-            kb = pk.key(eb)
-            room = limit - kb
-            for ka, ca in small:
-                if ka > room:
-                    break
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-        return pk.unpack(out.items())
+        return sum_of_products(self.vars, [(self, other)], var, degree)
 
     # -- serialization ---------------------------------------------------
 
@@ -364,6 +346,71 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()!r})"
+
+
+def _keyed(p: LaurentPoly, weights: list[int]) -> list[tuple[int, int]]:
+    """(e . weights, c) for each term c X^e of p; two variables unrolled."""
+    if len(weights) == 2:
+        w0, w1 = weights
+        return [(x * w0 + y * w1, c) for (x, y), c in p.coeffs.items()]
+    return [(sum(map(mul, e, weights)), c) for e, c in p.coeffs.items()]
+
+
+def _cut(p: LaurentPoly, other: LaurentPoly, var: str, degree: int) -> LaurentPoly:
+    """p without the terms that even other's lowest term in ``var`` lifts
+    above ``degree``."""
+    room = degree - (other.low_degree(var) if var in other.vars else 0)
+    if var not in p.vars:
+        return p if room >= 0 else LaurentPoly._of(p.vars, {})
+    i = p.vars.index(var)
+    return LaurentPoly._of(p.vars, {e: c for e, c in p.coeffs.items() if e[i] <= room})
+
+
+def sum_of_products(vars: tuple[str, ...], pairs, var: str | None = None,
+                    degree: int | None = None) -> LaurentPoly:
+    """The sum of a*b over the (a, b) in ``pairs``, over ``vars``, without
+    its monomials above ``degree`` in ``var`` when ``var`` is given.
+
+    Operands may be over any subsets of ``vars``: keys are linear, so an
+    operand is packed by name, key(e) = sum_j e_j*key(unit_j).  A bound
+    first cuts the terms that cannot reach below it; the radix covers the
+    largest ext(a) + ext(b).  The larger operand of a pair is packed once,
+    and each term of the smaller adds a shifted, scaled copy of it into one
+    accumulator.  Only a shift that crosses the bound sorts the packed
+    operand (once) and cuts the copy by ``bisect``.
+
+    >>> sum_of_products(("x", "a"), [(one_minus(("x",), x=1), one_minus(("a",), a=1))]).to_text()
+    'x*a - x - a + 1'
+    """
+    missing = {name for pair in pairs for p in pair for name in p.vars} - set(vars)
+    if missing:
+        raise ValueError(f"operand variables {sorted(missing)} are not in {vars}")
+    if var is not None:
+        pairs = [(_cut(a, b, var, degree), _cut(b, a, var, degree)) for a, b in pairs]
+    pairs = [(a, b) if len(a) >= len(b) else (b, a) for a, b in pairs]
+    ext = [[dict(zip(p.vars, _extent(p.coeffs, len(p.vars)))) for p in pair] for pair in pairs]
+    bounds = [max((ea.get(name, 0) + eb.get(name, 0) for ea, eb in ext), default=0) for name in vars]
+    pk = _Packing(vars, vars[0] if var is None else var, bounds)
+    unit = {name: pk.key(tuple(int(i == j) for i in range(len(vars)))) for j, name in enumerate(vars)}
+    weights = {p.vars: [unit[name] for name in p.vars] for pair in pairs for p in pair}
+    limit = None if var is None else pk.limit(degree)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for big, small in pairs:
+        packed = _keyed(big, weights[big.vars])
+        hi = None if limit is None else max(packed, default=(0,))[0]
+        keys = None  # packed's keys, ascending, once some shift crosses the bound
+        for shift, c in _keyed(small, weights[small.vars]):
+            terms = packed
+            if limit is not None and hi > limit - shift:
+                if keys is None:
+                    packed.sort()
+                    keys = [k for k, _ in packed]
+                terms = packed[:bisect_right(keys, limit - shift)]
+            for k, v in terms:
+                k += shift
+                acc[k] = get(k, 0) + c * v
+    return pk.unpack(acc.items())
 
 
 def _times_binomials(p: LaurentPoly, factors: Mapping[tuple[int, ...], int]) -> LaurentPoly:

@@ -22,16 +22,17 @@ Everything here is exact arithmetic over the two-variable Laurent ring in
 * the closed form of the local integral (``closed_I``) in its three
   valuation cases, each equal to Z*I0/((1-xq^7)(1-xq^8));
 * the mass-weighted kernel sum (``_measure_sum``), which weights each
-  valuation pair by its G2 weight coefficient (``g2chars.weight_coefficient``,
-  cached here as ``_p_char``), and the boundary series
-  (``boundary_series``) that the series identities in ``e8g2.checks``
-  compare.
+  valuation pair by its G2 weight coefficient (``_p_char``, the cached
+  ``g2chars.weight_coefficient``) in one ``symra.sum_of_products`` call,
+  and the boundary series (``boundary_series``) that the series
+  identities in ``e8g2.checks`` compare.
 
-Every fixed factor (the three blocks, the kernel factors F, G, H and the
-frozen closed form with its T0 application) is one value built at import.
-A known product of binomials 1 - x^k q^j is applied through its keys: as
-shift passes (``symra._times_binomials``) when it multiplies, and by key
-cancellation against a denominator multiset when it divides.
+Every fixed factor (the kernel factors F, G, H and the frozen closed form
+with its T0 application) is one value built at import; the three blocks
+are declared by their keys.  A known product of binomials 1 - x^k q^j is
+applied through its keys: as shift passes (``symra._times_binomials``)
+when it multiplies, and by key cancellation against a denominator
+multiset when it divides.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .g2chars import (
     weyl_character,
 )
 from .rootsys import e8
-from .symra import LaurentPoly, RatFunc, _extent, _Packing, _times_binomials, one_minus
+from .symra import LaurentPoly, RatFunc, _times_binomials, one_minus, sum_of_products
 from .weyl import WORD_INTERTWINER, evaluate_word
 
 XQ = ("x", "q")
@@ -285,15 +286,17 @@ def t_operators(which: str, f: XPoly) -> XPoly:
 # nothing mutates a LaurentPoly's coeffs, a RatFunc's den or an XPoly's
 # terms in place.
 
-# the three fixed blocks (A, B, C) of every innermost bracket
-_BLOCKS = (_om(x=2, q=12) * _om(x=1, q=6), _om(x=1, q=5) * _om(x=2, q=13),
-           _om(q=-1) * _mono(1, x=1, q=6) * _om(x=1, q=7))
+# the three fixed blocks (A, B, C) of every innermost bracket, each a
+# monomial times the binomials 1 - x^k q^j of its keys
+_BLOCK_FACTORS = ((_ONE, {(2, 12): 1, (1, 6): 1}), (_ONE, {(1, 5): 1, (2, 13): 1}),
+                  (_mono(1, x=1, q=6), {(0, -1): 1, (1, 7): 1}))
+_BLOCKS = tuple(_times_binomials(mono, keys) for mono, keys in _BLOCK_FACTORS)
 
 
 def _over_blocks(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly) -> LaurentPoly:
-    """A*a + B*b + C*c over the three fixed blocks."""
-    A, B, C = _BLOCKS
-    return A * a + B * b + C * c
+    """A*a + B*b + C*c, each block applied by shift passes over its keys."""
+    (_, ka), (_, kb), (mc, kc) = _BLOCK_FACTORS
+    return _times_binomials(a, ka) + _times_binomials(b, kb) + _times_binomials(mc * c, kc)
 
 
 def _cj21() -> XPoly:
@@ -624,52 +627,19 @@ def _measure_sum(D: int, perturb_mass: bool = False) -> LaurentPoly:
     """Mass-cleared kernel sum over valuation pairs with n + 2m <= D, as a
     Laurent polynomial in (x, q, a, b) truncated at x-degree D.  With
     perturb_mass the per-coset mass constants are all replaced by 1 (the
-    negative control).
-
-    The small factors are multiplied first.  For each pair:
-
-    1. the shifted kernel times the mass-clearing polynomial, at most
-       12 * 7 terms in (x, q);
-    2. its monomials above x-degree D are dropped, which is exact because
-       the weight coefficient has no x;
-    3. the weight coefficient, on packed keys, is shifted by each remaining
-       monomial, scaled by its coefficient and added into one packed
-       accumulator.
-
-    The accumulator is unpacked once, after the last pair.
+    negative control).  Each pair's shifted kernel times its mass-clearing
+    polynomial (at most 12 * 7 terms in (x, q)) is formed first; the sum of
+    those times the weight coefficients is one ``sum_of_products``.
     """
-    pairs = []
-    for n in range(D + 1):
-        for m in range((D - n) // 2 + 1):
-            clear = Q if perturb_mass else _q_clear((n, m))
-            small = _pair_kernel(n, m) * clear.rename(XQ)
-            pairs.append((_p_char((n, m)).coeffs,
-                          {(x, q, 0, 0): c for (x, q), c in small.coeffs.items() if x <= D}))
-    # a weight exponent e over FULL_VARS is (0, *e) over SERIES_VARS
-    bounds = [0] * len(SERIES_VARS)
-    for coeff, small in pairs:
-        ext = [0, *_extent(coeff, len(FULL_VARS))]
-        bounds = [max(bound, x + y)
-                  for bound, x, y in zip(bounds, ext, _extent(small, len(SERIES_VARS)))]
-    pk = _Packing(SERIES_VARS, "x", bounds)
-    acc: dict[int, int] = {}
-    get = acc.get
-    for coeff, small in pairs:
-        packed = [(pk.key((0, *e)), c) for e, c in coeff.items()]
-        for e, c in small.items():
-            shift = pk.key(e)
-            for k, v in packed:
-                k += shift
-                acc[k] = get(k, 0) + c * v
-    return pk.unpack(acc.items())
+    return sum_of_products(SERIES_VARS, [
+        (_pair_kernel(n, m) * (Q if perturb_mass else _q_clear((n, m))).rename(XQ), _p_char((n, m)))
+        for n in range(D + 1) for m in range((D - n) // 2 + 1)], "x", D)
 
 
 def _char_series(D: int) -> LaurentPoly:
-    out = LaurentPoly.zero(SERIES_VARS)
-    for r in range(D + 1):
-        out = out + (weyl_character(Weight(r, 0)).rename(SERIES_VARS)
-                     * _tau0((r, 0)).rename(SERIES_VARS))
-    return out
+    """The sum of chi_(r,0) times its torus monomial at tau0 over r <= D."""
+    return sum_of_products(SERIES_VARS, [(weyl_character(Weight(r, 0)), _tau0((r, 0)))
+                                         for r in range(D + 1)])
 
 
 def boundary_series(D: int) -> LaurentPoly:

@@ -15,7 +15,11 @@ set.
 
 A third scan asks it of each field of a dataclass or ``NamedTuple`` in
 src/e8g2: some attribute read in src/ or bench/ names it.  A field that
-nothing reads is carried for no one and should go."""
+nothing reads is carried for no one and should go.
+
+A fourth keeps the packed-key format private to ``symra``: no other module
+in src/e8g2 names ``_Packing`` or ``_extent``; they reach it through
+``symra.sum_of_products``."""
 
 import ast
 from pathlib import Path
@@ -216,3 +220,34 @@ def test_scan_flags_an_unread_field():
 def test_every_field_is_read():
     package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
     assert unread_fields(package, [p.read_text() for p in PROGRAM]) == []
+
+
+# the packed-key format, which only symra may name
+PACKED_FORMAT = ("_Packing", "_extent")
+
+
+def packed_format_users(package: dict[str, str]) -> list[str]:
+    """``path name`` of each ``PACKED_FORMAT`` name that a module other than
+    ``symra.py`` references or imports."""
+    return sorted(f"{path} {name}" for path, src in package.items()
+                  if Path(path).name != "symra.py"
+                  for name in PACKED_FORMAT
+                  if name in references(src) | imported_names(src))
+
+
+def imported_names(source: str) -> set[str]:
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_scan_flags_a_packed_format_user():
+    user = "from .symra import LaurentPoly, _extent\n\n\nk = symra._Packing\n"
+    symra = "class _Packing:\n    pass\n\n\ndef _extent():\n    pass\n"
+    assert packed_format_users({"src/m.py": user, "src/symra.py": symra}) == [
+        "src/m.py _Packing", "src/m.py _extent"]
+    assert packed_format_users({"src/m.py": "from .symra import sum_of_products\n"}) == []
+
+
+def test_packed_format_stays_in_symra():
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert packed_format_users(package) == []

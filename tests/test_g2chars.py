@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from e8g2 import g2chars
+from e8g2 import g2chars, zeta
 from e8g2.g2chars import (
     CHAR_VARS,
     FULL_VARS,
@@ -206,12 +206,18 @@ def test_weight_coefficient_against_alternating_sums():
 
 
 def test_weight_coefficient_never_renames(monkeypatch):
-    # the coefficient is accumulated on packed keys: no product is formed
-    # in (q, a, b) one renamed polynomial at a time, as this reference does
+    # the coefficient, and the one-row character series the series checks
+    # read, are each one sum of products embedded by variable name: no
+    # product is formed one renamed polynomial at a time, as these
+    # references do
     w = (9, 3)
     want = LaurentPoly.zero(FULL_VARS)
     for lam, p in weight_expansion(w).items():
         want = want + p.rename(FULL_VARS) * weyl_character(lam).rename(FULL_VARS)
+    series_want = LaurentPoly.zero(zeta.SERIES_VARS)
+    for r in range(7):
+        series_want = series_want + (weyl_character(Weight(r, 0)).rename(zeta.SERIES_VARS)
+                                     * zeta._tau0((r, 0)).rename(zeta.SERIES_VARS))
 
     def forbidden(self, out_vars):
         raise AssertionError(f"rename({out_vars}) called")
@@ -219,6 +225,7 @@ def test_weight_coefficient_never_renames(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "rename", forbidden)
     weyl_character.cache_clear()
     assert weight_coefficient(w) == want
+    assert zeta._char_series(6) == series_want
 
 
 def test_expansion_matches_orbit_search():

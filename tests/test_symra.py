@@ -13,6 +13,7 @@ from e8g2.symra import (
     TruncationError,
     _times_binomials,
     one_minus,
+    sum_of_products,
 )
 from oracles import evaluate, truncate_var
 
@@ -467,6 +468,73 @@ def test_divexact_on_wide_exponents(case, c):
     if f is not None:
         with pytest.raises(InexactDivision):
             (multiple + off - LaurentPoly(p.vars, {f: c})).divexact(v)
+
+
+# -- sums of products ---------------------------------------------------------
+#
+# sum_of_products embeds each operand by variable name into one packed
+# accumulator; the reference renames both operands into the full context
+# and multiplies term by term.
+
+SERIES = ("x", "q", "a", "b")
+
+
+@st.composite
+def subcontext_polys(draw):
+    """A polynomial over a random sub-context of SERIES in any order (the
+    empty one included), with exponents in +-40."""
+    names = tuple(draw(st.lists(st.sampled_from(SERIES), unique=True, max_size=4)))
+    exps = st.tuples(*[st.integers(-40, 40)] * len(names))
+    return LaurentPoly(names, draw(st.dictionaries(exps, st.integers(-9, 9), max_size=5)))
+
+
+def renamed_sum(pairs):
+    out = LaurentPoly.zero(SERIES)
+    for a, b in pairs:
+        out = out + a.rename(SERIES) * b.rename(SERIES)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(subcontext_polys(), subcontext_polys()), max_size=4),
+       st.none() | st.tuples(st.sampled_from(SERIES), st.integers(-80, 80)))
+def test_sum_of_products_matches_renamed_products(pairs, bound):
+    if bound is None:
+        assert sum_of_products(SERIES, pairs) == renamed_sum(pairs)
+    else:
+        var, degree = bound
+        assert (sum_of_products(SERIES, pairs, var, degree)
+                == truncate_var(renamed_sum(pairs), var, degree))
+
+
+def test_sum_of_products_of_nothing_or_cancelling_pairs_is_zero():
+    assert sum_of_products(SERIES, []) == LaurentPoly.zero(SERIES)
+    assert sum_of_products(SERIES, [], "x", 3) == LaurentPoly.zero(SERIES)
+    a = LaurentPoly(("b", "q"), {(1, -2): 3, (0, 5): -1})
+    b = one_minus(("x",), x=2)
+    got = sum_of_products(SERIES, [(a, b), (-a, b), (b, a * 2), (a, b * -2)])
+    assert got.is_zero() and got.coeffs == {}
+
+
+def test_sum_of_products_refuses_an_operand_outside_the_context():
+    with pytest.raises(ValueError, match="not in"):
+        sum_of_products(("x", "q"), [(mono(1, x=1), LaurentPoly(("a",), {(1,): 1}))])
+
+
+@pytest.mark.parametrize("bound", [None, ("x", 0)], ids=["unbounded", "bounded"])
+def test_sum_of_products_radix_covers_every_pair(bound):
+    # the second pair's extents (200 in a, 3 in b) far exceed the first's
+    # (1 in each), also after the bound drops its x term: a radix sized
+    # from the first pair alone would alias its keys into other digits
+    one_a = LaurentPoly(("a",), {(0,): 1, (1,): 1})
+    one_b = LaurentPoly(("b",), {(0,): 1, (1,): 1})
+    far = (LaurentPoly(("a", "x"), {(200, 0): 1, (0, 1): -2}), LaurentPoly(("b",), {(-3,): 5}))
+    pairs = [(one_a, one_b), far]
+    want = renamed_sum(pairs)
+    if bound is None:
+        assert sum_of_products(SERIES, pairs) == want
+    else:
+        assert sum_of_products(SERIES, pairs, *bound) == truncate_var(want, *bound)
 
 
 # -- rational functions against sympy ---------------------------------------
