@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from operator import add, itemgetter, mul
-from typing import Mapping
+from typing import Iterable, Mapping
 
 
 class InexactDivision(ValueError):
@@ -349,10 +349,7 @@ class LaurentPoly:
 
 
 def _keyed(p: LaurentPoly, weights: list[int]) -> list[tuple[int, int]]:
-    """(e . weights, c) for each term c X^e of p; two variables unrolled."""
-    if len(weights) == 2:
-        w0, w1 = weights
-        return [(x * w0 + y * w1, c) for (x, y), c in p.coeffs.items()]
+    """(e . weights, c) for each term c X^e of p."""
     return [(sum(map(mul, e, weights)), c) for e, c in p.coeffs.items()]
 
 
@@ -366,10 +363,11 @@ def _cut(p: LaurentPoly, other: LaurentPoly, var: str, degree: int) -> LaurentPo
     return LaurentPoly._of(p.vars, {e: c for e, c in p.coeffs.items() if e[i] <= room})
 
 
-def sum_of_products(vars: tuple[str, ...], pairs, var: str | None = None,
-                    degree: int | None = None) -> LaurentPoly:
-    """The sum of a*b over the (a, b) in ``pairs``, over ``vars``, without
-    its monomials above ``degree`` in ``var`` when ``var`` is given.
+def sum_of_products(vars: tuple[str, ...], pairs: Iterable[tuple[LaurentPoly, LaurentPoly]],
+                    var: str | None = None, degree: int | None = None) -> LaurentPoly:
+    """The sum of a*b over the (a, b) in ``pairs`` (any iterable, read
+    once), over ``vars``, without its monomials above ``degree`` in ``var``
+    when ``var`` is given.
 
     Operands may be over any subsets of ``vars``: keys are linear, so an
     operand is packed by name, key(e) = sum_j e_j*key(unit_j).  A bound
@@ -382,6 +380,7 @@ def sum_of_products(vars: tuple[str, ...], pairs, var: str | None = None,
     >>> sum_of_products(("x", "a"), [(one_minus(("x",), x=1), one_minus(("a",), a=1))]).to_text()
     'x*a - x - a + 1'
     """
+    pairs = list(pairs)
     missing = {name for pair in pairs for p in pair for name in p.vars} - set(vars)
     if missing:
         raise ValueError(f"operand variables {sorted(missing)} are not in {vars}")
