@@ -44,7 +44,6 @@ from .g2chars import (
     dimension,
     spherical,
     sym_series,
-    weight_expansion,
     weyl_character,
 )
 from .rootsys import e8
@@ -80,9 +79,10 @@ REPORT_FIELDS = tuple(f.name for f in fields(CheckReport))
 REGISTRY: dict = {}
 
 # the largest truncation degree a series check accepts, from a manifest
-# param or the fallback alike: end_to_end takes about 6 s and 91 MB peak
-# RSS at D = 16 on a 2-vCPU VM (Python 3.11), and about 13 s and 182 MB at
-# D = 20
+# param or the fallback alike.  check3, the one check that forms the
+# four-variable series, binds it: about 3.0 s and 69 MB peak RSS at D = 16
+# on a 2-vCPU VM (Python 3.11), and about 6.6 s and 131 MB at D = 20;
+# end_to_end, by highest weight, takes about 0.2 s and 21 MB at D = 16
 MAX_SERIES_DEGREE = 16
 
 
@@ -360,7 +360,9 @@ def _closed_forms():
 def _main_identity_series(D):
     """Main identity, series route: the mass-weighted kernel sum equals the
     boundary product times the one-row character series, compared as exact
-    Laurent coefficients in (q, a, b) through x-degree D."""
+    Laurent coefficients in (q, a, b) through x-degree D.  The only check
+    that forms the weight coefficients P(w) and the four-variable series;
+    the other main-identity checks go by highest weight."""
     got, want = zeta._measure_sum(D), zeta.boundary_series(D)
     ok = got == want
     computed = {
@@ -382,24 +384,54 @@ def _main_identity_cases(n_max=6, m_max=4):
     mass-weighted kernel sum of p_lam(w) over w in lam + S0 collapses to the
     boundary product times lam's torus monomial at tau0 for one-row lam and
     to zero otherwise.  Exact rational identity per lam, no truncation.
-    One pass per dominant w in box + S0 files (p_lam(w), its mass-cleared
-    kernel) under each lam of ``weight_expansion(w)`` in the box; every such
-    lam lies in w - S0 (tested), so each lam's sum of products is complete."""
+    The box's sums are ``zeta.highest_weight_sums`` over the dominant w in
+    box + S0; every lam of ``weight_expansion(w)`` lies in w - S0 (tested),
+    so each box lam's sum is complete."""
     box = [Weight(n, m) for n in range(n_max + 1) for m in range(m_max + 1)]
-    pairs = {lam: [] for lam in box}
-    for w in sorted({Weight(lam.n + nu.n, lam.m + nu.m) for lam in box for nu in S0}):
-        if not w.dominant:
-            continue
-        term = zeta._pair_kernel(w.n, w.m) * zeta._q_clear(w).rename(zeta.XQ)
-        for lam, p in weight_expansion(w).items():
-            if lam in pairs:
-                pairs[lam].append((p, term))
+    ws = sorted({Weight(lam.n + nu.n, lam.m + nu.m) for lam in box for nu in S0})
+    sums = zeta.highest_weight_sums([w for w in ws if w.dominant], zeta._q_clear,
+                                    lams=set(box))
     z0q = zeta._factor_product(zeta.Z0_FACTOR_KEYS) * Q.rename(zeta.XQ)
-    failures = [f"{n},{m}" for (n, m), lam_pairs in pairs.items()
-                if sum_of_products(zeta.XQ, lam_pairs)
-                != (z0q * zeta._tau0((n, 0)) if m == 0 else LaurentPoly.zero(zeta.XQ))]
+    zero = LaurentPoly.zero(zeta.XQ)
+    failures = [f"{n},{m}" for n, m in box
+                if sums.get((n, m), zero) != (z0q * zeta._tau0((n, 0)) if m == 0 else zero)]
     return not failures, f"all pairs with n <= {n_max}, m <= {m_max} collapse", {
         "pairs_checked": (n_max + 1) * (m_max + 1), "failures": failures}
+
+
+def _normalized_by_weight(D: int) -> tuple[dict, dict]:
+    """end_to_end's left side by highest weight, for the identity and for
+    its negative control: lam -> the x-series through degree D of S_lam
+    times Z / ((1-xq^7)(1-xq^8)) and the normalizing factor N, where S_lam
+    is ``zeta.highest_weight_sums`` over the pairs with n + 2m <= D.  The
+    control puts the full mass Q on every pair; it differs from the
+    identity's mass only on the edges and the origin, so its series are the
+    identity's plus those of the edge-and-origin correction, weighted by
+    Q - mass.  Z is never expanded: its keys cancel against N's
+    denominator keys."""
+    # every key of Z is a key of N = 1/prod over N_KEYS, since
+    # Z (1-xq^5)(1-xq^6)(1-x^2q^14)(1-x^2q^16)(1-x^3q^21) N = 1 (checked in
+    # zeta.closed_forms), so Z N is 1 over the keys of N that Z lacks
+    den = Counter(zeta.N_KEYS) - Counter(zeta.Z_FACTOR_KEYS) + Counter({(1, 7): 1, (1, 8): 1})
+    q_clear = zeta._q_clear
+    triangle = [Weight(n, m) for n in range(D + 1) for m in range((D - n) // 2 + 1)]
+    sums = zeta.highest_weight_sums(triangle, q_clear, D)
+    correction = zeta.highest_weight_sums([w for w in triangle if not (w.n and w.m)],
+                                          lambda w: Q - q_clear(w), D)
+
+    def normalized(by_lam):
+        return {lam: RatFunc(s, den).truncate("x", D) for lam, s in by_lam.items()}
+
+    lhs, extra = normalized(sums), normalized(correction)
+    zero = LaurentPoly.zero(zeta.XQ)
+    return lhs, {lam: lhs.get(lam, zero) + extra.get(lam, zero)
+                 for lam in lhs.keys() | extra.keys()}
+
+
+def _by_weight_series(by_lam: dict) -> LaurentPoly:
+    """sum_lam chi_lam times lam's (x, q) series, in (x, q, a, b)."""
+    return sum_of_products(zeta.SERIES_VARS, [(weyl_character(lam), s)
+                                              for lam, s in by_lam.items()])
 
 
 @check("zeta.end_to_end", "normalized-integral-vs-l-series",
@@ -408,26 +440,26 @@ def _end_to_end(D):
     """Normalized-integral identity: the mass-weighted kernel sum times
     Z / ((1-xq^7)(1-xq^8)) and the normalizing factor N equals the
     two-variable L-series with its quadratic factor, as truncated x-series;
-    and the mass perturbation breaks it.  Z is never expanded: its keys
-    cancel against N's denominator keys."""
-    sv = zeta.SERIES_VARS
-    # every key of Z is a key of N = 1/prod over N_KEYS, since
-    # Z (1-xq^5)(1-xq^6)(1-x^2q^14)(1-x^2q^16)(1-x^3q^21) N = 1 (checked in
-    # zeta.closed_forms), so Z N is 1 over the keys of N that Z lacks
-    keys = Counter(zeta.N_KEYS) - Counter(zeta.Z_FACTOR_KEYS) + Counter({(1, 7): 1, (1, 8): 1})
-    den = {(k, j, 0, 0): mult for (k, j), mult in keys.items()}
+    and the mass perturbation breaks it.  Both sides are compared by
+    highest weight (``_normalized_by_weight``): the right side's lam = (r, 0)
+    series is Q tau0^lam / (1 - x^2q^16) for r <= D, and zero for every
+    other lam.  Only a failing identity forms the four-variable series, to
+    locate the first difference."""
+    lhs, control = _normalized_by_weight(D)
+    rhs = {Weight(r, 0): RatFunc(Q.rename(zeta.XQ) * zeta._tau0((r, 0)),
+                                 {(2, 16): 1}).truncate("x", D) for r in range(D + 1)}
+    zero = LaurentPoly.zero(zeta.XQ)
 
-    def normalized(perturb_mass):
-        return RatFunc(zeta._measure_sum(D, perturb_mass), den).truncate("x", D)
+    def agrees(by_lam):
+        return all(by_lam.get(lam, zero) == rhs.get(lam, zero)
+                   for lam in by_lam.keys() | rhs.keys())
 
-    lhs = normalized(False)
-    rhs = RatFunc(Q.rename(sv) * zeta._char_series(D),
-                  {(2, 16, 0, 0): 1}).truncate("x", D)
-    identity_ok = lhs == rhs
-    control_ok = normalized(True) != rhs
+    identity_ok = agrees(lhs)
+    control_ok = not agrees(control)
     computed = {"identity": identity_ok, "negative_control_differs": control_ok}
     if not identity_ok:
-        computed["first_difference"] = _first_difference(lhs, rhs)
+        computed["first_difference"] = _first_difference(_by_weight_series(lhs),
+                                                         _by_weight_series(rhs))
     return identity_ok and control_ok, {
         "identity": "truncated series agree", "negative_control": "perturbed mass differs",
     }, computed

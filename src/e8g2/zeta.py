@@ -21,11 +21,13 @@ Everything here is exact arithmetic over the two-variable Laurent ring in
   reconstructs the frozen four-variable closed form;
 * the closed form of the local integral (``closed_I``) in its three
   valuation cases, each equal to Z*I0/((1-xq^7)(1-xq^8));
-* the mass-weighted kernel sum (``_measure_sum``), which weights each
-  valuation pair by its G2 weight coefficient (``_p_char``, the cached
-  ``g2chars.weight_coefficient``) in one ``symra.sum_of_products`` call,
-  and the boundary series (``boundary_series``) that the series
-  identities in ``e8g2.checks`` compare.
+* the mass-weighted kernel sum in two forms: as one four-variable series
+  (``_measure_sum``), which weights each valuation pair by its G2 weight
+  coefficient (``_p_char``, the cached ``g2chars.weight_coefficient``) in
+  one ``symra.sum_of_products`` call, and by highest weight
+  (``highest_weight_sums``), one (x, q) sum per lam with no weight
+  coefficient formed; and the boundary series (``boundary_series``) that
+  the series route of ``e8g2.checks`` compares.
 
 Every fixed factor (the kernel factors F, G, H and the frozen closed form
 with its T0 application) is one value built at import; the three blocks
@@ -48,6 +50,7 @@ from .g2chars import (
     Q_VARS,
     Weight,
     weight_coefficient,
+    weight_expansion,
     weyl_character,
 )
 from .rootsys import e8
@@ -609,8 +612,9 @@ def _q_clear(w) -> LaurentPoly:
     return Q
 
 
-# every series sum (check3, then end_to_end's identity and its negative
-# control) reads the same valuation pairs' coefficients, so they are cached
+# the weight coefficients of check3's series route, cached, so that runs
+# at several degrees in one process form each pair's coefficient once;
+# end_to_end and sum_cases go by highest weight and form none
 _p_char = lru_cache(maxsize=4096)(weight_coefficient)
 
 
@@ -623,17 +627,39 @@ def _pair_kernel(n: int, m: int) -> LaurentPoly:
     return _i0_poly(n, m) * _tau0((n, m))
 
 
-def _measure_sum(D: int, perturb_mass: bool = False) -> LaurentPoly:
+def _measure_sum(D: int) -> LaurentPoly:
     """Mass-cleared kernel sum over valuation pairs with n + 2m <= D, as a
-    Laurent polynomial in (x, q, a, b) truncated at x-degree D.  With
-    perturb_mass the per-coset mass constants are all replaced by 1 (the
-    negative control).  Each pair's shifted kernel times its mass-clearing
-    polynomial (at most 12 * 7 terms in (x, q)) is formed first; the sum of
-    those times the weight coefficients is one ``sum_of_products``.
+    Laurent polynomial in (x, q, a, b) truncated at x-degree D.  Each pair's
+    shifted kernel times its mass-clearing polynomial (at most 12 * 7 terms
+    in (x, q)) is formed first; the sum of those times the weight
+    coefficients is one ``sum_of_products``.
     """
     return sum_of_products(SERIES_VARS, [
-        (_pair_kernel(n, m) * (Q if perturb_mass else _q_clear((n, m))).rename(XQ), _p_char((n, m)))
+        (_pair_kernel(n, m) * _q_clear((n, m)).rename(XQ), _p_char((n, m)))
         for n in range(D + 1) for m in range((D - n) // 2 + 1)], "x", D)
+
+
+def highest_weight_sums(ws, mass, D: int | None = None,
+                        lams=None) -> dict[Weight, LaurentPoly]:
+    """The mass-weighted kernel sum by highest weight: lam -> S_lam, the
+    sum of p_lam(w) K(w) mass(w) over the dominant w in ws, in (x, q) and
+    without the monomials above x-degree D when D is given; only for the
+    lam in ``lams`` when that is given.  K(w) is ``_pair_kernel``, mass(w)
+    a polynomial in q, and p_lam(w) comes from ``weight_expansion``.
+
+    Since P(w) = sum_lam p_lam(w) chi_lam, the four-variable sum of
+    K(w) mass(w) P(w) is sum_lam chi_lam S_lam, and characters are linearly
+    independent, so an identity between such sums holds iff it holds for
+    every lam.  Each w's kernel times its mass is formed once; each lam's
+    sum is one ``sum_of_products``."""
+    pairs: dict[Weight, list[tuple[LaurentPoly, LaurentPoly]]] = {}
+    for w in ws:
+        term = _pair_kernel(*w) * mass(w).rename(XQ)
+        for lam, p in weight_expansion(w).items():
+            if lams is None or lam in lams:
+                pairs.setdefault(lam, []).append((p, term))
+    bound = () if D is None else ("x", D)
+    return {lam: sum_of_products(XQ, lam_pairs, *bound) for lam, lam_pairs in pairs.items()}
 
 
 def _char_series(D: int) -> LaurentPoly:

@@ -17,6 +17,10 @@ does not take, so that agreement is evidence rather than repetition:
   for ``weight_expansion``'s straightening;
 * ``truncate_var`` -- truncation after a full product, the reference for
   ``mul_trunc`` and the series routes;
+* ``measure_sum_by_products``, ``normalized_series`` -- the main identity's
+  measure sum by plain products of full weight coefficients, and
+  ``end_to_end``'s left side as one four-variable series, the references
+  for ``_measure_sum`` and for ``end_to_end``'s sums by highest weight;
 * ``evaluate`` -- exact evaluation of a Laurent polynomial or rational
   function at a rational point;
 * ``j_oracle_by_terms`` -- the summation oracle added term by term, one
@@ -32,12 +36,13 @@ does not take, so that agreement is evidence rather than repetition:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from e8g2.cheval import _constants_key
-from e8g2.g2chars import Q_VARS, RHO, S0, Weight, weyl_character, weyl_images
+from e8g2.g2chars import FULL_VARS, Q, Q_VARS, RHO, S0, Weight, weyl_character, weyl_images
 from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.weyl import WeylElt
-from e8g2.zeta import XQ, j_case2
+from e8g2.zeta import SERIES_VARS, XQ, _i0_poly, _p_char, _q_clear, j_case2
 
 
 def group_order(rs, J=None) -> int:
@@ -250,6 +255,41 @@ def evaluate(f: LaurentPoly | RatFunc, point: dict) -> Fraction:
             t *= x ** p
         total += t
     return total
+
+
+# -- the series route of the main identity -----------------------------------
+
+
+@lru_cache(maxsize=None)
+def measure_sum_by_products(D: int, perturb_mass: bool = False) -> LaurentPoly:
+    """The mass-cleared kernel sum over the pairs with n + 2m <= D, untruncated
+    in (x, q, a, b): every pair's full weight coefficient times its mass times
+    I0(n, m) x^{n+2m} q^{8n+15m}, by plain products.  With perturb_mass every
+    pair's mass is Q, as in the negative controls.  Cached, since several
+    tests compare against the same degrees."""
+    sv = SERIES_VARS
+    acc = LaurentPoly.zero(sv)
+    for n in range(D + 1):
+        for m in range((D - n) // 2 + 1):
+            mass = Q if perturb_mass else _q_clear((n, m))
+            coeff = (_p_char((n, m)) * mass.rename(FULL_VARS)).rename(sv)
+            term = coeff * _i0_poly(n, m).rename(sv)
+            acc = acc + term * LaurentPoly.monomial(sv, 1, x=n + 2 * m, q=8 * n + 15 * m)
+    return acc
+
+
+# the denominator keys end_to_end's left side keeps once Z cancels against
+# the normalizing factor, with 1/((1-xq^7)(1-xq^8)), in (x, q, a, b)
+NORMALIZED_KEYS = {(k, j, 0, 0): 1
+                   for k, j in ((1, 5), (1, 6), (1, 7), (1, 8), (2, 14), (2, 16), (3, 21))}
+
+
+def normalized_series(D: int, perturb_mass: bool = False) -> LaurentPoly:
+    """end_to_end's left side as one four-variable x-series through degree
+    D: the truncated measure sum over the kept keys, with no split by
+    highest weight."""
+    return RatFunc(truncate_var(measure_sum_by_products(D, perturb_mass), "x", D),
+                   NORMALIZED_KEYS).truncate("x", D)
 
 
 # -- the finite summation family ---------------------------------------------

@@ -11,13 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e8g2 import zeta as z
-from e8g2.checks import MAX_SERIES_DEGREE, REPORT_FIELDS, _first_difference
+from e8g2.checks import (
+    MAX_SERIES_DEGREE,
+    REPORT_FIELDS,
+    _by_weight_series,
+    _first_difference,
+    _normalized_by_weight,
+)
 from e8g2.cli import Manifest, ManifestEntry, RunConfig, UsageError, run
-from e8g2.g2chars import FULL_VARS, Q, S0, Weight, _pairing_with_double_rho, weight_expansion
+from e8g2.g2chars import Q, S0, Weight, _pairing_with_double_rho, weight_expansion
 from e8g2.rootsys import e8
 from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.zeta import XQ, SingularShift, XPoly
-from oracles import j_oracle_by_terms, truncate_var
+from oracles import j_oracle_by_terms, measure_sum_by_products, normalized_series, truncate_var
 
 OM = z._om
 MONO = z._mono
@@ -455,20 +461,6 @@ class TestWeightCoefficients:
 PERTURBED_D4_DIFFERENCE = {"x_degree": 0, "monomial": "q^-1", "computed": 4, "expected": 2}
 
 
-def full_product_measure_sum(D, perturb_mass=False):
-    """The former series route, kept as a reference: every pair's full
-    product coefficient * I0(n, m) * x^{n+2m} q^{8n+15m}, summed untruncated."""
-    acc = LaurentPoly.zero(z.SERIES_VARS)
-    for n in range(D + 1):
-        for m in range((D - n) // 2 + 1):
-            clear = Q if perturb_mass else z._q_clear((n, m))
-            coeff = (z._p_char((n, m)) * clear.rename(FULL_VARS)).rename(z.SERIES_VARS)
-            term = coeff * z._i0_poly(n, m).rename(z.SERIES_VARS)
-            acc = acc + term * LaurentPoly.monomial(
-                z.SERIES_VARS, 1, x=n + 2 * m, q=8 * n + 15 * m)
-    return acc
-
-
 class TestTruncationFirst:
     @pytest.mark.parametrize("D", range(1, 6))
     def test_matches_full_product_route(self, D):
@@ -476,14 +468,11 @@ class TestTruncationFirst:
         # Z times the normalizing factor and 1/((1-xq^7)(1-xq^8)), by all
         # of its keys, against the keys zeta.end_to_end keeps once Z cancels
         every_key = {(k, j, 0, 0): 1 for k, j in z.N_KEYS + ((1, 7), (1, 8))}
-        kept = {(k, j, 0, 0): 1
-                for k, j in ((1, 5), (1, 6), (1, 7), (1, 8), (2, 14), (2, 16), (3, 21))}
+        assert z._measure_sum(D) == truncate_var(measure_sum_by_products(D), "x", D)
         for perturb_mass in (False, True):
-            full = full_product_measure_sum(D, perturb_mass)
-            got = z._measure_sum(D, perturb_mass)
-            assert got == truncate_var(full, "x", D)
+            full = measure_sum_by_products(D, perturb_mass)
             assert (RatFunc(z4 * full, every_key).truncate("x", D)
-                    == RatFunc(got, kept).truncate("x", D))
+                    == normalized_series(D, perturb_mass))
 
     def test_no_factor_has_negative_x_degree(self):
         # truncating a factor before multiplying is exact only because the
@@ -502,18 +491,17 @@ class TestSeriesChecks:
         assert rep.truncation == 4
 
     def test_main_identity_series_negative_control(self):
-        # with every per-coset mass constant replaced by 1, the identity that
-        # zeta.check3 verifies fails, first at x^0: the (0, 0) pair's mass
-        # is no longer cleared
-        perturbed = z._measure_sum(4, perturb_mass=True)
+        # with the full mass Q on every pair, the identity that zeta.check3
+        # verifies fails, first at x^0: the (0, 0) pair's mass is no longer
+        # cleared
+        perturbed = truncate_var(measure_sum_by_products(4, perturb_mass=True), "x", 4)
         want = z.boundary_series(4)
         assert perturbed != want
         assert _first_difference(perturbed, want) == PERTURBED_D4_DIFFERENCE
 
     def test_failing_series_checks_locate_the_difference(self, monkeypatch):
-        measure_sum = z._measure_sum
-        monkeypatch.setattr(z, "_measure_sum",
-                            lambda D, perturb_mass=False: measure_sum(D, True))
+        # the full mass Q on every pair, on both routes
+        monkeypatch.setattr(z, "_q_clear", lambda w: Q)
         rep = run_check("zeta.check3", D=4)
         assert rep.status == "fail"
         assert rep.computed == {"equal": False, "pairs_summed": 9,
@@ -540,6 +528,39 @@ class TestSeriesChecks:
         assert rep.status == "pass"
         assert rep.computed == {"identity": True, "negative_control_differs": True}
         assert rep.truncation == 3
+
+    @pytest.mark.parametrize("D", range(1, 7))
+    def test_by_weight_matches_four_variable_series(self, D):
+        # sum_lam chi_lam times lam's series is the four-variable left side,
+        # for the identity's masses and for the control's
+        identity, control = _normalized_by_weight(D)
+        assert _by_weight_series(identity) == normalized_series(D)
+        assert _by_weight_series(control) == normalized_series(D, perturb_mass=True)
+
+    def test_end_to_end_control_needs_the_correction(self, monkeypatch):
+        # with the control's edge-and-origin correction dropped, the
+        # control's sums are the identity's and no longer differ
+        sums = z.highest_weight_sums
+        monkeypatch.setattr(z, "highest_weight_sums", lambda ws, mass, D=None:
+                            sums(ws, mass, D) if mass is z._q_clear else {})
+        rep = run_check("zeta.end_to_end", D=4)
+        assert rep.status == "fail"
+        assert rep.computed == {"identity": True, "negative_control_differs": False}
+
+    def test_end_to_end_forms_no_weight_coefficient(self, monkeypatch):
+        def no_coefficient(w):
+            raise AssertionError("weight coefficient formed")
+
+        monkeypatch.setattr(z, "_p_char", no_coefficient)
+        assert run_check("zeta.end_to_end", D=4).status == "pass"
+
+    def test_series_sequence_forms_check3_coefficients_once(self):
+        # the benchmark's series op: end_to_end at D = 8 adds no weight
+        # coefficient to the 36 that check3 forms at D = 10
+        z._p_char.cache_clear()
+        assert run_check("zeta.check3", D=10).status == "pass"
+        assert run_check("zeta.end_to_end", D=8).status == "pass"
+        assert z._p_char.cache_info().misses == 36
 
     def test_end_to_end_negative_control_on_z(self, monkeypatch):
         # end_to_end cancels Z against the normalizing factor by their keys;
