@@ -41,13 +41,14 @@ from .g2chars import (
     S0,
     Weight,
     _pairing_with_double_rho,
+    character_sum,
     dimension,
     spherical,
     sym_series,
     weyl_character,
 )
 from .rootsys import e8
-from .symra import LaurentPoly, RatFunc, sum_of_products
+from .symra import LaurentPoly, RatFunc
 from .weyl import (
     M2_INDICES,
     classify_survivors,
@@ -301,7 +302,7 @@ def _closed_forms():
         for B in range(6) for C in range(B, 6))
     t0_ok = zeta.t_operators("T0", frozen) == zeta._FROZEN_T0_CJ0
 
-    z = zeta._factor_product(zeta.Z_FACTOR_KEYS)
+    z = zeta._Z
 
     def direct(n, m):
         return RatFunc(z * zeta._i0_poly(n, m), {(1, 7): 1, (1, 8): 1})
@@ -391,8 +392,7 @@ def _main_identity_cases(n_max=6, m_max=4):
     ws = sorted({Weight(lam.n + nu.n, lam.m + nu.m) for lam in box for nu in S0})
     sums = zeta.highest_weight_sums([w for w in ws if w.dominant], zeta._q_clear,
                                     lams=set(box))
-    z0q = zeta._factor_product(zeta.Z0_FACTOR_KEYS) * Q.rename(zeta.XQ)
-    zero = LaurentPoly.zero(zeta.XQ)
+    z0q, zero = zeta._Z0Q, LaurentPoly.zero(zeta.XQ)
     failures = [f"{n},{m}" for n, m in box
                 if sums.get((n, m), zero) != (z0q * zeta._tau0((n, 0)) if m == 0 else zero)]
     return not failures, f"all pairs with n <= {n_max}, m <= {m_max} collapse", {
@@ -428,12 +428,6 @@ def _normalized_by_weight(D: int) -> tuple[dict, dict]:
                  for lam in lhs.keys() | extra.keys()}
 
 
-def _by_weight_series(by_lam: dict) -> LaurentPoly:
-    """sum_lam chi_lam times lam's (x, q) series, in (x, q, a, b)."""
-    return sum_of_products(zeta.SERIES_VARS, [(weyl_character(lam), s)
-                                              for lam, s in by_lam.items()])
-
-
 @check("zeta.end_to_end", "normalized-integral-vs-l-series",
        params={"D": (1, MAX_SERIES_DEGREE)})
 def _end_to_end(D):
@@ -458,8 +452,8 @@ def _end_to_end(D):
     control_ok = not agrees(control)
     computed = {"identity": identity_ok, "negative_control_differs": control_ok}
     if not identity_ok:
-        computed["first_difference"] = _first_difference(_by_weight_series(lhs),
-                                                         _by_weight_series(rhs))
+        computed["first_difference"] = _first_difference(
+            character_sum(zeta.SERIES_VARS, lhs), character_sum(zeta.SERIES_VARS, rhs))
     return identity_ok and control_ok, {
         "identity": "truncated series agree", "negative_control": "perturbed mass differs",
     }, computed

@@ -16,9 +16,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 from .checks import DEFAULT_ENTRIES, MAX_SERIES_DEGREE, REGISTRY, CheckReport
 from .rootsys import e8 as _e8
@@ -144,7 +142,11 @@ def run(manifest: Manifest, config: RunConfig) -> tuple[int, list[CheckReport]]:
     if config.parallelism > 1 and len(manifest.entries) > 1:
         # forked workers inherit REGISTRY as it stands in this process,
         # entries registered or patched after import included; a spawned
-        # or forkserver worker would re-import checks and miss them
+        # or forkserver worker would re-import checks and miss them.  The
+        # pool is imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         fork = get_context("fork")
         with ProcessPoolExecutor(max_workers=config.parallelism, mp_context=fork) as pool:
             futures = [pool.submit(_run_entry, e.id, e.params, config)

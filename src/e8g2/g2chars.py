@@ -23,8 +23,10 @@ sum_nu P_nu tau^-nu, and A(rho) P(w) = sum_nu P_nu A(w + rho - nu).
 to a wall, where A vanishes, or to lam + rho with lam dominant, where
 A(w + rho - nu) = sign(u) A(lam + rho) and A(lam + rho) / A(rho) = chi_lam.
 So P(w) = sum_lam p_lam(w) chi_lam, the p_lam(w) collected by
-``weight_expansion``, and ``weight_coefficient`` is that sum of products,
-one ``symra.sum_of_products`` call over (q, a, b).
+``weight_expansion``.  ``character_sum`` forms any such sum
+sum_lam chi_lam c_lam as one ``symra.sum_of_products`` call:
+``weight_coefficient`` in (q, a, b), and the four-variable series of
+``e8g2.zeta`` and ``e8g2.checks`` from their (x, q) coefficients per lam.
 """
 
 from __future__ import annotations
@@ -205,13 +207,19 @@ def weight_expansion(w) -> dict[Weight, LaurentPoly]:
     return {lam: p for lam, p in out.items() if p}
 
 
+def character_sum(vars: tuple[str, ...], by_lam) -> LaurentPoly:
+    """sum_lam chi_lam c_lam over the (lam, c_lam) of ``by_lam``, over
+    ``vars``, which hold a and b and every variable of each c_lam; one
+    ``sum_of_products`` over the pairs (chi_lam, c_lam)."""
+    return sum_of_products(vars, [(weyl_character(lam), c) for lam, c in by_lam.items()])
+
+
 def weight_coefficient(w) -> LaurentPoly:
     """The weight coefficient P(w) = sum_lam p_lam(w) chi_lam over
     ``weight_expansion(w)``: Macdonald's sum_nu P_nu A(w + rho - nu) / A(rho)
     in irreducible characters, with no division by A(rho).  Exact in
-    (q, a, b), as one ``sum_of_products`` over the pairs (p_lam(w), chi_lam)."""
-    return sum_of_products(FULL_VARS, [(p, weyl_character(lam))
-                                       for lam, p in weight_expansion(w).items()])
+    (q, a, b), as one ``character_sum``."""
+    return character_sum(FULL_VARS, weight_expansion(w))
 
 
 # -- measure constants ---------------------------------------------------

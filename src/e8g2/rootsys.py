@@ -29,9 +29,6 @@ G2_CARTAN = [
     [-1, 2],
 ]
 
-A1_CARTAN = [[2]]
-A2_CARTAN = [[2, -1], [-1, 2]]
-
 Root = tuple  # integer coefficient vector over simple roots
 
 # reflection-closure bound: E8, the largest finite type built here, has 240

@@ -23,8 +23,9 @@ tuple into one integer inside, in a format private to this module
 (``_Packing``), so a monomial product is one integer add and a degree bound
 one comparison; each unpacks once, on return.  ``sum_of_products`` is the
 one packed accumulator: ``mul_trunc`` is its one-pair case, and every
-series sum elsewhere is one call to it.  ``divexact`` and
-``RatFunc.truncate`` are the other packed kernels.
+series sum elsewhere is one call to it.  A degree bound cuts its operands
+before they multiply and drops the rest on unpack, with no sorting.
+``divexact`` and ``RatFunc.truncate`` are the other packed kernels.
 
 >>> x_q = ("x", "q")
 >>> f = LaurentPoly.monomial(x_q, 1) - LaurentPoly.monomial(x_q, 1, x=1, q=7)
@@ -35,7 +36,6 @@ series sum elsewhere is one call to it.  ``divexact`` and
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from operator import add, itemgetter, mul
 from typing import Iterable, Mapping
 
@@ -371,11 +371,12 @@ def sum_of_products(vars: tuple[str, ...], pairs: Iterable[tuple[LaurentPoly, La
 
     Operands may be over any subsets of ``vars``: keys are linear, so an
     operand is packed by name, key(e) = sum_j e_j*key(unit_j).  A bound
-    first cuts the terms that cannot reach below it; the radix covers the
-    largest ext(a) + ext(b).  The larger operand of a pair is packed once,
-    and each term of the smaller adds a shifted, scaled copy of it into one
-    accumulator.  Only a shift that crosses the bound sorts the packed
-    operand (once) and cuts the copy by ``bisect``.
+    first cuts each operand against its partner's lowest degree; the radix
+    covers the largest ext(a) + ext(b).  The larger operand of a pair is
+    packed once, and each term of the smaller adds a shifted, scaled copy
+    of it into one accumulator.  Whatever is still above the bound is
+    dropped once, on unpack; a partner free of ``var``, or a monomial,
+    leaves nothing there.
 
     >>> sum_of_products(("x", "a"), [(one_minus(("x",), x=1), one_minus(("a",), a=1))]).to_text()
     'x*a - x - a + 1'
@@ -392,24 +393,18 @@ def sum_of_products(vars: tuple[str, ...], pairs: Iterable[tuple[LaurentPoly, La
     pk = _Packing(vars, vars[0] if var is None else var, bounds)
     unit = {name: pk.key(tuple(int(i == j) for i in range(len(vars)))) for j, name in enumerate(vars)}
     weights = {p.vars: [unit[name] for name in p.vars] for pair in pairs for p in pair}
-    limit = None if var is None else pk.limit(degree)
     acc: dict[int, int] = {}
     get = acc.get
     for big, small in pairs:
         packed = _keyed(big, weights[big.vars])
-        hi = None if limit is None else max(packed, default=(0,))[0]
-        keys = None  # packed's keys, ascending, once some shift crosses the bound
         for shift, c in _keyed(small, weights[small.vars]):
-            terms = packed
-            if limit is not None and hi > limit - shift:
-                if keys is None:
-                    packed.sort()
-                    keys = [k for k, _ in packed]
-                terms = packed[:bisect_right(keys, limit - shift)]
-            for k, v in terms:
+            for k, v in packed:
                 k += shift
                 acc[k] = get(k, 0) + c * v
-    return pk.unpack(acc.items())
+    if var is None:
+        return pk.unpack(acc.items())
+    limit = pk.limit(degree)
+    return pk.unpack((k, c) for k, c in acc.items() if k <= limit)
 
 
 def _times_binomials(p: LaurentPoly, factors: Mapping[tuple[int, ...], int]) -> LaurentPoly:

@@ -27,9 +27,12 @@ Everything here is exact arithmetic over the two-variable Laurent ring in
   one ``symra.sum_of_products`` call, and by highest weight
   (``highest_weight_sums``), one (x, q) sum per lam with no weight
   coefficient formed; and the boundary series (``boundary_series``) that
-  the series route of ``e8g2.checks`` compares.
+  the series route of ``e8g2.checks`` compares, by highest weight too:
+  the one-row characters times the (x, q) boundary product z0 Q at tau0,
+  in one ``g2chars.character_sum``.
 
-Every fixed factor (the kernel factors F, G, H and the frozen closed form
+Every fixed factor (the correction polynomial Z, the boundary product
+times the mass z0 Q, the kernel factors F, G, H and the frozen closed form
 with its T0 application) is one value built at import; the three blocks
 are declared by their keys.  A known product of binomials 1 - x^k q^j is
 applied through its keys: as shift passes (``symra._times_binomials``)
@@ -49,9 +52,9 @@ from .g2chars import (
     Q,
     Q_VARS,
     Weight,
+    character_sum,
     weight_coefficient,
     weight_expansion,
-    weyl_character,
 )
 from .rootsys import e8
 from .symra import LaurentPoly, RatFunc, _times_binomials, one_minus, sum_of_products
@@ -383,7 +386,10 @@ def _factor_product(keys) -> LaurentPoly:
     return _times_binomials(_ONE, Counter(keys))
 
 
-# the fixed factors (F, G, H) of every kernel polynomial I0(n, m)
+# the correction polynomial Z, the boundary product z0 times the mass Q,
+# and the fixed factors (F, G, H) of every kernel polynomial I0(n, m)
+_Z = _factor_product(Z_FACTOR_KEYS)
+_Z0Q = _factor_product(Z0_FACTOR_KEYS) * Q.rename(XQ)
 _I0_FACTORS = tuple(_factor_product(keys) for keys in (
     ((1, 6), (3, 21)), ((1, 5), (1, 6)), ((1, 5), (1, 8))))
 
@@ -424,7 +430,7 @@ def named(identifier: str, **params: int) -> NamedPoly:
     four-variable closed form, substituted when both valuation parameters
     B and C are given."""
     if identifier == "Z":
-        value: object = _factor_product(Z_FACTOR_KEYS)
+        value: object = _Z
     elif identifier == "I0":
         n, m = params["n"], params["m"]
         if n < 0 or m < 0:
@@ -662,15 +668,11 @@ def highest_weight_sums(ws, mass, D: int | None = None,
     return {lam: sum_of_products(XQ, lam_pairs, *bound) for lam, lam_pairs in pairs.items()}
 
 
-def _char_series(D: int) -> LaurentPoly:
-    """The sum of chi_(r,0) times its torus monomial at tau0 over r <= D."""
-    return sum_of_products(SERIES_VARS, [(weyl_character(Weight(r, 0)), _tau0((r, 0)))
-                                         for r in range(D + 1)])
-
-
 def boundary_series(D: int) -> LaurentPoly:
     """Right-hand side of the main series identity through x-degree D: the
     boundary product times the identity-coset mass times the one-row
-    character series."""
-    return (_factor_product(Z0_FACTOR_KEYS).rename(SERIES_VARS)
-            * Q.rename(SERIES_VARS)).mul_trunc(_char_series(D), "x", D)
+    character series, by highest weight.  It is the sum of chi_(r,0) times
+    z0 Q tau0^(r,0) over r <= D, each (x, q) factor cut at D against its
+    monomial before the character, which is free of x, multiplies in."""
+    return character_sum(SERIES_VARS, {
+        Weight(r, 0): _Z0Q.mul_trunc(_tau0((r, 0)), "x", D) for r in range(D + 1)})

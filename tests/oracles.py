@@ -21,6 +21,10 @@ does not take, so that agreement is evidence rather than repetition:
   measure sum by plain products of full weight coefficients, and
   ``end_to_end``'s left side as one four-variable series, the references
   for ``_measure_sum`` and for ``end_to_end``'s sums by highest weight;
+* ``boundary_series_by_product`` -- the main identity's right side as the
+  four-variable boundary product times the whole one-row character series,
+  truncated after the product, the reference for ``boundary_series``'s
+  sum by highest weight;
 * ``evaluate`` -- exact evaluation of a Laurent polynomial or rational
   function at a rational point;
 * ``j_oracle_by_terms`` -- the summation oracle added term by term, one
@@ -42,7 +46,15 @@ from e8g2.cheval import _constants_key
 from e8g2.g2chars import FULL_VARS, Q, Q_VARS, RHO, S0, Weight, weyl_character, weyl_images
 from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.weyl import WeylElt
-from e8g2.zeta import SERIES_VARS, XQ, _i0_poly, _p_char, _q_clear, j_case2
+from e8g2.zeta import (
+    SERIES_VARS,
+    XQ,
+    Z0_FACTOR_KEYS,
+    _i0_poly,
+    _p_char,
+    _q_clear,
+    j_case2,
+)
 
 
 def group_order(rs, J=None) -> int:
@@ -290,6 +302,21 @@ def normalized_series(D: int, perturb_mass: bool = False) -> LaurentPoly:
     highest weight."""
     return RatFunc(truncate_var(measure_sum_by_products(D, perturb_mass), "x", D),
                    NORMALIZED_KEYS).truncate("x", D)
+
+
+def boundary_series_by_product(D: int) -> LaurentPoly:
+    """The boundary product z0, times the mass Q, both renamed into
+    (x, q, a, b), times the sum of chi_(r,0) x^r q^(8r) over r <= D, by
+    plain products, then cut at x-degree D."""
+    sv = SERIES_VARS
+    z0q = Q.rename(sv)
+    for k, j in Z0_FACTOR_KEYS:
+        z0q = z0q * (LaurentPoly.const(sv, 1) - LaurentPoly.monomial(sv, 1, x=k, q=j))
+    chars = LaurentPoly.zero(sv)
+    for r in range(D + 1):
+        chars = chars + (weyl_character(Weight(r, 0)).rename(sv)
+                         * LaurentPoly.monomial(sv, 1, x=r, q=8 * r))
+    return truncate_var(z0q * chars, "x", D)
 
 
 # -- the finite summation family ---------------------------------------------

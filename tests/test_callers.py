@@ -1,10 +1,10 @@
 """Every def and class in src/e8g2 is reached from the program: a stdlib-ast
 scan of the names the package defines against the names src/ and bench/
-read.  A reference is a bare name, an attribute name or a string constant
-(``bench/spans.py`` names the methods it wraps as strings).  Dunder methods
-and ``@check`` bodies, which the registry reaches, are exempt, and so are
-the few definitions in ``TEST_ONLY``.  A helper only tests call belongs in
-``tests/oracles.py`` or nowhere.
+read.  A reference is a bare name that is read (Load context), an attribute
+name or a string constant (``bench/spans.py`` names the methods it wraps as
+strings).  Dunder methods and ``@check`` bodies, which the registry
+reaches, are exempt, and so are the few definitions in ``TEST_ONLY``.  A
+helper only tests call belongs in ``tests/oracles.py`` or nowhere.
 
 A second scan asks the same of each defaulted parameter: some call in src/
 or bench/ sets it, by keyword or by position.  Otherwise its default is the
@@ -19,7 +19,11 @@ nothing reads is carried for no one and should go.
 
 A fourth keeps the packed-key format private to ``symra``: no other module
 in src/e8g2 names ``_Packing`` or ``_extent``; they reach it through
-``symra.sum_of_products``."""
+``symra.sum_of_products``.
+
+A fifth asks the first scan's question of each name a module-level
+assignment in src/e8g2 binds: src/ or bench/ references it.  Dunders such
+as ``__version__`` are exempt, and ``TEST_ONLY`` covers both scans."""
 
 import ast
 from pathlib import Path
@@ -32,6 +36,7 @@ PROGRAM = sorted(p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py"))
 TEST_ONLY = (
     ("conjugate", "pins how the conjugating words move radical factors"),
     ("restrict_root", "ties G2 to E8: the 240 roots restrict to G2's roots"),
+    ("DEFAULT_EMBEDDING", "ties G2 to E8: the 240 roots restrict to G2's roots"),
 )
 
 # defaulted parameters that only tests set, each a seam for a test fake
@@ -53,9 +58,10 @@ def definitions(source: str) -> list[tuple[str, int]]:
 
 
 def references(source: str) -> set[str]:
+    """The Load-context names, attribute names and string constants."""
     out = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -83,11 +89,56 @@ def test_scan_flags_an_uncalled_def():
 
 def test_every_definition_has_a_caller():
     package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
-    rows = uncalled(package, [p.read_text() for p in PROGRAM])
+    program = [p.read_text() for p in PROGRAM]
+    rows = uncalled(package, program)
     exempt = {name for name, _ in TEST_ONLY}
     assert [row for row in rows if row.split()[-1] not in exempt] == []
-    # and each exemption is still needed
-    assert {row.split()[-1] for row in rows} == exempt
+    # and each exemption is still needed, by this scan or the module-name one
+    flagged = rows + unread_names(package, program)
+    assert {row.split()[-1] for row in flagged} == exempt
+
+
+def module_names(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each name a module-level assignment binds, tuple
+    targets unpacked, apart from dunders."""
+    out = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        out += [(n.id, n.lineno) for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)
+                and not (n.id.startswith("__") and n.id.endswith("__"))]
+    return out
+
+
+def unread_names(package: dict[str, str], program: list[str]) -> list[str]:
+    """``path:line name`` of each module-level name in ``package`` that no
+    source in ``program`` reads."""
+    seen = set().union(*(references(src) for src in program))
+    return sorted(f"{path}:{line} {name}" for path, src in package.items()
+                  for name, line in module_names(src) if name not in seen)
+
+
+def test_scan_flags_an_unread_module_name():
+    src = ("__version__ = '1'\nUSED = 1\nUNUSED, STORED = 2, 3\nNOTED: int = 4\n"
+           "BY_ATTR = BY_STRING = 5\n\n\ndef f():\n    local = USED\n    return local\n\n\n"
+           "print(m.BY_ATTR)\n")
+    # a store elsewhere is not a read; a name bound inside a def is not scanned
+    other = "getattr(m, 'BY_STRING')\nSTORED = 0\n"
+    assert unread_names({"m.py": src}, [src, other]) == [
+        "m.py:3 STORED", "m.py:3 UNUSED", "m.py:4 NOTED"]
+    assert unread_names({"m.py": src}, [src, other, "print(UNUSED, STORED, NOTED)"]) == []
+
+
+def test_every_module_name_is_read():
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    rows = unread_names(package, [p.read_text() for p in PROGRAM])
+    exempt = {name for name, _ in TEST_ONLY}
+    assert [row for row in rows if row.split()[-1] not in exempt] == []
 
 
 def _defaulted(fn, owner: str | None) -> list[tuple[str, int | None]]:

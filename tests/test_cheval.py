@@ -17,12 +17,13 @@ from e8g2.cheval import (
     symbolic_conjugator,
 )
 from e8g2.checks import CONDITIONS, CONJUGATOR_ZEROED
-from e8g2.rootsys import A2_CARTAN, G2_CARTAN, RootSystem, e8, root_key
+from e8g2.rootsys import G2_CARTAN, RootSystem, e8, root_key
 from e8g2.weyl import WeylElt, pivot_element
 from oracles import extraspecial_pairs, structure_table_by_recursion
 
 E8 = e8()
 SC = build_constants(E8)
+A2_CARTAN = [[2, -1], [-1, 2]]
 
 
 def word(factors):

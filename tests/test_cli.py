@@ -2,10 +2,14 @@
 deterministic report serialization, parallel execution, and the coset
 enumeration entry point."""
 
+import concurrent.futures
 import hashlib
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from concurrent.futures import Future
 from unittest.mock import patch
 
@@ -228,13 +232,25 @@ class TestRunner:
                 done.set_result(fn(*args))
                 return done
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         with patch.dict(cli.REGISTRY, synthetic_registry(["pass", "fail"])):
             status, _ = run(Manifest((ManifestEntry("syn.0"), ManifestEntry("syn.1"))),
                             RunConfig(parallelism=2))
         assert status == 1
         assert seen["max_workers"] == 2
         assert seen["mp_context"].get_start_method() == "fork"
+
+    def test_import_loads_no_process_pool(self):
+        # only a run with --jobs > 1 imports the pool, so a fresh import of
+        # the runner, as every serial run starts, loads none of it
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        probe = ("import sys, e8g2.cli; print(sorted(m for m in sys.modules"
+                 " if m == 'multiprocessing' or m == 'concurrent.futures.process'))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_parallel_matches_serial_default_manifest(self):
         serial = normalized_json(RunConfig(), DEFAULT_MANIFEST)

@@ -23,7 +23,14 @@ from e8g2.g2chars import (
 )
 from e8g2.rootsys import G2_CARTAN, RootSystem
 from e8g2.symra import LaurentPoly, RatFunc, one_minus
-from oracles import decompose, enumerate_group, p_coefficient, twist, weyl_dimension
+from oracles import (
+    boundary_series_by_product,
+    decompose,
+    enumerate_group,
+    p_coefficient,
+    twist,
+    weyl_dimension,
+)
 
 # independently derived signed orbit of rho (12 terms, the denominator)
 ALT_RHO_TERMS = {
@@ -206,18 +213,14 @@ def test_weight_coefficient_against_alternating_sums():
 
 
 def test_weight_coefficient_never_renames(monkeypatch):
-    # the coefficient, and the one-row character series the series checks
-    # read, are each one sum of products embedded by variable name: no
-    # product is formed one renamed polynomial at a time, as these
-    # references do
+    # the coefficient, and the boundary series the series checks read, are
+    # each sums of products embedded by variable name: no product is
+    # formed one renamed polynomial at a time, as these references do
     w = (9, 3)
     want = LaurentPoly.zero(FULL_VARS)
     for lam, p in weight_expansion(w).items():
         want = want + p.rename(FULL_VARS) * weyl_character(lam).rename(FULL_VARS)
-    series_want = LaurentPoly.zero(zeta.SERIES_VARS)
-    for r in range(7):
-        series_want = series_want + (weyl_character(Weight(r, 0)).rename(zeta.SERIES_VARS)
-                                     * zeta._tau0((r, 0)).rename(zeta.SERIES_VARS))
+    series_want = boundary_series_by_product(6)
 
     def forbidden(self, out_vars):
         raise AssertionError(f"rename({out_vars}) called")
@@ -225,7 +228,7 @@ def test_weight_coefficient_never_renames(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "rename", forbidden)
     weyl_character.cache_clear()
     assert weight_coefficient(w) == want
-    assert zeta._char_series(6) == series_want
+    assert zeta.boundary_series(6) == series_want
 
 
 def test_expansion_matches_orbit_search():

@@ -6,8 +6,6 @@ import pytest
 from e8g2.checks import ROOT_DATA, STRUCTURE
 from e8g2.g2chars import POSITIVE_ROOTS, weyl_images
 from e8g2.rootsys import (
-    A1_CARTAN,
-    A2_CARTAN,
     DEFAULT_EMBEDDING,
     E8_CARTAN,
     G2_CARTAN,
@@ -21,6 +19,8 @@ from e8g2.weyl import parabolic_order
 
 E8 = e8()
 G2 = RootSystem(G2_CARTAN)
+A1_CARTAN = [[2]]
+A2_CARTAN = [[2, -1], [-1, 2]]
 
 
 def test_g2_counts():

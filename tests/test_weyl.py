@@ -3,7 +3,7 @@ import pytest
 from e8g2 import weyl
 from e8g2.checks import CENSUS, ROOT_DATA
 from e8g2.cheval import CHARACTER_SUPPORT_ROOTS
-from e8g2.rootsys import A2_CARTAN, G2_CARTAN, RootSystem, e8
+from e8g2.rootsys import G2_CARTAN, RootSystem, e8
 from e8g2.weyl import (
     M1_INDICES,
     M2_INDICES,
@@ -28,7 +28,7 @@ from oracles import enumerate_group, group_order, min_left_reps_by_bfs, words_by
 
 E8 = e8()
 G2 = RootSystem(G2_CARTAN)
-A2 = RootSystem(A2_CARTAN)
+A2 = RootSystem([[2, -1], [-1, 2]])
 
 SWAP_INVERSIONS = ROOT_DATA["swap_inversions"]
 # complement of the inner radical subgroup inside the big radical

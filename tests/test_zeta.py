@@ -14,16 +14,28 @@ from e8g2 import zeta as z
 from e8g2.checks import (
     MAX_SERIES_DEGREE,
     REPORT_FIELDS,
-    _by_weight_series,
     _first_difference,
     _normalized_by_weight,
 )
 from e8g2.cli import Manifest, ManifestEntry, RunConfig, UsageError, run
-from e8g2.g2chars import Q, S0, Weight, _pairing_with_double_rho, weight_expansion
+from e8g2.g2chars import (
+    Q,
+    S0,
+    Weight,
+    _pairing_with_double_rho,
+    character_sum,
+    weight_expansion,
+)
 from e8g2.rootsys import e8
 from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.zeta import XQ, SingularShift, XPoly
-from oracles import j_oracle_by_terms, measure_sum_by_products, normalized_series, truncate_var
+from oracles import (
+    boundary_series_by_product,
+    j_oracle_by_terms,
+    measure_sum_by_products,
+    normalized_series,
+    truncate_var,
+)
 
 OM = z._om
 MONO = z._mono
@@ -91,7 +103,8 @@ class TestNamedFamily:
     # the report flag that checks the member must drop and the check fail.
     # The stand-ins leave every shared constant's value alone.
     @pytest.mark.parametrize("ident,kw", [
-        ("Z", {"Z_FACTOR_KEYS": z.Z_FACTOR_KEYS[:-1]}),
+        ("Z", {"Z_FACTOR_KEYS": z.Z_FACTOR_KEYS[:-1],
+               "_Z": z._factor_product(z.Z_FACTOR_KEYS[:-1])}),
         ("z0", {"Z0_FACTOR_KEYS": z.Z0_FACTOR_KEYS[:-1]}),
         ("N", {"N_KEYS": z.N_KEYS[:-1]}),
         ("Z1", {"Z1_NUM_KEYS": z.Z1_NUM_KEYS[:-1]}),
@@ -242,7 +255,7 @@ class TestSummationFamily:
 
 
 # the fixed values zeta builds at import and every caller shares
-SHARED_CONSTANTS = ("_BLOCKS", "_I0_FACTORS", "_FROZEN_CJ0", "_FROZEN_T0_CJ0")
+SHARED_CONSTANTS = ("_Z", "_Z0Q", "_BLOCKS", "_I0_FACTORS", "_FROZEN_CJ0", "_FROZEN_T0_CJ0")
 
 
 def snapshot(value):
@@ -490,6 +503,13 @@ class TestSeriesChecks:
         assert rep.status == "pass"
         assert rep.truncation == 4
 
+    @pytest.mark.parametrize("D", range(1, 11))
+    def test_boundary_series_matches_full_product(self, D):
+        # the right side by highest weight, each one-row term cut before
+        # its character multiplies in, against the product of the whole
+        # boundary product and character series, cut after it
+        assert z.boundary_series(D) == boundary_series_by_product(D)
+
     def test_main_identity_series_negative_control(self):
         # with the full mass Q on every pair, the identity that zeta.check3
         # verifies fails, first at x^0: the (0, 0) pair's mass is no longer
@@ -534,8 +554,9 @@ class TestSeriesChecks:
         # sum_lam chi_lam times lam's series is the four-variable left side,
         # for the identity's masses and for the control's
         identity, control = _normalized_by_weight(D)
-        assert _by_weight_series(identity) == normalized_series(D)
-        assert _by_weight_series(control) == normalized_series(D, perturb_mass=True)
+        assert character_sum(z.SERIES_VARS, identity) == normalized_series(D)
+        assert (character_sum(z.SERIES_VARS, control)
+                == normalized_series(D, perturb_mass=True))
 
     def test_end_to_end_control_needs_the_correction(self, monkeypatch):
         # with the control's edge-and-origin correction dropped, the
