@@ -39,16 +39,16 @@ from .g2chars import (
     POSITIVE_ROOTS,
     Q,
     S0,
+    V7_WEIGHTS,
     Weight,
     _pairing_with_double_rho,
     character_sum,
     dimension,
     spherical,
-    sym_series,
     weyl_character,
 )
 from .rootsys import e8
-from .symra import LaurentPoly, RatFunc
+from .symra import LaurentPoly, RatFunc, one_minus
 from .weyl import (
     M2_INDICES,
     classify_survivors,
@@ -326,11 +326,10 @@ def _closed_forms():
     # and the two bookkeeping elements against the three-parameter block
     n_den = Counter(zeta.N_KEYS)
     rest = zeta._factor_product(((1, 5), (1, 6), (2, 14), (2, 16), (3, 21)))
-    z0 = zeta._factor_product(zeta.Z0_FACTOR_KEYS)
     ratio = RatFunc(om(x=1, q=7) ** 2 * om(x=2, q=13), {(1, 6): 1})
     named_ok = (
         RatFunc(z * rest, n_den).equals(RatFunc.one(zeta.XQ))
-        and RatFunc(z * z0 * om(x=2, q=16), n_den).equals(om(x=1, q=7) * om(x=1, q=8))
+        and RatFunc(z * zeta._Z0 * om(x=2, q=16), n_den).equals(om(x=1, q=7) * om(x=1, q=8))
         and all(zeta._i0_poly(n, m) == zeta._i0_expanded(n, m) for n, m in ((2, 1), (3, 2)))
         and zeta._cj21().substitute(1, 3).equals(zeta.j_case2(1, 3) * ratio)
         and zeta._cj22().substitute(1, 3, 0).equals(zeta.j_case2(1, 3, 0) * ratio))
@@ -463,13 +462,15 @@ def _end_to_end(D):
 def _characters():
     sph_ok = spherical((0, 0)).equals(1)
     dim7 = dimension(weyl_character((1, 0)))
-    chis, syms = sym_series(8)
-    brion_ok = all(
-        (syms[r] - (syms[r - 2] if r >= 2 else LaurentPoly.zero(syms[r].vars)))
-        == chis[r]
-        for r in range(9))
+    # the plethysm identity through t^8: the L-factor prod_{mu in V7}
+    # (1 - t tau^mu)^-1 = sum_r t^r char Sym^r V7, times (1 - t^2), is
+    # sum_r t^r chi_(r,0)
+    tab = ("t", "a", "b")
+    l_factor = RatFunc(one_minus(tab, t=2), {(1, mu.n, mu.m): 1 for mu in V7_WEIGHTS})
+    plethysm_ok = l_factor.truncate("t", 8) == character_sum(
+        tab, {Weight(r, 0): LaurentPoly.monomial(("t",), 1, t=r) for r in range(9)})
     computed = {"spherical_unit": sph_ok, "dim_fundamental": dim7,
-                "plethysm_identity": brion_ok}
+                "plethysm_identity": plethysm_ok}
     return computed == CHARACTERS, CHARACTERS, computed
 
 

@@ -237,9 +237,6 @@ class UnipotentWord:
                 out = out + c
         return out
 
-    def is_identity(self) -> bool:
-        return all(c.is_zero() for _, c in self.canonical().factors)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, UnipotentWord):
             return NotImplemented

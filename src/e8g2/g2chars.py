@@ -13,30 +13,31 @@ is Cartan column i, and s_i(mu) = mu - mu_i*alpha_i, that is
 Provides alternating sums, Weyl characters (the alternating sum of w + rho
 divided by the six binomials of the Weyl denominator), the weight
 coefficients, the identity-coset mass Q, the spherical-function formula,
-and the symmetric-power series of the 7-dimensional representation.
+and the weights ``V7_WEIGHTS`` of the 7-dimensional representation.
 
 The weight coefficients follow Macdonald's formula ("Spherical functions on
-a group of p-adic type", 1971): ``S0`` maps each subset sum nu of the
-positive roots to P_nu, with prod_{alpha > 0} (1 - 1/q tau^-alpha) =
-sum_nu P_nu tau^-nu, and A(rho) P(w) = sum_nu P_nu A(w + rho - nu).
+a group of p-adic type", 1971): ``S0`` maps each nu to P_nu, where
+prod_{alpha > 0} (1 - 1/q tau^-alpha) = sum_nu P_nu tau^-nu is expanded by
+one ``symra._times_binomials`` call, and
+A(rho) P(w) = sum_nu P_nu A(w + rho - nu).
 ``_straighten`` reflects each w + rho - nu into the dominant chamber once,
 to a wall, where A vanishes, or to lam + rho with lam dominant, where
 A(w + rho - nu) = sign(u) A(lam + rho) and A(lam + rho) / A(rho) = chi_lam.
 So P(w) = sum_lam p_lam(w) chi_lam, the p_lam(w) collected by
 ``weight_expansion``.  ``character_sum`` forms any such sum
 sum_lam chi_lam c_lam as one ``symra.sum_of_products`` call:
-``weight_coefficient`` in (q, a, b), and the four-variable series of
-``e8g2.zeta`` and ``e8g2.checks`` from their (x, q) coefficients per lam.
+``weight_coefficient`` in (q, a, b), the four-variable series of
+``e8g2.zeta`` and ``e8g2.checks`` from their (x, q) coefficients per lam,
+and the one-row series sum_r chi_(r,0) t^r of the plethysm check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 from .rootsys import G2_CARTAN, RootSystem
-from .symra import LaurentPoly, RatFunc, sum_of_products
+from .symra import LaurentPoly, RatFunc, _times_binomials, sum_of_products
 from .weyl import enumerate_min_left_reps
 
 CHAR_VARS = ("a", "b")
@@ -109,18 +110,16 @@ WEYL_GROUP = tuple(sorted((_matrix(w.word()), (-1) ** w.length())
 
 
 def _subset_sums() -> dict[Weight, LaurentPoly]:
-    """Expand prod_{alpha > 0} (1 - 1/q tau^-alpha) over the 64 subsets of
-    the positive roots: each distinct subset sum nu, in sorted order, maps
-    to the polynomial P_nu collecting (-1/q)^{|subset|}; the sums whose
-    terms cancel are dropped."""
+    """Expand prod_{alpha > 0} (1 - 1/q tau^-alpha) in (q, a, b) by
+    ``symra._times_binomials`` and group its terms by tau-exponent: each nu,
+    in sorted order, maps to the polynomial P_nu in q at tau^-nu; the nu
+    whose terms cancel do not appear."""
     table: dict[Weight, dict[tuple[int], int]] = {}
-    for k in range(len(POSITIVE_ROOTS) + 1):
-        for subset in combinations(POSITIVE_ROOTS, k):
-            nu = Weight(sum(a.n for a in subset), sum(a.m for a in subset))
-            poly = table.setdefault(nu, {})
-            poly[(-k,)] = poly.get((-k,), 0) + (-1) ** k
-    return {nu: LaurentPoly(Q_VARS, poly) for nu, poly in sorted(table.items())
-            if any(poly.values())}
+    product = _times_binomials(LaurentPoly.const(FULL_VARS, 1),
+                               {(-1, -a.n, -a.m): 1 for a in POSITIVE_ROOTS})
+    for (k, n, m), c in product.coeffs.items():
+        table.setdefault(Weight(-n, -m), {})[(k,)] = c
+    return {nu: LaurentPoly(Q_VARS, poly) for nu, poly in sorted(table.items())}
 
 
 S0 = _subset_sums()
@@ -242,30 +241,3 @@ def spherical(w) -> RatFunc:
     unit = LaurentPoly(FULL_VARS, {(0, 0, 0): 1, (-1, 0, 0): -1})
     num = pref * weight_coefficient(w) * unit * unit
     return RatFunc(num, {(-2, 0, 0): 1, (-6, 0, 0): 1})
-
-
-# -- symmetric powers of the 7-dimensional representation ---------------------------------------------------
-
-
-def sym_series(r_max: int) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
-    """(chi_{(r,0)} for r <= r_max, char Sym^r V7 for r <= r_max)."""
-    if r_max < 0:
-        raise ValueError("r_max must be nonnegative")
-    chis = [weyl_character(Weight(r, 0)) for r in range(r_max + 1)]
-    # stable recursion: weights of Sym^r over a 7-element alphabet, built
-    # by last-letter index so each multiset is counted once
-    states: dict[tuple[int, Weight], int] = {(0, Weight(0, 0)): 1}
-    syms = [LaurentPoly.const(CHAR_VARS, 1)]
-    for _ in range(r_max):
-        nxt: dict[tuple[int, Weight], int] = {}
-        for (start, w), c in states.items():
-            for i in range(start, len(V7_WEIGHTS)):
-                v = V7_WEIGHTS[i]
-                key = (i, Weight(w.n + v.n, w.m + v.m))
-                nxt[key] = nxt.get(key, 0) + c
-        states = nxt
-        agg: dict[tuple[int, int], int] = {}
-        for (_, w), c in states.items():
-            agg[(w.n, w.m)] = agg.get((w.n, w.m), 0) + c
-        syms.append(LaurentPoly(CHAR_VARS, agg))
-    return chis, syms

@@ -31,8 +31,8 @@ Everything here is exact arithmetic over the two-variable Laurent ring in
   the one-row characters times the (x, q) boundary product z0 Q at tau0,
   in one ``g2chars.character_sum``.
 
-Every fixed factor (the correction polynomial Z, the boundary product
-times the mass z0 Q, the kernel factors F, G, H and the frozen closed form
+Every fixed factor (the correction polynomial Z, the boundary product z0
+and z0 times the mass Q, the kernel factors F, G, H and the frozen closed form
 with its T0 application) is one value built at import; the three blocks
 are declared by their keys.  A known product of binomials 1 - x^k q^j is
 applied through its keys: as shift passes (``symra._times_binomials``)
@@ -386,10 +386,11 @@ def _factor_product(keys) -> LaurentPoly:
     return _times_binomials(_ONE, Counter(keys))
 
 
-# the correction polynomial Z, the boundary product z0 times the mass Q,
-# and the fixed factors (F, G, H) of every kernel polynomial I0(n, m)
+# the correction polynomial Z, the boundary product z0 and z0 times the
+# mass Q, and the fixed factors (F, G, H) of every kernel polynomial I0(n, m)
 _Z = _factor_product(Z_FACTOR_KEYS)
-_Z0Q = _factor_product(Z0_FACTOR_KEYS) * Q.rename(XQ)
+_Z0 = _factor_product(Z0_FACTOR_KEYS)
+_Z0Q = _Z0 * Q.rename(XQ)
 _I0_FACTORS = tuple(_factor_product(keys) for keys in (
     ((1, 6), (3, 21)), ((1, 5), (1, 6)), ((1, 5), (1, 8))))
 

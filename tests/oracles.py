@@ -15,6 +15,12 @@ does not take, so that agreement is evidence rather than repetition:
 * ``p_coefficient`` -- one coefficient of Macdonald's expansion by an
   exhaustive search over the 12 Weyl images of lam + rho, the reference
   for ``weight_expansion``'s straightening;
+* ``subset_sums_by_subsets`` -- Macdonald's numerator expanded over the 64
+  subsets of the positive roots, the reference for ``S0``'s expansion by
+  binomial shift passes;
+* ``sym_powers_by_multisets`` -- char Sym^r V7 by counting the multisets
+  of V7's weights, the reference for the L-factor series that the
+  plethysm check of ``g2chars.characters`` expands by ``RatFunc.truncate``;
 * ``truncate_var`` -- truncation after a full product, the reference for
   ``mul_trunc`` and the series routes;
 * ``measure_sum_by_products``, ``normalized_series`` -- the main identity's
@@ -41,9 +47,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from e8g2.cheval import _constants_key
-from e8g2.g2chars import FULL_VARS, Q, Q_VARS, RHO, S0, Weight, weyl_character, weyl_images
+from e8g2.g2chars import (
+    CHAR_VARS,
+    FULL_VARS,
+    POSITIVE_ROOTS,
+    Q,
+    Q_VARS,
+    RHO,
+    S0,
+    V7_WEIGHTS,
+    Weight,
+    weyl_character,
+    weyl_images,
+)
 from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.weyl import WeylElt
 from e8g2.zeta import (
@@ -238,6 +257,43 @@ def p_coefficient(varpi, lam) -> LaurentPoly:
         if nu in S0:
             total = total + S0[nu] * sign
     return total
+
+
+def subset_sums_by_subsets() -> dict[Weight, LaurentPoly]:
+    """prod_{alpha > 0} (1 - 1/q tau^-alpha) expanded over the 64 subsets of
+    the positive roots: each distinct subset sum nu, in sorted order, maps
+    to the polynomial P_nu collecting (-1/q)^{|subset|}; the sums whose
+    terms cancel are dropped.  The reference for ``S0``."""
+    table: dict[Weight, dict[tuple[int], int]] = {}
+    for k in range(len(POSITIVE_ROOTS) + 1):
+        for subset in combinations(POSITIVE_ROOTS, k):
+            nu = Weight(sum(a.n for a in subset), sum(a.m for a in subset))
+            poly = table.setdefault(nu, {})
+            poly[(-k,)] = poly.get((-k,), 0) + (-1) ** k
+    return {nu: LaurentPoly(Q_VARS, poly) for nu, poly in sorted(table.items())
+            if any(poly.values())}
+
+
+def sym_powers_by_multisets(r_max: int) -> list[LaurentPoly]:
+    """char Sym^r V7 for r <= r_max, in (a, b): the weights of the
+    multisets of size r over the seven weights of V7, built by last-letter
+    index so each multiset is counted once.  The reference for the t^r
+    coefficients of the L-factor prod_{mu in V7} (1 - t tau^mu)^-1."""
+    states: dict[tuple[int, Weight], int] = {(0, Weight(0, 0)): 1}
+    syms = [LaurentPoly.const(CHAR_VARS, 1)]
+    for _ in range(r_max):
+        nxt: dict[tuple[int, Weight], int] = {}
+        for (start, w), c in states.items():
+            for i in range(start, len(V7_WEIGHTS)):
+                v = V7_WEIGHTS[i]
+                key = (i, Weight(w.n + v.n, w.m + v.m))
+                nxt[key] = nxt.get(key, 0) + c
+        states = nxt
+        agg: dict[tuple[int, int], int] = {}
+        for (_, w), c in states.items():
+            agg[(w.n, w.m)] = agg.get((w.n, w.m), 0) + c
+        syms.append(LaurentPoly(CHAR_VARS, agg))
+    return syms
 
 
 # -- Laurent polynomials and rational functions ---------------------------

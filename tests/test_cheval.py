@@ -135,7 +135,7 @@ def test_sweeps_cannot_pin_the_gauge(e8_oracle):
 def test_merge_and_zero_drop():
     a = E8.simple[0]
     w = word([(a, 2), (a, -2)])
-    assert w.is_identity()
+    assert not w.canonical().factors
     c = word([(a, 2), (a, 3)]).canonical()
     assert [(r, p.to_text()) for r, p in c.factors] == [(a, "5")]
 
@@ -146,8 +146,8 @@ def test_inverse_roundtrip_random():
     for _ in range(25):
         roots = rng.sample(radical, rng.randint(2, 6))
         w = word([(r, rng.randint(-3, 3)) for r in roots])
-        assert w.times(w.inverse()).is_identity()
-        assert w.inverse().times(w).is_identity()
+        assert not w.times(w.inverse()).canonical().factors
+        assert not w.inverse().times(w).canonical().factors
 
 
 def test_conjugation_action_property():

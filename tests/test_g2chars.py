@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from e8g2 import g2chars, zeta
+from e8g2 import checks, g2chars, zeta
+from e8g2.cli import Manifest, ManifestEntry, RunConfig, run
 from e8g2.g2chars import (
     CHAR_VARS,
     FULL_VARS,
@@ -16,7 +17,6 @@ from e8g2.g2chars import (
     alt_sum,
     dimension,
     spherical,
-    sym_series,
     weight_coefficient,
     weight_expansion,
     weyl_character,
@@ -28,6 +28,8 @@ from oracles import (
     decompose,
     enumerate_group,
     p_coefficient,
+    subset_sums_by_subsets,
+    sym_powers_by_multisets,
     twist,
     weyl_dimension,
 )
@@ -292,7 +294,9 @@ def test_spherical_weyl_invariant():
 
 
 def test_sym_series_brion():
-    chis, syms = sym_series(8)
+    # the plethysm identity on the multiset route: Sym^r - Sym^(r-2) = chi_(r,0)
+    syms = sym_powers_by_multisets(8)
+    chis = [weyl_character((r, 0)) for r in range(9)]
     assert syms[0].to_text() == "1" and chis[0].to_text() == "1"
     assert dimension(syms[1]) == 7
     # Sym^2 V7 = chi_(2,0) + chi_(0,0)
@@ -305,9 +309,37 @@ def test_sym_series_brion():
 def test_sym_dimensions():
     # dim Sym^r V7 = C(r + 6, 6)
     from math import comb
-    _, syms = sym_series(6)
+    syms = sym_powers_by_multisets(6)
     for r, s in enumerate(syms):
         assert dimension(s) == comb(r + 6, 6)
+
+
+def test_s0_matches_subset_oracle():
+    # the binomial shift passes against the 64-subset enumeration, key order too
+    oracle = subset_sums_by_subsets()
+    assert S0 == oracle and list(S0) == list(oracle)
+
+
+def test_l_factor_matches_multiset_oracle():
+    # the t^r coefficient of prod_{mu in V7} (1 - t tau^mu)^-1 is char Sym^r V7
+    series = RatFunc(LaurentPoly.const(("t", "a", "b"), 1),
+                     {(1, mu.n, mu.m): 1 for mu in V7_WEIGHTS}).truncate("t", 8)
+    by_degree = [{} for _ in range(9)]
+    for (r, n, m), c in series.coeffs.items():
+        by_degree[r][(n, m)] = c
+    assert [LaurentPoly(CHAR_VARS, c) for c in by_degree] == sym_powers_by_multisets(8)
+
+
+@pytest.mark.parametrize("name,stand_in", [
+    ("V7_WEIGHTS", V7_WEIGHTS[:-1]),
+    ("one_minus", lambda vars, **powers: LaurentPoly.const(vars, 1)),
+])
+def test_plethysm_negative_controls(name, stand_in, monkeypatch):
+    # one V7 weight dropped, or 1 - t^2 replaced by 1: the identity must fail
+    monkeypatch.setattr(checks, name, stand_in)
+    _, (rep,) = run(Manifest((ManifestEntry("g2chars.characters"),)), RunConfig())
+    assert rep.computed["plethysm_identity"] is False
+    assert rep.status == "fail"
 
 
 def test_weight_dominance():

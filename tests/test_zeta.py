@@ -105,7 +105,7 @@ class TestNamedFamily:
     @pytest.mark.parametrize("ident,kw", [
         ("Z", {"Z_FACTOR_KEYS": z.Z_FACTOR_KEYS[:-1],
                "_Z": z._factor_product(z.Z_FACTOR_KEYS[:-1])}),
-        ("z0", {"Z0_FACTOR_KEYS": z.Z0_FACTOR_KEYS[:-1]}),
+        ("z0", {"_Z0": z._factor_product(z.Z0_FACTOR_KEYS[:-1])}),
         ("N", {"N_KEYS": z.N_KEYS[:-1]}),
         ("Z1", {"Z1_NUM_KEYS": z.Z1_NUM_KEYS[:-1]}),
         ("Z2", {"Z2_NUM_KEYS": z.Z2_NUM_KEYS[:-1]}),
@@ -255,7 +255,7 @@ class TestSummationFamily:
 
 
 # the fixed values zeta builds at import and every caller shares
-SHARED_CONSTANTS = ("_Z", "_Z0Q", "_BLOCKS", "_I0_FACTORS", "_FROZEN_CJ0", "_FROZEN_T0_CJ0")
+SHARED_CONSTANTS = ("_Z", "_Z0", "_Z0Q", "_BLOCKS", "_I0_FACTORS", "_FROZEN_CJ0", "_FROZEN_T0_CJ0")
 
 
 def snapshot(value):
