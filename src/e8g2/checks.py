@@ -44,11 +44,12 @@ from .g2chars import (
     _pairing_with_double_rho,
     character_sum,
     dimension,
+    over_a_rho,
     spherical,
     weyl_character,
 )
 from .rootsys import e8
-from .symra import LaurentPoly, RatFunc, one_minus
+from .symra import InexactDivision, LaurentPoly, RatFunc, one_minus
 from .weyl import (
     M2_INDICES,
     classify_survivors,
@@ -80,10 +81,11 @@ REPORT_FIELDS = tuple(f.name for f in fields(CheckReport))
 REGISTRY: dict = {}
 
 # the largest truncation degree a series check accepts, from a manifest
-# param or the fallback alike.  check3, the one check that forms the
-# four-variable series, binds it: about 3.0 s and 69 MB peak RSS at D = 16
-# on a 2-vCPU VM (Python 3.11), and about 6.6 s and 131 MB at D = 20;
-# end_to_end, by highest weight, takes about 0.2 s and 21 MB at D = 16
+# param or the fallback alike.  Neither series check is near it any more:
+# on a 2-vCPU VM (Python 3.11), check3, by Macdonald's antisymmetrization,
+# takes about 0.15 s and 23 MB peak RSS at D = 16 and 0.3 s and 25 MB at
+# D = 20; end_to_end, by highest weight, about 0.2 s and 18 MB at D = 16
+# and 0.3 s and 19 MB at D = 20
 MAX_SERIES_DEGREE = 16
 
 
@@ -360,9 +362,13 @@ def _closed_forms():
 def _main_identity_series(D):
     """Main identity, series route: the mass-weighted kernel sum equals the
     boundary product times the one-row character series, compared as exact
-    Laurent coefficients in (q, a, b) through x-degree D.  The only check
-    that forms the weight coefficients P(w) and the four-variable series;
-    the other main-identity checks go by highest weight."""
+    Laurent coefficients in (q, a, b) through x-degree D.  Both sides are
+    compared times A(rho), which is nonzero and free of x: the left side
+    by Macdonald's antisymmetrization (``zeta._measure_sum``), the right
+    side by alternating sums (``zeta.boundary_series``), so neither forms
+    a weight coefficient or a character.  Only a failing identity divides
+    A(rho) back out, to locate the first difference; a side that A(rho)
+    does not divide is named instead."""
     got, want = zeta._measure_sum(D), zeta.boundary_series(D)
     ok = got == want
     computed = {
@@ -370,13 +376,23 @@ def _main_identity_series(D):
         "pairs_summed": sum(1 for n in range(D + 1) for m in range((D - n) // 2 + 1)),
     }
     if not ok:
-        computed["first_difference"] = _first_difference(got, want)
+        sides, indivisible = [], []
+        for side, p in (("left", got), ("right", want)):
+            try:
+                sides.append(over_a_rho(p))
+            except InexactDivision:
+                indivisible.append(side)
+        if indivisible:
+            computed["not_divisible_by_A_rho"] = indivisible
+        else:
+            computed["first_difference"] = _first_difference(*sides)
     return ok, "x-coefficients 0..D agree in (q, a, b)", computed
 
 
-# the largest box sum_cases accepts: the valuation pairs the series route
-# reaches at its largest degree, about 1.5 s on a 2-vCPU VM (Python 3.11);
-# the box's weight count, and so its time, grows with n_max * m_max
+# the largest box sum_cases accepts: the valuation pairs check3 sums at
+# its largest degree, about 0.5 s and 20 MB peak RSS on a 2-vCPU VM
+# (Python 3.11); the box's weight count, and so its time, grows with
+# n_max * m_max
 @check("zeta.sum_cases", "main-identity-finite-cases",
        params={"n_max": (0, MAX_SERIES_DEGREE), "m_max": (0, MAX_SERIES_DEGREE // 2)})
 def _main_identity_cases(n_max=6, m_max=4):

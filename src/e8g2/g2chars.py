@@ -10,25 +10,29 @@ is Cartan column i, and s_i(mu) = mu - mu_i*alpha_i, that is
 
     s1 (n, m) = (-n, n + m)          s2 (n, m) = (n + 3m, -m).
 
-Provides alternating sums, Weyl characters (the alternating sum of w + rho
-divided by the six binomials of the Weyl denominator), the weight
-coefficients, the identity-coset mass Q, the spherical-function formula,
-and the weights ``V7_WEIGHTS`` of the 7-dimensional representation.
+Provides the one Weyl action (``antisymmetrize``, the signed sum of a
+polynomial's Weyl images, of which the alternating sum A(w) of tau^w is one
+case), the one division by A(rho) (``over_a_rho``), Weyl characters
+A(w + rho) / A(rho), the weight coefficients, the identity-coset mass Q,
+the spherical-function formula, and the weights ``V7_WEIGHTS`` of the
+7-dimensional representation.
 
 The weight coefficients follow Macdonald's formula ("Spherical functions on
-a group of p-adic type", 1971): ``S0`` maps each nu to P_nu, where
-prod_{alpha > 0} (1 - 1/q tau^-alpha) = sum_nu P_nu tau^-nu is expanded by
-one ``symra._times_binomials`` call, and
-A(rho) P(w) = sum_nu P_nu A(w + rho - nu).
+a group of p-adic type", 1971):
+A(rho) P(w) = sum_u sign(u) u(tau^(w + rho) prod_{alpha > 0} (1 - 1/q tau^-alpha)).
+The product, expanded by one ``symra._times_binomials`` call, is
+``MACDONALD_PRODUCT``; ``e8g2.zeta`` antisymmetrizes with it directly.
+``S0`` groups its terms, mapping each nu to P_nu where the product is
+sum_nu P_nu tau^-nu, so A(rho) P(w) = sum_nu P_nu A(w + rho - nu).
 ``_straighten`` reflects each w + rho - nu into the dominant chamber once,
 to a wall, where A vanishes, or to lam + rho with lam dominant, where
 A(w + rho - nu) = sign(u) A(lam + rho) and A(lam + rho) / A(rho) = chi_lam.
 So P(w) = sum_lam p_lam(w) chi_lam, the p_lam(w) collected by
 ``weight_expansion``.  ``character_sum`` forms any such sum
 sum_lam chi_lam c_lam as one ``symra.sum_of_products`` call:
-``weight_coefficient`` in (q, a, b), the four-variable series of
-``e8g2.zeta`` and ``e8g2.checks`` from their (x, q) coefficients per lam,
-and the one-row series sum_r chi_(r,0) t^r of the plethysm check.
+``weight_coefficient`` in (q, a, b), the four-variable series that a
+failing ``end_to_end`` forms from its (x, q) coefficients per lam, and the
+one-row series sum_r chi_(r,0) t^r of the plethysm check.
 """
 
 from __future__ import annotations
@@ -109,15 +113,18 @@ WEYL_GROUP = tuple(sorted((_matrix(w.word()), (-1) ** w.length())
                           for w in enumerate_min_left_reps(G2, ())))
 
 
+# Macdonald's product prod_{alpha > 0} (1 - 1/q tau^-alpha) in (q, a, b),
+# expanded by ``symra._times_binomials`` and kept ungrouped
+MACDONALD_PRODUCT = _times_binomials(LaurentPoly.const(FULL_VARS, 1),
+                                     {(-1, -a.n, -a.m): 1 for a in POSITIVE_ROOTS})
+
+
 def _subset_sums() -> dict[Weight, LaurentPoly]:
-    """Expand prod_{alpha > 0} (1 - 1/q tau^-alpha) in (q, a, b) by
-    ``symra._times_binomials`` and group its terms by tau-exponent: each nu,
+    """Group the terms of ``MACDONALD_PRODUCT`` by tau-exponent: each nu,
     in sorted order, maps to the polynomial P_nu in q at tau^-nu; the nu
     whose terms cancel do not appear."""
     table: dict[Weight, dict[tuple[int], int]] = {}
-    product = _times_binomials(LaurentPoly.const(FULL_VARS, 1),
-                               {(-1, -a.n, -a.m): 1 for a in POSITIVE_ROOTS})
-    for (k, n, m), c in product.coeffs.items():
+    for (k, n, m), c in MACDONALD_PRODUCT.coeffs.items():
         table.setdefault(Weight(-n, -m), {})[(k,)] = c
     return {nu: LaurentPoly(Q_VARS, poly) for nu, poly in sorted(table.items())}
 
@@ -140,30 +147,61 @@ V7_WEIGHTS = (Weight(0, 0),) + tuple(sorted({img for img, _ in weyl_images((1, 0
 # -- alternating sums and characters ---------------------------------------------------
 
 
+def antisymmetrize(p: LaurentPoly) -> LaurentPoly:
+    """sum over the Weyl group of sign(u) u(p), each u acting on the
+    exponents of a and b, which are the last two of p's vars; the other
+    exponents stay put.  The terms are grouped by those others, and each
+    (a, b)-exponent's images are formed once."""
+    if p.vars[-2:] != CHAR_VARS:
+        raise ValueError(f"variables {p.vars} do not end with {CHAR_VARS}")
+    by_head: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    for e, c in p.coeffs.items():
+        by_head.setdefault(e[:-2], {})[e[-2:]] = c
+    images: dict[tuple[int, int], list[tuple[Weight, int]]] = {}
+    out: dict[tuple[int, ...], int] = {}
+    for head, terms in by_head.items():
+        acc: dict[Weight, int] = {}
+        get = acc.get
+        for w, c in terms.items():
+            if w not in images:
+                images[w] = weyl_images(w)
+            for img, sign in images[w]:
+                acc[img] = get(img, 0) + sign * c
+        for img, c in acc.items():
+            if c:
+                out[head + img] = c
+    return LaurentPoly._of(p.vars, out)
+
+
 def alt_sum(w) -> LaurentPoly:
-    """Signed orbit sum: sum over the Weyl group of sign(u) tau^{u w}."""
+    """Signed orbit sum: sum over the Weyl group of sign(u) tau^{u w}, the
+    antisymmetrization of tau^w."""
     w = _wt(w)
-    out: dict[tuple[int, int], int] = {}
-    for img, s in weyl_images(w):
-        key = (img.n, img.m)
-        out[key] = out.get(key, 0) + s
-    return LaurentPoly(CHAR_VARS, out)
+    return antisymmetrize(LaurentPoly.monomial(CHAR_VARS, 1, a=w.n, b=w.m))
+
+
+def over_a_rho(p: LaurentPoly) -> LaurentPoly:
+    """p / A(rho) for p over vars that hold a and b.  By the Weyl
+    denominator formula A(rho) = tau^rho prod_{alpha > 0} (1 - tau^-alpha),
+    so the quotient is tau^-rho p divided by those six binomials; raises
+    ``symra.InexactDivision`` unless A(rho) divides p."""
+    ia, ib = p.vars.index("a"), p.vars.index("b")
+    out = p * LaurentPoly.monomial(p.vars, 1, a=-RHO.n, b=-RHO.m)
+    for alpha in POSITIVE_ROOTS:
+        v = [0] * len(p.vars)
+        v[ia], v[ib] = -alpha.n, -alpha.m
+        out = out.divexact(tuple(v))
+    return out
 
 
 @lru_cache(maxsize=4096)
 def weyl_character(w) -> LaurentPoly:
     """Character of the irreducible representation with highest weight w,
-    as the exact ratio A(w + rho) / A(rho) of alternating sums.  By the Weyl
-    denominator formula A(rho) = tau^rho prod_{alpha > 0} (1 - tau^-alpha),
-    so the ratio is tau^-rho A(w + rho) divided by those six binomials."""
+    as the exact ratio A(w + rho) / A(rho) of alternating sums."""
     w = _wt(w)
     if not w.dominant:
         raise ValueError(f"highest weight must be dominant, got {tuple(w)}")
-    out = (alt_sum(Weight(w.n + RHO.n, w.m + RHO.m))
-           * LaurentPoly.monomial(CHAR_VARS, 1, a=-RHO.n, b=-RHO.m))
-    for alpha in POSITIVE_ROOTS:
-        out = out.divexact((-alpha.n, -alpha.m))
-    return out
+    return over_a_rho(alt_sum(Weight(w.n + RHO.n, w.m + RHO.m)))
 
 
 def dimension(char: LaurentPoly) -> int:

@@ -21,15 +21,16 @@ Everything here is exact arithmetic over the two-variable Laurent ring in
   reconstructs the frozen four-variable closed form;
 * the closed form of the local integral (``closed_I``) in its three
   valuation cases, each equal to Z*I0/((1-xq^7)(1-xq^8));
-* the mass-weighted kernel sum in two forms: as one four-variable series
-  (``_measure_sum``), which weights each valuation pair by its G2 weight
-  coefficient (``_p_char``, the cached ``g2chars.weight_coefficient``) in
-  one ``symra.sum_of_products`` call, and by highest weight
-  (``highest_weight_sums``), one (x, q) sum per lam with no weight
-  coefficient formed; and the boundary series (``boundary_series``) that
-  the series route of ``e8g2.checks`` compares, by highest weight too:
-  the one-row characters times the (x, q) boundary product z0 Q at tau0,
-  in one ``g2chars.character_sum``.
+* the mass-weighted kernel sum in two forms, neither of which forms a
+  weight coefficient: times A(rho), as one four-variable series
+  (``_measure_sum``) by Macdonald's antisymmetrization, and by highest
+  weight (``highest_weight_sums``), one (x, q) sum per lam; and the
+  boundary series times A(rho) (``boundary_series``) that the series
+  route of ``e8g2.checks`` compares: the one-row alternating sums
+  A((r, 0) + rho) times the (x, q) boundary product z0 Q at tau0, in one
+  ``symra.sum_of_products`` call.  A(rho) is free of x, so it commutes
+  with the truncation, and it is nonzero, so the identity holds times
+  A(rho) iff it holds.
 
 Every fixed factor (the correction polynomial Z, the boundary product z0
 and z0 times the mass Q, the kernel factors F, G, H and the frozen closed form
@@ -48,11 +49,15 @@ from functools import lru_cache
 from typing import Mapping
 
 from .g2chars import (
+    CHAR_VARS,
     FULL_VARS,
+    MACDONALD_PRODUCT,
     Q,
     Q_VARS,
+    RHO,
     Weight,
-    character_sum,
+    alt_sum,
+    antisymmetrize,
     weight_coefficient,
     weight_expansion,
 )
@@ -619,9 +624,8 @@ def _q_clear(w) -> LaurentPoly:
     return Q
 
 
-# the weight coefficients of check3's series route, cached, so that runs
-# at several degrees in one process form each pair's coefficient once;
-# end_to_end and sum_cases go by highest weight and form none
+# the cached weight coefficient, kept only for ``bench/spans.py``, which
+# reads it by name to count its cache misses; no check calls it
 _p_char = lru_cache(maxsize=4096)(weight_coefficient)
 
 
@@ -635,15 +639,23 @@ def _pair_kernel(n: int, m: int) -> LaurentPoly:
 
 
 def _measure_sum(D: int) -> LaurentPoly:
-    """Mass-cleared kernel sum over valuation pairs with n + 2m <= D, as a
-    Laurent polynomial in (x, q, a, b) truncated at x-degree D.  Each pair's
-    shifted kernel times its mass-clearing polynomial (at most 12 * 7 terms
-    in (x, q)) is formed first; the sum of those times the weight
-    coefficients is one ``sum_of_products``.
+    """A(rho) times the mass-cleared kernel sum over the valuation pairs
+    with n + 2m <= D, sum_w K(w) c(w) P(w), as a Laurent polynomial in
+    (x, q, a, b) truncated at x-degree D.  K(w) is ``_pair_kernel``, c(w)
+    is ``_q_clear``, and P(w) the weight coefficient.
+
+    By Macdonald's formula A(rho) P(w) is the antisymmetrization of
+    tau^(w + rho) prod_{alpha > 0} (1 - 1/q tau^-alpha), and K(w) c(w) is
+    free of a and b.  So the sum is the antisymmetrization of G times
+    ``MACDONALD_PRODUCT``, where G = sum_w K(w) c(w) tau^(w + rho) is one
+    ``sum_of_products``; no weight coefficient or character is formed.
+    A(rho) is free of x, so it commutes with the truncation.
     """
-    return sum_of_products(SERIES_VARS, [
-        (_pair_kernel(n, m) * _q_clear((n, m)).rename(XQ), _p_char((n, m)))
+    g = sum_of_products(SERIES_VARS, [
+        (_pair_kernel(n, m) * _q_clear((n, m)).rename(XQ),
+         LaurentPoly.monomial(CHAR_VARS, 1, a=n + RHO.n, b=m + RHO.m))
         for n in range(D + 1) for m in range((D - n) // 2 + 1)], "x", D)
+    return antisymmetrize(sum_of_products(SERIES_VARS, [(g, MACDONALD_PRODUCT)], "x", D))
 
 
 def highest_weight_sums(ws, mass, D: int | None = None,
@@ -670,10 +682,12 @@ def highest_weight_sums(ws, mass, D: int | None = None,
 
 
 def boundary_series(D: int) -> LaurentPoly:
-    """Right-hand side of the main series identity through x-degree D: the
-    boundary product times the identity-coset mass times the one-row
-    character series, by highest weight.  It is the sum of chi_(r,0) times
-    z0 Q tau0^(r,0) over r <= D, each (x, q) factor cut at D against its
-    monomial before the character, which is free of x, multiplies in."""
-    return character_sum(SERIES_VARS, {
-        Weight(r, 0): _Z0Q.mul_trunc(_tau0((r, 0)), "x", D) for r in range(D + 1)})
+    """A(rho) times the right-hand side of the main series identity through
+    x-degree D: the boundary product times the identity-coset mass times
+    the one-row character series, by highest weight.  A(rho) chi_(r,0) is
+    the alternating sum A((r, 0) + rho), so this is the sum of
+    A((r, 0) + rho) times z0 Q tau0^(r,0) over r <= D, each (x, q) factor
+    cut at D against its monomial, in one ``sum_of_products``."""
+    return sum_of_products(SERIES_VARS, [
+        (alt_sum(Weight(r + RHO.n, RHO.m)), _Z0Q.mul_trunc(_tau0((r, 0)), "x", D))
+        for r in range(D + 1)])

@@ -6,6 +6,7 @@ from e8g2.cli import Manifest, ManifestEntry, RunConfig, run
 from e8g2.g2chars import (
     CHAR_VARS,
     FULL_VARS,
+    MACDONALD_PRODUCT,
     POSITIVE_ROOTS,
     Q,
     Q_VARS,
@@ -15,14 +16,16 @@ from e8g2.g2chars import (
     WEYL_GROUP,
     Weight,
     alt_sum,
+    antisymmetrize,
     dimension,
+    over_a_rho,
     spherical,
     weight_coefficient,
     weight_expansion,
     weyl_character,
 )
 from e8g2.rootsys import G2_CARTAN, RootSystem
-from e8g2.symra import LaurentPoly, RatFunc, one_minus
+from e8g2.symra import InexactDivision, LaurentPoly, RatFunc, one_minus
 from oracles import (
     boundary_series_by_product,
     decompose,
@@ -124,6 +127,54 @@ def test_alt_sum_antisymmetry(w):
         assert alt_sum(img) == base * s
 
 
+SERIES = ("x", "q", "a", "b")
+series_poly = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(-2, 2), st.integers(-4, 4), st.integers(-4, 4)),
+    st.integers(-3, 3), max_size=6).map(lambda d: LaurentPoly(SERIES, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_poly)
+def test_antisymmetrize_is_alt_sum_per_term(p):
+    # by linearity: each term c x^i q^j tau^w goes to c x^i q^j A(w), the
+    # x and q exponents untouched
+    want = LaurentPoly.zero(SERIES)
+    for (i, j, n, m), c in p.coeffs.items():
+        head = LaurentPoly.monomial(SERIES, c, x=i, q=j)
+        want = want + head * alt_sum((n, m)).rename(SERIES)
+    assert antisymmetrize(p) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_poly)
+def test_over_a_rho_undoes_a_rho(p):
+    a_rho = LaurentPoly(CHAR_VARS, ALT_RHO_TERMS).rename(SERIES)
+    assert over_a_rho(a_rho * p) == p
+    # every antisymmetric polynomial is a multiple of A(rho)
+    assert over_a_rho(antisymmetrize(p)) * a_rho == antisymmetrize(p)
+
+
+def test_antisymmetrize_needs_a_b_last():
+    with pytest.raises(ValueError):
+        antisymmetrize(LaurentPoly.monomial(("a", "b", "x"), 1, a=1))
+    with pytest.raises(InexactDivision):
+        over_a_rho(LaurentPoly.monomial(CHAR_VARS, 1, a=1, b=1) * 2
+                   - LaurentPoly.monomial(CHAR_VARS, 1, a=-1, b=2))
+
+
+def test_macdonald_antisymmetrization_matches_weight_coefficient():
+    # the route check3's left side takes: A(rho) P(w) as the
+    # antisymmetrization of tau^(w + rho) times Macdonald's product, on
+    # every pair check3 sums at D = 10, against the weight coefficient
+    # by straightening and characters
+    alt_rho = LaurentPoly(CHAR_VARS, ALT_RHO_TERMS).rename(FULL_VARS)
+    for n in range(11):
+        for m in range((10 - n) // 2 + 1):
+            shifted = LaurentPoly.monomial(FULL_VARS, 1, a=n + RHO.n, b=m + RHO.m)
+            assert (antisymmetrize(shifted * MACDONALD_PRODUCT)
+                    == alt_rho * weight_coefficient((n, m))), (n, m)
+
+
 def test_weyl_character_basics():
     assert weyl_character((0, 0)).to_text() == "1"
     std = weyl_character((1, 0))
@@ -215,14 +266,15 @@ def test_weight_coefficient_against_alternating_sums():
 
 
 def test_weight_coefficient_never_renames(monkeypatch):
-    # the coefficient, and the boundary series the series checks read, are
-    # each sums of products embedded by variable name: no product is
-    # formed one renamed polynomial at a time, as these references do
+    # the coefficient, and the boundary series times A(rho) that check3
+    # reads, are each sums of products embedded by variable name: no
+    # product is formed one renamed polynomial at a time, as these
+    # references do
     w = (9, 3)
     want = LaurentPoly.zero(FULL_VARS)
     for lam, p in weight_expansion(w).items():
         want = want + p.rename(FULL_VARS) * weyl_character(lam).rename(FULL_VARS)
-    series_want = boundary_series_by_product(6)
+    series_want = alt_sum(RHO).rename(zeta.SERIES_VARS) * boundary_series_by_product(6)
 
     def forbidden(self, out_vars):
         raise AssertionError(f"rename({out_vars}) called")

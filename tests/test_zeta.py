@@ -3,6 +3,7 @@ bookkeeping-ring shift operators, the finite summation family against the
 frozen closed form, the local-integral cases, weight coefficients, and the
 truncated series checks."""
 
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from e8g2 import g2chars
 from e8g2 import zeta as z
 from e8g2.checks import (
     MAX_SERIES_DEGREE,
@@ -18,16 +20,20 @@ from e8g2.checks import (
     _normalized_by_weight,
 )
 from e8g2.cli import Manifest, ManifestEntry, RunConfig, UsageError, run
+from e8g2.cli import main as cli_main
 from e8g2.g2chars import (
+    RHO,
     Q,
     S0,
     Weight,
     _pairing_with_double_rho,
+    alt_sum,
     character_sum,
+    over_a_rho,
     weight_expansion,
 )
 from e8g2.rootsys import e8
-from e8g2.symra import LaurentPoly, RatFunc
+from e8g2.symra import InexactDivision, LaurentPoly, RatFunc
 from e8g2.zeta import XQ, SingularShift, XPoly
 from oracles import (
     boundary_series_by_product,
@@ -473,6 +479,9 @@ class TestWeightCoefficients:
 # where the perturbed-mass series first leaves the boundary series at D = 4
 PERTURBED_D4_DIFFERENCE = {"x_degree": 0, "monomial": "q^-1", "computed": 4, "expected": 2}
 
+# A(rho) in (x, q, a, b): check3 compares both sides times it
+A_RHO = alt_sum(RHO).rename(z.SERIES_VARS)
+
 
 class TestTruncationFirst:
     @pytest.mark.parametrize("D", range(1, 6))
@@ -481,7 +490,7 @@ class TestTruncationFirst:
         # Z times the normalizing factor and 1/((1-xq^7)(1-xq^8)), by all
         # of its keys, against the keys zeta.end_to_end keeps once Z cancels
         every_key = {(k, j, 0, 0): 1 for k, j in z.N_KEYS + ((1, 7), (1, 8))}
-        assert z._measure_sum(D) == truncate_var(measure_sum_by_products(D), "x", D)
+        assert z._measure_sum(D) == A_RHO * truncate_var(measure_sum_by_products(D), "x", D)
         for perturb_mass in (False, True):
             full = measure_sum_by_products(D, perturb_mass)
             assert (RatFunc(z4 * full, every_key).truncate("x", D)
@@ -505,19 +514,20 @@ class TestSeriesChecks:
 
     @pytest.mark.parametrize("D", range(1, 11))
     def test_boundary_series_matches_full_product(self, D):
-        # the right side by highest weight, each one-row term cut before
-        # its character multiplies in, against the product of the whole
-        # boundary product and character series, cut after it
-        assert z.boundary_series(D) == boundary_series_by_product(D)
+        # the right side times A(rho) by highest weight, each one-row term
+        # cut before its alternating sum multiplies in, against A(rho)
+        # times the product of the whole boundary product and character
+        # series, cut after it
+        assert z.boundary_series(D) == A_RHO * boundary_series_by_product(D)
 
     def test_main_identity_series_negative_control(self):
         # with the full mass Q on every pair, the identity that zeta.check3
-        # verifies fails, first at x^0: the (0, 0) pair's mass is no longer
-        # cleared
+        # verifies times A(rho) fails, first at x^0: the (0, 0) pair's mass
+        # is no longer cleared
         perturbed = truncate_var(measure_sum_by_products(4, perturb_mass=True), "x", 4)
         want = z.boundary_series(4)
-        assert perturbed != want
-        assert _first_difference(perturbed, want) == PERTURBED_D4_DIFFERENCE
+        assert A_RHO * perturbed != want
+        assert _first_difference(perturbed, over_a_rho(want)) == PERTURBED_D4_DIFFERENCE
 
     def test_failing_series_checks_locate_the_difference(self, monkeypatch):
         # the full mass Q on every pair, on both routes
@@ -575,13 +585,58 @@ class TestSeriesChecks:
         monkeypatch.setattr(z, "_p_char", no_coefficient)
         assert run_check("zeta.end_to_end", D=4).status == "pass"
 
-    def test_series_sequence_forms_check3_coefficients_once(self):
-        # the benchmark's series op: end_to_end at D = 8 adds no weight
-        # coefficient to the 36 that check3 forms at D = 10
-        z._p_char.cache_clear()
+    def test_series_sequence_forms_no_coefficient_character_or_division(self, monkeypatch):
+        # the benchmark's series op, check3 at D = 10 then end_to_end at
+        # D = 8, passes with no weight coefficient, no Weyl character and
+        # no exact division formed
+        def forbidden(*args, **kwargs):
+            raise AssertionError("weight coefficient, character or division formed")
+
+        character = g2chars.weyl_character
+        for module in [m for name, m in sys.modules.items() if name.startswith("e8g2")]:
+            for name, value in list(vars(module).items()):
+                if value is character:
+                    monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(z, "_p_char", forbidden)
+        monkeypatch.setattr(LaurentPoly, "divexact", forbidden)
         assert run_check("zeta.check3", D=10).status == "pass"
         assert run_check("zeta.end_to_end", D=8).status == "pass"
-        assert z._p_char.cache_info().misses == 36
+
+    def test_check3_negative_control_on_macdonald_product(self, monkeypatch):
+        # with one term dropped from Macdonald's product, the left side is
+        # still antisymmetric, so A(rho) divides both sides and the report
+        # locates the first difference
+        product = z.MACDONALD_PRODUCT
+        dropped = dict(list(product.coeffs.items())[1:])
+        monkeypatch.setattr(z, "MACDONALD_PRODUCT", LaurentPoly(product.vars, dropped))
+        rep = run_check("zeta.check3", D=4)
+        assert rep.status == "fail"
+        assert set(rep.computed) == {"equal", "pairs_summed", "first_difference"}
+        assert rep.computed["equal"] is False
+
+    def test_check3_negative_control_on_one_weyl_sign(self, monkeypatch, capsys):
+        # with one Weyl element's sign flipped in the left side's
+        # antisymmetrization only, A(rho) no longer divides the left side:
+        # the report names it, and the run fails with exit code 1, not
+        # with the division's internal error
+        group = g2chars.WEYL_GROUP
+        (matrix, sign), rest = group[-1], group[:-1]
+        flipped = rest + ((matrix, -sign),)
+
+        def left_only(p):
+            with monkeypatch.context() as m:
+                m.setattr(g2chars, "WEYL_GROUP", flipped)
+                return g2chars.antisymmetrize(p)
+
+        monkeypatch.setattr(z, "antisymmetrize", left_only)
+        with pytest.raises(InexactDivision):
+            over_a_rho(z._measure_sum(4))
+        rep = run_check("zeta.check3", D=4)
+        assert rep.status == "fail"
+        assert rep.computed == {"equal": False, "pairs_summed": 9,
+                                "not_divisible_by_A_rho": ["left"]}
+        assert cli_main(["e8g2", "--check", "zeta.check3", "--degree", "4"]) == 1
+        assert "not_divisible_by_A_rho" in capsys.readouterr().out
 
     def test_end_to_end_negative_control_on_z(self, monkeypatch):
         # end_to_end cancels Z against the normalizing factor by their keys;
