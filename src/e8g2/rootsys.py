@@ -4,11 +4,19 @@ Roots are integer coefficient vectors over the simple roots, stored as
 tuples and printed in 8-digit-string notation (e.g. "11221111"); negative
 roots print with a leading minus.  All enumerations are ordered by
 (height, lexicographic) so every downstream report is deterministic.
+
+Each root also packs into one integer (RootSystem.pack, inverse .unpack):
+balanced signed digits in radix R, the first coordinate most significant,
+R the least power of two above 2c for c the highest root's largest
+coefficient (16 for E8, 8 for G2).  Root coordinates lie in [-c, c], so no
+run of lower digits outweighs one unit of a higher one: integer order is
+lexicographic order, and the integer's sign is the root's.  Packing is linear.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -71,7 +79,11 @@ class RootSystem:
         # 2 rho, the sum of the positive roots: beta > 0 iff (beta, rho) > 0,
         # so (w^{-1} beta, rho) = (beta, w rho) signs w^{-1} beta from w alone
         self.two_rho = tuple(map(sum, zip(*self.positive)))
-        self._root_set = frozenset(self.roots)
+        # the highest root is last in (height, lex) order
+        self.radix = 1 << (2 * max(self.roots[-1])).bit_length()
+        place = [self.radix ** k for k in reversed(range(self.rank))]
+        self.pack = {a: sum(map(operator.mul, a, place)) for a in self.roots}
+        self.unpack = {p: a for a, p in self.pack.items()}
         # sanity: roots come in +/- pairs and signs are coherent
         for a in self.positive:
             if any(c < 0 for c in a):
@@ -80,7 +92,7 @@ class RootSystem:
     # -- basic queries -------------------------------------------------
 
     def is_root(self, alpha: Iterable[int]) -> bool:
-        return tuple(alpha) in self._root_set
+        return tuple(alpha) in self.pack
 
     def pairing(self, alpha: Root, i: int) -> int:
         """<alpha, alpha_i^vee> for the 1-indexed simple coroot."""
@@ -109,7 +121,7 @@ class RootSystem:
         if len(digits) != self.rank or not digits.isdigit():
             raise ValueError(f"bad root string {text!r} for rank {self.rank}")
         alpha = tuple((-1 if neg else 1) * int(d) for d in digits)
-        if alpha not in self._root_set:
+        if alpha not in self.pack:
             raise ValueError(f"{text!r} is not a root")
         return alpha
 

@@ -4,10 +4,10 @@ An element w is stored only as its images w(alpha_i) of the simple roots
 (rank-many root vectors); the action on arbitrary roots is linear.  Left
 descents, the one fact that would need w^{-1}, are read off w(2 rho).
 The full group is never materialized: enumeration walks the W-orbit of
-omega_J as a tree, each point's parent fixed by its smallest descent, one
-level at a time; each minimal left-coset representative gets its cols,
-length and canonical word from its parent's in one step, and only the
-distinguished double-coset representatives are kept.
+omega_J as a tree, one level at a time, on packed columns (RootSystem.pack);
+each minimal left-coset representative gets its cols, length and canonical
+word from its parent's in one step, and only the distinguished double-coset
+representatives are kept and built as WeylElts.
 
 Words are written over the simple-reflection indices 1..8 and printed as
 digit strings, matching the w[...] notation used in all reports.
@@ -15,7 +15,8 @@ digit strings, matching the w[...] notation used in all reports.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+import operator
+from typing import Iterable, Sequence
 
 from .rootsys import RootSystem, Root
 
@@ -45,11 +46,11 @@ def parse_word(word: str | Sequence[int]) -> tuple[int, ...]:
 class WeylElt:
     __slots__ = ("rs", "cols", "_len", "_word")
 
-    def __init__(self, rs: RootSystem, cols: tuple[Root, ...]):
+    def __init__(self, rs: RootSystem, cols: tuple[Root, ...], length=None, word=None):
         self.rs = rs
         self.cols = cols
-        self._len = None
-        self._word = None
+        self._len = length
+        self._word = word
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "WeylElt":
@@ -169,46 +170,6 @@ def min_coset_rep(J: Iterable[int], w: WeylElt, K: Iterable[int] = ()) -> WeylEl
     return w
 
 
-def _orbit_tree(rs: RootSystem, J: Iterable[int]) -> Iterator[tuple[tuple[int, ...], WeylElt]]:
-    """Every minimal-length representative of W_J \\ W, level by level.
-
-    A representative w is the point mu = w^{-1} omega_J of the W-orbit of
-    omega_J = sum of omega_j over j not in J, in fundamental-weight
-    coordinates mu_i = <mu, alpha_i^vee>.  There s_i(mu) = mu - mu_i*alpha_i,
-    where alpha_i is column i of the Cartan matrix; mu_i > 0 iff w*s_i is a
-    representative one longer, mu_i < 0 iff i is a right descent of w, and
-    mu_i = 0 iff w*s_i lies in W_J*w (Casselman, Invent. Math. 1994;
-    Stembridge, MSJ Memoirs 11).  Giving each point its smallest descent
-    as parent makes the orbit a tree, so a walk down it reaches each point
-    once with no visited set (Avis and Fukuda's reverse search, Discrete
-    Appl. Math. 65, 1996); only the current level is kept.  A child's cols
-    are one right_mul of its parent's, its length is the level, and its
-    word is the parent's word plus the letter: the canonical word.  Each
-    element is yielded as (mu, w)."""
-    rank = rs.rank
-    alphas = [tuple(row[i] for row in rs.cartan) for i in range(rank)]
-    on = set(J)
-    ident = WeylElt.identity(rs)
-    ident._len, ident._word = 0, ""
-    level = [(tuple(0 if i in on else 1 for i in range(1, rank + 1)), ident)]
-    length = 0
-    while level:
-        yield from level
-        length += 1
-        children = []
-        for mu, w in level:
-            for i, m in enumerate(mu):
-                if m <= 0:
-                    continue
-                nu = tuple([a - m * b for a, b in zip(mu, alphas[i])])
-                if i and min(nu[:i]) < 0:  # a smaller descent is nu's parent
-                    continue
-                child = w.right_mul(i + 1)
-                child._len, child._word = length, w._word + str(i + 1)
-                children.append((nu, child))
-        level = children
-
-
 def enumerate_min_left_reps(rs: RootSystem, J: Iterable[int]) -> list[WeylElt]:
     """All minimal-length representatives of W_J \\ W, sorted by (length,
     cols), each with its length and canonical word from the orbit walk."""
@@ -217,14 +178,51 @@ def enumerate_min_left_reps(rs: RootSystem, J: Iterable[int]) -> list[WeylElt]:
 
 def enumerate_double_cosets(rs: RootSystem, J: Iterable[int], K: Iterable[int]) -> list[WeylElt]:
     """Minimal-length representatives of W_J \\ W / W_K, sorted by (length,
-    cols).  A minimal left representative is minimal in w*W_K too iff
-    w(alpha_k) > 0 for every k in K, iff mu_k >= 0 at its orbit point; only
-    those become part of the result, each with its length and canonical
-    word from the walk."""
-    Kt = tuple(k - 1 for k in K)
-    out = [w for mu, w in _orbit_tree(rs, J) if all(mu[k] >= 0 for k in Kt)]
-    out.sort(key=lambda w: (w._len, w.cols))
-    return out
+    cols), each with its length and canonical word from the walk.
+
+    A minimal left representative w is the point mu = w^{-1} omega_J of the
+    W-orbit of omega_J = sum of omega_j over j not in J, in fundamental-weight
+    coordinates.  s_i(mu) = mu - mu_i*alpha_i, alpha_i column i of the Cartan
+    matrix; mu_i > 0 iff w*s_i is a representative one longer, mu_i < 0 iff
+    i is a right descent of w (Casselman, Invent. Math. 1994).  Each point's
+    parent is its smallest descent, so the orbit is a tree that a walk
+    reaches each point of once, keeping one level and no visited set (Avis
+    and Fukuda's reverse search, Discrete Appl. Math. 65, 1996).  A point
+    carries that descent d.  s_i raises mu_j for j != i, so s_i(mu) has no
+    descent below i if i < d, and keeps d if i > d and a_di = 0.  A child's
+    length is the level, its word its parent's plus the letter, and its
+    packed cols its parent's with a_ij times column i taken from column j
+    for the non-zero a_ij of Cartan row i.  w is minimal in w*W_K too iff
+    mu_k >= 0 for every k in K; only those points are kept, sorted on packed
+    cols (packing keeps lexicographic order), and built as WeylElts."""
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in rs.cartan]
+    alphas = [[(j, a) for j, a in enumerate(col) if a] for col in zip(*rs.cartan)]
+    on, Kt = set(J), [k - 1 for k in K]
+    level = [([0 if i in on else 1 for i in range(1, rs.rank + 1)],
+              tuple([rs.pack[a] for a in rs.simple]), "", rs.rank)]
+    kept, length = [], 0
+    while level:
+        kept += [(length, cols, word) for mu, cols, word, d in level
+                 if all(mu[k] >= 0 for k in Kt)]
+        length += 1
+        children = []
+        for mu, cols, word, d in level:
+            for i, m in enumerate(mu):
+                if m <= 0 or (i > d and not rs.cartan[d][i]):
+                    continue
+                nu = mu[:]
+                for j, a in alphas[i]:
+                    nu[j] -= m * a
+                if i > d and min(nu[:i]) < 0:  # a smaller descent is nu's parent
+                    continue
+                c, ci = list(cols), cols[i]
+                for j, a in rows[i]:
+                    c[j] -= a * ci
+                children.append((nu, tuple(c), word + str(i + 1), i))
+        level = children
+    kept.sort()  # (length, cols) is unique, so words are never compared
+    return [WeylElt(rs, tuple([rs.unpack[c] for c in cols]), length, word)
+            for length, cols, word in kept]
 
 
 def parabolic_order(rs: RootSystem, J: Iterable[int] | None = None) -> int:
@@ -248,12 +246,18 @@ def parabolic_order(rs: RootSystem, J: Iterable[int] | None = None) -> int:
 
 
 def support_filter(reps: Iterable[WeylElt], supp: Iterable[Root]) -> list[WeylElt]:
-    """Keep exactly those w mapping every support root to a negative root."""
+    """Keep exactly those w mapping every support root to a negative root,
+    signing w(a) by its packing, the dot product sum_k a_k*pack(w(alpha_k))."""
     supp = list(supp)
     for a in supp:
         if sum(a) <= 0:
             raise ValueError("support roots must be positive")
-    return [w for w in reps if all(sum(w.act(a)) < 0 for a in supp)]
+    out = []
+    for w in reps:
+        cols = [w.rs.pack[c] for c in w.cols]
+        if all(sum(map(operator.mul, a, cols)) < 0 for a in supp):
+            out.append(w)
+    return out
 
 
 def resolve_swap47(rs: RootSystem) -> dict:

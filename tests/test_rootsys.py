@@ -109,7 +109,7 @@ def test_radical_closed_under_addition():
 def test_negatives_and_heights():
     pos = set(E8.positive)
     for a in pos:
-        assert tuple(-c for c in a) in E8._root_set
+        assert E8.is_root(tuple(-c for c in a))
     assert len([a for a in E8.roots if sum(a) < 0]) == 120
     height_one = [a for a in E8.positive if sum(a) == 1]
     assert set(height_one) == set(E8.simple)
@@ -131,6 +131,35 @@ def test_deterministic_order():
     heights = [sum(a) for a in E8.positive]
     assert heights == sorted(heights)
     assert max(heights) == 29  # highest root
+
+
+@pytest.mark.parametrize("rs", [E8, G2], ids=["E8", "G2"])
+def test_packed_roots_round_trip_and_keep_sign_and_order(rs):
+    assert len(rs.pack) == len(rs.unpack) == len(rs.roots)
+    for a in rs.roots:
+        p = rs.pack[a]
+        assert p == sum(c * rs.radix ** (rs.rank - 1 - k) for k, c in enumerate(a))
+        assert rs.unpack[p] == a
+        assert (p < 0) == (sum(a) < 0) and p != 0
+    # integer order of the packed roots is lexicographic order of the tuples
+    assert sorted(rs.roots, key=rs.pack.get) == sorted(rs.roots)
+    for a in rs.roots:
+        for b in rs.roots:
+            assert (rs.pack[a] < rs.pack[b]) == (a < b)
+
+
+@pytest.mark.parametrize("cartan, radix", [
+    (E8_CARTAN, 16), (G2_CARTAN, 8), (A1_CARTAN, 4), (A2_CARTAN, 4),
+], ids=["E8", "G2", "A1", "A2"])
+def test_radix_is_derived_from_the_highest_root(cartan, radix):
+    # the least power of two above twice the highest root's largest
+    # coefficient: 6 for E8, 3 for G2, 1 for A1 and A2
+    rs = RootSystem(cartan)
+    highest = max(rs.positive, key=sum)
+    c = max(highest)
+    assert rs.radix == radix
+    assert rs.radix & (rs.radix - 1) == 0 and rs.radix // 2 <= 2 * c < rs.radix
+    assert all(abs(x) <= c for a in rs.roots for x in a)
 
 
 def test_restrict_z_roots():

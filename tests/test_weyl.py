@@ -203,6 +203,20 @@ def test_orbit_walk_matches_bfs_oracle(rs, J, bfs_left_reps):
     assert _rows(reps, [w._word for w in reps]) == _rows(oracle, words_by_descents(oracle))
 
 
+@pytest.mark.parametrize("rs, J, K", [
+    (E8, M2_INDICES, (4, 7)), (E8, M1_INDICES, M2_INDICES), (G2, (1,), (2,)),
+], ids=["E8-M2-47", "E8-M1-M2", "G2-1-2"])
+def test_right_coset_filter_matches_bfs_oracle(rs, J, K, bfs_left_reps):
+    # a minimal left representative is a double-coset representative iff
+    # w(alpha_k) > 0 for every k in K: filter the oracle's BFS by that and
+    # compare the walk's cols, lengths and words with the descent words
+    oracle = bfs_left_reps if (rs, J) == (E8, M2_INDICES) else min_left_reps_by_bfs(rs, J)
+    kept = [w for w in oracle if all(sum(w.act(rs.simple[k - 1])) > 0 for k in K)]
+    reps = enumerate_double_cosets(rs, J, K)
+    assert 0 < len(reps) < len(oracle)
+    assert _rows(reps, [w._word for w in reps]) == _rows(kept, words_by_descents(kept))
+
+
 def _walk_keeping_the_largest_descent(rs, J):
     """The orbit walk with the parent rule turned round: nu's parent is its
     largest descent.  It still reaches every point once, with the right
