@@ -24,10 +24,9 @@ vanishing patterns and monomial supports are convention-independent.
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, Sequence
 
-from .rootsys import RootSystem, root_key
+from .rootsys import RootSystem
 from .symra import LaurentPoly
 from .weyl import WeylElt, radical_intersection, evaluate_word, WORD_SWAP47_A
 
@@ -40,14 +39,6 @@ D0_ROOTS = ("00001100", "00011100", "00001110", "00000111", "00011110")
 # The support of the generic-position character on the radical of the
 # first maximal parabolic; each root has coefficient 1.
 CHARACTER_SUPPORT_ROOTS = ("11221111", "11122111", "12232210", "11233210")
-
-
-def _add(a: Root, b: Root) -> Root:
-    return tuple(map(operator.add, a, b))
-
-
-def _neg(a: Root) -> Root:
-    return tuple(map(operator.neg, a))
 
 
 def _constants_key(a: Root):
@@ -74,7 +65,7 @@ class StructureConstants:
     determine the whole table.
     """
 
-    __slots__ = ("rs", "_root_set", "table")
+    __slots__ = ("rs", "order", "table")
 
     def __init__(self, rs: RootSystem):
         n = rs.rank
@@ -84,35 +75,36 @@ class StructureConstants:
                     raise ValueError(
                         "structure constants require a simply-laced root system")
         self.rs = rs
-        self._root_set = set(rs.roots)
+        # canonical order: the index in rs.roots (root_key order)
+        self.order = {a: i for i, a in enumerate(rs.roots)}
+        # keyed by packed root, a + b is one addition
+        pack = rs.pack
         above = [[j for j in range(i + 1, n) if rs.cartan[i][j]] for i in range(n)]
-        odd = {a: _odd_mask(a) for a in rs.roots}
-        f_odd = {b: _odd_mask([b[i] + sum(b[j] for j in above[i]) for i in range(n)])
+        odd = {pack[a]: _odd_mask(a) for a in rs.roots}
+        f_odd = {pack[b]: _odd_mask([b[i] + sum(b[j] for j in above[i]) for i in range(n)])
                  for b in rs.roots}
 
-        def eps(a: Root, b: Root) -> int:
+        def eps(a: int, b: int) -> int:
             # (-1)^(a^T F b), read from the bits of a mod 2 and F b mod 2
             return -1 if (odd[a] & f_odd[b]).bit_count() & 1 else 1
 
         # sign holds the positive roots below g, so the first a with g - a
         # in it is the extraspecial pair's
-        scan = sorted(rs.positive, key=_constants_key)
-        sign = {a: 1 for a in rs.simple}
+        scan = [pack[a] for a in sorted(rs.positive, key=_constants_key)]
+        sign = {pack[a]: 1 for a in rs.simple}
         for g in scan:
             if g in sign:
                 continue
             for a in scan:
-                b = tuple(map(operator.sub, g, a))
-                if b in sign:
-                    sign[g] = eps(a, b) * sign[a] * sign[b]
+                if g - a in sign:
+                    sign[g] = eps(a, g - a) * sign[a] * sign[g - a]
                     break
-        sign.update({_neg(a): -s for a, s in sign.items()})
+        sign.update({-p: -s for p, s in sign.items()})
         self.table: dict[tuple[Root, Root], int] = {}
-        for a in rs.roots:
-            for b in rs.roots:
-                c = _add(a, b)
-                if c in self._root_set:
-                    self.table[(a, b)] = eps(a, b) * sign[a] * sign[b] * sign[c]
+        for a, pa in pack.items():
+            for b, pb in pack.items():
+                if pa + pb in rs.unpack:
+                    self.table[a, b] = eps(pa, pb) * sign[pa] * sign[pb] * sign[pa + pb]
 
     # -- queries ---------------------------------------------------
 
@@ -120,7 +112,7 @@ class StructureConstants:
         if isinstance(a, str):
             return self.rs.parse_root(a)
         a = tuple(a)
-        if a not in self._root_set:
+        if a not in self.rs.pack:
             raise ValueError(f"{a} is not a root")
         return a
 
@@ -135,14 +127,16 @@ class StructureConstants:
         (ordered) triangles scanned and the violations of each rule.
         """
         table = self.table
+        pack, unpack = self.rs.pack, self.rs.unpack
         rotation = antisymmetry = negation = 0
         for (a, b), v in table.items():
-            c = _neg(_add(a, b))
+            pa, pb = pack[a], pack[b]
+            c = unpack[-pa - pb]
             if table[(b, c)] != v or table[(c, a)] != v:
                 rotation += 1
             if table[(b, a)] != -v:
                 antisymmetry += 1
-            if table[(_neg(a), _neg(b))] != -v:
+            if table[(unpack[-pa], unpack[-pb])] != -v:
                 negation += 1
         return {
             "triangles_checked": len(table),
@@ -254,21 +248,15 @@ class UnipotentWord:
     # -- normal form ---------------------------------------------------
 
     def _check_nilpotent(self) -> None:
-        closure = set(self.support())
-        frontier = True
-        while frontier:
-            frontier = False
-            for a in list(closure):
-                for b in list(closure):
-                    s = _add(a, b)
-                    if s in self.sc._root_set and s not in closure:
-                        closure.add(s)
-                        frontier = True
-        for a in closure:
-            if _neg(a) in closure:
-                raise ValueError(
-                    "roots do not span a nilpotent closed subset; "
-                    "expansion would not terminate")
+        rs = self.sc.rs
+        closure = {rs.pack[r] for r, _ in self.factors}
+        while new := {a + b for a in closure for b in closure
+                      if a + b in rs.unpack} - closure:
+            closure |= new
+        if any(-a in closure for a in closure):
+            raise ValueError(
+                "roots do not span a nilpotent closed subset; "
+                "expansion would not terminate")
 
     def canonical(self) -> "UnipotentWord":
         """Normal form: factors sorted by the root order, merged, nonzero.
@@ -282,6 +270,7 @@ class UnipotentWord:
         work: list[tuple[Root, LaurentPoly]] = [
             (r, c) for r, c in self.factors if not c.is_zero()]
         vars = self.vars
+        order, pack, unpack = self.sc.order, self.sc.rs.pack, self.sc.rs.unpack
         # generous guard: the nilpotency class bounds the real pass count
         max_passes = 40 * (1 + max((abs(sum(r)) for r, _ in work), default=1))
         passes = 0
@@ -300,10 +289,10 @@ class UnipotentWord:
                         work[i:i + 2] = [(a, s)]
                     changed = True
                     continue
-                if root_key(a) > root_key(b):
+                if order[a] > order[b]:
                     repl = [(b, v), (a, u)]
-                    s = _add(a, b)
-                    if s in self.sc._root_set:
+                    s = unpack.get(pack[a] + pack[b])
+                    if s:
                         coeff = u * v * self.sc.table[(a, b)]
                         if not coeff.is_zero():
                             repl.append((s, coeff))
@@ -332,13 +321,13 @@ class CharacterSupport:
 
     def __init__(self, rs: RootSystem, roots: Iterable):
         self.rs = rs
-        radical = set(rs.radical_roots(1))
         out: list[Root] = []
         for root in roots:
             root = rs.parse_root(root) if isinstance(root, str) else tuple(root)
             if root in out:
                 raise ValueError(f"duplicate support root {rs.root_str(root)}")
-            if root not in radical:
+            # radical of P_1: first coefficient > 0
+            if root not in rs.pack or root[0] <= 0:
                 raise ValueError(
                     f"{rs.root_str(root)} is not a root of the radical")
             out.append(root)
@@ -430,15 +419,13 @@ def d0_structure_check(rs: RootSystem) -> dict:
     either node-4 or node-7 simple root from each either leaves the root
     system or lands back in the list (the two SL2's normalize the group)."""
     roots = [rs.parse_root(s) for s in D0_ROOTS]
-    rset = set(rs.roots)
-    listed = set(roots)
+    listed = {rs.pack[a] for a in roots}
     pair_sums = []
     for i, a in enumerate(roots):
         for b in roots[i:]:
-            s = _add(a, b)
             pair_sums.append({
                 "pair": [rs.root_str(a), rs.root_str(b)],
-                "sum_is_root": s in rset,
+                "sum_is_root": rs.pack[a] + rs.pack[b] in rs.unpack,
             })
     abelian = all(not row["sum_is_root"] for row in pair_sums)
     moves = []
@@ -446,9 +433,8 @@ def d0_structure_check(rs: RootSystem) -> dict:
     for a in roots:
         for node in (4, 7):
             for direction in (-1, 1):
-                step = rs.simple[node - 1]
-                image = _add(a, tuple(direction * x for x in step))
-                if image in rset:
+                image = rs.pack[a] + direction * rs.pack[rs.simple[node - 1]]
+                if image in rs.unpack:
                     status = "listed" if image in listed else "outside"
                 else:
                     status = "not-a-root"

@@ -11,6 +11,13 @@ R the least power of two above 2c for c the highest root's largest
 coefficient (16 for E8, 8 for G2).  Root coordinates lie in [-c, c], so no
 run of lower digits outweighs one unit of a higher one: integer order is
 lexicographic order, and the integer's sign is the root's.  Packing is linear.
+A sum of two roots is a root exactly when its integer is in unpack.  The
+sum and a root whose integer it matches differ by at most 2c < R in each
+coordinate: a sum of roots of opposite signs lies in [-c, c], and any
+other sum shares its sign with the matched root.  A vector whose digits
+are all smaller than R in size packs to 0 only if it is 0.  The census
+walk in weyl and the sign table, Jacobi sweep and word calculus in cheval
+all run on these integers.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from e8g2.cheval import (
     symbolic_conjugator,
 )
 from e8g2.checks import CONDITIONS, CONJUGATOR_ZEROED
-from e8g2.rootsys import G2_CARTAN, RootSystem, e8, root_key
+from e8g2.rootsys import E8_CARTAN, G2_CARTAN, RootSystem, e8, root_key
 from e8g2.weyl import WeylElt, pivot_element
 from oracles import extraspecial_pairs, structure_table_by_recursion
 
@@ -76,12 +76,17 @@ def cartan_from_edges(rank, edges):
 
 # Reversing the numbering of a path gives the same Cartan matrix back, so
 # A4 is numbered out of path order (2-4-1-3) instead: its edges then point
-# both ways, as the reversed D4 and E6 numberings do at the branch node.
+# both ways, as the reversed D4, E6 and E7 numberings do at the branch node.
 OTHER_NUMBERINGS = {
     "D4 reversed": cartan_from_edges(4, [(4, 3), (3, 2), (3, 1)]),
     "E6 reversed": cartan_from_edges(6, [(6, 4), (4, 3), (3, 2), (2, 1), (5, 3)]),
+    "E7 reversed": cartan_from_edges(7, [(7, 5), (5, 4), (4, 3), (3, 2), (2, 1), (6, 4)]),
     "A4 out of path order": cartan_from_edges(4, [(2, 4), (4, 1), (1, 3)]),
 }
+# E8 without node 8: its highest root's largest coefficient is 4, so it
+# packs in radix 16 as E8 does, where A2 and A4 pack in radix 4 and D4 and
+# E6 in radix 8
+E7_CARTAN = cartan_from_edges(7, [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)])
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +98,34 @@ def test_e8_table_matches_recursion(e8_oracle):
     assert SC.table == e8_oracle
 
 
-@pytest.mark.parametrize("cartan", [A2_CARTAN, *OTHER_NUMBERINGS.values()],
-                         ids=["A2", *OTHER_NUMBERINGS])
+@pytest.mark.parametrize("cartan", [A2_CARTAN, E7_CARTAN, *OTHER_NUMBERINGS.values()],
+                         ids=["A2", "E7", *OTHER_NUMBERINGS])
 def test_table_matches_recursion(cartan):
     rs = RootSystem(cartan)
     sc = build_constants(rs)
     assert sc.table == structure_table_by_recursion(rs)
     assert all(sc.table[p] == 1 for p in extraspecial_pairs(rs).values())
+
+
+@pytest.mark.parametrize("cartan", [E8_CARTAN, A2_CARTAN, E7_CARTAN, *OTHER_NUMBERINGS.values()],
+                         ids=["E8", "A2", "E7", *OTHER_NUMBERINGS])
+def test_table_size_from_coxeter_number_and_cartan_form(cartan):
+    # Two counts that use neither the packing nor the table.  With Coxeter
+    # number h = |roots| / rank, each root of a simply-laced system has
+    # 2h - 4 partners b with (a, b) = -1, which are exactly the b with
+    # a + b a root; and the Cartan form counts those pairs directly.
+    rs = RootSystem(cartan)
+    roots = rs.roots
+    h = len(roots) // rs.rank
+    images = [[sum(a[i] * cartan[i][j] for i in range(rs.rank)) for j in range(rs.rank)]
+              for a in roots]
+    by_form = sum(1 for ca in images for b in roots
+                  if sum(x * y for x, y in zip(ca, b)) == -1)
+    assert by_form == len(roots) * (2 * h - 4)
+    rep = build_constants(rs).jacobi_triangle_report()
+    assert rep["table_size"] == rep["triangles_checked"] == by_form
+    if cartan is E8_CARTAN:
+        assert by_form == 240 * 56 == 13440
 
 
 def test_sweep_catches_a_flipped_entry():
@@ -191,6 +217,55 @@ def test_canonical_idempotent():
     assert c2.canonical() == c2
     assert [root_key(r) for r, _ in c2.factors] == sorted(
         root_key(r) for r, _ in c2.factors)
+
+
+@pytest.mark.parametrize("cartan", [E8_CARTAN, A2_CARTAN], ids=["E8", "A2"])
+def test_canonical_order_is_root_key_order(cartan):
+    rs = RootSystem(cartan)
+    order = build_constants(rs).order
+    assert sorted(rs.roots, key=order.__getitem__) == sorted(rs.roots, key=root_key)
+    for a in rs.roots:
+        for b in rs.roots:
+            assert (order[a] < order[b]) == (root_key(a) < root_key(b))
+
+
+# canonical forms of one shuffled word over the 15 swap roots, alone and
+# conjugating x_11110000(u), as root strings and coefficient texts
+SHUFFLED_SWAP_WORD = [
+    ("00000100", "d0"), ("00000110", "d1"), ("00001100", "d2"),
+    ("00000111", "d3"), ("00001110", "d4"), ("00011100", "d5"),
+    ("00001111", "d6"), ("00011110", "d7"), ("00111100", "d8"),
+    ("00011111", "d9"), ("00111110", "d10"), ("00111111", "d11"),
+    ("01122210", "d12"), ("01122211", "d13"), ("01122221", "d14")]
+SHUFFLED_SWAP_CONJUGATE = [
+    ("11110000", "u"), ("11111100", "d2*u"), ("11111110", "d4*u"),
+    ("11121100", "d5*u"), ("11111111", "d6*u"), ("11121110", "d7*u"),
+    ("11221100", "d8*u"), ("11121111", "d9*u"), ("11221110", "d10*u"),
+    ("11122210", "-d5*d4*u + d2*d7*u"), ("11221111", "d11*u"),
+    ("11122211", "d9*d2*u - d5*d6*u"), ("11222210", "d2*d10*u - d8*d4*u"),
+    ("11122221", "-d9*d4*u + d6*d7*u"), ("11222211", "-d6*d8*u + d2*d11*u"),
+    ("11232210", "d5*d10*u - d8*d7*u"), ("11222221", "d6*d10*u - d4*d11*u"),
+    ("11232211", "-d9*d8*u + d5*d11*u"), ("12232210", "d12*u"),
+    ("11232221", "d9*d10*u - d11*d7*u"), ("12232211", "d13*u"),
+    ("12232221", "d14*u"),
+    ("11233321", "d9*d2*d10*u - d9*d8*d4*u - d5*d6*d10*u + d5*d4*d11*u"
+                 " + d6*d8*d7*u - d2*d11*d7*u"),
+    ("12233321", "d13*d4*u - d6*d12*u + d14*d2*u"),
+    ("12243321", "-d9*d12*u + d13*d7*u + d5*d14*u"),
+    ("12343321", "d13*d10*u + d14*d8*u - d12*d11*u"),
+    ("22343321", "-d9*d2*d10*u^2 + d9*d8*d4*u^2 + d5*d6*d10*u^2"
+                 " - d6*d8*d7*u^2")]
+
+
+def test_canonical_frozen_on_a_shuffled_swap_word():
+    factors = [(r, f"d{k}") for k, r in enumerate(swap_conjugator_roots(E8))]
+    random.Random(27).shuffle(factors)
+    w = word(factors)
+    g = UnipotentWord.generator(SC, "11110000", "u")
+    for got, frozen in ((w.canonical(), SHUFFLED_SWAP_WORD),
+                        (w.inverse().times(g).times(w).canonical(),
+                         SHUFFLED_SWAP_CONJUGATE)):
+        assert [(E8.root_str(r), p.to_text()) for r, p in got.factors] == frozen
 
 
 def test_non_nilpotent_rejected():

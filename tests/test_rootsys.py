@@ -148,6 +148,15 @@ def test_packed_roots_round_trip_and_keep_sign_and_order(rs):
             assert (rs.pack[a] < rs.pack[b]) == (a < b)
 
 
+@pytest.mark.parametrize("rs", [E8, G2], ids=["E8", "G2"])
+def test_packed_sum_is_a_root_exactly_when_the_sum_is(rs):
+    roots = set(rs.roots)
+    for a in roots:
+        for b in roots:
+            s = tuple(x + y for x, y in zip(a, b))
+            assert rs.unpack.get(rs.pack[a] + rs.pack[b]) == (s if s in roots else None)
+
+
 @pytest.mark.parametrize("cartan, radix", [
     (E8_CARTAN, 16), (G2_CARTAN, 8), (A1_CARTAN, 4), (A2_CARTAN, 4),
 ], ids=["E8", "G2", "A1", "A2"])
