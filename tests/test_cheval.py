@@ -17,6 +17,7 @@ from e8g2.cheval import (
     symbolic_conjugator,
 )
 from e8g2.checks import CONDITIONS, CONJUGATOR_ZEROED
+from e8g2.cli import Manifest, ManifestEntry, RunConfig, run
 from e8g2.rootsys import E8_CARTAN, G2_CARTAN, RootSystem, e8, root_key
 from e8g2.weyl import WeylElt, pivot_element
 from oracles import extraspecial_pairs, structure_table_by_recursion
@@ -364,6 +365,24 @@ def test_pivot_conditions_frozen():
     assert len(conds) == 7
     nonzero = {r: p.to_text() for r, p in conds.items() if not p.is_zero()}
     assert nonzero == CONDITIONS["nonzero"]
+
+
+def test_pivot_conditions_canonicalize_each_word_once(monkeypatch):
+    # character_conditions canonicalizes each conjugated word, and the
+    # character reads that canonical word as it is: one canonical form per
+    # condition, and the same cheval.conditions report
+    calls = []
+    canonical = UnipotentWord.canonical
+
+    def counted(self):
+        calls.append(self)
+        return canonical(self)
+
+    monkeypatch.setattr(UnipotentWord, "canonical", counted)
+    _, (report,) = run(Manifest((ManifestEntry("cheval.conditions", {}),)), RunConfig())
+    assert len(calls) == 7
+    assert report.status == "pass"
+    assert report.computed == CONDITIONS
 
 
 def test_pivot_conditions_pattern():

@@ -18,6 +18,7 @@ from e8g2.g2chars import (
     alt_sum,
     antisymmetrize,
     dimension,
+    dominant_part,
     over_a_rho,
     spherical,
     weight_coefficient,
@@ -31,6 +32,7 @@ from oracles import (
     decompose,
     enumerate_group,
     p_coefficient,
+    strictly_dominant_terms,
     subset_sums_by_subsets,
     sym_powers_by_multisets,
     twist,
@@ -154,9 +156,25 @@ def test_over_a_rho_undoes_a_rho(p):
     assert over_a_rho(antisymmetrize(p)) * a_rho == antisymmetrize(p)
 
 
+@settings(max_examples=60, deadline=None)
+@given(series_poly)
+def test_dominant_part_is_the_strictly_dominant_terms(p):
+    # each term straightened once, against the 12 Weyl matrices of
+    # antisymmetrize, then filtered to a, b >= 1
+    assert dominant_part(p) == strictly_dominant_terms(antisymmetrize(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_poly)
+def test_dominant_part_fixes_the_antisymmetrization(p):
+    assert antisymmetrize(dominant_part(p)) == antisymmetrize(p)
+
+
 def test_antisymmetrize_needs_a_b_last():
     with pytest.raises(ValueError):
         antisymmetrize(LaurentPoly.monomial(("a", "b", "x"), 1, a=1))
+    with pytest.raises(ValueError):
+        dominant_part(LaurentPoly.monomial(("a", "b", "x"), 1, a=1))
     with pytest.raises(InexactDivision):
         over_a_rho(LaurentPoly.monomial(CHAR_VARS, 1, a=1, b=1) * 2
                    - LaurentPoly.monomial(CHAR_VARS, 1, a=-1, b=2))
@@ -266,15 +284,17 @@ def test_weight_coefficient_against_alternating_sums():
 
 
 def test_weight_coefficient_never_renames(monkeypatch):
-    # the coefficient, and the boundary series times A(rho) that check3
-    # reads, are each sums of products embedded by variable name: no
-    # product is formed one renamed polynomial at a time, as these
-    # references do
+    # the coefficient, and the strictly dominant terms of the boundary
+    # series times A(rho) that check3 reads, are each sums of products
+    # embedded by variable name, and antisymmetrizing them renames
+    # nothing: no product is formed one renamed polynomial at a time, as
+    # these references do
     w = (9, 3)
     want = LaurentPoly.zero(FULL_VARS)
     for lam, p in weight_expansion(w).items():
         want = want + p.rename(FULL_VARS) * weyl_character(lam).rename(FULL_VARS)
     series_want = alt_sum(RHO).rename(zeta.SERIES_VARS) * boundary_series_by_product(6)
+    dominant_want = strictly_dominant_terms(series_want)
 
     def forbidden(self, out_vars):
         raise AssertionError(f"rename({out_vars}) called")
@@ -282,7 +302,9 @@ def test_weight_coefficient_never_renames(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "rename", forbidden)
     weyl_character.cache_clear()
     assert weight_coefficient(w) == want
-    assert zeta.boundary_series(6) == series_want
+    series = zeta.boundary_series(6)
+    assert series == dominant_want
+    assert antisymmetrize(series) == series_want
 
 
 def test_expansion_matches_orbit_search():

@@ -28,18 +28,20 @@ from e8g2.g2chars import (
     Weight,
     _pairing_with_double_rho,
     alt_sum,
+    antisymmetrize,
     character_sum,
     over_a_rho,
     weight_expansion,
 )
 from e8g2.rootsys import e8
-from e8g2.symra import InexactDivision, LaurentPoly, RatFunc
+from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.zeta import XQ, SingularShift, XPoly
 from oracles import (
     boundary_series_by_product,
     j_oracle_by_terms,
     measure_sum_by_products,
     normalized_series,
+    strictly_dominant_terms,
     truncate_var,
 )
 
@@ -483,6 +485,13 @@ PERTURBED_D4_DIFFERENCE = {"x_degree": 0, "monomial": "q^-1", "computed": 4, "ex
 A_RHO = alt_sum(RHO).rename(z.SERIES_VARS)
 
 
+def assert_dominant_part_of(got: LaurentPoly, antisymmetric: LaurentPoly) -> None:
+    """got, a series check's side, holds the strictly dominant terms of
+    ``antisymmetric``, and antisymmetrizes back to all of it."""
+    assert got == strictly_dominant_terms(antisymmetric)
+    assert antisymmetrize(got) == antisymmetric
+
+
 class TestTruncationFirst:
     @pytest.mark.parametrize("D", range(1, 6))
     def test_matches_full_product_route(self, D):
@@ -490,7 +499,8 @@ class TestTruncationFirst:
         # Z times the normalizing factor and 1/((1-xq^7)(1-xq^8)), by all
         # of its keys, against the keys zeta.end_to_end keeps once Z cancels
         every_key = {(k, j, 0, 0): 1 for k, j in z.N_KEYS + ((1, 7), (1, 8))}
-        assert z._measure_sum(D) == A_RHO * truncate_var(measure_sum_by_products(D), "x", D)
+        assert_dominant_part_of(z._measure_sum(D),
+                                A_RHO * truncate_var(measure_sum_by_products(D), "x", D))
         for perturb_mass in (False, True):
             full = measure_sum_by_products(D, perturb_mass)
             assert (RatFunc(z4 * full, every_key).truncate("x", D)
@@ -515,10 +525,10 @@ class TestSeriesChecks:
     @pytest.mark.parametrize("D", range(1, 11))
     def test_boundary_series_matches_full_product(self, D):
         # the right side times A(rho) by highest weight, each one-row term
-        # cut before its alternating sum multiplies in, against A(rho)
-        # times the product of the whole boundary product and character
-        # series, cut after it
-        assert z.boundary_series(D) == A_RHO * boundary_series_by_product(D)
+        # cut before its strictly dominant monomial multiplies in, against
+        # A(rho) times the product of the whole boundary product and
+        # character series, cut after it
+        assert_dominant_part_of(z.boundary_series(D), A_RHO * boundary_series_by_product(D))
 
     def test_main_identity_series_negative_control(self):
         # with the full mass Q on every pair, the identity that zeta.check3
@@ -526,8 +536,10 @@ class TestSeriesChecks:
         # is no longer cleared
         perturbed = truncate_var(measure_sum_by_products(4, perturb_mass=True), "x", 4)
         want = z.boundary_series(4)
-        assert A_RHO * perturbed != want
-        assert _first_difference(perturbed, over_a_rho(want)) == PERTURBED_D4_DIFFERENCE
+        assert strictly_dominant_terms(A_RHO * perturbed) != want
+        assert A_RHO * perturbed != antisymmetrize(want)
+        assert (_first_difference(perturbed, over_a_rho(antisymmetrize(want)))
+                == PERTURBED_D4_DIFFERENCE)
 
     def test_failing_series_checks_locate_the_difference(self, monkeypatch):
         # the full mass Q on every pair, on both routes
@@ -587,15 +599,15 @@ class TestSeriesChecks:
 
     def test_series_sequence_forms_no_coefficient_character_or_division(self, monkeypatch):
         # the benchmark's series op, check3 at D = 10 then end_to_end at
-        # D = 8, passes with no weight coefficient, no Weyl character and
-        # no exact division formed
+        # D = 8, passes with no weight coefficient, no Weyl character, no
+        # Weyl image sum and no exact division formed
         def forbidden(*args, **kwargs):
-            raise AssertionError("weight coefficient, character or division formed")
+            raise AssertionError("weight coefficient, character, Weyl images or division formed")
 
-        character = g2chars.weyl_character
+        banned = (g2chars.weyl_character, g2chars.antisymmetrize, g2chars.alt_sum)
         for module in [m for name, m in sys.modules.items() if name.startswith("e8g2")]:
             for name, value in list(vars(module).items()):
-                if value is character:
+                if any(value is f for f in banned):
                     monkeypatch.setattr(module, name, forbidden)
         monkeypatch.setattr(z, "_p_char", forbidden)
         monkeypatch.setattr(LaurentPoly, "divexact", forbidden)
@@ -615,28 +627,33 @@ class TestSeriesChecks:
         assert rep.computed["equal"] is False
 
     def test_check3_negative_control_on_one_weyl_sign(self, monkeypatch, capsys):
-        # with one Weyl element's sign flipped in the left side's
-        # antisymmetrization only, A(rho) no longer divides the left side:
-        # the report names it, and the run fails with exit code 1, not
-        # with the division's internal error
-        group = g2chars.WEYL_GROUP
-        (matrix, sign), rest = group[-1], group[:-1]
-        flipped = rest + ((matrix, -sign),)
+        # with the longest element's sign flipped in the left side's
+        # straightening only, the left side's strictly dominant terms are
+        # wrong: the report locates the first difference, and the run
+        # fails with exit code 1
+        straighten = g2chars._straighten
+
+        def flipped(mu):
+            # the longest element of G2 is -1, and maps mu to -mu
+            hit = straighten(mu)
+            if hit and (-mu[0], -mu[1]) == hit[1]:
+                return -hit[0], hit[1]
+            return hit
 
         def left_only(p):
             with monkeypatch.context() as m:
-                m.setattr(g2chars, "WEYL_GROUP", flipped)
-                return g2chars.antisymmetrize(p)
+                m.setattr(g2chars, "_straighten", flipped)
+                return g2chars.dominant_part(p)
 
-        monkeypatch.setattr(z, "antisymmetrize", left_only)
-        with pytest.raises(InexactDivision):
-            over_a_rho(z._measure_sum(4))
+        unflipped = z._measure_sum(4)
+        monkeypatch.setattr(z, "dominant_part", left_only)
+        assert z._measure_sum(4) != unflipped
         rep = run_check("zeta.check3", D=4)
         assert rep.status == "fail"
-        assert rep.computed == {"equal": False, "pairs_summed": 9,
-                                "not_divisible_by_A_rho": ["left"]}
+        assert "x_degree" in rep.computed.pop("first_difference")
+        assert rep.computed == {"equal": False, "pairs_summed": 9}
         assert cli_main(["e8g2", "--check", "zeta.check3", "--degree", "4"]) == 1
-        assert "not_divisible_by_A_rho" in capsys.readouterr().out
+        assert "first_difference" in capsys.readouterr().out
 
     def test_end_to_end_negative_control_on_z(self, monkeypatch):
         # end_to_end cancels Z against the normalizing factor by their keys;
