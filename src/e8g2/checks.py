@@ -382,7 +382,7 @@ def _main_identity_series(D):
 
 
 # the largest box sum_cases accepts: the valuation pairs check3 sums at
-# its largest degree, about 0.5 s and 20 MB peak RSS on a 2-vCPU VM
+# its largest degree, about 0.3 s and 19 MB peak RSS on a 2-vCPU VM
 # (Python 3.11); the box's weight count, and so its time, grows with
 # n_max * m_max
 @check("zeta.sum_cases", "main-identity-finite-cases",

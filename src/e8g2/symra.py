@@ -216,14 +216,11 @@ class LaurentPoly:
         if len(a) > len(b):
             a, b = b, a
         out: dict[tuple[int, ...], int] = {}
+        get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                k = tuple(i + j for i, j in zip(ea, eb))
-                v = out.get(k, 0) + ca * cb
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
+                k = tuple(map(add, ea, eb))
+                out[k] = get(k, 0) + ca * cb
         return LaurentPoly(self.vars, out)
 
     __rmul__ = __mul__

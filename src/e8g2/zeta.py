@@ -24,8 +24,9 @@ Everything here is exact arithmetic over the two-variable Laurent ring in
 * the mass-weighted kernel sum in two forms, neither of which forms a
   weight coefficient: times A(rho), as one four-variable series
   (``_measure_sum``) by Macdonald's formula, and by highest weight
-  (``highest_weight_sums``), one (x, q) sum per lam; and the boundary
-  series times A(rho) (``boundary_series``) that check3 compares.  Both
+  (``highest_weight_sums``), one (x, q) sum per lam with the mass on the
+  coefficient side; and the boundary series times A(rho)
+  (``boundary_series``) that check3 compares.  Both
   are antisymmetric, so each is kept as its strictly dominant terms.
   A(rho) is free of x, so it commutes with the truncation, and nonzero,
   so the identity holds times A(rho) iff it holds.
@@ -163,7 +164,7 @@ class XPoly:
     X = (x^{B+1}, q^{B+1}, x^{C+1}, q^{C+1}[, x^{E+1}, q^{E+1}]) recovers a
     rational function of (x, q) indexed by valuation parameters."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_common")
 
     def __init__(self, terms: Mapping[tuple[int, ...], RatFunc | LaurentPoly | int]):
         out: dict[tuple[int, ...], RatFunc] = {}
@@ -178,6 +179,7 @@ class XPoly:
             if not c.is_zero():
                 out[key] = c
         self.terms = out
+        self._common = None
 
     def __add__(self, other: "XPoly") -> "XPoly":
         out = dict(self.terms)
@@ -206,8 +208,23 @@ class XPoly:
         return f"XPoly({len(self.terms)} terms)"
 
     def substitute(self, B: int, C: int, E: int | None = None) -> RatFunc:
-        total = _ZERO_RF
-        for (n1, n2, n3, n4, n5, n6), c in self.terms.items():
+        """The rational function of (x, q) at valuations (B, C[, E]); E is
+        required iff a term uses X5 or X6.  One common denominator, each
+        factor at its largest multiplicity over the terms: the first call
+        crosses each term's numerator with the factors it lacks, and every
+        call shifts those by the terms' monomials into one sum."""
+        if self._common is None:
+            den: dict[tuple[int, ...], int] = {}
+            for c in self.terms.values():
+                for v, m in c.den.items():
+                    den[v] = max(den.get(v, 0), m)
+            self._common = den, [
+                (key, _times_binomials(c.num, {v: m - c.den.get(v, 0) for v, m in den.items()}))
+                for key, c in self.terms.items()]
+        den, crossed = self._common
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for (n1, n2, n3, n4, n5, n6), num in crossed:
             xe = n1 * (B + 1) + n3 * (C + 1)
             qe = n2 * (B + 1) + n4 * (C + 1)
             if n5 or n6:
@@ -215,8 +232,10 @@ class XPoly:
                     raise ValueError("third valuation parameter required")
                 xe += n5 * (E + 1)
                 qe += n6 * (E + 1)
-            total = total + c * _mono(1, x=xe, q=qe)
-        return total
+            for (ex, eq), k in num.coeffs.items():
+                key = (ex + xe, eq + qe)
+                out[key] = get(key, 0) + k
+        return RatFunc(LaurentPoly(XQ, out), den)
 
 
 def _shift_ratio(c: RatFunc, num: LaurentPoly | None, den_keys: list[tuple[int, int]]) -> RatFunc:
@@ -657,24 +676,23 @@ def _measure_sum(D: int) -> LaurentPoly:
 def highest_weight_sums(ws, mass, D: int | None = None,
                         lams=None) -> dict[Weight, LaurentPoly]:
     """The mass-weighted kernel sum by highest weight: lam -> S_lam, the
-    sum of p_lam(w) K(w) mass(w) over the dominant w in ws, in (x, q) and
-    without the monomials above x-degree D when D is given; only for the
-    lam in ``lams`` when that is given.  K(w) is ``_pair_kernel``, mass(w)
-    a polynomial in q, and p_lam(w) comes from ``weight_expansion``.
-
-    Since P(w) = sum_lam p_lam(w) chi_lam, the four-variable sum of
-    K(w) mass(w) P(w) is sum_lam chi_lam S_lam, and characters are linearly
-    independent, so an identity between such sums holds iff it holds for
-    every lam.  Each w's kernel times its mass is formed once; each lam's
-    sum is one ``sum_of_products``."""
-    pairs: dict[Weight, list[tuple[LaurentPoly, LaurentPoly]]] = {}
+    sum of p_lam(w) K(w) mass(w) over the dominant w in ws, in (x, q), cut
+    above x-degree D when D is given, for the lam in ``lams`` when given.
+    K(w) is ``_pair_kernel``, mass(w) a polynomial in q, and p_lam(w) is
+    from ``weight_expansion``.  As P(w) = sum_lam p_lam(w) chi_lam and
+    characters are linearly independent, an identity between such sums
+    holds iff it holds for every lam.  Each lam's sum is one
+    ``sum_of_products`` over the pairs (p_lam(w) mass(w), K(w)): the mass
+    on the coefficient side, K(w) and mass(w) formed once per w."""
+    by_lam: dict[Weight, list] = {}
     for w in ws:
-        term = _pair_kernel(*w) * mass(w).rename(XQ)
+        kernel, m = _pair_kernel(*w), mass(w)
         for lam, p in weight_expansion(w).items():
             if lams is None or lam in lams:
-                pairs.setdefault(lam, []).append((p, term))
+                by_lam.setdefault(lam, []).append((p, m, kernel))
     bound = () if D is None else ("x", D)
-    return {lam: sum_of_products(XQ, lam_pairs, *bound) for lam, lam_pairs in pairs.items()}
+    return {lam: sum_of_products(XQ, ((p * m, k) for p, m, k in terms), *bound)
+            for lam, terms in by_lam.items()}
 
 
 def boundary_series(D: int) -> LaurentPoly:

@@ -38,6 +38,12 @@ does not take, so that agreement is evidence rather than repetition:
 * ``j_oracle_by_terms`` -- the summation oracle added term by term, one
   ``j_case2`` rational function per term, the reference for ``j_oracle``'s
   sum by linearity;
+* ``substitute_by_running_sum`` -- a bookkeeping element substituted by a
+  running ``RatFunc`` sum, term by term, the reference for
+  ``XPoly.substitute``'s one common denominator;
+* ``highest_weight_sums_by_lam`` -- each lam's sum over the pairs
+  (p_lam(w), K(w) mass(w)), the kernel times the mass formed first, the
+  reference for ``highest_weight_sums``'s mass on the coefficient side;
 * ``extraspecial_pairs``, ``structure_table_by_recursion`` -- the
   Chevalley sign table forced from +1 on the extraspecial pairs by a
   memoized recursion through antisymmetry, negation, triangle rotation and
@@ -62,10 +68,11 @@ from e8g2.g2chars import (
     S0,
     V7_WEIGHTS,
     Weight,
+    weight_expansion,
     weyl_character,
     weyl_images,
 )
-from e8g2.symra import LaurentPoly, RatFunc
+from e8g2.symra import LaurentPoly, RatFunc, sum_of_products
 from e8g2.weyl import WeylElt
 from e8g2.zeta import (
     SERIES_VARS,
@@ -73,6 +80,7 @@ from e8g2.zeta import (
     Z0_FACTOR_KEYS,
     _i0_poly,
     _p_char,
+    _pair_kernel,
     _q_clear,
     j_case2,
 )
@@ -407,6 +415,34 @@ def j_oracle_by_terms(B: int, C: int) -> RatFunc:
             inner = inner + mono(x=el, q=8 * el) * j_case2(B - k - el, C - el, C - k - el)
         total = total + u * u * mono(x=2 * k, q=14 * k) * inner
     return total
+
+
+def substitute_by_running_sum(f, B: int, C: int, E: int | None = None) -> RatFunc:
+    """The bookkeeping element f at valuations (B, C[, E]) as a running
+    sum of RatFuncs, one coefficient times its (x, q) monomial at a time;
+    ValueError when a term uses X5 or X6 and E is None."""
+    total = RatFunc(LaurentPoly.zero(XQ))
+    for (n1, n2, n3, n4, n5, n6), c in f.terms.items():
+        if (n5 or n6) and E is None:
+            raise ValueError("third valuation parameter required")
+        e = 0 if E is None else E + 1
+        total = total + c * LaurentPoly.monomial(
+            XQ, 1, x=n1 * (B + 1) + n3 * (C + 1) + n5 * e, q=n2 * (B + 1) + n4 * (C + 1) + n6 * e)
+    return total
+
+
+def highest_weight_sums_by_lam(ws, mass, D: int | None = None, lams=None) -> dict:
+    """lam -> the sum of p_lam(w) K(w) mass(w) over the w in ws, one
+    ``sum_of_products`` per lam over the pairs (p_lam(w), K(w) mass(w)),
+    cut at x-degree D when D is given; a lam whose sum is zero is kept."""
+    pairs: dict = {}
+    for w in ws:
+        term = _pair_kernel(*w) * mass(w).rename(XQ)
+        for lam, p in weight_expansion(w).items():
+            if lams is None or lam in lams:
+                pairs.setdefault(lam, []).append((p, term))
+    bound = () if D is None else ("x", D)
+    return {lam: sum_of_products(XQ, ps, *bound) for lam, ps in pairs.items()}
 
 
 # -- Chevalley structure constants -------------------------------------------

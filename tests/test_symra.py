@@ -185,6 +185,22 @@ def test_ring_laws(a, b, c):
     assert a - a == LaurentPoly.zero(XQ)
 
 
+@settings(max_examples=100, deadline=None)
+@given(laurent_polys(), laurent_polys(), st.integers(-3, 3))
+def test_product_matches_packed_route_and_stores_no_zero(a, b, k):
+    # each product against the one-pair packed sum, cancelling ones
+    # included: a * -a, (a + b)(a - b) and (1 - x)(1 + x)
+    one, x = LaurentPoly.const(XQ, 1), mono(1, x=1)
+    for f, g in ((a, b), (a, -a), (a + b, a - b), (one - x, one + x)):
+        p = f * g
+        assert p == sum_of_products(XQ, [(f, g)])
+        assert 0 not in p.coeffs.values()
+    for p in (a * k, k * a):
+        assert p == sum_of_products(XQ, [(a, LaurentPoly.const(XQ, k))])
+        assert 0 not in p.coeffs.values()
+    assert (a * 0).coeffs == {}
+
+
 nonzero_vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
 
 

@@ -38,10 +38,12 @@ from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.zeta import XQ, SingularShift, XPoly
 from oracles import (
     boundary_series_by_product,
+    highest_weight_sums_by_lam,
     j_oracle_by_terms,
     measure_sum_by_products,
     normalized_series,
     strictly_dominant_terms,
+    substitute_by_running_sum,
     truncate_var,
 )
 
@@ -193,6 +195,38 @@ class TestNamedFamily:
         for B, C, E in ((0, 2, 1), (1, 3, 0), (2, 4, 2)):
             got = z._cj22().substitute(B, C, E)
             assert got.equals(z.j_case2(B, C, E) * ratio), (B, C, E)
+
+    @pytest.mark.parametrize("frozen", ["_FROZEN_CJ0", "_FROZEN_T0_CJ0"])
+    def test_substitution_matches_running_sum_field_by_field(self, frozen):
+        # one common denominator gives the running sum's very numerator
+        # and denominator, not only an equal value
+        f = getattr(z, frozen)
+        for C in range(12):
+            for B in range(C + 1):
+                got, want = f.substitute(B, C), substitute_by_running_sum(f, B, C)
+                assert (got.num, got.den) == (want.num, want.den), (B, C)
+
+    def test_substitution_with_third_valuation_matches_running_sum(self):
+        f = z._cj22()
+        for C in range(6):
+            for B in range(C + 1):
+                for E in range(C + 1):
+                    got, want = f.substitute(B, C, E), substitute_by_running_sum(f, B, C, E)
+                    assert (got.num, got.den) == (want.num, want.den), (B, C, E)
+        with pytest.raises(ValueError, match="third valuation"):
+            f.substitute(1, 3)
+        with pytest.raises(ValueError, match="third valuation"):
+            substitute_by_running_sum(f, 1, 3)
+
+    def test_substitution_adds_no_ratfuncs(self, monkeypatch):
+        def no_sum(self, other):
+            raise AssertionError("RatFunc sum formed")
+
+        want = substitute_by_running_sum(z._FROZEN_CJ0, 3, 7)
+        monkeypatch.setattr(RatFunc, "__add__", no_sum)
+        for f in (XPoly(z._FROZEN_CJ0.terms), z._FROZEN_CJ0):
+            got = f.substitute(3, 7)
+            assert (got.num, got.den) == (want.num, want.den)
 
 
 # -- torus points ---------------------------------------------------
@@ -514,6 +548,40 @@ class TestTruncationFirst:
         D = MAX_SERIES_DEGREE
         assert all(z._pair_kernel(n, m).low_degree("x") >= 0
                    for n in range(D + 1) for m in range((D - n) // 2 + 1))
+
+
+def sum_cases_box(n_max=6, m_max=4):
+    """The default ``zeta.sum_cases`` box and the dominant w it sums over."""
+    box = {Weight(n, m) for n in range(n_max + 1) for m in range(m_max + 1)}
+    ws = sorted({Weight(lam.n + nu.n, lam.m + nu.m) for lam in box for nu in S0})
+    return box, [w for w in ws if w.dominant]
+
+
+class TestHighestWeightSums:
+    # the mass on the coefficient side gives the per-lam route's sums, key
+    # for key and in its order, zero sums included
+
+    def assert_same_sums(self, *args):
+        got, want = z.highest_weight_sums(*args), highest_weight_sums_by_lam(*args)
+        assert got == want
+        assert list(got) == list(want)
+        return got
+
+    def test_sum_cases_box(self):
+        box, ws = sum_cases_box()
+        got = self.assert_same_sums(ws, z._q_clear, None, box)
+        assert set(got) <= box and not all(got.values())
+
+    @pytest.mark.parametrize("mass", [z._q_clear, lambda w: Q - z._q_clear(w)],
+                             ids=["q_clear", "Q_minus_q_clear"])
+    def test_end_to_end_triangle(self, mass):
+        D = 8
+        triangle = [Weight(n, m) for n in range(D + 1) for m in range((D - n) // 2 + 1)]
+        assert not all(self.assert_same_sums(triangle, mass, D).values())
+
+    def test_untruncated(self):
+        _, ws = sum_cases_box(3, 2)
+        assert not all(self.assert_same_sums(ws, z._q_clear).values())
 
 
 class TestSeriesChecks:
