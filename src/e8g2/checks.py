@@ -17,6 +17,12 @@ truncation degree: it falls back to ``config.truncation_degree``, may not
 exceed ``MAX_SERIES_DEGREE`` either way and is reported as the report's
 ``truncation``.  Checks register in definition order, which is the order
 ``e8g2 --all`` runs them in.
+
+The three checks of the main identity (``zeta.check3``, ``zeta.sum_cases``
+and ``zeta.end_to_end``) compare by highest weight: each side is a map
+lam -> (x, q) sum, ``_differing_weights`` lists the lam where two sides
+differ, and a failing series check forms the four-variable series
+sum_lam chi_lam S_lam only in ``_first_difference``, to locate it.
 """
 
 from __future__ import annotations
@@ -42,10 +48,8 @@ from .g2chars import (
     V7_WEIGHTS,
     Weight,
     _pairing_with_double_rho,
-    antisymmetrize,
     character_sum,
     dimension,
-    over_a_rho,
     spherical,
     weyl_character,
 )
@@ -82,11 +86,10 @@ REPORT_FIELDS = tuple(f.name for f in fields(CheckReport))
 REGISTRY: dict = {}
 
 # the largest truncation degree a series check accepts, from a manifest
-# param or the fallback alike.  Neither series check is near it:
-# on a 2-vCPU VM (Python 3.11), check3, by strictly dominant terms, takes
-# about 0.07 s and 20 MB peak RSS at D = 16 and 0.1 s and 22 MB at D = 20;
-# end_to_end, by highest weight, about 0.2 s and 18 MB at D = 16
-# and 0.3 s and 19 MB at D = 20
+# param or the fallback alike.  Neither series check is near it: on a
+# 2-vCPU VM (Python 3.11), both by highest weight, check3 takes about
+# 0.06-0.1 s and 18 MB peak RSS at D = 16 and 0.1 s and 18 MB at D = 20;
+# end_to_end about 0.09 s and 18 MB at D = 16 and 0.14 s and 19 MB at D = 20
 MAX_SERIES_DEGREE = 16
 
 
@@ -177,11 +180,13 @@ CONDITIONS = {"conditions": 7, "nonzero": {
 CHARACTERS = {"spherical_unit": True, "dim_fundamental": 7, "plethysm_identity": True}
 
 
-def _first_difference(got: LaurentPoly, want: LaurentPoly) -> dict:
-    """Where two unequal x-series first differ: the lowest x-degree with a
-    differing coefficient, and the differing monomial of that degree that
-    comes first in canonical (graded-lex descending) order, with its
-    coefficient on each side."""
+def _first_difference(got: dict, want: dict) -> dict:
+    """Where two unequal maps lam -> S_lam first differ as four-variable
+    x-series sum_lam chi_lam S_lam, formed only to locate a failure: the
+    lowest x-degree with a differing coefficient, and the differing
+    monomial of that degree that comes first in canonical (graded-lex
+    descending) order, with its coefficient on each side."""
+    got, want = (character_sum(zeta.SERIES_VARS, side) for side in (got, want))
     diff = got - want
     low = diff.low_degree("x")
     i = diff.vars.index("x")
@@ -189,6 +194,15 @@ def _first_difference(got: LaurentPoly, want: LaurentPoly) -> dict:
                                    if e[i] == low}).leading_term()
     return {"x_degree": low, "monomial": LaurentPoly(diff.vars, {e: 1}).to_text(),
             "computed": got.coeffs.get(e, 0), "expected": want.coeffs.get(e, 0)}
+
+
+def _differing_weights(got: dict, want: dict) -> list:
+    """The sorted lam at which two maps lam -> (x, q) sum differ, a missing
+    lam's sum being zero: the per-lam comparison of every check of the main
+    identity."""
+    zero = LaurentPoly.zero(zeta.XQ)
+    return sorted(lam for lam in got.keys() | want.keys()
+                  if got.get(lam, zero) != want.get(lam, zero))
 
 
 # -- checks, in registration order ---------------------------------------------------
@@ -359,25 +373,27 @@ def _closed_forms():
     }
 
 
+def _boundary_by_weight(D: int) -> dict:
+    """check3's right side by highest weight: lam = (r, 0) -> z0 Q tau0^lam
+    cut above x-degree D, for r <= D; every other lam's sum is zero."""
+    return {Weight(r, 0): zeta._Z0Q.mul_trunc(zeta._tau0((r, 0)), "x", D)
+            for r in range(D + 1)}
+
+
 @check("zeta.check3", "main-identity-series", params={"D": (1, MAX_SERIES_DEGREE)})
 def _main_identity_series(D):
     """Main identity, series route: the mass-weighted kernel sum equals the
     boundary product times the one-row character series, compared as exact
     Laurent coefficients in (q, a, b) through x-degree D.  Both sides are
-    compared times A(rho), which is nonzero and free of x, by their
-    strictly dominant terms, which fix them (``zeta._measure_sum``,
-    ``zeta.boundary_series``); neither forms a weight coefficient or a
-    character.  Only a failing identity antisymmetrizes each side and
-    divides A(rho) back out, to locate the first difference."""
-    got, want = zeta._measure_sum(D), zeta.boundary_series(D)
-    ok = got == want
-    computed = {
-        "equal": ok,
-        "pairs_summed": sum(1 for n in range(D + 1) for m in range((D - n) // 2 + 1)),
-    }
+    compared by highest weight, the left by ``zeta._measure_sum`` and the
+    right by ``_boundary_by_weight``, forming no weight coefficient or
+    character.  Only a failing identity forms the four-variable series, to
+    locate the first difference."""
+    got, want = zeta._measure_sum(D), _boundary_by_weight(D)
+    ok = not _differing_weights(got, want)
+    computed = {"equal": ok, "pairs_summed": len(zeta._pair_triangle(D))}
     if not ok:
-        computed["first_difference"] = _first_difference(
-            *(over_a_rho(antisymmetrize(p)) for p in (got, want)))
+        computed["first_difference"] = _first_difference(got, want)
     return ok, "x-coefficients 0..D agree in (q, a, b)", computed
 
 
@@ -399,9 +415,8 @@ def _main_identity_cases(n_max=6, m_max=4):
     ws = sorted({Weight(lam.n + nu.n, lam.m + nu.m) for lam in box for nu in S0})
     sums = zeta.highest_weight_sums([w for w in ws if w.dominant], zeta._q_clear,
                                     lams=set(box))
-    z0q, zero = zeta._Z0Q, LaurentPoly.zero(zeta.XQ)
-    failures = [f"{n},{m}" for n, m in box
-                if sums.get((n, m), zero) != (z0q * zeta._tau0((n, 0)) if m == 0 else zero)]
+    want = {Weight(n, 0): zeta._Z0Q * zeta._tau0((n, 0)) for n in range(n_max + 1)}
+    failures = [f"{n},{m}" for n, m in _differing_weights(sums, want)]
     return not failures, f"all pairs with n <= {n_max}, m <= {m_max} collapse", {
         "pairs_checked": (n_max + 1) * (m_max + 1), "failures": failures}
 
@@ -410,26 +425,23 @@ def _normalized_by_weight(D: int) -> tuple[dict, dict]:
     """end_to_end's left side by highest weight, for the identity and for
     its negative control: lam -> the x-series through degree D of S_lam
     times Z / ((1-xq^7)(1-xq^8)) and the normalizing factor N, where S_lam
-    is ``zeta.highest_weight_sums`` over the pairs with n + 2m <= D.  The
-    control puts the full mass Q on every pair; it differs from the
-    identity's mass only on the edges and the origin, so its series are the
-    identity's plus those of the edge-and-origin correction, weighted by
-    Q - mass.  Z is never expanded: its keys cancel against N's
-    denominator keys."""
+    is ``zeta._measure_sum(D)``'s.  The control puts the full mass Q on
+    every pair; it differs from the identity's mass only on the edges and
+    the origin, so its series are the identity's plus those of the
+    edge-and-origin correction, weighted by Q - mass.  Z is never
+    expanded: its keys cancel against N's denominator keys."""
     # every key of Z is a key of N = 1/prod over N_KEYS, since
     # Z (1-xq^5)(1-xq^6)(1-x^2q^14)(1-x^2q^16)(1-x^3q^21) N = 1 (checked in
     # zeta.closed_forms), so Z N is 1 over the keys of N that Z lacks
     den = Counter(zeta.N_KEYS) - Counter(zeta.Z_FACTOR_KEYS) + Counter({(1, 7): 1, (1, 8): 1})
     q_clear = zeta._q_clear
-    triangle = [Weight(n, m) for n in range(D + 1) for m in range((D - n) // 2 + 1)]
-    sums = zeta.highest_weight_sums(triangle, q_clear, D)
-    correction = zeta.highest_weight_sums([w for w in triangle if not (w.n and w.m)],
-                                          lambda w: Q - q_clear(w), D)
+    correction = zeta.highest_weight_sums(
+        [w for w in zeta._pair_triangle(D) if not (w.n and w.m)], lambda w: Q - q_clear(w), D)
 
     def normalized(by_lam):
         return {lam: RatFunc(s, den).truncate("x", D) for lam, s in by_lam.items()}
 
-    lhs, extra = normalized(sums), normalized(correction)
+    lhs, extra = normalized(zeta._measure_sum(D)), normalized(correction)
     zero = LaurentPoly.zero(zeta.XQ)
     return lhs, {lam: lhs.get(lam, zero) + extra.get(lam, zero)
                  for lam in lhs.keys() | extra.keys()}
@@ -449,18 +461,11 @@ def _end_to_end(D):
     lhs, control = _normalized_by_weight(D)
     rhs = {Weight(r, 0): RatFunc(Q.rename(zeta.XQ) * zeta._tau0((r, 0)),
                                  {(2, 16): 1}).truncate("x", D) for r in range(D + 1)}
-    zero = LaurentPoly.zero(zeta.XQ)
-
-    def agrees(by_lam):
-        return all(by_lam.get(lam, zero) == rhs.get(lam, zero)
-                   for lam in by_lam.keys() | rhs.keys())
-
-    identity_ok = agrees(lhs)
-    control_ok = not agrees(control)
+    identity_ok = not _differing_weights(lhs, rhs)
+    control_ok = bool(_differing_weights(control, rhs))
     computed = {"identity": identity_ok, "negative_control_differs": control_ok}
     if not identity_ok:
-        computed["first_difference"] = _first_difference(
-            character_sum(zeta.SERIES_VARS, lhs), character_sum(zeta.SERIES_VARS, rhs))
+        computed["first_difference"] = _first_difference(lhs, rhs)
     return identity_ok and control_ok, {
         "identity": "truncated series agree", "negative_control": "perturbed mass differs",
     }, computed

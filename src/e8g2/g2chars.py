@@ -12,8 +12,7 @@ is Cartan column i, and s_i(mu) = mu - mu_i*alpha_i, that is
 
 Provides the one Weyl action (``antisymmetrize``, the signed sum of a
 polynomial's Weyl images, of which the alternating sum A(w) of tau^w is one
-case) and the strictly dominant terms that fix it (``dominant_part``), the
-one division by A(rho) (``over_a_rho``), Weyl characters
+case), the one division by A(rho) (``over_a_rho``), Weyl characters
 A(w + rho) / A(rho), the weight coefficients, the identity-coset mass Q,
 the spherical-function formula, and the weights ``V7_WEIGHTS`` of the
 7-dimensional representation.
@@ -22,18 +21,19 @@ The weight coefficients follow Macdonald's formula ("Spherical functions on
 a group of p-adic type", 1971):
 A(rho) P(w) = sum_u sign(u) u(tau^(w + rho) prod_{alpha > 0} (1 - 1/q tau^-alpha)).
 The product, expanded by one ``symra._times_binomials`` call, is
-``MACDONALD_PRODUCT``; ``e8g2.zeta`` straightens its products with it.
-``S0`` groups its terms, mapping each nu to P_nu where the product is
-sum_nu P_nu tau^-nu, so A(rho) P(w) = sum_nu P_nu A(w + rho - nu).
+``MACDONALD_PRODUCT``, and ``S0`` groups its terms, mapping each nu to
+P_nu where the product is sum_nu P_nu tau^-nu, so
+A(rho) P(w) = sum_nu P_nu A(w + rho - nu).
 ``_straighten`` reflects each w + rho - nu into the dominant chamber once,
 to a wall, where A vanishes, or to lam + rho with lam dominant, where
 A(w + rho - nu) = sign(u) A(lam + rho) and A(lam + rho) / A(rho) = chi_lam.
 So P(w) = sum_lam p_lam(w) chi_lam, the p_lam(w) collected by
-``weight_expansion``.  ``character_sum`` forms any such sum
-sum_lam chi_lam c_lam as one ``symra.sum_of_products`` call:
-``weight_coefficient`` in (q, a, b), the four-variable series that a
-failing ``end_to_end`` forms from its (x, q) coefficients per lam, and the
-one-row series sum_r chi_(r,0) t^r of the plethysm check.
+``weight_expansion``; the main identity's checks in ``e8g2.checks`` sum by
+these lam.  ``character_sum`` forms any such sum sum_lam chi_lam c_lam as
+one ``symra.sum_of_products`` call: ``weight_coefficient`` in (q, a, b),
+the four-variable series that a failing ``check3`` or ``end_to_end`` forms
+from its (x, q) sums per lam, and the one-row series sum_r chi_(r,0) t^r of
+the plethysm check.
 """
 
 from __future__ import annotations
@@ -148,17 +148,13 @@ V7_WEIGHTS = (Weight(0, 0),) + tuple(sorted({img for img, _ in weyl_images((1, 0
 # -- alternating sums and characters ---------------------------------------------------
 
 
-def _check_char_vars(p: LaurentPoly) -> None:
-    if p.vars[-2:] != CHAR_VARS:
-        raise ValueError(f"variables {p.vars} do not end with {CHAR_VARS}")
-
-
 def antisymmetrize(p: LaurentPoly) -> LaurentPoly:
     """sum over the Weyl group of sign(u) u(p), each u acting on the
     exponents of a and b, which are the last two of p's vars; the other
     exponents stay put.  The terms are grouped by those others, and each
     (a, b)-exponent's images are formed once."""
-    _check_char_vars(p)
+    if p.vars[-2:] != CHAR_VARS:
+        raise ValueError(f"variables {p.vars} do not end with {CHAR_VARS}")
     by_head: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
     for e, c in p.coeffs.items():
         by_head.setdefault(e[:-2], {})[e[-2:]] = c
@@ -227,21 +223,6 @@ def _straighten(mu) -> tuple[int, Weight] | None:
         mu = _reflect(1 if mu[0] < 0 else 2, mu)
         sign = -sign
     return None if 0 in mu else (sign, Weight(*mu))
-
-
-def dominant_part(p: LaurentPoly) -> LaurentPoly:
-    """The terms of ``antisymmetrize(p)`` at (a, b)-exponents >= (1, 1),
-    which fix it: each (a, b)-exponent of p is straightened once."""
-    _check_char_vars(p)
-    moves, out = {}, {}
-    for e, c in p.coeffs.items():
-        w = e[-2:]
-        if w not in moves:
-            moves[w] = _straighten(w)
-        if hit := moves[w]:
-            key = e[:-2] + hit[1]
-            out[key] = out.get(key, 0) + hit[0] * c
-    return LaurentPoly._of(p.vars, {e: c for e, c in out.items() if c})
 
 
 def weight_expansion(w) -> dict[Weight, LaurentPoly]:

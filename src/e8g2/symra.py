@@ -10,9 +10,10 @@ calculus) runs on the two classes defined here:
 
 * ``RatFunc`` -- a Laurent polynomial divided by a *factored* denominator
   prod (1 - X^v)^m, kept exactly as constructed: there is no normal form
-  and no cancellation.  Equality is decided by cross-multiplying over the
-  factors the two sides do not share, a value is zero iff its numerator
-  is, and series truncation divides by one factor at a time.
+  and no cancellation.  Sums and equality lift each side to the common
+  denominator (``_common_den``, ``_lifted``), which crosses each numerator
+  with the factors the sides do not share; a value is zero iff its
+  numerator is, and series truncation divides by one factor at a time.
 
 The canonical monomial order is graded lexicographic over the declared
 variable list; canonical text serialization sorts by it, so equal Laurent
@@ -441,6 +442,24 @@ def _normalize_factor(vars: tuple[str, ...], v: tuple[int, ...]) -> tuple[tuple[
     return flipped, adj
 
 
+def _common_den(fs) -> dict[tuple[int, ...], int]:
+    """The common denominator of the RatFuncs fs: each factor at its
+    largest multiplicity over them."""
+    den: dict[tuple[int, ...], int] = {}
+    for f in fs:
+        for v, m in f.den.items():
+            if m > den.get(v, 0):
+                den[v] = m
+    return den
+
+
+def _lifted(f: RatFunc, den: Mapping[tuple[int, ...], int]) -> LaurentPoly:
+    """f's numerator over the common denominator den: crossed with the
+    factors of den it lacks.  Over two sides' common denominator, that is
+    each numerator crossed with the factors the two do not share."""
+    return _times_binomials(f.num, {v: m - f.den.get(v, 0) for v, m in den.items()})
+
+
 class RatFunc:
     """num / prod (1 - X^v)^m with the factored denominator kept explicit.
 
@@ -448,7 +467,8 @@ class RatFunc:
     exponent vector's first nonzero entry made positive) and a zero
     numerator drops the denominator.  Nothing is cancelled, so two equal
     values may hold different numerators and denominators; compare them
-    with ``equals`` (or ``==``), which cross-multiplies, never by fields.
+    with ``equals`` (or ``==``), which lifts both sides to their common
+    denominator, never by fields.
     ``is_zero`` holds iff the numerator is zero.
     """
 
@@ -504,12 +524,8 @@ class RatFunc:
         other = self._coerce(other)
         if self.num.vars != other.num.vars:
             raise ValueError("variable contexts differ")
-        den: dict[tuple[int, ...], int] = dict(self.den)
-        for v, m in other.den.items():
-            den[v] = max(den.get(v, 0), m)
-        a = _times_binomials(self.num, {v: m - self.den.get(v, 0) for v, m in den.items()})
-        b = _times_binomials(other.num, {v: m - other.den.get(v, 0) for v, m in den.items()})
-        return RatFunc(a + b, den)
+        den = _common_den((self, other))
+        return RatFunc(_lifted(self, den) + _lifted(other, den), den)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
@@ -530,10 +546,8 @@ class RatFunc:
         other = self._coerce(other)
         if self.num.vars != other.num.vars:
             return False
-        # cross-multiply over the non-shared factors only
-        a = _times_binomials(self.num, {v: m - self.den.get(v, 0) for v, m in other.den.items()})
-        b = _times_binomials(other.num, {v: m - other.den.get(v, 0) for v, m in self.den.items()})
-        return a == b
+        den = _common_den((self, other))
+        return _lifted(self, den) == _lifted(other, den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (RatFunc, LaurentPoly, int)):

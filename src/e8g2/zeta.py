@@ -21,15 +21,11 @@ Everything here is exact arithmetic over the two-variable Laurent ring in
   reconstructs the frozen four-variable closed form;
 * the closed form of the local integral (``closed_I``) in its three
   valuation cases, each equal to Z*I0/((1-xq^7)(1-xq^8));
-* the mass-weighted kernel sum in two forms, neither of which forms a
-  weight coefficient: times A(rho), as one four-variable series
-  (``_measure_sum``) by Macdonald's formula, and by highest weight
-  (``highest_weight_sums``), one (x, q) sum per lam with the mass on the
-  coefficient side; and the boundary series times A(rho)
-  (``boundary_series``) that check3 compares.  Both
-  are antisymmetric, so each is kept as its strictly dominant terms.
-  A(rho) is free of x, so it commutes with the truncation, and nonzero,
-  so the identity holds times A(rho) iff it holds.
+* the mass-weighted kernel sum by highest weight (``highest_weight_sums``):
+  one (x, q) sum per lam with the mass on the coefficient side, forming no
+  weight coefficient; ``_measure_sum`` is that sum over the pair triangle
+  (``_pair_triangle``), the valuation pairs whose kernels reach a given
+  x-degree, which both series checks compare.
 
 Every fixed factor (the correction polynomial Z, the boundary product z0
 and z0 times the mass Q, the kernel factors F, G, H and the frozen closed form
@@ -47,20 +43,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .g2chars import (
-    CHAR_VARS,
-    FULL_VARS,
-    MACDONALD_PRODUCT,
-    Q,
-    Q_VARS,
-    RHO,
-    Weight,
-    dominant_part,
-    weight_coefficient,
-    weight_expansion,
-)
+from .g2chars import FULL_VARS, Q, Q_VARS, Weight, weight_coefficient, weight_expansion
 from .rootsys import e8
-from .symra import LaurentPoly, RatFunc, _times_binomials, one_minus, sum_of_products
+from .symra import (
+    LaurentPoly,
+    RatFunc,
+    _common_den,
+    _lifted,
+    _times_binomials,
+    one_minus,
+    sum_of_products,
+)
 from .weyl import WORD_INTERTWINER, evaluate_word
 
 XQ = ("x", "q")
@@ -214,13 +207,8 @@ class XPoly:
         crosses each term's numerator with the factors it lacks, and every
         call shifts those by the terms' monomials into one sum."""
         if self._common is None:
-            den: dict[tuple[int, ...], int] = {}
-            for c in self.terms.values():
-                for v, m in c.den.items():
-                    den[v] = max(den.get(v, 0), m)
-            self._common = den, [
-                (key, _times_binomials(c.num, {v: m - c.den.get(v, 0) for v, m in den.items()}))
-                for key, c in self.terms.items()]
+            den = _common_den(self.terms.values())
+            self._common = den, [(key, _lifted(c, den)) for key, c in self.terms.items()]
         den, crossed = self._common
         out: dict[tuple[int, ...], int] = {}
         get = out.get
@@ -640,8 +628,9 @@ def _q_clear(w) -> LaurentPoly:
     return Q
 
 
-# the cached weight coefficient, kept only for ``bench/spans.py``, which
-# reads it by name to count its cache misses; no check calls it
+# the cached weight coefficient; no check calls it.  ``bench/spans.py``
+# reads it by name to count its cache misses, and the tests' product
+# oracles for the series identities build their weight coefficients with it
 _p_char = lru_cache(maxsize=4096)(weight_coefficient)
 
 
@@ -654,23 +643,17 @@ def _pair_kernel(n: int, m: int) -> LaurentPoly:
     return _i0_poly(n, m) * _tau0((n, m))
 
 
-def _measure_sum(D: int) -> LaurentPoly:
-    """The strictly dominant terms of A(rho) times the mass-cleared kernel
-    sum over the valuation pairs with n + 2m <= D, sum_w K(w) c(w) P(w),
-    in (x, q, a, b) through x-degree D.  K(w) is ``_pair_kernel``, c(w)
-    is ``_q_clear``, and P(w) the weight coefficient.
+def _pair_triangle(D: int) -> list[Weight]:
+    """The valuation pairs (n, m) with n + 2m <= D: the pairs whose kernels
+    reach x-degree D."""
+    return [Weight(n, m) for n in range(D + 1) for m in range((D - n) // 2 + 1)]
 
-    By Macdonald's formula A(rho) P(w) is the antisymmetrization of
-    tau^(w + rho) prod_{alpha > 0} (1 - 1/q tau^-alpha), and K(w) c(w) is
-    free of a and b.  So this is the ``dominant_part`` of G times
-    ``MACDONALD_PRODUCT``, where G = sum_w K(w) c(w) tau^(w + rho) is one
-    ``sum_of_products``; no weight coefficient or character is formed.
-    """
-    g = sum_of_products(SERIES_VARS, [
-        (_pair_kernel(n, m) * _q_clear((n, m)).rename(XQ),
-         LaurentPoly.monomial(CHAR_VARS, 1, a=n + RHO.n, b=m + RHO.m))
-        for n in range(D + 1) for m in range((D - n) // 2 + 1)], "x", D)
-    return dominant_part(sum_of_products(SERIES_VARS, [(g, MACDONALD_PRODUCT)], "x", D))
+
+def _measure_sum(D: int) -> dict[Weight, LaurentPoly]:
+    """The mass-cleared kernel sum through x-degree D by highest weight:
+    ``highest_weight_sums`` over the pair triangle, with the mass
+    ``_q_clear``."""
+    return highest_weight_sums(_pair_triangle(D), _q_clear, D)
 
 
 def highest_weight_sums(ws, mass, D: int | None = None,
@@ -694,13 +677,3 @@ def highest_weight_sums(ws, mass, D: int | None = None,
     return {lam: sum_of_products(XQ, ((p * m, k) for p, m, k in terms), *bound)
             for lam, terms in by_lam.items()}
 
-
-def boundary_series(D: int) -> LaurentPoly:
-    """The strictly dominant terms of A(rho) times the main series
-    identity's right side through x-degree D.  The one such term of
-    A(rho) chi_(r,0) = A((r, 0) + rho) is tau^((r, 0) + rho), so this is
-    the sum of it times z0 Q tau0^(r,0), cut at D, over r <= D."""
-    return sum_of_products(SERIES_VARS, [
-        (LaurentPoly.monomial(CHAR_VARS, 1, a=r + RHO.n, b=RHO.m),
-         _Z0Q.mul_trunc(_tau0((r, 0)), "x", D))
-        for r in range(D + 1)])

@@ -23,16 +23,14 @@ does not take, so that agreement is evidence rather than repetition:
   plethysm check of ``g2chars.characters`` expands by ``RatFunc.truncate``;
 * ``truncate_var`` -- truncation after a full product, the reference for
   ``mul_trunc`` and the series routes;
-* ``strictly_dominant_terms`` -- the terms at a, b-exponents >= 1 by a
-  plain filter, the reference for ``dominant_part``'s straightening;
 * ``measure_sum_by_products``, ``normalized_series`` -- the main identity's
   measure sum by plain products of full weight coefficients, and
   ``end_to_end``'s left side as one four-variable series, the references
-  for ``_measure_sum`` and for ``end_to_end``'s sums by highest weight;
+  for the sums by highest weight of ``_measure_sum`` and of ``end_to_end``;
 * ``boundary_series_by_product`` -- the main identity's right side as the
   four-variable boundary product times the whole one-row character series,
-  truncated after the product, the reference for ``boundary_series``'s
-  sum by highest weight;
+  truncated after the product, the reference for check3's right side by
+  highest weight;
 * ``evaluate`` -- exact evaluation of a Laurent polynomial or rational
   function at a rational point;
 * ``j_oracle_by_terms`` -- the summation oracle added term by term, one
@@ -313,12 +311,6 @@ def truncate_var(p: LaurentPoly, var: str, degree: int) -> LaurentPoly:
     """p without the monomials whose exponent of ``var`` exceeds ``degree``."""
     i = p.vars.index(var)
     return LaurentPoly(p.vars, {e: c for e, c in p.coeffs.items() if e[i] <= degree})
-
-
-def strictly_dominant_terms(p: LaurentPoly) -> LaurentPoly:
-    """p without the monomials whose a- or b-exponent, the last two, is
-    below 1: the reference for ``dominant_part`` by a plain filter."""
-    return LaurentPoly(p.vars, {e: c for e, c in p.coeffs.items() if min(e[-2:]) >= 1})
 
 
 def evaluate(f: LaurentPoly | RatFunc, point: dict) -> Fraction:

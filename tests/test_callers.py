@@ -23,7 +23,11 @@ in src/e8g2 names ``_Packing`` or ``_extent``; they reach it through
 
 A fifth asks the first scan's question of each name a module-level
 assignment in src/e8g2 binds: src/ or bench/ references it.  Dunders such
-as ``__version__`` are exempt, and ``TEST_ONLY`` covers both scans."""
+as ``__version__`` are exempt, and ``TEST_ONLY`` covers both scans.
+
+A sixth asks it of each def in ``tests/oracles.py``: some test module, or
+another oracle, references it.  An oracle whose code under test is gone
+goes with it."""
 
 import ast
 from pathlib import Path
@@ -31,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "e8g2").glob("*.py"))
 PROGRAM = sorted(p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py"))
+ORACLES = ROOT / "tests" / "oracles.py"
 
 # definitions that only tests reach, each pinning a paper fact
 TEST_ONLY = (
@@ -96,6 +101,11 @@ def test_every_definition_has_a_caller():
     # and each exemption is still needed, by this scan or the module-name one
     flagged = rows + unread_names(package, program)
     assert {row.split()[-1] for row in flagged} == exempt
+
+
+def test_every_oracle_is_used():
+    tests = [p.read_text() for p in sorted(ORACLES.parent.glob("*.py"))]
+    assert uncalled({str(ORACLES.relative_to(ROOT)): ORACLES.read_text()}, tests) == []
 
 
 def module_names(source: str) -> list[tuple[str, int]]:

@@ -369,7 +369,6 @@ class TestMain:
             raise AssertionError("series work started")
 
         monkeypatch.setattr(zeta, "_measure_sum", no_series)
-        monkeypatch.setattr(zeta, "boundary_series", no_series)
         monkeypatch.setattr(zeta, "highest_weight_sums", no_series)
         too_high = MAX_SERIES_DEGREE + 1
         if route == "manifest":

@@ -17,8 +17,8 @@ from e8g2.g2chars import (
     Weight,
     alt_sum,
     antisymmetrize,
+    character_sum,
     dimension,
-    dominant_part,
     over_a_rho,
     spherical,
     weight_coefficient,
@@ -32,7 +32,6 @@ from oracles import (
     decompose,
     enumerate_group,
     p_coefficient,
-    strictly_dominant_terms,
     subset_sums_by_subsets,
     sym_powers_by_multisets,
     twist,
@@ -156,35 +155,19 @@ def test_over_a_rho_undoes_a_rho(p):
     assert over_a_rho(antisymmetrize(p)) * a_rho == antisymmetrize(p)
 
 
-@settings(max_examples=60, deadline=None)
-@given(series_poly)
-def test_dominant_part_is_the_strictly_dominant_terms(p):
-    # each term straightened once, against the 12 Weyl matrices of
-    # antisymmetrize, then filtered to a, b >= 1
-    assert dominant_part(p) == strictly_dominant_terms(antisymmetrize(p))
-
-
-@settings(max_examples=60, deadline=None)
-@given(series_poly)
-def test_dominant_part_fixes_the_antisymmetrization(p):
-    assert antisymmetrize(dominant_part(p)) == antisymmetrize(p)
-
-
 def test_antisymmetrize_needs_a_b_last():
     with pytest.raises(ValueError):
         antisymmetrize(LaurentPoly.monomial(("a", "b", "x"), 1, a=1))
-    with pytest.raises(ValueError):
-        dominant_part(LaurentPoly.monomial(("a", "b", "x"), 1, a=1))
     with pytest.raises(InexactDivision):
         over_a_rho(LaurentPoly.monomial(CHAR_VARS, 1, a=1, b=1) * 2
                    - LaurentPoly.monomial(CHAR_VARS, 1, a=-1, b=2))
 
 
 def test_macdonald_antisymmetrization_matches_weight_coefficient():
-    # the route check3's left side takes: A(rho) P(w) as the
-    # antisymmetrization of tau^(w + rho) times Macdonald's product, on
-    # every pair check3 sums at D = 10, against the weight coefficient
-    # by straightening and characters
+    # Macdonald's formula as written: A(rho) P(w) as the antisymmetrization
+    # of tau^(w + rho) times Macdonald's product, on every pair check3 sums
+    # at D = 10, against the weight coefficient by straightening and
+    # characters
     alt_rho = LaurentPoly(CHAR_VARS, ALT_RHO_TERMS).rename(FULL_VARS)
     for n in range(11):
         for m in range((10 - n) // 2 + 1):
@@ -284,17 +267,15 @@ def test_weight_coefficient_against_alternating_sums():
 
 
 def test_weight_coefficient_never_renames(monkeypatch):
-    # the coefficient, and the strictly dominant terms of the boundary
-    # series times A(rho) that check3 reads, are each sums of products
-    # embedded by variable name, and antisymmetrizing them renames
-    # nothing: no product is formed one renamed polynomial at a time, as
+    # the coefficient, and the four-variable series of check3's right side
+    # by highest weight, are each sums of products embedded by variable
+    # name: no product is formed one renamed polynomial at a time, as
     # these references do
     w = (9, 3)
     want = LaurentPoly.zero(FULL_VARS)
     for lam, p in weight_expansion(w).items():
         want = want + p.rename(FULL_VARS) * weyl_character(lam).rename(FULL_VARS)
-    series_want = alt_sum(RHO).rename(zeta.SERIES_VARS) * boundary_series_by_product(6)
-    dominant_want = strictly_dominant_terms(series_want)
+    series_want = boundary_series_by_product(6)
 
     def forbidden(self, out_vars):
         raise AssertionError(f"rename({out_vars}) called")
@@ -302,9 +283,7 @@ def test_weight_coefficient_never_renames(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "rename", forbidden)
     weyl_character.cache_clear()
     assert weight_coefficient(w) == want
-    series = zeta.boundary_series(6)
-    assert series == dominant_want
-    assert antisymmetrize(series) == series_want
+    assert character_sum(zeta.SERIES_VARS, checks._boundary_by_weight(6)) == series_want
 
 
 def test_expansion_matches_orbit_search():

@@ -16,21 +16,18 @@ from e8g2 import zeta as z
 from e8g2.checks import (
     MAX_SERIES_DEGREE,
     REPORT_FIELDS,
+    _boundary_by_weight,
     _first_difference,
     _normalized_by_weight,
 )
 from e8g2.cli import Manifest, ManifestEntry, RunConfig, UsageError, run
 from e8g2.cli import main as cli_main
 from e8g2.g2chars import (
-    RHO,
     Q,
     S0,
     Weight,
     _pairing_with_double_rho,
-    alt_sum,
-    antisymmetrize,
     character_sum,
-    over_a_rho,
     weight_expansion,
 )
 from e8g2.rootsys import e8
@@ -42,7 +39,6 @@ from oracles import (
     j_oracle_by_terms,
     measure_sum_by_products,
     normalized_series,
-    strictly_dominant_terms,
     substitute_by_running_sum,
     truncate_var,
 )
@@ -515,16 +511,6 @@ class TestWeightCoefficients:
 # where the perturbed-mass series first leaves the boundary series at D = 4
 PERTURBED_D4_DIFFERENCE = {"x_degree": 0, "monomial": "q^-1", "computed": 4, "expected": 2}
 
-# A(rho) in (x, q, a, b): check3 compares both sides times it
-A_RHO = alt_sum(RHO).rename(z.SERIES_VARS)
-
-
-def assert_dominant_part_of(got: LaurentPoly, antisymmetric: LaurentPoly) -> None:
-    """got, a series check's side, holds the strictly dominant terms of
-    ``antisymmetric``, and antisymmetrizes back to all of it."""
-    assert got == strictly_dominant_terms(antisymmetric)
-    assert antisymmetrize(got) == antisymmetric
-
 
 class TestTruncationFirst:
     @pytest.mark.parametrize("D", range(1, 6))
@@ -533,8 +519,8 @@ class TestTruncationFirst:
         # Z times the normalizing factor and 1/((1-xq^7)(1-xq^8)), by all
         # of its keys, against the keys zeta.end_to_end keeps once Z cancels
         every_key = {(k, j, 0, 0): 1 for k, j in z.N_KEYS + ((1, 7), (1, 8))}
-        assert_dominant_part_of(z._measure_sum(D),
-                                A_RHO * truncate_var(measure_sum_by_products(D), "x", D))
+        assert (character_sum(z.SERIES_VARS, z._measure_sum(D))
+                == truncate_var(measure_sum_by_products(D), "x", D))
         for perturb_mass in (False, True):
             full = measure_sum_by_products(D, perturb_mass)
             assert (RatFunc(z4 * full, every_key).truncate("x", D)
@@ -545,9 +531,8 @@ class TestTruncationFirst:
         # other factor has no negative x-degree: Z, and every pair kernel at
         # every accepted degree (the pair coefficients are free of x)
         assert z._factor_product(z.Z_FACTOR_KEYS).low_degree("x") >= 0
-        D = MAX_SERIES_DEGREE
-        assert all(z._pair_kernel(n, m).low_degree("x") >= 0
-                   for n in range(D + 1) for m in range((D - n) // 2 + 1))
+        assert all(z._pair_kernel(*w).low_degree("x") >= 0
+                   for w in z._pair_triangle(MAX_SERIES_DEGREE))
 
 
 def sum_cases_box(n_max=6, m_max=4):
@@ -575,9 +560,7 @@ class TestHighestWeightSums:
     @pytest.mark.parametrize("mass", [z._q_clear, lambda w: Q - z._q_clear(w)],
                              ids=["q_clear", "Q_minus_q_clear"])
     def test_end_to_end_triangle(self, mass):
-        D = 8
-        triangle = [Weight(n, m) for n in range(D + 1) for m in range((D - n) // 2 + 1)]
-        assert not all(self.assert_same_sums(triangle, mass, D).values())
+        assert not all(self.assert_same_sums(z._pair_triangle(8), mass, 8).values())
 
     def test_untruncated(self):
         _, ws = sum_cases_box(3, 2)
@@ -592,22 +575,22 @@ class TestSeriesChecks:
 
     @pytest.mark.parametrize("D", range(1, 11))
     def test_boundary_series_matches_full_product(self, D):
-        # the right side times A(rho) by highest weight, each one-row term
-        # cut before its strictly dominant monomial multiplies in, against
-        # A(rho) times the product of the whole boundary product and
-        # character series, cut after it
-        assert_dominant_part_of(z.boundary_series(D), A_RHO * boundary_series_by_product(D))
+        # the right side by highest weight, each one-row term cut before
+        # its character multiplies in, against the product of the whole
+        # boundary product and character series, cut after it
+        assert (character_sum(z.SERIES_VARS, _boundary_by_weight(D))
+                == boundary_series_by_product(D))
 
     def test_main_identity_series_negative_control(self):
         # with the full mass Q on every pair, the identity that zeta.check3
-        # verifies times A(rho) fails, first at x^0: the (0, 0) pair's mass
-        # is no longer cleared
-        perturbed = truncate_var(measure_sum_by_products(4, perturb_mass=True), "x", 4)
-        want = z.boundary_series(4)
-        assert strictly_dominant_terms(A_RHO * perturbed) != want
-        assert A_RHO * perturbed != antisymmetrize(want)
-        assert (_first_difference(perturbed, over_a_rho(antisymmetrize(want)))
-                == PERTURBED_D4_DIFFERENCE)
+        # verifies fails, first at x^0: the (0, 0) pair's mass is no
+        # longer cleared
+        perturbed = z.highest_weight_sums(z._pair_triangle(4), lambda w: Q, 4)
+        series = truncate_var(measure_sum_by_products(4, perturb_mass=True), "x", 4)
+        assert character_sum(z.SERIES_VARS, perturbed) == series
+        want = _boundary_by_weight(4)
+        assert character_sum(z.SERIES_VARS, want) != series
+        assert _first_difference(perturbed, want) == PERTURBED_D4_DIFFERENCE
 
     def test_failing_series_checks_locate_the_difference(self, monkeypatch):
         # the full mass Q on every pair, on both routes
@@ -682,23 +665,26 @@ class TestSeriesChecks:
         assert run_check("zeta.check3", D=10).status == "pass"
         assert run_check("zeta.end_to_end", D=8).status == "pass"
 
-    def test_check3_negative_control_on_macdonald_product(self, monkeypatch):
-        # with one term dropped from Macdonald's product, the left side is
-        # still antisymmetric, so A(rho) divides both sides and the report
-        # locates the first difference
-        product = z.MACDONALD_PRODUCT
-        dropped = dict(list(product.coeffs.items())[1:])
-        monkeypatch.setattr(z, "MACDONALD_PRODUCT", LaurentPoly(product.vars, dropped))
+    def assert_check3_locates(self, capsys):
         rep = run_check("zeta.check3", D=4)
         assert rep.status == "fail"
-        assert set(rep.computed) == {"equal", "pairs_summed", "first_difference"}
-        assert rep.computed["equal"] is False
+        assert "x_degree" in rep.computed.pop("first_difference")
+        assert rep.computed == {"equal": False, "pairs_summed": 9}
+        assert cli_main(["e8g2", "--check", "zeta.check3", "--degree", "4"]) == 1
+        assert "first_difference" in capsys.readouterr().out
+
+    def test_check3_negative_control_on_s0(self, monkeypatch, capsys):
+        # with one nu dropped from Macdonald's product, grouped, the left
+        # side's sums by highest weight are wrong: the report locates the
+        # first difference, and the run fails with exit code 1
+        unperturbed = z._measure_sum(4)
+        monkeypatch.setattr(g2chars, "S0", dict(list(S0.items())[1:]))
+        assert z._measure_sum(4) != unperturbed
+        self.assert_check3_locates(capsys)
 
     def test_check3_negative_control_on_one_weyl_sign(self, monkeypatch, capsys):
-        # with the longest element's sign flipped in the left side's
-        # straightening only, the left side's strictly dominant terms are
-        # wrong: the report locates the first difference, and the run
-        # fails with exit code 1
+        # with the longest element's sign flipped in the straightening,
+        # which only the left side runs, the left side's sums are wrong
         straighten = g2chars._straighten
 
         def flipped(mu):
@@ -708,20 +694,10 @@ class TestSeriesChecks:
                 return -hit[0], hit[1]
             return hit
 
-        def left_only(p):
-            with monkeypatch.context() as m:
-                m.setattr(g2chars, "_straighten", flipped)
-                return g2chars.dominant_part(p)
-
         unflipped = z._measure_sum(4)
-        monkeypatch.setattr(z, "dominant_part", left_only)
+        monkeypatch.setattr(g2chars, "_straighten", flipped)
         assert z._measure_sum(4) != unflipped
-        rep = run_check("zeta.check3", D=4)
-        assert rep.status == "fail"
-        assert "x_degree" in rep.computed.pop("first_difference")
-        assert rep.computed == {"equal": False, "pairs_summed": 9}
-        assert cli_main(["e8g2", "--check", "zeta.check3", "--degree", "4"]) == 1
-        assert "first_difference" in capsys.readouterr().out
+        self.assert_check3_locates(capsys)
 
     def test_end_to_end_negative_control_on_z(self, monkeypatch):
         # end_to_end cancels Z against the normalizing factor by their keys;
