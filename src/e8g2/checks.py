@@ -88,8 +88,8 @@ REGISTRY: dict = {}
 # the largest truncation degree a series check accepts, from a manifest
 # param or the fallback alike.  Neither series check is near it: on a
 # 2-vCPU VM (Python 3.11), both by highest weight, check3 takes about
-# 0.06-0.1 s and 18 MB peak RSS at D = 16 and 0.1 s and 18 MB at D = 20;
-# end_to_end about 0.09 s and 18 MB at D = 16 and 0.14 s and 19 MB at D = 20
+# 0.03 s and 17 MB peak RSS at D = 16 and 0.04 s and 17 MB at D = 20;
+# end_to_end about 0.09 s and 18 MB at D = 16 and 0.1 s and 19 MB at D = 20
 MAX_SERIES_DEGREE = 16
 
 
@@ -398,7 +398,7 @@ def _main_identity_series(D):
 
 
 # the largest box sum_cases accepts: the valuation pairs check3 sums at
-# its largest degree, about 0.3 s and 19 MB peak RSS on a 2-vCPU VM
+# its largest degree, about 0.13 s and 18 MB peak RSS on a 2-vCPU VM
 # (Python 3.11); the box's weight count, and so its time, grows with
 # n_max * m_max
 @check("zeta.sum_cases", "main-identity-finite-cases",

@@ -228,19 +228,21 @@ def _straighten(mu) -> tuple[int, Weight] | None:
 def weight_expansion(w) -> dict[Weight, LaurentPoly]:
     """The weight coefficient at the dominant pair w on irreducible
     characters: lam -> p_lam(w), the sum of sign(u) P_nu over the nu in S0
-    whose w + rho - nu straightens to (sign(u), lam + rho).  Zero sums are
-    dropped."""
+    whose w + rho - nu straightens to (sign(u), lam + rho).  Each lam's
+    q-coefficients are summed in one dict and wrapped once, in the order
+    the lam are first hit; zero sums are dropped."""
     w = _wt(w)
     if not w.dominant:
         raise ValueError(f"valuation pair must be dominant, got {tuple(w)}")
-    out: dict[Weight, LaurentPoly] = {}
+    out: dict[Weight, dict[tuple[int], int]] = {}
     for nu, p in S0.items():
         hit = _straighten((w.n + RHO.n - nu.n, w.m + RHO.m - nu.m))
         if hit:
             sign, (n, m) = hit
-            lam = Weight(n - RHO.n, m - RHO.m)
-            out[lam] = out[lam] + p * sign if lam in out else p * sign
-    return {lam: p for lam, p in out.items() if p}
+            terms = out.setdefault(Weight(n - RHO.n, m - RHO.m), {})
+            for e, c in p.coeffs.items():
+                terms[e] = terms.get(e, 0) + sign * c
+    return {lam: p for lam, terms in out.items() if (p := LaurentPoly(Q_VARS, terms))}
 
 
 def character_sum(vars: tuple[str, ...], by_lam) -> LaurentPoly:

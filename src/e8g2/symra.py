@@ -12,8 +12,9 @@ calculus) runs on the two classes defined here:
   prod (1 - X^v)^m, kept exactly as constructed: there is no normal form
   and no cancellation.  Sums and equality lift each side to the common
   denominator (``_common_den``, ``_lifted``), which crosses each numerator
-  with the factors the sides do not share; a value is zero iff its
-  numerator is, and series truncation divides by one factor at a time.
+  with the factors the sides do not share, and a sum of many adds each
+  lifted numerator once (``_summed``); a value is zero iff its numerator
+  is, and series truncation divides by one factor at a time.
 
 The canonical monomial order is graded lexicographic over the declared
 variable list; canonical text serialization sorts by it, so equal Laurent
@@ -460,6 +461,20 @@ def _lifted(f: RatFunc, den: Mapping[tuple[int, ...], int]) -> LaurentPoly:
     return _times_binomials(f.num, {v: m - f.den.get(v, 0) for v, m in den.items()})
 
 
+def _summed(fs) -> "RatFunc":
+    """The sum of the RatFuncs fs, at least one and all over the same
+    variables, over their common denominator: each numerator is lifted
+    once and added into one accumulator."""
+    fs = list(fs)
+    den = _common_den(fs)
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for f in fs:
+        for e, c in _lifted(f, den).coeffs.items():
+            out[e] = get(e, 0) + c
+    return RatFunc(LaurentPoly(fs[0].vars, out), den)
+
+
 class RatFunc:
     """num / prod (1 - X^v)^m with the factored denominator kept explicit.
 
@@ -524,8 +539,7 @@ class RatFunc:
         other = self._coerce(other)
         if self.num.vars != other.num.vars:
             raise ValueError("variable contexts differ")
-        den = _common_den((self, other))
-        return RatFunc(_lifted(self, den) + _lifted(other, den), den)
+        return _summed((self, other))
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)

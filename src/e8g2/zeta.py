@@ -18,22 +18,27 @@ Everything here is exact arithmetic over the two-variable Laurent ring in
   terms and multiplies by the fixed polynomials once;
 * five shift operators on a six-variable bookkeeping ring (``t_operators``)
   whose coefficients are rational in (x, q), with an assembly routine that
-  reconstructs the frozen four-variable closed form;
+  reconstructs the frozen four-variable closed form; the terms an operator
+  or a sum puts on one key are added once, over their common denominator
+  (``XPoly.summed``);
 * the closed form of the local integral (``closed_I``) in its three
   valuation cases, each equal to Z*I0/((1-xq^7)(1-xq^8));
-* the mass-weighted kernel sum by highest weight (``highest_weight_sums``):
-  one (x, q) sum per lam with the mass on the coefficient side, forming no
-  weight coefficient; ``_measure_sum`` is that sum over the pair triangle
-  (``_pair_triangle``), the valuation pairs whose kernels reach a given
-  x-degree, which both series checks compare.
+* the mass-weighted kernel sum by highest weight (``highest_weight_sums``),
+  forming no weight coefficient: the kernel I0(w) tau0^w is three terms
+  k_i c_i beta_i^w (``_KERNEL_TERMS``, which ``_i0_poly`` reads too), so
+  each lam's sum is three accumulators of monomial shifts of
+  p_lam(w) mass(w), multiplied by F, -G and -H once per lam;
+  ``_measure_sum`` is that sum over the pair triangle (``_pair_triangle``),
+  the valuation pairs whose kernels reach a given x-degree, which both
+  series checks compare.
 
 Every fixed factor (the correction polynomial Z, the boundary product z0
-and z0 times the mass Q, the kernel factors F, G, H and the frozen closed form
-with its T0 application) is one value built at import; the three blocks
-are declared by their keys.  A known product of binomials 1 - x^k q^j is
-applied through its keys: as shift passes (``symra._times_binomials``)
-when it multiplies, and by key cancellation against a denominator
-multiset when it divides.
+and z0 times the mass Q, the kernel's three terms and the frozen closed
+form with its T0 application) is one value built at import; the three
+blocks are declared by their keys.  A known product of binomials
+1 - x^k q^j is applied through its keys: as shift passes
+(``symra._times_binomials``) when it multiplies, and by key cancellation
+against a denominator multiset when it divides.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .symra import (
     RatFunc,
     _common_den,
     _lifted,
+    _summed,
     _times_binomials,
     one_minus,
     sum_of_products,
@@ -174,15 +180,19 @@ class XPoly:
         self.terms = out
         self._common = None
 
+    @staticmethod
+    def summed(terms) -> "XPoly":
+        """The element with, at each key, the sum of the coefficients that
+        the (key, RatFunc) pairs of ``terms`` put there: each key's terms
+        are added once, over their common denominator."""
+        by_key: dict[tuple[int, ...], list[RatFunc]] = {}
+        for key, c in terms:
+            by_key.setdefault(key, []).append(c)
+        return XPoly({key: cs[0] if len(cs) == 1 else _summed(cs)
+                      for key, cs in by_key.items()})
+
     def __add__(self, other: "XPoly") -> "XPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, _ZERO_RF) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return XPoly(out)
+        return XPoly.summed([*self.terms.items(), *other.terms.items()])
 
     def scale(self, c: RatFunc | LaurentPoly | int) -> "XPoly":
         return XPoly({k: v * c for k, v in self.terms.items()})
@@ -243,16 +253,13 @@ def t_operators(which: str, f: XPoly) -> XPoly:
     multiplication by the two-factor boundary weight.  All are linear over
     the coefficient field.  Singular exponent combinations (a shift
     denominator with zero exponent vector) raise SingularShift naming the
-    monomial.
+    monomial.  The terms each output key collects are added once, at the
+    end (``XPoly.summed``).
     """
-    out: dict[tuple[int, ...], RatFunc] = {}
+    out: list[tuple[tuple[int, ...], RatFunc]] = []
 
     def put(key: tuple[int, ...], val: RatFunc) -> None:
-        s = out.get(key, _ZERO_RF) + val
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        out.append((key, val))
 
     for key, c in f.terms.items():
         n1, n2, n3, n4, n5, n6 = key
@@ -294,7 +301,7 @@ def t_operators(which: str, f: XPoly) -> XPoly:
             put((2 - n5, 14 - n6, n3 + n5, n4 + n6, 0, 0), _shift_ratio(c, None, [r, u]))
         else:
             raise ValueError(f"unknown operator {which!r}")
-    return XPoly(out)
+    return XPoly.summed(out)
 
 
 # The fixed factors below are built once, at import, and then shared:
@@ -384,6 +391,36 @@ def assemble_cj0(operand34: XPoly | None = None) -> XPoly:
     return inner.scale(pref)
 
 
+# -- torus points ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TauPoint:
+    """Values of the two fundamental-weight coordinates as (x, q)-monomial
+    exponent pairs."""
+
+    name: str
+    omega1: tuple[int, int]
+    omega2: tuple[int, int]
+
+    def weight_exponents(self, w) -> tuple[int, int]:
+        n, m = w
+        return (n * self.omega1[0] + m * self.omega2[0],
+                n * self.omega1[1] + m * self.omega2[1])
+
+
+TAU_POINTS = (
+    TauPoint("tau0", (1, 8), (2, 15)),
+    TauPoint("tau1", (1, 8), (3, 23)),
+    TauPoint("tau2", (2, 15), (3, 23)),
+)
+
+
+def _tau0(w) -> LaurentPoly:
+    """The torus monomial of the weight w at the point tau0, in (x, q)."""
+    return LaurentPoly(XQ, {TAU_POINTS[0].weight_exponents(w): 1})
+
+
 # -- named members ---------------------------------------------------
 
 Z_FACTOR_KEYS = ((1, 0), (1, 2), (1, 3), (1, 4), (2, 10), (2, 12))
@@ -395,20 +432,41 @@ def _factor_product(keys) -> LaurentPoly:
     return _times_binomials(_ONE, Counter(keys))
 
 
-# the correction polynomial Z, the boundary product z0 and z0 times the
-# mass Q, and the fixed factors (F, G, H) of every kernel polynomial I0(n, m)
+# the correction polynomial Z, and the boundary product z0 and z0 times
+# the mass Q
 _Z = _factor_product(Z_FACTOR_KEYS)
 _Z0 = _factor_product(Z0_FACTOR_KEYS)
 _Z0Q = _Z0 * Q.rename(XQ)
-_I0_FACTORS = tuple(_factor_product(keys) for keys in (
-    ((1, 6), (3, 21)), ((1, 5), (1, 6)), ((1, 5), (1, 8))))
+
+# the kernel's three terms: I0(w) tau0^w = sum_i k_i c_i beta_i^w over the
+# rows (k_i, beta_i at omega1, beta_i at omega2, c_i), with k_i = F, -G, -H
+# (each a product of binomials), the bases read from the three torus
+# points and the constant monomial c_i as an (x, q) exponent pair
+_KERNEL_TERMS = tuple(
+    (_times_binomials(_mono(sign), Counter(keys)), tp.omega1, tp.omega2, const)
+    for tp, sign, keys, const in (
+        (TAU_POINTS[0], 1, ((1, 6), (3, 21)), (0, 0)),
+        (TAU_POINTS[1], -1, ((1, 5), (1, 6)), (1, 8)),
+        (TAU_POINTS[2], -1, ((1, 5), (1, 8)), (1, 7))))
+
+
+def _kernel_shifts(w) -> list[tuple[int, int]]:
+    """The (x, q) exponent pair of c_i beta_i^w for each kernel term."""
+    n, m = w
+    return [(c[0] + n * b1[0] + m * b2[0], c[1] + n * b1[1] + m * b2[1])
+            for _, b1, b2, c in _KERNEL_TERMS]
 
 
 def _i0_poly(n: int, m: int) -> LaurentPoly:
-    """I0(n, m) = F - (xq^8)^(m+1) G - (xq^7)^(n+1) (xq^8)^m H."""
-    first, g, h = _I0_FACTORS
-    return (first - _mono(1, x=m + 1, q=8 * (m + 1)) * g
-            - _mono(1, x=n + m + 1, q=7 * (n + 1) + 8 * m) * h)
+    """I0(n, m) = sum_i k_i c_i (beta_i / tau0)^w at w = (n, m), which is
+    F - (xq^8)^(m+1) G - (xq^7)^(n+1) (xq^8)^m H."""
+    tx, tq = TAU_POINTS[0].weight_exponents((n, m))
+    out: dict[tuple[int, int], int] = {}
+    for (k, *_), (sx, sq) in zip(_KERNEL_TERMS, _kernel_shifts((n, m))):
+        for (ex, eq), c in k.coeffs.items():
+            key = (ex + sx - tx, eq + sq - tq)
+            out[key] = out.get(key, 0) + c
+    return LaurentPoly(XQ, out)
 
 
 def _i0_expanded(n: int, m: int) -> LaurentPoly:
@@ -455,36 +513,6 @@ def named(identifier: str, **params: int) -> NamedPoly:
     else:
         raise ValueError(f"unknown identifier {identifier!r}")
     return NamedPoly(value)
-
-
-# -- torus points ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TauPoint:
-    """Values of the two fundamental-weight coordinates as (x, q)-monomial
-    exponent pairs."""
-
-    name: str
-    omega1: tuple[int, int]
-    omega2: tuple[int, int]
-
-    def weight_exponents(self, w) -> tuple[int, int]:
-        n, m = w
-        return (n * self.omega1[0] + m * self.omega2[0],
-                n * self.omega1[1] + m * self.omega2[1])
-
-
-TAU_POINTS = (
-    TauPoint("tau0", (1, 8), (2, 15)),
-    TauPoint("tau1", (1, 8), (3, 23)),
-    TauPoint("tau2", (2, 15), (3, 23)),
-)
-
-
-def _tau0(w) -> LaurentPoly:
-    """The torus monomial of the weight w at the point tau0, in (x, q)."""
-    return LaurentPoly(XQ, {TAU_POINTS[0].weight_exponents(w): 1})
 
 
 # -- finite summation family ---------------------------------------------------
@@ -637,12 +665,6 @@ _p_char = lru_cache(maxsize=4096)(weight_coefficient)
 # -- truncated series ---------------------------------------------------
 
 
-def _pair_kernel(n: int, m: int) -> LaurentPoly:
-    """The kernel polynomial of pair (n, m) shifted by its torus monomial
-    at tau0, in (x, q); its x-degrees are all >= n + 2m."""
-    return _i0_poly(n, m) * _tau0((n, m))
-
-
 def _pair_triangle(D: int) -> list[Weight]:
     """The valuation pairs (n, m) with n + 2m <= D: the pairs whose kernels
     reach x-degree D."""
@@ -661,19 +683,45 @@ def highest_weight_sums(ws, mass, D: int | None = None,
     """The mass-weighted kernel sum by highest weight: lam -> S_lam, the
     sum of p_lam(w) K(w) mass(w) over the dominant w in ws, in (x, q), cut
     above x-degree D when D is given, for the lam in ``lams`` when given.
-    K(w) is ``_pair_kernel``, mass(w) a polynomial in q, and p_lam(w) is
-    from ``weight_expansion``.  As P(w) = sum_lam p_lam(w) chi_lam and
+    K(w) = I0(w) tau0^w, mass(w) is a polynomial in q, and p_lam(w) is from
+    ``weight_expansion``.  As P(w) = sum_lam p_lam(w) chi_lam and
     characters are linearly independent, an identity between such sums
-    holds iff it holds for every lam.  Each lam's sum is one
-    ``sum_of_products`` over the pairs (p_lam(w) mass(w), K(w)): the mass
-    on the coefficient side, K(w) and mass(w) formed once per w."""
-    by_lam: dict[Weight, list] = {}
-    for w in ws:
-        kernel, m = _pair_kernel(*w), mass(w)
-        for lam, p in weight_expansion(w).items():
-            if lams is None or lam in lams:
-                by_lam.setdefault(lam, []).append((p, m, kernel))
-    bound = () if D is None else ("x", D)
-    return {lam: sum_of_products(XQ, ((p * m, k) for p, m, k in terms), *bound)
-            for lam, terms in by_lam.items()}
+    holds iff it holds for every lam.
 
+    The kernel is factored out: K(w) = sum_i k_i c_i beta_i^w over
+    ``_KERNEL_TERMS``, so S_lam = sum_i k_i A_i, where A_i is the sum of
+    p_lam(w) mass(w) shifted by the monomial c_i beta_i^w.  Each w's three
+    shifts are formed once, and each (lam, w) term adds its coefficients,
+    the mass folded in, at those shifts; a shift above x-degree D is
+    skipped, as no k_i has negative x-degree, and a coefficient that
+    cancels is dropped at once, so the accumulators stay small.  Each lam's
+    sum is then one ``sum_of_products`` over the three pairs (k_i, A_i)."""
+    acc: dict[Weight, tuple[dict, dict, dict]] = {}
+    for w in ws:
+        shifts = [(i, sx, sq) for i, (sx, sq) in enumerate(_kernel_shifts(w))
+                  if D is None or sx <= D]
+        masses = [(e, c) for (e,), c in mass(w).coeffs.items()]
+        for lam, p in weight_expansion(w).items():
+            if lams is not None and lam not in lams:
+                continue
+            sums = acc.get(lam)
+            if sums is None:
+                sums = acc[lam] = ({}, {}, {})
+            pm: dict[int, int] = {}
+            for (e,), c in p.coeffs.items():
+                for f, d in masses:
+                    pm[e + f] = pm.get(e + f, 0) + c * d
+            for i, sx, sq in shifts:
+                s = sums[i]
+                get = s.get
+                for e, c in pm.items():
+                    key = (sx, sq + e)
+                    v = get(key, 0) + c
+                    if v:
+                        s[key] = v
+                    else:
+                        s.pop(key, None)
+    bound = () if D is None else ("x", D)
+    return {lam: sum_of_products(XQ, [(k, LaurentPoly._of(XQ, s)) for (k, *_), s in
+                                      zip(_KERNEL_TERMS, sums)], *bound)
+            for lam, sums in acc.items()}

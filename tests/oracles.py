@@ -40,8 +40,10 @@ does not take, so that agreement is evidence rather than repetition:
   running ``RatFunc`` sum, term by term, the reference for
   ``XPoly.substitute``'s one common denominator;
 * ``highest_weight_sums_by_lam`` -- each lam's sum over the pairs
-  (p_lam(w), K(w) mass(w)), the kernel times the mass formed first, the
-  reference for ``highest_weight_sums``'s mass on the coefficient side;
+  (p_lam(w), K(w) mass(w)), with the kernel K(w) built from its twelve
+  explicit monomials times tau0^w and multiplied by the mass first, the
+  reference for ``highest_weight_sums``'s kernel factored into its three
+  terms;
 * ``extraspecial_pairs``, ``structure_table_by_recursion`` -- the
   Chevalley sign table forced from +1 on the extraspecial pairs by a
   memoized recursion through antisymmetry, negation, triangle rotation and
@@ -76,10 +78,11 @@ from e8g2.zeta import (
     SERIES_VARS,
     XQ,
     Z0_FACTOR_KEYS,
+    _i0_expanded,
     _i0_poly,
     _p_char,
-    _pair_kernel,
     _q_clear,
+    _tau0,
     j_case2,
 )
 
@@ -429,7 +432,7 @@ def highest_weight_sums_by_lam(ws, mass, D: int | None = None, lams=None) -> dic
     cut at x-degree D when D is given; a lam whose sum is zero is kept."""
     pairs: dict = {}
     for w in ws:
-        term = _pair_kernel(*w) * mass(w).rename(XQ)
+        term = _i0_expanded(*w) * _tau0(w) * mass(w).rename(XQ)
         for lam, p in weight_expansion(w).items():
             if lams is None or lam in lams:
                 pairs.setdefault(lam, []).append((p, term))

@@ -387,16 +387,17 @@ class TestMain:
         {"n_max": 1_000_000, "m_max": 1_000_000},
     ], ids=["n_max", "m_max", "both-huge"])
     def test_sum_cases_box_above_cap(self, params, tmp_path, monkeypatch, capsys):
-        def no_kernel(*args):
+        def no_expansion(*args):
             raise AssertionError("finite-case work started")
 
-        monkeypatch.setattr(zeta, "_pair_kernel", no_kernel)
+        monkeypatch.setattr(zeta, "weight_expansion", no_expansion)
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps([{"id": "zeta.sum_cases", "params": params}]))
         assert cli.main(["e8g2", "--manifest", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must be <=" in err
-        # the guard above holds only if an accepted box reaches the kernel
+        # the guard above holds only if an accepted box reaches the
+        # weight expansion
         with pytest.raises(AssertionError, match="finite-case work started"):
             cli.main(["e8g2", "--check", "zeta.sum_cases"])
 

@@ -11,6 +11,7 @@ from e8g2.symra import (
     LaurentPoly,
     RatFunc,
     TruncationError,
+    _summed,
     _times_binomials,
     one_minus,
     sum_of_products,
@@ -603,3 +604,16 @@ def test_ratfunc_equals_matches_sympy(a, b, same, w, k):
     assert a.equals(b) == want == b.equals(a)
     if same:
         assert want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(ratfuncs(), min_size=1, max_size=4))
+def test_summed_matches_sympy(fs):
+    # the sum of many over one common denominator is the running sum, and
+    # its denominator holds each factor at its largest multiplicity
+    sympy = pytest.importorskip("sympy")
+    got = _summed(fs)
+    want = sympy.Add(*(sympy_expr(sympy, f) for f in fs))
+    assert sympy.cancel(sympy_expr(sympy, got) - want) == 0
+    if not got.is_zero():
+        assert got.den == {v: max(f.den.get(v, 0) for f in fs) for f in fs for v in f.den}

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from e8g2 import g2chars
 from e8g2 import zeta as z
 from e8g2.checks import (
-    MAX_SERIES_DEGREE,
     REPORT_FIELDS,
     _boundary_by_weight,
     _first_difference,
@@ -90,8 +89,9 @@ class TestZetaProducts:
 
 
 def _negated_factor(k):
-    """A stand-in for ``_I0_FACTORS`` with its k-th factor negated."""
-    return tuple(-p if i == k else p for i, p in enumerate(z._I0_FACTORS))
+    """A stand-in for ``_KERNEL_TERMS`` with its k-th factor k_i negated."""
+    return tuple((-row[0], *row[1:]) if i == k else row
+                 for i, row in enumerate(z._KERNEL_TERMS))
 
 
 # the check and report flag that cover each former named-family member
@@ -117,9 +117,9 @@ class TestNamedFamily:
         ("Z2", {"Z2_NUM_KEYS": z.Z2_NUM_KEYS[:-1]}),
         ("I0", {"_i0_expanded": lambda n, m, f=z._i0_expanded: f(n + 1, m)}),
         ("I0", {"_i0_poly": lambda n, m, f=z._i0_poly: f(n, m) + ONE}),
-        ("J0c", {"_I0_FACTORS": _negated_factor(0)}),
-        ("J1c", {"_I0_FACTORS": _negated_factor(1)}),
-        ("J2c", {"_I0_FACTORS": _negated_factor(2)}),
+        ("J0c", {"_KERNEL_TERMS": _negated_factor(0)}),
+        ("J1c", {"_KERNEL_TERMS": _negated_factor(1)}),
+        ("J2c", {"_KERNEL_TERMS": _negated_factor(2)}),
         ("cJ21", {"_cj21": lambda f=z._cj21: f().scale(2)}),
         ("cJ22", {"_cj22": lambda f=z._cj22: f().scale(2)}),
         ("cJ0", {"assemble_cj0": lambda op=None, f=z.assemble_cj0: f(op).scale(2)}),
@@ -148,11 +148,18 @@ class TestNamedFamily:
         for n, m in ((0, 0), (1, 0), (0, 1), (2, 1), (3, 2)):
             assert z.named("I0", n=n, m=m).value == z._i0_expanded(n, m)
 
+    def test_kernel_table_gives_the_twelve_monomials(self):
+        # _i0_poly reads the kernel's three-term table; the twelve explicit
+        # monomials are the independent route
+        for n in range(7):
+            for m in range(7):
+                assert z._i0_poly(n, m) == z._i0_expanded(n, m), (n, m)
+
     def test_kernel_tau_decomposition(self):
         # I0 = J0 - J1 (xq^8)^m - J2 (xq^7)^n (xq^8)^m with the
         # tau-decomposition coefficients J0 = F, J1 = xq^8 G, J2 = xq^7 H
-        f, g, h = z._I0_FACTORS
-        j1, j2 = MONO(1, x=1, q=8) * g, MONO(1, x=1, q=7) * h
+        f, minus_g, minus_h = (k for k, *_ in z._KERNEL_TERMS)
+        j1, j2 = MONO(-1, x=1, q=8) * minus_g, MONO(-1, x=1, q=7) * minus_h
         for n, m in ((0, 0), (2, 1), (1, 3)):
             rebuilt = (f - j1 * MONO(1, x=m, q=8 * m)
                        - j2 * MONO(1, x=n + m, q=7 * n + 8 * m))
@@ -293,10 +300,13 @@ class TestSummationFamily:
 
 
 # the fixed values zeta builds at import and every caller shares
-SHARED_CONSTANTS = ("_Z", "_Z0", "_Z0Q", "_BLOCKS", "_I0_FACTORS", "_FROZEN_CJ0", "_FROZEN_T0_CJ0")
+SHARED_CONSTANTS = ("_Z", "_Z0", "_Z0Q", "_BLOCKS", "_KERNEL_TERMS", "_FROZEN_CJ0",
+                    "_FROZEN_T0_CJ0")
 
 
 def snapshot(value):
+    if isinstance(value, int):
+        return value
     if isinstance(value, tuple):
         return tuple(map(snapshot, value))
     if isinstance(value, XPoly):
@@ -528,11 +538,13 @@ class TestTruncationFirst:
 
     def test_no_factor_has_negative_x_degree(self):
         # truncating a factor before multiplying is exact only because the
-        # other factor has no negative x-degree: Z, and every pair kernel at
-        # every accepted degree (the pair coefficients are free of x)
+        # other factor has no negative x-degree: Z, and each kernel term's
+        # factor k_i, bases and constant monomial, so that a shift above
+        # x-degree D may be skipped (the pair coefficients are free of x)
         assert z._factor_product(z.Z_FACTOR_KEYS).low_degree("x") >= 0
-        assert all(z._pair_kernel(*w).low_degree("x") >= 0
-                   for w in z._pair_triangle(MAX_SERIES_DEGREE))
+        for k, omega1, omega2, const in z._KERNEL_TERMS:
+            assert k.low_degree("x") >= 0
+            assert min(omega1[0], omega2[0], const[0]) >= 0
 
 
 def sum_cases_box(n_max=6, m_max=4):
@@ -561,6 +573,11 @@ class TestHighestWeightSums:
                              ids=["q_clear", "Q_minus_q_clear"])
     def test_end_to_end_triangle(self, mass):
         assert not all(self.assert_same_sums(z._pair_triangle(8), mass, 8).values())
+
+    @pytest.mark.parametrize("mass", [z._q_clear, lambda w: Q],
+                             ids=["q_clear", "full_mass"])
+    def test_triangle_at_degree_12(self, mass):
+        assert not all(self.assert_same_sums(z._pair_triangle(12), mass, 12).values())
 
     def test_untruncated(self):
         _, ws = sum_cases_box(3, 2)
@@ -698,6 +715,16 @@ class TestSeriesChecks:
         monkeypatch.setattr(g2chars, "_straighten", flipped)
         assert z._measure_sum(4) != unflipped
         self.assert_check3_locates(capsys)
+
+    def test_check3_and_sum_cases_negative_control_on_kernel_table(self, monkeypatch, capsys):
+        # with omega1 and omega2 swapped in the first kernel term's bases,
+        # the left side's sums are wrong on both main-identity routes
+        (k, omega1, omega2, const), *rest = z._KERNEL_TERMS
+        unswapped = z._measure_sum(4)
+        monkeypatch.setattr(z, "_KERNEL_TERMS", ((k, omega2, omega1, const), *rest))
+        assert z._measure_sum(4) != unswapped
+        self.assert_check3_locates(capsys)
+        assert cli_main(["e8g2", "--check", "zeta.sum_cases"]) == 1
 
     def test_end_to_end_negative_control_on_z(self, monkeypatch):
         # end_to_end cancels Z against the normalizing factor by their keys;
