@@ -23,6 +23,8 @@ and ``zeta.end_to_end``) compare by highest weight: each side is a map
 lam -> (x, q) sum, ``_differing_weights`` lists the lam where two sides
 differ, and a failing series check forms the four-variable series
 sum_lam chi_lam S_lam only in ``_first_difference``, to locate it.
+``zeta.end_to_end`` is check3's comparison plus the exact identity (iii)
+of ``_normalization_identity``, which ``zeta.closed_forms`` checks too.
 """
 
 from __future__ import annotations
@@ -87,9 +89,9 @@ REGISTRY: dict = {}
 
 # the largest truncation degree a series check accepts, from a manifest
 # param or the fallback alike.  Neither series check is near it: on a
-# 2-vCPU VM (Python 3.11), both by highest weight, check3 takes about
-# 0.03 s and 17 MB peak RSS at D = 16 and 0.04 s and 17 MB at D = 20;
-# end_to_end about 0.09 s and 18 MB at D = 16 and 0.1 s and 19 MB at D = 20
+# 2-vCPU VM (Python 3.11), check3 takes about 0.02 s and 17 MB peak RSS at
+# D = 16 and 0.04 s and 17 MB at D = 20; end_to_end (check3's work plus
+# the edge-and-origin correction) 0.05 s / 17 MB and 0.06 s / 18 MB
 MAX_SERIES_DEGREE = 16
 
 
@@ -203,6 +205,14 @@ def _differing_weights(got: dict, want: dict) -> list:
     zero = LaurentPoly.zero(zeta.XQ)
     return sorted(lam for lam in got.keys() | want.keys()
                   if got.get(lam, zero) != want.get(lam, zero))
+
+
+def _normalization_identity() -> bool:
+    """Identity (iii), exactly: Z z0 (1-x^2q^16) N = (1-xq^7)(1-xq^8), with
+    N = 1/prod over N_KEYS; so Z N / ((1-xq^7)(1-xq^8)) = 1/(z0 (1-x^2q^16))."""
+    om = zeta._om
+    return RatFunc(zeta._Z * zeta._Z0 * om(x=2, q=16), Counter(zeta.N_KEYS)).equals(
+        om(x=1, q=7) * om(x=1, q=8))
 
 
 # -- checks, in registration order ---------------------------------------------------
@@ -338,15 +348,14 @@ def _closed_forms():
             - om(x=1, q=5) * mono(1, x=n + 1, q=7 * n + 7))
         for n in range(11))
     # the product-family identities, with N = 1/prod over N_KEYS:
-    # Z (1-xq^5)(1-xq^6)(1-x^2q^14)(1-x^2q^16)(1-x^3q^21) N = 1,
-    # Z z0 (1-x^2q^16) N = (1-xq^7)(1-xq^8), I0 against its twelve monomials,
-    # and the two bookkeeping elements against the three-parameter block
-    n_den = Counter(zeta.N_KEYS)
+    # Z (1-xq^5)(1-xq^6)(1-x^2q^14)(1-x^2q^16)(1-x^3q^21) N = 1, identity
+    # (iii), I0 against its twelve monomials, and the two bookkeeping
+    # elements against the three-parameter block
     rest = zeta._factor_product(((1, 5), (1, 6), (2, 14), (2, 16), (3, 21)))
     ratio = RatFunc(om(x=1, q=7) ** 2 * om(x=2, q=13), {(1, 6): 1})
     named_ok = (
-        RatFunc(z * rest, n_den).equals(RatFunc.one(zeta.XQ))
-        and RatFunc(z * zeta._Z0 * om(x=2, q=16), n_den).equals(om(x=1, q=7) * om(x=1, q=8))
+        RatFunc(z * rest, Counter(zeta.N_KEYS)).equals(RatFunc.one(zeta.XQ))
+        and _normalization_identity()
         and all(zeta._i0_poly(n, m) == zeta._i0_expanded(n, m) for n, m in ((2, 1), (3, 2)))
         and zeta._cj21().substitute(1, 3).equals(zeta.j_case2(1, 3) * ratio)
         and zeta._cj22().substitute(1, 3, 0).equals(zeta.j_case2(1, 3, 0) * ratio))
@@ -421,51 +430,41 @@ def _main_identity_cases(n_max=6, m_max=4):
         "pairs_checked": (n_max + 1) * (m_max + 1), "failures": failures}
 
 
-def _normalized_by_weight(D: int) -> tuple[dict, dict]:
-    """end_to_end's left side by highest weight, for the identity and for
-    its negative control: lam -> the x-series through degree D of S_lam
-    times Z / ((1-xq^7)(1-xq^8)) and the normalizing factor N, where S_lam
-    is ``zeta._measure_sum(D)``'s.  The control puts the full mass Q on
-    every pair; it differs from the identity's mass only on the edges and
-    the origin, so its series are the identity's plus those of the
-    edge-and-origin correction, weighted by Q - mass.  Z is never
-    expanded: its keys cancel against N's denominator keys."""
-    # every key of Z is a key of N = 1/prod over N_KEYS, since
-    # Z (1-xq^5)(1-xq^6)(1-x^2q^14)(1-x^2q^16)(1-x^3q^21) N = 1 (checked in
-    # zeta.closed_forms), so Z N is 1 over the keys of N that Z lacks
-    den = Counter(zeta.N_KEYS) - Counter(zeta.Z_FACTOR_KEYS) + Counter({(1, 7): 1, (1, 8): 1})
-    q_clear = zeta._q_clear
-    correction = zeta.highest_weight_sums(
-        [w for w in zeta._pair_triangle(D) if not (w.n and w.m)], lambda w: Q - q_clear(w), D)
-
-    def normalized(by_lam):
-        return {lam: RatFunc(s, den).truncate("x", D) for lam, s in by_lam.items()}
-
-    lhs, extra = normalized(zeta._measure_sum(D)), normalized(correction)
-    zero = LaurentPoly.zero(zeta.XQ)
-    return lhs, {lam: lhs.get(lam, zero) + extra.get(lam, zero)
-                 for lam in lhs.keys() | extra.keys()}
+def _normalized_series(sums: dict, D: int) -> dict:
+    """end_to_end's left side as x-series, formed only to locate a failure:
+    lam -> S_lam Z N / ((1-xq^7)(1-xq^8)) through x-degree D, with Z
+    expanded over every key of N and the two binomials, none cancelled."""
+    den = Counter(zeta.N_KEYS) + Counter({(1, 7): 1, (1, 8): 1})
+    return {lam: RatFunc(zeta._Z * s, den).truncate("x", D) for lam, s in sums.items()}
 
 
 @check("zeta.end_to_end", "normalized-integral-vs-l-series",
        params={"D": (1, MAX_SERIES_DEGREE)})
 def _end_to_end(D):
     """Normalized-integral identity: the mass-weighted kernel sum times
-    Z / ((1-xq^7)(1-xq^8)) and the normalizing factor N equals the
-    two-variable L-series with its quadratic factor, as truncated x-series;
-    and the mass perturbation breaks it.  Both sides are compared by
-    highest weight (``_normalized_by_weight``): the right side's lam = (r, 0)
-    series is Q tau0^lam / (1 - x^2q^16) for r <= D, and zero for every
-    other lam.  Only a failing identity forms the four-variable series, to
-    locate the first difference."""
-    lhs, control = _normalized_by_weight(D)
-    rhs = {Weight(r, 0): RatFunc(Q.rename(zeta.XQ) * zeta._tau0((r, 0)),
-                                 {(2, 16): 1}).truncate("x", D) for r in range(D + 1)}
-    identity_ok = not _differing_weights(lhs, rhs)
-    control_ok = bool(_differing_weights(control, rhs))
+    Z N / ((1-xq^7)(1-xq^8)), N the normalizing factor, equals the
+    two-variable L-series with its quadratic factor through x-degree D, and
+    the mass perturbation breaks it.  By identity (iii) both sides share
+    the unit 1/(z0 (1-x^2q^16)) of Z[q^+-1][[x]], so the pass path checks
+    (iii) and check3's comparison and forms no series; the control adds the
+    edge-and-origin correction, weighted by Q - mass, for the mass Q on
+    every pair.  Only a failing identity forms the normalized series, the
+    right side's being Q tau0^lam / (1-x^2q^16), to locate a difference."""
+    got, want = zeta._measure_sum(D), _boundary_by_weight(D)
+    identity_ok = _normalization_identity() and not _differing_weights(got, want)
+    correction = zeta.highest_weight_sums([w for w in zeta._pair_triangle(D) if not (w.n and w.m)],
+                                          lambda w: Q - zeta._q_clear(w), D)
+    zero = LaurentPoly.zero(zeta.XQ)
+    control = {lam: got.get(lam, zero) + correction.get(lam, zero)
+               for lam in got.keys() | correction.keys()}
+    control_ok = bool(_differing_weights(control, want))
     computed = {"identity": identity_ok, "negative_control_differs": control_ok}
     if not identity_ok:
-        computed["first_difference"] = _first_difference(lhs, rhs)
+        lhs = _normalized_series(got, D)
+        rhs = {Weight(r, 0): RatFunc(Q.rename(zeta.XQ) * zeta._tau0((r, 0)),
+                                     {(2, 16): 1}).truncate("x", D) for r in range(D + 1)}
+        if _differing_weights(lhs, rhs):
+            computed["first_difference"] = _first_difference(lhs, rhs)
     return identity_ok and control_ok, {
         "identity": "truncated series agree", "negative_control": "perturbed mass differs",
     }, computed

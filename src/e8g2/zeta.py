@@ -37,8 +37,8 @@ and z0 times the mass Q, the kernel's three terms and the frozen closed
 form with its T0 application) is one value built at import; the three
 blocks are declared by their keys.  A known product of binomials
 1 - x^k q^j is applied through its keys: as shift passes
-(``symra._times_binomials``) when it multiplies, and by key cancellation
-against a denominator multiset when it divides.
+(``symra._times_binomials``) when it multiplies, and as keys of a
+denominator multiset when it divides.
 """
 
 from __future__ import annotations

@@ -357,8 +357,8 @@ def measure_sum_by_products(D: int, perturb_mass: bool = False) -> LaurentPoly:
     return acc
 
 
-# the denominator keys end_to_end's left side keeps once Z cancels against
-# the normalizing factor, with 1/((1-xq^7)(1-xq^8)), in (x, q, a, b)
+# the denominator keys of Z N / ((1-xq^7)(1-xq^8)) once Z's keys cancel
+# against those of the normalizing factor N, in (x, q, a, b)
 NORMALIZED_KEYS = {(k, j, 0, 0): 1
                    for k, j in ((1, 5), (1, 6), (1, 7), (1, 8), (2, 14), (2, 16), (3, 21))}
 

@@ -17,7 +17,7 @@ from e8g2.checks import (
     REPORT_FIELDS,
     _boundary_by_weight,
     _first_difference,
-    _normalized_by_weight,
+    _normalized_series,
 )
 from e8g2.cli import Manifest, ManifestEntry, RunConfig, UsageError, run
 from e8g2.cli import main as cli_main
@@ -109,8 +109,7 @@ class TestNamedFamily:
     # the report flag that checks the member must drop and the check fail.
     # The stand-ins leave every shared constant's value alone.
     @pytest.mark.parametrize("ident,kw", [
-        ("Z", {"Z_FACTOR_KEYS": z.Z_FACTOR_KEYS[:-1],
-               "_Z": z._factor_product(z.Z_FACTOR_KEYS[:-1])}),
+        ("Z", {"_Z": z._factor_product(z.Z_FACTOR_KEYS[:-1])}),
         ("z0", {"_Z0": z._factor_product(z.Z0_FACTOR_KEYS[:-1])}),
         ("N", {"N_KEYS": z.N_KEYS[:-1]}),
         ("Z1", {"Z1_NUM_KEYS": z.Z1_NUM_KEYS[:-1]}),
@@ -527,7 +526,7 @@ class TestTruncationFirst:
     def test_matches_full_product_route(self, D):
         z4 = z._factor_product(z.Z_FACTOR_KEYS).rename(z.SERIES_VARS)
         # Z times the normalizing factor and 1/((1-xq^7)(1-xq^8)), by all
-        # of its keys, against the keys zeta.end_to_end keeps once Z cancels
+        # of its keys, against the oracle's seven keys, Z's keys cancelled
         every_key = {(k, j, 0, 0): 1 for k, j in z.N_KEYS + ((1, 7), (1, 8))}
         assert (character_sum(z.SERIES_VARS, z._measure_sum(D))
                 == truncate_var(measure_sum_by_products(D), "x", D))
@@ -641,9 +640,11 @@ class TestSeriesChecks:
 
     @pytest.mark.parametrize("D", range(1, 7))
     def test_by_weight_matches_four_variable_series(self, D):
-        # sum_lam chi_lam times lam's series is the four-variable left side,
-        # for the identity's masses and for the control's
-        identity, control = _normalized_by_weight(D)
+        # sum_lam chi_lam times lam's normalized series, as a failing
+        # end_to_end forms them, is the four-variable left side, for the
+        # identity's masses and for the control's full mass Q
+        identity = _normalized_series(z._measure_sum(D), D)
+        control = _normalized_series(z.highest_weight_sums(z._pair_triangle(D), lambda w: Q, D), D)
         assert character_sum(z.SERIES_VARS, identity) == normalized_series(D)
         assert (character_sum(z.SERIES_VARS, control)
                 == normalized_series(D, perturb_mass=True))
@@ -665,12 +666,14 @@ class TestSeriesChecks:
         monkeypatch.setattr(z, "_p_char", no_coefficient)
         assert run_check("zeta.end_to_end", D=4).status == "pass"
 
-    def test_series_sequence_forms_no_coefficient_character_or_division(self, monkeypatch):
+    def test_series_sequence_forms_no_coefficient_character_division_or_truncation(
+            self, monkeypatch):
         # the benchmark's series op, check3 at D = 10 then end_to_end at
         # D = 8, passes with no weight coefficient, no Weyl character, no
-        # Weyl image sum and no exact division formed
+        # Weyl image sum, no exact division and no truncated series formed
         def forbidden(*args, **kwargs):
-            raise AssertionError("weight coefficient, character, Weyl images or division formed")
+            raise AssertionError(
+                "weight coefficient, character, Weyl images, division or series formed")
 
         banned = (g2chars.weyl_character, g2chars.antisymmetrize, g2chars.alt_sum)
         for module in [m for name, m in sys.modules.items() if name.startswith("e8g2")]:
@@ -679,6 +682,7 @@ class TestSeriesChecks:
                     monkeypatch.setattr(module, name, forbidden)
         monkeypatch.setattr(z, "_p_char", forbidden)
         monkeypatch.setattr(LaurentPoly, "divexact", forbidden)
+        monkeypatch.setattr(RatFunc, "truncate", forbidden)
         assert run_check("zeta.check3", D=10).status == "pass"
         assert run_check("zeta.end_to_end", D=8).status == "pass"
 
@@ -727,14 +731,33 @@ class TestSeriesChecks:
         assert cli_main(["e8g2", "--check", "zeta.sum_cases"]) == 1
 
     def test_end_to_end_negative_control_on_z(self, monkeypatch):
-        # end_to_end cancels Z against the normalizing factor by their keys;
-        # with one factor of Z dropped, 1/(1 - x^2 q^12) is left over and
-        # the series first differ at x^2
-        monkeypatch.setattr(z, "Z_FACTOR_KEYS", z.Z_FACTOR_KEYS[:-1])
+        # with one factor of Z dropped, identity (iii) fails, and in the
+        # normalized series 1/(1 - x^2 q^12) is left over: they first
+        # differ at x^2
+        monkeypatch.setattr(z, "_Z", z._factor_product(z.Z_FACTOR_KEYS[:-1]))
         rep = run_check("zeta.end_to_end", D=3)
         assert rep.status == "fail"
         assert rep.computed["first_difference"] == {
             "x_degree": 2, "monomial": "x^2*q^12", "computed": 9, "expected": 8}
+
+    def test_end_to_end_wrong_z_fails_below_its_first_difference(self, monkeypatch, capsys):
+        # identity (iii) is exact, so a wrong Z fails at every degree, also
+        # where the normalized series still agree: no difference to locate
+        monkeypatch.setattr(z, "_Z", z._factor_product(z.Z_FACTOR_KEYS[:-1]))
+        rep = run_check("zeta.end_to_end", D=1)
+        assert rep.status == "fail"
+        assert rep.computed == {"identity": False, "negative_control_differs": True}
+        assert cli_main(["e8g2", "--check", "zeta.end_to_end", "--degree", "1"]) == 1
+        assert '"identity": false' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("D", [1, 4])
+    def test_end_to_end_negative_control_on_n(self, monkeypatch, D):
+        # with one key dropped from the normalizing factor, identity (iii)
+        # fails at every degree
+        monkeypatch.setattr(z, "N_KEYS", z.N_KEYS[:-1])
+        rep = run_check("zeta.end_to_end", D=D)
+        assert rep.status == "fail"
+        assert rep.computed["identity"] is False
 
     def test_degree_must_be_positive(self):
         with pytest.raises(UsageError):
