@@ -25,6 +25,8 @@ differ, and a failing series check forms the four-variable series
 sum_lam chi_lam S_lam only in ``_first_difference``, to locate it.
 ``zeta.end_to_end`` is check3's comparison plus the exact identity (iii)
 of ``_normalization_identity``, which ``zeta.closed_forms`` checks too.
+Both read check3's two sides from ``_series_sides``, which forms them once
+per process, at the largest D asked for, and cuts them to a smaller D.
 """
 
 from __future__ import annotations
@@ -389,16 +391,41 @@ def _boundary_by_weight(D: int) -> dict:
             for r in range(D + 1)}
 
 
+# check3's two sides at the largest D formed in this process: one entry
+# D -> (left, right)
+_SERIES_SIDES: dict = {}
+
+
+def _series_sides(D: int) -> tuple[dict, dict]:
+    """check3's two sides by highest weight through x-degree D: the left,
+    ``zeta._measure_sum(D)``, and the right, ``_boundary_by_weight(D)``.
+    Both are formed once per process, at the largest D asked for, and every
+    call cuts each lam's sum above x-degree D and drops a lam whose cut sum
+    is zero; a larger D replaces them.  The cut is exact: a pair (n, m)
+    outside ``zeta._pair_triangle(D)`` has its kernel shifts at x-degrees
+    n+2m, 1+n+3m and 1+2n+3m, all above D; no k_i of
+    ``zeta._KERNEL_TERMS`` has negative x-degree; and z0 Q tau0^(r, 0) has
+    x-degree at least r."""
+    top = next(iter(_SERIES_SIDES), -1)
+    if top < D:
+        _SERIES_SIDES.clear()
+        top = D
+        _SERIES_SIDES[D] = zeta._measure_sum(D), _boundary_by_weight(D)
+    return tuple({lam: LaurentPoly._of(zeta.XQ, cut) for lam, s in side.items()
+                  if (cut := {e: c for e, c in s.coeffs.items() if e[0] <= D})}
+                 for side in _SERIES_SIDES[top])
+
+
 @check("zeta.check3", "main-identity-series", params={"D": (1, MAX_SERIES_DEGREE)})
 def _main_identity_series(D):
     """Main identity, series route: the mass-weighted kernel sum equals the
     boundary product times the one-row character series, compared as exact
     Laurent coefficients in (q, a, b) through x-degree D.  Both sides are
     compared by highest weight, the left by ``zeta._measure_sum`` and the
-    right by ``_boundary_by_weight``, forming no weight coefficient or
-    character.  Only a failing identity forms the four-variable series, to
-    locate the first difference."""
-    got, want = zeta._measure_sum(D), _boundary_by_weight(D)
+    right by ``_boundary_by_weight``, read through ``_series_sides``,
+    forming no weight coefficient or character.  Only a failing identity
+    forms the four-variable series, to locate the first difference."""
+    got, want = _series_sides(D)
     ok = not _differing_weights(got, want)
     computed = {"equal": ok, "pairs_summed": len(zeta._pair_triangle(D))}
     if not ok:
@@ -450,7 +477,7 @@ def _end_to_end(D):
     edge-and-origin correction, weighted by Q - mass, for the mass Q on
     every pair.  Only a failing identity forms the normalized series, the
     right side's being Q tau0^lam / (1-x^2q^16), to locate a difference."""
-    got, want = zeta._measure_sum(D), _boundary_by_weight(D)
+    got, want = _series_sides(D)
     identity_ok = _normalization_identity() and not _differing_weights(got, want)
     correction = zeta.highest_weight_sums([w for w in zeta._pair_triangle(D) if not (w.n and w.m)],
                                           lambda w: Q - zeta._q_clear(w), D)

@@ -518,15 +518,22 @@ def named(identifier: str, **params: int) -> NamedPoly:
 # -- finite summation family ---------------------------------------------------
 
 
-def _bracket_weights(C: int, E: int | None) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+def _bracket_weights(C: int, E: int | None) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """The weights (a, b, c) of the innermost block's bracket
-    A*a + B*b + C*c over the three fixed blocks, each at most two monomials;
+    A*a + B*b + C*c over the three fixed blocks, each at most two distinct
+    monomials, given as (x exponent, q exponent, coefficient) triples;
     E = None means the third valuation is unbounded."""
-    b = _mono(-1, x=C + 1, q=7 * (C + 1))
+    b = (C + 1, 7 * (C + 1), -1)
     if E is None or E >= C:
-        return _ONE, b, _mono(1, x=2 * (C + 1), q=13 * (C + 1))
-    return (_om(x=2 * (E + 1), q=13 * (E + 1)), b * _om(x=E + 1, q=6 * (E + 1)),
-            LaurentPoly.zero(XQ))
+        return ((0, 0, 1),), (b,), ((2 * (C + 1), 13 * (C + 1), 1),)
+    return (((0, 0, 1), (2 * (E + 1), 13 * (E + 1), -1)),
+            (b, (C + E + 2, 7 * (C + 1) + 6 * (E + 1), 1)), ())
+
+
+def _bracket(C: int, E: int | None) -> LaurentPoly:
+    """The innermost block's bracket A*a + B*b + C*c at (C, E)."""
+    return _over_blocks(*(LaurentPoly(XQ, {(x, q): c for x, q, c in w})
+                          for w in _bracket_weights(C, E)))
 
 
 def j_case4(C: int, E: int | None = None) -> RatFunc:
@@ -534,7 +541,7 @@ def j_case4(C: int, E: int | None = None) -> RatFunc:
     valuation is unbounded.  Zero whenever a parameter is negative."""
     if C < 0 or (E is not None and E < 0):
         return _ZERO_RF
-    return RatFunc(_over_blocks(*_bracket_weights(C, E)), {(1, 7): 1, (2, 13): 1})
+    return RatFunc(_bracket(C, E), {(1, 7): 1, (2, 13): 1})
 
 
 def j_case2(B: int, C: int, E: int | None = None) -> RatFunc:
@@ -576,7 +583,7 @@ def j_oracle(B: int, C: int) -> RatFunc:
         # the monomial times j_case2's factor 1 - (xq^7)^(B'+1)
         head = ((tx, tq, 1), (tx + b + 1, tq + 7 * (b + 1), -1))
         for acc, w in zip(sums[power], _bracket_weights(c, e)):
-            for (wx, wq), wc in w.coeffs.items():
+            for wx, wq, wc in w:
                 for hx, hq, hc in head:
                     key = (hx + wx, hq + wq)
                     acc[key] = acc.get(key, 0) + hc * wc
@@ -597,8 +604,7 @@ def _reduced_j0(t: int) -> RatFunc:
     """The closed form after the second valuation pair collapses to (x, q):
     the unbounded innermost bracket at C = t.  Defined for any integer t
     (no zero-guard -- the bracket itself vanishes where it must)."""
-    return RatFunc(_om(x=1, q=6) * _over_blocks(*_bracket_weights(t, None)),
-                   {(1, 7): 1, (2, 13): 1})
+    return RatFunc(_om(x=1, q=6) * _bracket(t, None), {(1, 7): 1, (2, 13): 1})
 
 
 def closed_I(n: int, m: int, case: str) -> RatFunc:

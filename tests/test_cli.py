@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e8g2 import cli, zeta
+from e8g2 import checks, cli, zeta
 from e8g2.cli import (
     DEFAULT_MANIFEST,
     REGISTRY,
@@ -187,11 +187,16 @@ def small_manifest():
     ))
 
 
+def zeroed_json(reports):
+    """The JSON report of ``reports`` with the runtimes zeroed."""
+    return re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', emit(reports, "json"))
+
+
 def normalized_json(config, manifest=None):
     """A manifest's JSON report (default: the small manifest) with the
     runtimes zeroed."""
     _, reports = run(manifest or small_manifest(), config)
-    return re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', emit(reports, "json"))
+    return zeroed_json(reports)
 
 
 class TestRunner:
@@ -259,6 +264,23 @@ class TestRunner:
         # change to what the package reports, not a refactor
         assert hashlib.sha256(serial.encode()).hexdigest() == DEFAULT_REPORT_SHA256
         assert normalized_json(RunConfig(parallelism=2), DEFAULT_MANIFEST) == serial
+
+    def test_series_reports_independent_of_order(self):
+        # check3 forms the sides end_to_end then cuts to its degree: the
+        # reports are those of each check alone, from a cleared memo, and
+        # those of the reverse order, where end_to_end forms them first
+        entries = (ManifestEntry("zeta.check3", {"D": 10}),
+                   ManifestEntry("zeta.end_to_end", {"D": 8}))
+        _, together = run(Manifest(entries), RunConfig())
+        alone = []
+        for entry in entries:
+            checks._SERIES_SIDES.clear()
+            alone += run(Manifest((entry,)), RunConfig())[1]
+        checks._SERIES_SIDES.clear()
+        _, reverse = run(Manifest(entries[::-1]), RunConfig())
+        assert list(checks._SERIES_SIDES) == [10]
+        assert zeroed_json(together) == zeroed_json(alone) == zeroed_json(reverse[::-1])
+        assert '"status": "fail"' not in zeroed_json(together)
 
     def test_checks_outside_default_manifest_frozen(self):
         default_ids = {e.id for e in DEFAULT_MANIFEST.entries}

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e8g2 import g2chars
+from e8g2 import checks, g2chars
 from e8g2 import zeta as z
 from e8g2.checks import (
     REPORT_FIELDS,
     _boundary_by_weight,
     _first_difference,
     _normalized_series,
+    _series_sides,
 )
 from e8g2.cli import Manifest, ManifestEntry, RunConfig, UsageError, run
 from e8g2.cli import main as cli_main
@@ -545,6 +546,18 @@ class TestTruncationFirst:
             assert k.low_degree("x") >= 0
             assert min(omega1[0], omega2[0], const[0]) >= 0
 
+    def test_kernel_terms_start_at_the_pair_triangle_degree(self):
+        # cutting check3's sides at a larger D down to D is exact only
+        # because a pair (n, m) adds nothing below x-degree n + 2m: the
+        # lowest x-degree of each k_i c_i beta_i^w is at least that
+        for k, omega1, omega2, const in z._KERNEL_TERMS:
+            for n in range(25):
+                for m in range((24 - n) // 2 + 1):
+                    shift = {(const[0] + n * omega1[0] + m * omega2[0],
+                              const[1] + n * omega1[1] + m * omega2[1]): 1}
+                    term = k * LaurentPoly(XQ, shift)
+                    assert term.low_degree("x") >= n + 2 * m, (k, n, m)
+
 
 def sum_cases_box(n_max=6, m_max=4):
     """The default ``zeta.sum_cases`` box and the dominant w it sums over."""
@@ -581,6 +594,21 @@ class TestHighestWeightSums:
     def test_untruncated(self):
         _, ws = sum_cases_box(3, 2)
         assert not all(self.assert_same_sums(ws, z._q_clear).values())
+
+
+class TestSeriesSides:
+    def test_smaller_degrees_cut_the_largest(self):
+        # a larger D replaces the memo's one entry, and every smaller D
+        # reads the fresh sides, a zero sum dropped, from its cut
+        _series_sides(4)
+        _series_sides(16)
+        assert list(checks._SERIES_SIDES) == [16]
+        for D in range(17):
+            fresh = (z._measure_sum(D), _boundary_by_weight(D))
+            got = _series_sides(D)
+            assert got == tuple({lam: s for lam, s in side.items() if s} for side in fresh), D
+            assert all(all(side.values()) for side in got), D
+            assert list(checks._SERIES_SIDES) == [16]
 
 
 class TestSeriesChecks:
