@@ -21,10 +21,11 @@ exceed ``MAX_SERIES_DEGREE`` either way and is reported as the report's
 The three checks of the main identity (``zeta.check3``, ``zeta.sum_cases``
 and ``zeta.end_to_end``) compare by highest weight: each side is a map
 lam -> (x, q) sum, ``_differing_weights`` lists the lam where two sides
-differ, and a failing series check forms the four-variable series
-sum_lam chi_lam S_lam only in ``_first_difference``, to locate it.
-``zeta.end_to_end`` is check3's comparison plus the exact identity (iii)
-of ``_normalization_identity``, which ``zeta.closed_forms`` checks too.
+differ, and ``_first_difference`` locates a series check's failure in the
+same sums: the lowest x-degree, then the first lam, then the first
+monomial.  ``zeta.end_to_end`` is check3's comparison, located as check3
+locates it, plus the exact identity (iii) of ``_normalization_identity``,
+which ``zeta.closed_forms`` checks too.
 Both read check3's two sides from ``_series_sides``, which forms them once
 per process, at the largest D asked for, and cuts them to a smaller D.
 """
@@ -185,19 +186,20 @@ CHARACTERS = {"spherical_unit": True, "dim_fundamental": 7, "plethysm_identity":
 
 
 def _first_difference(got: dict, want: dict) -> dict:
-    """Where two unequal maps lam -> S_lam first differ as four-variable
-    x-series sum_lam chi_lam S_lam, formed only to locate a failure: the
-    lowest x-degree with a differing coefficient, and the differing
-    monomial of that degree that comes first in canonical (graded-lex
+    """Where two unequal maps lam -> (x, q) sum first differ, a missing
+    lam's sum being zero: the lowest x-degree at which some lam's sums
+    differ, the first such lam in sorted order, and the monomial of that
+    degree in lam's difference that comes first in canonical (graded-lex
     descending) order, with its coefficient on each side."""
-    got, want = (character_sum(zeta.SERIES_VARS, side) for side in (got, want))
-    diff = got - want
-    low = diff.low_degree("x")
-    i = diff.vars.index("x")
-    e, _ = LaurentPoly(diff.vars, {e: c for e, c in diff.coeffs.items()
-                                   if e[i] == low}).leading_term()
-    return {"x_degree": low, "monomial": LaurentPoly(diff.vars, {e: 1}).to_text(),
-            "computed": got.coeffs.get(e, 0), "expected": want.coeffs.get(e, 0)}
+    zero = LaurentPoly.zero(zeta.XQ)
+    low, lam = min(((got.get(lam, zero) - want.get(lam, zero)).low_degree("x"), lam)
+                   for lam in _differing_weights(got, want))
+    left, right = got.get(lam, zero), want.get(lam, zero)
+    e, _ = LaurentPoly(zeta.XQ, {e: c for e, c in (left - right).coeffs.items()
+                                 if e[0] == low}).leading_term()
+    return {"weight": f"{lam.n},{lam.m}", "x_degree": low,
+            "monomial": LaurentPoly(zeta.XQ, {e: 1}).to_text(),
+            "computed": left.coeffs.get(e, 0), "expected": right.coeffs.get(e, 0)}
 
 
 def _differing_weights(got: dict, want: dict) -> list:
@@ -423,8 +425,8 @@ def _main_identity_series(D):
     Laurent coefficients in (q, a, b) through x-degree D.  Both sides are
     compared by highest weight, the left by ``zeta._measure_sum`` and the
     right by ``_boundary_by_weight``, read through ``_series_sides``,
-    forming no weight coefficient or character.  Only a failing identity
-    forms the four-variable series, to locate the first difference."""
+    forming no weight coefficient or character, whether it passes or
+    fails: ``_first_difference`` locates a failure in the same sums."""
     got, want = _series_sides(D)
     ok = not _differing_weights(got, want)
     computed = {"equal": ok, "pairs_summed": len(zeta._pair_triangle(D))}
@@ -457,14 +459,6 @@ def _main_identity_cases(n_max=6, m_max=4):
         "pairs_checked": (n_max + 1) * (m_max + 1), "failures": failures}
 
 
-def _normalized_series(sums: dict, D: int) -> dict:
-    """end_to_end's left side as x-series, formed only to locate a failure:
-    lam -> S_lam Z N / ((1-xq^7)(1-xq^8)) through x-degree D, with Z
-    expanded over every key of N and the two binomials, none cancelled."""
-    den = Counter(zeta.N_KEYS) + Counter({(1, 7): 1, (1, 8): 1})
-    return {lam: RatFunc(zeta._Z * s, den).truncate("x", D) for lam, s in sums.items()}
-
-
 @check("zeta.end_to_end", "normalized-integral-vs-l-series",
        params={"D": (1, MAX_SERIES_DEGREE)})
 def _end_to_end(D):
@@ -472,13 +466,14 @@ def _end_to_end(D):
     Z N / ((1-xq^7)(1-xq^8)), N the normalizing factor, equals the
     two-variable L-series with its quadratic factor through x-degree D, and
     the mass perturbation breaks it.  By identity (iii) both sides share
-    the unit 1/(z0 (1-x^2q^16)) of Z[q^+-1][[x]], so the pass path checks
-    (iii) and check3's comparison and forms no series; the control adds the
+    the unit 1/(z0 (1-x^2q^16)) of Z[q^+-1][[x]], so the check is (iii)
+    and check3's comparison, and forms no series; the control adds the
     edge-and-origin correction, weighted by Q - mass, for the mass Q on
-    every pair.  Only a failing identity forms the normalized series, the
-    right side's being Q tau0^lam / (1-x^2q^16), to locate a difference."""
+    every pair.  Where check3's sides differ, the report locates their
+    first difference as check3's does; where only (iii) fails, it has none."""
     got, want = _series_sides(D)
-    identity_ok = _normalization_identity() and not _differing_weights(got, want)
+    differ = bool(_differing_weights(got, want))
+    identity_ok = _normalization_identity() and not differ
     correction = zeta.highest_weight_sums([w for w in zeta._pair_triangle(D) if not (w.n and w.m)],
                                           lambda w: Q - zeta._q_clear(w), D)
     zero = LaurentPoly.zero(zeta.XQ)
@@ -486,12 +481,8 @@ def _end_to_end(D):
                for lam in got.keys() | correction.keys()}
     control_ok = bool(_differing_weights(control, want))
     computed = {"identity": identity_ok, "negative_control_differs": control_ok}
-    if not identity_ok:
-        lhs = _normalized_series(got, D)
-        rhs = {Weight(r, 0): RatFunc(Q.rename(zeta.XQ) * zeta._tau0((r, 0)),
-                                     {(2, 16): 1}).truncate("x", D) for r in range(D + 1)}
-        if _differing_weights(lhs, rhs):
-            computed["first_difference"] = _first_difference(lhs, rhs)
+    if differ:
+        computed["first_difference"] = _first_difference(got, want)
     return identity_ok and control_ok, {
         "identity": "truncated series agree", "negative_control": "perturbed mass differs",
     }, computed

@@ -10,9 +10,9 @@ is Cartan column i, and s_i(mu) = mu - mu_i*alpha_i, that is
 
     s1 (n, m) = (-n, n + m)          s2 (n, m) = (n + 3m, -m).
 
-Provides the one Weyl action (``antisymmetrize``, the signed sum of a
-polynomial's Weyl images, of which the alternating sum A(w) of tau^w is one
-case), the one division by A(rho) (``over_a_rho``), Weyl characters
+Provides the one Weyl action (``weyl_images``, the 12 signed images of a
+weight, whose sum is the alternating sum A(w) of tau^w, ``alt_sum``), the
+one division by A(rho) (``over_a_rho``), Weyl characters
 A(w + rho) / A(rho), the weight coefficients, the identity-coset mass Q,
 the spherical-function formula, and the weights ``V7_WEIGHTS`` of the
 7-dimensional representation.
@@ -29,11 +29,10 @@ to a wall, where A vanishes, or to lam + rho with lam dominant, where
 A(w + rho - nu) = sign(u) A(lam + rho) and A(lam + rho) / A(rho) = chi_lam.
 So P(w) = sum_lam p_lam(w) chi_lam, the p_lam(w) collected by
 ``weight_expansion``; the main identity's checks in ``e8g2.checks`` sum by
-these lam.  ``character_sum`` forms any such sum sum_lam chi_lam c_lam as
-one ``symra.sum_of_products`` call: ``weight_coefficient`` in (q, a, b),
-the four-variable series that a failing ``check3`` or ``end_to_end`` forms
-from its (x, q) sums per lam, and the one-row series sum_r chi_(r,0) t^r of
-the plethysm check.
+these lam, and locate a failure by lam too.  ``character_sum`` forms any
+such sum sum_lam chi_lam c_lam as one ``symra.sum_of_products`` call:
+``weight_coefficient`` in (q, a, b), and the one-row series
+sum_r chi_(r,0) t^r of the plethysm check.
 """
 
 from __future__ import annotations
@@ -148,37 +147,13 @@ V7_WEIGHTS = (Weight(0, 0),) + tuple(sorted({img for img, _ in weyl_images((1, 0
 # -- alternating sums and characters ---------------------------------------------------
 
 
-def antisymmetrize(p: LaurentPoly) -> LaurentPoly:
-    """sum over the Weyl group of sign(u) u(p), each u acting on the
-    exponents of a and b, which are the last two of p's vars; the other
-    exponents stay put.  The terms are grouped by those others, and each
-    (a, b)-exponent's images are formed once."""
-    if p.vars[-2:] != CHAR_VARS:
-        raise ValueError(f"variables {p.vars} do not end with {CHAR_VARS}")
-    by_head: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for e, c in p.coeffs.items():
-        by_head.setdefault(e[:-2], {})[e[-2:]] = c
-    images: dict[tuple[int, int], list[tuple[Weight, int]]] = {}
-    out: dict[tuple[int, ...], int] = {}
-    for head, terms in by_head.items():
-        acc: dict[Weight, int] = {}
-        get = acc.get
-        for w, c in terms.items():
-            if w not in images:
-                images[w] = weyl_images(w)
-            for img, sign in images[w]:
-                acc[img] = get(img, 0) + sign * c
-        for img, c in acc.items():
-            if c:
-                out[head + img] = c
-    return LaurentPoly._of(p.vars, out)
-
-
 def alt_sum(w) -> LaurentPoly:
     """Signed orbit sum: sum over the Weyl group of sign(u) tau^{u w}, the
-    antisymmetrization of tau^w."""
-    w = _wt(w)
-    return antisymmetrize(LaurentPoly.monomial(CHAR_VARS, 1, a=w.n, b=w.m))
+    antisymmetrization of tau^w, added from its 12 signed images."""
+    out: dict[tuple[int, int], int] = {}
+    for (n, m), sign in weyl_images(w):
+        out[n, m] = out.get((n, m), 0) + sign
+    return LaurentPoly(CHAR_VARS, out)
 
 
 def over_a_rho(p: LaurentPoly) -> LaurentPoly:

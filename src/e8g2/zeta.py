@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .g2chars import FULL_VARS, Q, Q_VARS, Weight, weight_coefficient, weight_expansion
+from .g2chars import Q, Q_VARS, Weight, weight_coefficient, weight_expansion
 from .rootsys import e8
 from .symra import (
     LaurentPoly,
@@ -63,7 +63,6 @@ from .symra import (
 from .weyl import WORD_INTERTWINER, evaluate_word
 
 XQ = ("x", "q")
-SERIES_VARS = ("x",) + FULL_VARS  # x, q, a, b
 
 
 def _om(**pows: int) -> LaurentPoly:

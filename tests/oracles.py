@@ -12,6 +12,9 @@ does not take, so that agreement is evidence rather than repetition:
 * ``twist``, ``weyl_dimension``, ``decompose`` -- G2 character facts from
   the Weyl action on exponents, the product formula and highest-weight
   stripping;
+* ``antisymmetrize`` -- the signed sum of a polynomial's Weyl images, term
+  by term through ``alt_sum``, the reference for Macdonald's formula as
+  written and for ``over_a_rho`` on antisymmetric polynomials;
 * ``p_coefficient`` -- one coefficient of Macdonald's expansion by an
   exhaustive search over the 12 Weyl images of lam + rho, the reference
   for ``weight_expansion``'s straightening;
@@ -24,9 +27,10 @@ does not take, so that agreement is evidence rather than repetition:
 * ``truncate_var`` -- truncation after a full product, the reference for
   ``mul_trunc`` and the series routes;
 * ``measure_sum_by_products``, ``normalized_series`` -- the main identity's
-  measure sum by plain products of full weight coefficients, and
-  ``end_to_end``'s left side as one four-variable series, the references
-  for the sums by highest weight of ``_measure_sum`` and of ``end_to_end``;
+  measure sum by plain products of full weight coefficients, the reference
+  for the sums by highest weight of ``_measure_sum``, and ``end_to_end``'s
+  left side as one four-variable series over the kept keys, the reference
+  for that series with Z expanded over every key;
 * ``boundary_series_by_product`` -- the main identity's right side as the
   four-variable boundary product times the whole one-row character series,
   truncated after the product, the reference for check3's right side by
@@ -68,6 +72,7 @@ from e8g2.g2chars import (
     S0,
     V7_WEIGHTS,
     Weight,
+    alt_sum,
     weight_expansion,
     weyl_character,
     weyl_images,
@@ -75,7 +80,6 @@ from e8g2.g2chars import (
 from e8g2.symra import LaurentPoly, RatFunc, sum_of_products
 from e8g2.weyl import WeylElt
 from e8g2.zeta import (
-    SERIES_VARS,
     XQ,
     Z0_FACTOR_KEYS,
     _i0_expanded,
@@ -85,6 +89,8 @@ from e8g2.zeta import (
     _tau0,
     j_case2,
 )
+
+SERIES_VARS = ("x",) + FULL_VARS  # x, q, a, b
 
 
 def group_order(rs, J=None) -> int:
@@ -221,6 +227,18 @@ def twist(char: LaurentPoly, M) -> LaurentPoly:
         e = tuple(e)
         out[e] = out.get(e, 0) + c
     return LaurentPoly(char.vars, out)
+
+
+def antisymmetrize(p: LaurentPoly) -> LaurentPoly:
+    """sum over the Weyl group of sign(u) u(p), u acting on the exponents of
+    a and b, the last two of p's vars: by linearity, each term c t^e tau^w
+    goes to c t^e A(w), with A(w) from ``alt_sum``."""
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in p.coeffs.items():
+        for img, sign in alt_sum(e[-2:]).coeffs.items():
+            k = e[:-2] + img
+            out[k] = out.get(k, 0) + sign * c
+    return LaurentPoly(p.vars, out)
 
 
 def weyl_dimension(w) -> int:

@@ -17,7 +17,6 @@ from e8g2.checks import (
     REPORT_FIELDS,
     _boundary_by_weight,
     _first_difference,
-    _normalized_series,
     _series_sides,
 )
 from e8g2.cli import Manifest, ManifestEntry, RunConfig, UsageError, run
@@ -34,6 +33,7 @@ from e8g2.rootsys import e8
 from e8g2.symra import LaurentPoly, RatFunc
 from e8g2.zeta import XQ, SingularShift, XPoly
 from oracles import (
+    SERIES_VARS,
     boundary_series_by_product,
     highest_weight_sums_by_lam,
     j_oracle_by_terms,
@@ -518,18 +518,20 @@ class TestWeightCoefficients:
 
 # -- truncated series checks ---------------------------------------------------
 
-# where the perturbed-mass series first leaves the boundary series at D = 4
-PERTURBED_D4_DIFFERENCE = {"x_degree": 0, "monomial": "q^-1", "computed": 4, "expected": 2}
+# where the perturbed-mass sums first leave the boundary sums, at D = 4 and
+# at every D: the (0, 0) pair's mass is no longer cleared
+PERTURBED_D4_DIFFERENCE = {"weight": "0,0", "x_degree": 0, "monomial": "q^-1",
+                           "computed": 4, "expected": 2}
 
 
 class TestTruncationFirst:
     @pytest.mark.parametrize("D", range(1, 6))
     def test_matches_full_product_route(self, D):
-        z4 = z._factor_product(z.Z_FACTOR_KEYS).rename(z.SERIES_VARS)
+        z4 = z._factor_product(z.Z_FACTOR_KEYS).rename(SERIES_VARS)
         # Z times the normalizing factor and 1/((1-xq^7)(1-xq^8)), by all
         # of its keys, against the oracle's seven keys, Z's keys cancelled
         every_key = {(k, j, 0, 0): 1 for k, j in z.N_KEYS + ((1, 7), (1, 8))}
-        assert (character_sum(z.SERIES_VARS, z._measure_sum(D))
+        assert (character_sum(SERIES_VARS, z._measure_sum(D))
                 == truncate_var(measure_sum_by_products(D), "x", D))
         for perturb_mass in (False, True):
             full = measure_sum_by_products(D, perturb_mass)
@@ -622,7 +624,7 @@ class TestSeriesChecks:
         # the right side by highest weight, each one-row term cut before
         # its character multiplies in, against the product of the whole
         # boundary product and character series, cut after it
-        assert (character_sum(z.SERIES_VARS, _boundary_by_weight(D))
+        assert (character_sum(SERIES_VARS, _boundary_by_weight(D))
                 == boundary_series_by_product(D))
 
     def test_main_identity_series_negative_control(self):
@@ -631,10 +633,29 @@ class TestSeriesChecks:
         # longer cleared
         perturbed = z.highest_weight_sums(z._pair_triangle(4), lambda w: Q, 4)
         series = truncate_var(measure_sum_by_products(4, perturb_mass=True), "x", 4)
-        assert character_sum(z.SERIES_VARS, perturbed) == series
+        assert character_sum(SERIES_VARS, perturbed) == series
         want = _boundary_by_weight(4)
-        assert character_sum(z.SERIES_VARS, want) != series
+        assert character_sum(SERIES_VARS, want) != series
         assert _first_difference(perturbed, want) == PERTURBED_D4_DIFFERENCE
+
+    def test_first_difference_takes_the_lowest_degree_then_the_first_weight(self):
+        # (0, 1) comes first in sorted order but differs only at x^2; (1, 0)
+        # and (2, 0) differ at x^1, and (1, 0) comes first; of its two
+        # differing monomials, x q^2 comes first in graded-lex descending
+        # order; a lam on one side only counts as zero on the other
+        def poly(terms):
+            return LaurentPoly(XQ, terms)
+
+        got = {Weight(0, 1): poly({(2, 0): 1}), Weight(1, 0): poly({(1, 2): 3, (1, -1): 7}),
+               Weight(3, 0): poly({(0, 0): 2})}
+        want = {Weight(1, 0): poly({(1, 2): 1, (1, -1): 5}), Weight(2, 0): poly({(1, 5): 4}),
+                Weight(3, 0): poly({(0, 0): 2})}
+        assert _first_difference(got, want) == {
+            "weight": "1,0", "x_degree": 1, "monomial": "x*q^2", "computed": 3, "expected": 1}
+        del got[Weight(1, 0)], want[Weight(1, 0)]
+        assert _first_difference(got, want) == {
+            "weight": "2,0", "x_degree": 1, "monomial": "x*q^5", "computed": 0, "expected": 4}
+        assert _first_difference(want, got)["weight"] == "2,0"
 
     def test_failing_series_checks_locate_the_difference(self, monkeypatch):
         # the full mass Q on every pair, on both routes
@@ -666,17 +687,6 @@ class TestSeriesChecks:
         assert rep.computed == {"identity": True, "negative_control_differs": True}
         assert rep.truncation == 3
 
-    @pytest.mark.parametrize("D", range(1, 7))
-    def test_by_weight_matches_four_variable_series(self, D):
-        # sum_lam chi_lam times lam's normalized series, as a failing
-        # end_to_end forms them, is the four-variable left side, for the
-        # identity's masses and for the control's full mass Q
-        identity = _normalized_series(z._measure_sum(D), D)
-        control = _normalized_series(z.highest_weight_sums(z._pair_triangle(D), lambda w: Q, D), D)
-        assert character_sum(z.SERIES_VARS, identity) == normalized_series(D)
-        assert (character_sum(z.SERIES_VARS, control)
-                == normalized_series(D, perturb_mass=True))
-
     def test_end_to_end_control_needs_the_correction(self, monkeypatch):
         # with the control's edge-and-origin correction dropped, the
         # control's sums are the identity's and no longer differ
@@ -698,12 +708,14 @@ class TestSeriesChecks:
             self, monkeypatch):
         # the benchmark's series op, check3 at D = 10 then end_to_end at
         # D = 8, passes with no weight coefficient, no Weyl character, no
-        # Weyl image sum, no exact division and no truncated series formed
+        # Weyl image sum, no exact division and no truncated series formed;
+        # with the full mass Q on every pair, both fail and locate their
+        # first difference with none formed either
         def forbidden(*args, **kwargs):
             raise AssertionError(
                 "weight coefficient, character, Weyl images, division or series formed")
 
-        banned = (g2chars.weyl_character, g2chars.antisymmetrize, g2chars.alt_sum)
+        banned = (g2chars.weyl_character, g2chars.alt_sum, g2chars.character_sum)
         for module in [m for name, m in sys.modules.items() if name.startswith("e8g2")]:
             for name, value in list(vars(module).items()):
                 if any(value is f for f in banned):
@@ -713,6 +725,12 @@ class TestSeriesChecks:
         monkeypatch.setattr(RatFunc, "truncate", forbidden)
         assert run_check("zeta.check3", D=10).status == "pass"
         assert run_check("zeta.end_to_end", D=8).status == "pass"
+        checks._SERIES_SIDES.clear()
+        monkeypatch.setattr(z, "_q_clear", lambda w: Q)
+        for check_id, D in (("zeta.check3", 10), ("zeta.end_to_end", 8)):
+            rep = run_check(check_id, D=D)
+            assert rep.status == "fail"
+            assert rep.computed["first_difference"] == PERTURBED_D4_DIFFERENCE, check_id
 
     def assert_check3_locates(self, capsys):
         rep = run_check("zeta.check3", D=4)
@@ -758,24 +776,16 @@ class TestSeriesChecks:
         self.assert_check3_locates(capsys)
         assert cli_main(["e8g2", "--check", "zeta.sum_cases"]) == 1
 
-    def test_end_to_end_negative_control_on_z(self, monkeypatch):
-        # with one factor of Z dropped, identity (iii) fails, and in the
-        # normalized series 1/(1 - x^2 q^12) is left over: they first
-        # differ at x^2
+    @pytest.mark.parametrize("D", [1, 3])
+    def test_end_to_end_wrong_z_fails_below_its_first_difference(self, monkeypatch, capsys, D):
+        # with one factor of Z dropped, identity (iii) fails at every
+        # degree, while check3's sides, which no Z enters, still agree:
+        # no difference to locate
         monkeypatch.setattr(z, "_Z", z._factor_product(z.Z_FACTOR_KEYS[:-1]))
-        rep = run_check("zeta.end_to_end", D=3)
-        assert rep.status == "fail"
-        assert rep.computed["first_difference"] == {
-            "x_degree": 2, "monomial": "x^2*q^12", "computed": 9, "expected": 8}
-
-    def test_end_to_end_wrong_z_fails_below_its_first_difference(self, monkeypatch, capsys):
-        # identity (iii) is exact, so a wrong Z fails at every degree, also
-        # where the normalized series still agree: no difference to locate
-        monkeypatch.setattr(z, "_Z", z._factor_product(z.Z_FACTOR_KEYS[:-1]))
-        rep = run_check("zeta.end_to_end", D=1)
+        rep = run_check("zeta.end_to_end", D=D)
         assert rep.status == "fail"
         assert rep.computed == {"identity": False, "negative_control_differs": True}
-        assert cli_main(["e8g2", "--check", "zeta.end_to_end", "--degree", "1"]) == 1
+        assert cli_main(["e8g2", "--check", "zeta.end_to_end", "--degree", str(D)]) == 1
         assert '"identity": false' in capsys.readouterr().out
 
     @pytest.mark.parametrize("D", [1, 4])
