@@ -28,6 +28,11 @@ locates it, plus the exact identity (iii) of ``_normalization_identity``,
 which ``zeta.closed_forms`` checks too.
 Both read check3's two sides from ``_series_sides``, which forms them once
 per process, at the largest D asked for, and cuts them to a smaller D.
+
+``zeta.closed_forms`` proves the t2-unit and t2-nonunit closed forms for
+every valuation pair: each side is a finite sum of exponentials in (n, m),
+grouped by base (``_by_base``) and compared base by base
+(``_differing_bases``), the one comparator for such sums.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from .g2chars import (
     weyl_character,
 )
 from .rootsys import e8
-from .symra import LaurentPoly, RatFunc, one_minus
+from .symra import LaurentPoly, RatFunc, _summed, one_minus
 from .weyl import (
     M2_INDICES,
     classify_survivors,
@@ -316,13 +321,91 @@ def _gk_products():
     }
 
 
+def _by_base(terms) -> dict:
+    """An exponential polynomial sum_k c_k x^e_k b_k^w grouped by base: the
+    (base b_k, constant e_k as an (x, q) exponent pair, RatFunc c_k) triples
+    of ``terms`` give base -> the sum of c_k x^e_k over the base's terms.
+    Distinct bases are distinct characters of w, which are linearly
+    independent over Q(x, q) (E. Artin, Galois Theory, 1942), on every
+    translate of the w's domain too; so two such sums agree at every w iff
+    ``_differing_bases`` finds no base."""
+    by: dict = {}
+    for base, (ex, eq), c in terms:
+        by.setdefault(base, []).append(c * zeta._mono(1, x=ex, q=eq))
+    return {base: cs[0] if len(cs) == 1 else _summed(cs) for base, cs in by.items()}
+
+
+def _differing_bases(got: dict, want: dict) -> list:
+    """The sorted bases at which two maps base -> RatFunc differ, a missing
+    base's coefficient being zero."""
+    zero = zeta._ZERO_RF
+    return sorted(b for b in got.keys() | want.keys()
+                  if not got.get(b, zero).equals(want.get(b, zero)))
+
+
+def _closed_case_bases(case: str) -> tuple[dict, dict]:
+    """Both sides of closed_I(n, m, case) = Z I0(n, m)/((1-xq^7)(1-xq^8))
+    over every valuation pair of ``case`` (t2-unit: n >= 0, m = 0;
+    t2-nonunit: n >= 0, m >= 1) as sums by base (``_by_base``), the closed
+    side first.  A term x^e alpha^n beta^m has the base (alpha,) in the
+    t2-unit case and (alpha, beta) in the t2-nonunit case.  Each side is read
+    from the declarations ``closed_I`` and ``_i0_poly`` read:
+
+    * t2-nonunit: ``_FROZEN_T0_CJ0`` at (B, C) = (m, n + m); its key
+      (n1, n2, n3, n4) gives alpha = x^n3 q^n4 and e = beta =
+      x^(n1+n3) q^(n2+n4);
+    * t2-unit: block j of ``_BLOCKS`` carries s_j x^(C+1)a_j q^(C+1)b_j
+      in ``_bracket_weights(C, None)``, so its base is x^a_j q^b_j, read as
+      the weight at C = 1 less that at C = 0, and each row (s, d, e) of
+      ``_T2_UNIT_ROWS`` puts x^e base^-d on it;
+    * the direct side: row i of ``_KERNEL_TERMS`` gives alpha =
+      beta_i(omega1)/tau0(omega1), beta = beta_i(omega2)/tau0(omega2),
+      e = c_i and the coefficient k_i.
+
+    The binomials shared by ``_closed_factor()``'s numerator and Z
+    (``Z_FACTOR_KEYS``) are cancelled by key, never multiplied out."""
+    unit = case == "t2-unit"
+    closed = []
+    if unit:
+        head, rows = zeta._REDUCED_J0_HEAD, zeta._T2_UNIT_ROWS
+        for block, ((x0, q0, s),), ((x1, q1, _),) in zip(
+                zeta._BLOCKS, zeta._bracket_weights(0, None), zeta._bracket_weights(1, None)):
+            a, b = x1 - x0, q1 - q0
+            closed += [(((a, b),), (x0 + ex - d * a, q0 + eq - d * b), head * (block * (s * r)))
+                       for r, d, (ex, eq) in rows]
+    else:
+        for (n1, n2, n3, n4, _, _), c in zeta._FROZEN_T0_CJ0.terms.items():
+            beta = (n1 + n3, n2 + n4)
+            closed.append((((n3, n4), beta), beta, c))
+    t1, t2 = zeta.TAU_POINTS[0].omega1, zeta.TAU_POINTS[0].omega2
+    direct = []
+    for k, b1, b2, c in zeta._KERNEL_TERMS:
+        alpha, beta = (b1[0] - t1[0], b1[1] - t1[1]), (b2[0] - t2[0], b2[1] - t2[1])
+        direct.append(((alpha,) if unit else (alpha, beta), c, RatFunc.from_poly(k)))
+    num, den = zeta._closed_factor()
+    z_keys = Counter(zeta.Z_FACTOR_KEYS)
+    shared = num & z_keys
+    closed_rest = RatFunc(zeta._factor_product(num - shared), den)
+    direct_rest = RatFunc(zeta._factor_product(z_keys - shared), {(1, 7): 1, (1, 8): 1})
+    return tuple({base: c * rest for base, c in _by_base(terms).items()}
+                 for terms, rest in ((closed, closed_rest), (direct, direct_rest)))
+
+
 @check("zeta.closed_forms", "local-integral-closed-forms")
 def _closed_forms():
     """The closed-form engine end to end: operator assembly against the
     frozen four-variable form, the summation oracle against its substitution
     on the full grid, the T0 application against its frozen three-term form,
-    all three valuation cases of the local integral against
-    Z * I0 / ((1-xq^7)(1-xq^8)), and the one-row kernel factorization."""
+    the three valuation cases of the local integral against
+    Z * I0 / ((1-xq^7)(1-xq^8)), and the one-row kernel factorization.
+
+    both-unit is compared at its one point (0, 0).  t2-unit and t2-nonunit
+    are proved for every valuation pair: Z_FACTOR_KEYS is exactly the
+    numerator keys of ``zeta._closed_factor()`` plus (2, 12), and each
+    base's coefficients of ``_closed_case_bases`` agree (``RatFunc.equals``),
+    so ``closed_I`` is called only at (0, 0).  A failing comparison adds
+    ``first_differing_base`` to the report: the first such case, the base
+    as one monomial text per exponent, and both coefficients as text."""
     om, mono, one = zeta._om, zeta._mono, zeta._ONE
     frozen = zeta._FROZEN_CJ0
     assembly_ok = zeta.assemble_cj0() == frozen
@@ -334,18 +417,21 @@ def _closed_forms():
     t0_ok = zeta.t_operators("T0", frozen) == zeta._FROZEN_T0_CJ0
 
     z = zeta._Z
-
-    def direct(n, m):
-        return RatFunc(z * zeta._i0_poly(n, m), {(1, 7): 1, (1, 8): 1})
-
-    closed_I = zeta.closed_I
-    cases_ok = closed_I(0, 0, "both-unit").equals(direct(0, 0))
-    cases_ok = cases_ok and all(
-        closed_I(n, 0, "t2-unit").equals(direct(n, 0)) for n in range(7))
-    cases_ok = cases_ok and all(
-        closed_I(n, m, "t2-nonunit").equals(direct(n, m))
-        for m in range(1, 4) for n in range(4))
-    boundary_ok = closed_I(0, 0, "t2-unit").equals(closed_I(0, 0, "both-unit"))
+    both_unit = zeta.closed_I(0, 0, "both-unit")
+    located = None
+    cases_ok = both_unit.equals(RatFunc(z * zeta._i0_poly(0, 0), {(1, 7): 1, (1, 8): 1}))
+    cases_ok &= Counter(zeta.Z_FACTOR_KEYS) == zeta._closed_factor()[0] + Counter({(2, 12): 1})
+    for case in ("t2-unit", "t2-nonunit"):
+        got, want = _closed_case_bases(case)
+        differ = _differing_bases(got, want)
+        if differ:
+            cases_ok = False
+            located = located or {
+                "case": case,
+                "bases": [LaurentPoly(zeta.XQ, {e: 1}).to_text() for e in differ[0]],
+                "computed": got.get(differ[0], zeta._ZERO_RF).to_text(),
+                "expected": want.get(differ[0], zeta._ZERO_RF).to_text()}
+    boundary_ok = zeta.closed_I(0, 0, "t2-unit").equals(both_unit)
     one_row_ok = all(
         zeta._i0_poly(n, 0) == om(x=1, q=8) * (
             om(x=1, q=6) * (one + mono(1, x=2, q=13))
@@ -365,12 +451,7 @@ def _closed_forms():
         and zeta._cj22().substitute(1, 3, 0).equals(zeta.j_case2(1, 3, 0) * ratio))
     ok = (assembly_ok and variant_differs and grid_ok and t0_ok and cases_ok
           and boundary_ok and one_row_ok and named_ok)
-    return ok, {
-        "assembly": "matches frozen closed form",
-        "oracle_grid": "0 <= B <= C <= 5",
-        "t0_application": "matches frozen three-term form",
-        "cases": "all equal Z*I0/((1-xq^7)(1-xq^8))",
-    }, {
+    computed = {
         "assembly_matches": assembly_ok,
         "rejected_operand_variant_differs": variant_differs,
         "oracle_grid_matches": grid_ok,
@@ -384,6 +465,14 @@ def _closed_forms():
             " four-slot variant is inconsistent with the case identities",
             "the nonunit-case shift coefficient is used as x^5*q^35"],
     }
+    if located:
+        computed["first_differing_base"] = located
+    return ok, {
+        "assembly": "matches frozen closed form",
+        "oracle_grid": "0 <= B <= C <= 5",
+        "t0_application": "matches frozen three-term form",
+        "cases": "all equal Z*I0/((1-xq^7)(1-xq^8))",
+    }, computed
 
 
 def _boundary_by_weight(D: int) -> dict:

@@ -62,7 +62,8 @@ class StructureConstants:
     roots and odd under negation, gives +1 to each extraspecial pair: for
     a non-simple positive root g, the pair (a, g - a) of positive roots
     with a first in the height-then-support order.  Extraspecial signs
-    determine the whole table.
+    determine the whole table.  ``table`` maps the packed pair
+    (rs.pack[a], rs.pack[b]) of each a, b with a + b a root to N[a,b].
     """
 
     __slots__ = ("rs", "order", "table")
@@ -100,11 +101,13 @@ class StructureConstants:
                     sign[g] = eps(a, g - a) * sign[a] * sign[g - a]
                     break
         sign.update({-p: -s for p, s in sign.items()})
-        self.table: dict[tuple[Root, Root], int] = {}
-        for a, pa in pack.items():
-            for b, pb in pack.items():
-                if pa + pb in rs.unpack:
-                    self.table[a, b] = eps(pa, pb) * sign[pa] * sign[pb] * sign[pa + pb]
+        # keyed by packed root pairs (pack[a], pack[b])
+        unpack = rs.unpack
+        self.table: dict[tuple[int, int], int] = {}
+        for pa in unpack:
+            for pb in unpack:
+                if pa + pb in unpack:
+                    self.table[pa, pb] = eps(pa, pb) * sign[pa] * sign[pb] * sign[pa + pb]
 
     # -- queries ---------------------------------------------------
 
@@ -124,19 +127,18 @@ class StructureConstants:
         On every root triangle a + b + c = 0 the three rotations N[a,b],
         N[b,c], N[c,a] must be equal; every pair must also satisfy
         N[b,a] = -N[a,b] and N[-a,-b] = -N[a,b].  Returns the number of
-        (ordered) triangles scanned and the violations of each rule.
+        (ordered) triangles scanned and the violations of each rule.  On
+        packed roots c = -a - b and the negations are integer arithmetic.
         """
         table = self.table
-        pack, unpack = self.rs.pack, self.rs.unpack
         rotation = antisymmetry = negation = 0
         for (a, b), v in table.items():
-            pa, pb = pack[a], pack[b]
-            c = unpack[-pa - pb]
+            c = -a - b
             if table[(b, c)] != v or table[(c, a)] != v:
                 rotation += 1
             if table[(b, a)] != -v:
                 antisymmetry += 1
-            if table[(unpack[-pa], unpack[-pb])] != -v:
+            if table[(-a, -b)] != -v:
                 negation += 1
         return {
             "triangles_checked": len(table),
@@ -291,9 +293,10 @@ class UnipotentWord:
                     continue
                 if order[a] > order[b]:
                     repl = [(b, v), (a, u)]
-                    s = unpack.get(pack[a] + pack[b])
+                    pa, pb = pack[a], pack[b]
+                    s = unpack.get(pa + pb)
                     if s:
-                        coeff = u * v * self.sc.table[(a, b)]
+                        coeff = u * v * self.sc.table[(pa, pb)]
                         if not coeff.is_zero():
                             repl.append((s, coeff))
                     work[i:i + 2] = repl

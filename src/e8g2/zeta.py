@@ -22,7 +22,12 @@ Everything here is exact arithmetic over the two-variable Laurent ring in
   or a sum puts on one key are added once, over their common denominator
   (``XPoly.summed``);
 * the closed form of the local integral (``closed_I``) in its three
-  valuation cases, each equal to Z*I0/((1-xq^7)(1-xq^8));
+  valuation cases, each equal to Z*I0/((1-xq^7)(1-xq^8)); ``closed_I``
+  stays pointwise, and ``e8g2.checks`` proves the t2-unit and t2-nonunit
+  cases for every valuation pair from the declarations ``closed_I`` and
+  ``_i0_poly`` read (``_FROZEN_T0_CJ0``, ``_BLOCKS``, ``_T2_UNIT_ROWS``,
+  ``_closed_factor``, ``_KERNEL_TERMS``): each side is a finite sum of
+  exponentials in (n, m), compared base by base;
 * the mass-weighted kernel sum by highest weight (``highest_weight_sums``),
   forming no weight coefficient: the kernel I0(w) tau0^w is three terms
   k_i c_i beta_i^w (``_KERNEL_TERMS``, which ``_i0_poly`` reads too), so
@@ -599,11 +604,28 @@ def j_oracle(B: int, C: int) -> RatFunc:
 CLOSED_I_CASES = ("both-unit", "t2-unit", "t2-nonunit")
 
 
+# the reduced closed form's fixed factor: _reduced_j0(t) is this times the
+# unbounded innermost bracket at C = t
+_REDUCED_J0_HEAD = RatFunc(_om(x=1, q=6), {(1, 7): 1, (2, 13): 1})
+
+# closed_I's t2-unit value at n: the sum of s x^e _reduced_j0(n - d) over
+# the rows (s, d, e), e an (x, q) exponent pair
+_T2_UNIT_ROWS = ((1, 0, (0, 0)), (-1, 2, (4, 26)))
+
+
 def _reduced_j0(t: int) -> RatFunc:
     """The closed form after the second valuation pair collapses to (x, q):
     the unbounded innermost bracket at C = t.  Defined for any integer t
     (no zero-guard -- the bracket itself vanishes where it must)."""
-    return RatFunc(_om(x=1, q=6) * _bracket(t, None), {(1, 7): 1, (2, 13): 1})
+    return _REDUCED_J0_HEAD * _bracket(t, None)
+
+
+def _closed_factor() -> tuple[Counter, Counter]:
+    """The factor ``closed_I`` applies to each case's value, as binomial
+    keys (numerator, denominator): the rank-one constant, the five
+    ``INTERTWINER_DEN_KEYS`` binomials, over 1 - xq^6, the factor that
+    cancels one denominator."""
+    return Counter(INTERTWINER_DEN_KEYS), Counter({(1, 6): 1})
 
 
 def closed_I(n: int, m: int, case: str) -> RatFunc:
@@ -613,10 +635,10 @@ def closed_I(n: int, m: int, case: str) -> RatFunc:
     both-unit: n = m = 0, a single substitution weighted by (1 + x^3 q^18).
     t2-unit: m = 0, two shifted substitutions of the reduced closed form
     (at n = 0 this reproduces the both-unit value, so the boundary needs no
-    separate handling).  t2-nonunit: m >= 1, the frozen T0 application
-    substituted at (m, n + m).  Each case's value is then multiplied by
-    (1-x)(1-xq^2)(1-xq^3)(1-xq^4)(1-x^2 q^10) / (1-xq^6), the rank-one
-    constant times the factor that cancels one denominator, as five shift
+    separate handling); the rows are ``_T2_UNIT_ROWS``.  t2-nonunit:
+    m >= 1, the frozen T0 application substituted at (m, n + m).  Each
+    case's value is then multiplied by ``_closed_factor()``,
+    (1-x)(1-xq^2)(1-xq^3)(1-xq^4)(1-x^2 q^10) / (1-xq^6), as five shift
     passes over its numerator and one more denominator key.
     """
     if case not in CLOSED_I_CASES:
@@ -630,13 +652,14 @@ def closed_I(n: int, m: int, case: str) -> RatFunc:
     elif case == "t2-unit":
         if m != 0:
             raise ValueError("t2-unit means the second valuation is zero")
-        value = _reduced_j0(n) - _mono(1, x=4, q=26) * _reduced_j0(n - 2)
+        value = _summed([_reduced_j0(n - d) * _mono(sign, x=ex, q=eq)
+                         for sign, d, (ex, eq) in _T2_UNIT_ROWS])
     else:
         if m < 1:
             raise ValueError("t2-nonunit means the second valuation is positive")
         value = _FROZEN_T0_CJ0.substitute(m, n + m)
-    return RatFunc(_times_binomials(value.num, Counter(INTERTWINER_DEN_KEYS)),
-                   Counter(value.den) + Counter({(1, 6): 1}))
+    num, den = _closed_factor()
+    return RatFunc(_times_binomials(value.num, num), den + Counter(value.den))
 
 
 # -- mass-weighted kernel sum ---------------------------------------------------

@@ -37,6 +37,9 @@ does not take, so that agreement is evidence rather than repetition:
   highest weight;
 * ``evaluate`` -- exact evaluation of a Laurent polynomial or rational
   function at a rational point;
+* ``closed_I_grid_verdict`` -- the local integral's closed form against
+  Z*I0/((1-xq^7)(1-xq^8)) at 20 valuation pairs, point by point, the
+  reference for ``zeta.closed_forms``' comparison by base;
 * ``j_oracle_by_terms`` -- the summation oracle added term by term, one
   ``j_case2`` rational function per term, the reference for ``j_oracle``'s
   sum by linearity;
@@ -52,7 +55,8 @@ does not take, so that agreement is evidence rather than repetition:
   Chevalley sign table forced from +1 on the extraspecial pairs by a
   memoized recursion through antisymmetry, negation, triangle rotation and
   the Jacobi identity, the reference for ``StructureConstants``' closed
-  form through the Frenkel-Kac cocycle.
+  form through the Frenkel-Kac cocycle; ``packed_pair`` is the one map
+  from its root-pair keys to the packed pairs that table is keyed by.
 """
 
 from __future__ import annotations
@@ -82,11 +86,13 @@ from e8g2.weyl import WeylElt
 from e8g2.zeta import (
     XQ,
     Z0_FACTOR_KEYS,
+    _Z,
     _i0_expanded,
     _i0_poly,
     _p_char,
     _q_clear,
     _tau0,
+    closed_I,
     j_case2,
 )
 
@@ -407,6 +413,19 @@ def boundary_series_by_product(D: int) -> LaurentPoly:
 # -- the finite summation family ---------------------------------------------
 
 
+def closed_I_grid_verdict() -> bool:
+    """``closed_I`` against Z I0(n, m)/((1-xq^7)(1-xq^8)) at 20 points:
+    (0, 0) in the both-unit case, n < 7 with m = 0 in the t2-unit case and
+    n <= 3 with 1 <= m <= 3 in the t2-nonunit case, each side formed in full
+    at each point."""
+    def direct(n, m):
+        return RatFunc(_Z * _i0_poly(n, m), {(1, 7): 1, (1, 8): 1})
+
+    points = [(0, 0, "both-unit"), *((n, 0, "t2-unit") for n in range(7)),
+              *((n, m, "t2-nonunit") for m in range(1, 4) for n in range(4))]
+    return all(closed_I(n, m, case).equals(direct(n, m)) for n, m, case in points)
+
+
 def j_oracle_by_terms(B: int, C: int) -> RatFunc:
     """The summation oracle at valuations 0 <= B <= C as a sum of RatFuncs:
     four blocks of terms, each a monomial and a power of u = 1 - 1/q times
@@ -538,3 +557,9 @@ def structure_table_by_recursion(rs) -> dict:
             if _add(a, b) in roots:
                 value(a, b)
     return table
+
+
+def packed_pair(rs, a, b) -> tuple[int, int]:
+    """The key of the root pair (a, b) in ``StructureConstants.table``:
+    their packed integers (rs.pack[a], rs.pack[b])."""
+    return rs.pack[a], rs.pack[b]

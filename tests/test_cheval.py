@@ -20,7 +20,7 @@ from e8g2.checks import CONDITIONS, CONJUGATOR_ZEROED
 from e8g2.cli import Manifest, ManifestEntry, RunConfig, run
 from e8g2.rootsys import E8_CARTAN, G2_CARTAN, RootSystem, e8, root_key
 from e8g2.weyl import WeylElt, pivot_element
-from oracles import extraspecial_pairs, structure_table_by_recursion
+from oracles import extraspecial_pairs, packed_pair, structure_table_by_recursion
 
 E8 = e8()
 SC = build_constants(E8)
@@ -37,9 +37,10 @@ def word(factors):
 def test_a2_convention():
     sc = build_constants(RootSystem(A2_CARTAN))
     a1, a2 = sc.rs.simple
-    assert sc.table[(a1, a2)] == 1
-    assert sc.table[(a2, a1)] == -1
-    assert (a1, a1) not in sc.table  # 2*a1 is not a root: no table entry
+    assert sc.table[packed_pair(sc.rs, a1, a2)] == 1
+    assert sc.table[packed_pair(sc.rs, a2, a1)] == -1
+    # 2*a1 is not a root: no table entry
+    assert packed_pair(sc.rs, a1, a1) not in sc.table
 
 
 def test_non_simply_laced_rejected():
@@ -60,7 +61,7 @@ def test_extraspecial_pairs_are_plus_one():
     pairs = extraspecial_pairs(E8)
     assert len(pairs) == 120 - 8
     for g, (a, b) in pairs.items():
-        assert SC.table[(a, b)] == 1
+        assert SC.table[packed_pair(E8, a, b)] == 1
 
 
 def test_values_all_units():
@@ -95,8 +96,13 @@ def e8_oracle():
     return structure_table_by_recursion(E8)
 
 
+def by_packed_pairs(rs, table):
+    """A table keyed by root pairs, keyed as ``StructureConstants.table`` is."""
+    return {packed_pair(rs, a, b): v for (a, b), v in table.items()}
+
+
 def test_e8_table_matches_recursion(e8_oracle):
-    assert SC.table == e8_oracle
+    assert SC.table == by_packed_pairs(E8, e8_oracle)
 
 
 @pytest.mark.parametrize("cartan", [A2_CARTAN, E7_CARTAN, *OTHER_NUMBERINGS.values()],
@@ -104,8 +110,8 @@ def test_e8_table_matches_recursion(e8_oracle):
 def test_table_matches_recursion(cartan):
     rs = RootSystem(cartan)
     sc = build_constants(rs)
-    assert sc.table == structure_table_by_recursion(rs)
-    assert all(sc.table[p] == 1 for p in extraspecial_pairs(rs).values())
+    assert sc.table == by_packed_pairs(rs, structure_table_by_recursion(rs))
+    assert all(sc.table[packed_pair(rs, *p)] == 1 for p in extraspecial_pairs(rs).values())
 
 
 @pytest.mark.parametrize("cartan", [E8_CARTAN, A2_CARTAN, E7_CARTAN, *OTHER_NUMBERINGS.values()],
@@ -131,8 +137,8 @@ def test_table_size_from_coxeter_number_and_cartan_form(cartan):
 
 def test_sweep_catches_a_flipped_entry():
     sc = build_constants(E8)
-    a, b = E8.simple[0], E8.simple[2]
-    sc.table[(a, b)] = -sc.table[(a, b)]
+    ab = packed_pair(E8, E8.simple[0], E8.simple[2])
+    sc.table[ab] = -sc.table[ab]
     rep = sc.jacobi_triangle_report()
     # the flipped pair fails its own triangle's two other rotations, and
     # its reverse and its negation disagree with it
@@ -142,18 +148,19 @@ def test_sweep_catches_a_flipped_entry():
 
 def test_sweeps_cannot_pin_the_gauge(e8_oracle):
     # N'[a,b] = N[a,b] t(a) t(b) t(a+b) with t = -1 on +-g is again a
-    # consistent table, so only the oracle tells it from the convention
-    g = E8.parse_root("10100000")
-    t = {g: -1, tuple(-x for x in g): -1}
+    # consistent table, so only the oracle tells it from the convention;
+    # the table's keys are packed roots, and packing is linear, so a + b is
+    # the packed sum
+    g = E8.pack[E8.parse_root("10100000")]
+    t = {g: -1, -g: -1}
     sc = build_constants(E8)
-    sc.table = {(a, b): v * t.get(a, 1) * t.get(b, 1)
-                * t.get(tuple(x + y for x, y in zip(a, b)), 1)
+    sc.table = {(a, b): v * t.get(a, 1) * t.get(b, 1) * t.get(a + b, 1)
                 for (a, b), v in sc.table.items()}
     rep = sc.jacobi_triangle_report()
     assert (rep["violations"], rep["antisymmetry_violations"],
             rep["negation_violations"]) == (0, 0, 0)
-    assert sc.table != e8_oracle
-    assert sc.table[E8.simple[0], E8.simple[2]] == -1  # g's extraspecial pair
+    assert sc.table != by_packed_pairs(E8, e8_oracle)
+    assert sc.table[packed_pair(E8, E8.simple[0], E8.simple[2])] == -1  # g's extraspecial pair
 
 
 # -- word calculus ---------------------------------------------------

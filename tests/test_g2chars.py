@@ -143,7 +143,7 @@ def test_over_a_rho_undoes_a_rho(p):
     assert over_a_rho(antisymmetrize(p)) * a_rho == antisymmetrize(p)
 
 
-def test_antisymmetrize_needs_a_b_last():
+def test_over_a_rho_rejects_a_non_multiple_of_a_rho():
     # what over_a_rho divides must be a multiple of A(rho)
     with pytest.raises(InexactDivision):
         over_a_rho(LaurentPoly.monomial(CHAR_VARS, 1, a=1, b=1) * 2

@@ -35,6 +35,7 @@ from e8g2.zeta import XQ, SingularShift, XPoly
 from oracles import (
     SERIES_VARS,
     boundary_series_by_product,
+    closed_I_grid_verdict,
     highest_weight_sums_by_lam,
     j_oracle_by_terms,
     measure_sum_by_products,
@@ -466,6 +467,63 @@ class TestClosedIntegral:
     def test_invalid_case_tag_rejected(self):
         with pytest.raises(ValueError, match="case tag"):
             z.closed_I(0, 0, "mixed")
+
+    @pytest.mark.parametrize("case,points", [
+        ("t2-unit", [(0, 0), (1, 0), (2, 0), (9, 0)]),
+        ("t2-nonunit", [(0, 1), (5, 1), (2, 4), (7, 6)]),
+    ])
+    def test_bases_evaluate_to_closed_I(self, case, points):
+        # the closed side by base, times the five binomials the check
+        # cancels, is closed_I itself at each point, inside the grid and past it
+        got, _ = checks._closed_case_bases(case)
+        shared = z._factor_product(z.INTERTWINER_DEN_KEYS)
+        for n, m in points:
+            value = RatFunc(LaurentPoly.zero(XQ))
+            for base, c in got.items():
+                ex = sum(k * b[0] for k, b in zip((n, m), base))
+                eq = sum(k * b[1] for k, b in zip((n, m), base))
+                value = value + c * MONO(1, x=ex, q=eq)
+            assert (value * shared).equals(z.closed_I(n, m, case)), (n, m)
+
+    def test_grid_verdict_agrees_with_per_base_verdict(self):
+        assert closed_I_grid_verdict() is True
+        assert run_check("zeta.closed_forms").computed["cases_match"] is True
+
+    @pytest.mark.parametrize("control", ["constant dropped", "perturbed key"])
+    def test_per_base_negative_controls(self, control, monkeypatch):
+        # each control fails both cases, and the report locates a base
+        if control == "constant dropped":
+            by_base = checks._by_base
+            monkeypatch.setattr(checks, "_by_base", lambda terms: by_base(
+                (base, (0, 0), c) for base, _, c in terms))
+        else:
+            keys = list(z.INTERTWINER_DEN_KEYS)
+            keys[0] = (1, 1)
+            monkeypatch.setattr(z, "INTERTWINER_DEN_KEYS", tuple(keys))
+            # closed_I reads the perturbed key too, so the grid fails with it
+            assert closed_I_grid_verdict() is False
+        for case in ("t2-unit", "t2-nonunit"):
+            assert checks._differing_bases(*checks._closed_case_bases(case)), case
+        rep = run_check("zeta.closed_forms")
+        assert rep.status == "fail" and rep.computed["cases_match"] is False
+        located = rep.computed["first_differing_base"]
+        assert list(located) == ["case", "bases", "computed", "expected"]
+        assert located["case"] == "t2-unit" and located["bases"] == ["1"]
+        assert located["computed"] != located["expected"]
+
+    def test_passing_report_locates_no_base(self):
+        assert "first_differing_base" not in run_check("zeta.closed_forms").computed
+
+    def test_closed_forms_calls_closed_I_only_at_the_origin(self, monkeypatch):
+        calls = []
+
+        def counted(n, m, case, f=z.closed_I):
+            calls.append((n, m))
+            return f(n, m, case)
+
+        monkeypatch.setattr(z, "closed_I", counted)
+        assert run_check("zeta.closed_forms").status == "pass"
+        assert calls and set(calls) == {(0, 0)}
 
     def test_case_domain_mismatches_rejected(self):
         with pytest.raises(ValueError):
