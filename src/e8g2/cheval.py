@@ -101,7 +101,6 @@ class StructureConstants:
                     sign[g] = eps(a, g - a) * sign[a] * sign[g - a]
                     break
         sign.update({-p: -s for p, s in sign.items()})
-        # keyed by packed root pairs (pack[a], pack[b])
         unpack = rs.unpack
         self.table: dict[tuple[int, int], int] = {}
         for pa in unpack:
@@ -127,8 +126,7 @@ class StructureConstants:
         On every root triangle a + b + c = 0 the three rotations N[a,b],
         N[b,c], N[c,a] must be equal; every pair must also satisfy
         N[b,a] = -N[a,b] and N[-a,-b] = -N[a,b].  Returns the number of
-        (ordered) triangles scanned and the violations of each rule.  On
-        packed roots c = -a - b and the negations are integer arithmetic.
+        (ordered) triangles scanned and the violations of each rule.
         """
         table = self.table
         rotation = antisymmetry = negation = 0

@@ -487,7 +487,16 @@ class TestClosedIntegral:
 
     def test_grid_verdict_agrees_with_per_base_verdict(self):
         assert closed_I_grid_verdict() is True
-        assert run_check("zeta.closed_forms").computed["cases_match"] is True
+        computed = run_check("zeta.closed_forms").computed
+        assert computed["cases_match"] is True
+        assert "first_differing_base" not in computed
+
+    def test_differing_bases_counts_a_missing_base_as_zero(self):
+        one, zero = rf(ONE), rf(LaurentPoly.zero(XQ))
+        want = {((0, 0),): one}
+        assert checks._differing_bases({((0, 0),): one, ((2, 13),): zero}, want) == []
+        assert checks._differing_bases({((0, 0),): one, ((2, 13),): one}, want) == [((2, 13),)]
+        assert checks._differing_bases({}, want) == [((0, 0),)]
 
     @pytest.mark.parametrize("control", ["constant dropped", "perturbed key"])
     def test_per_base_negative_controls(self, control, monkeypatch):
@@ -510,9 +519,6 @@ class TestClosedIntegral:
         assert list(located) == ["case", "bases", "computed", "expected"]
         assert located["case"] == "t2-unit" and located["bases"] == ["1"]
         assert located["computed"] != located["expected"]
-
-    def test_passing_report_locates_no_base(self):
-        assert "first_differing_base" not in run_check("zeta.closed_forms").computed
 
     def test_closed_forms_calls_closed_I_only_at_the_origin(self, monkeypatch):
         calls = []
