@@ -41,6 +41,10 @@ class UsageError(Exception):
 # census needs 17280.
 MAX_LEFT_COSETS = 100_000
 
+# the most worker processes --jobs may ask for: a fork-context pool forks
+# every worker at its first submit, before any check runs
+MAX_JOBS = 64
+
 
 # -- configuration and manifest ---------------------------------------------------
 
@@ -53,8 +57,9 @@ class RunConfig:
     def __post_init__(self):
         if self.truncation_degree < 1:
             raise UsageError("truncation degree must be >= 1")
-        if self.parallelism < 1:
-            raise UsageError("parallelism degree must be >= 1")
+        if not 1 <= self.parallelism <= MAX_JOBS:
+            raise UsageError(f"parallelism degree must be in 1..{MAX_JOBS}, "
+                             f"got {self.parallelism}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,8 @@ def run(manifest: Manifest, config: RunConfig) -> tuple[int, list[CheckReport]]:
         from multiprocessing import get_context
 
         fork = get_context("fork")
-        with ProcessPoolExecutor(max_workers=config.parallelism, mp_context=fork) as pool:
+        workers = min(config.parallelism, len(manifest.entries))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
             futures = [pool.submit(_run_entry, e.id, e.params, config)
                        for e in manifest.entries]
             reports = [f.result() for f in futures]
@@ -241,7 +247,8 @@ def _runner_main(argv: list[str]) -> int:
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON report array instead of text lines")
     parser.add_argument("--jobs", type=int, default=RunConfig.parallelism,
-                        help="run checks in up to N worker processes")
+                        help="run checks in up to N worker processes, no more "
+                             f"than there are checks (N at most {MAX_JOBS})")
     parser.add_argument("--output", help="write the report there instead of stdout")
     args = parser.parse_args(argv)
 

@@ -103,8 +103,11 @@ class WeylElt:
         return self._len
 
     def inversion_set(self) -> list[Root]:
-        """{alpha > 0 : w(alpha) < 0}, sorted in the standard root order."""
-        return [a for a in self.rs.positive if sum(self.act(a)) < 0]
+        """{alpha > 0 : w(alpha) < 0}, sorted in the standard root order.
+        A root is negative iff its height is, and ht(w(alpha)) = sum_k
+        alpha_k*ht(w(alpha_k)): one dot product with the column heights."""
+        hts = [sum(c) for c in self.cols]
+        return [a for a in self.rs.positive if sum(map(operator.mul, a, hts)) < 0]
 
     def word(self) -> str:
         """The canonical reduced word: word(w) = word(w*s_i) + str(i) for
@@ -189,36 +192,53 @@ def enumerate_double_cosets(rs: RootSystem, J: Iterable[int], K: Iterable[int]) 
     reaches each point of once, keeping one level and no visited set (Avis
     and Fukuda's reverse search, Discrete Appl. Math. 65, 1996).  A point
     carries that descent d.  s_i raises mu_j for j != i, so s_i(mu) has no
-    descent below i if i < d, and keeps d if i > d and a_di = 0.  A child's
-    length is the level, its word its parent's plus the letter, and its
-    packed cols its parent's with a_ij times column i taken from column j
-    for the non-zero a_ij of Cartan row i.  w is minimal in w*W_K too iff
-    mu_k >= 0 for every k in K; only those points are kept, sorted on packed
-    cols (packing keeps lexicographic order), and built as WeylElts."""
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in rs.cartan]
-    alphas = [[(j, a) for j, a in enumerate(col) if a] for col in zip(*rs.cartan)]
+    descent below i if i < d, and keeps d if i > d and a_di = 0.  So a
+    point tries only the letters allowed[d], a table built once per call:
+    i < d, and i > d with a_di != 0; the root, with d = rank, tries every
+    letter.  As a_ii = 2, nu_i = -mu_i.  A child's length is the level, its
+    word its parent's plus the letter, and its packed cols its parent's
+    with a_ij times column i taken from column j for the non-zero a_ij of
+    Cartan row i.  w is minimal in w*W_K too iff mu_k >= 0 for every k in
+    K; each child is tested as it is made (the root, with no descent, always
+    passes), and only the points kept are sorted on packed cols (packing
+    keeps lexicographic order) and built as WeylElts."""
+    rank, cartan = rs.rank, rs.cartan
+    allowed = [[i for i in range(rank) if i < d or (i > d and cartan[d][i])]
+               for d in range(rank)] + [range(rank)]
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
+    off = [[(j, a) for j, a in enumerate(col) if a and j != i]
+           for i, col in enumerate(zip(*cartan))]
+    letters = [str(i + 1) for i in range(rank)]
     on, Kt = set(J), [k - 1 for k in K]
-    level = [([0 if i in on else 1 for i in range(1, rs.rank + 1)],
-              tuple([rs.pack[a] for a in rs.simple]), "", rs.rank)]
-    kept, length = [], 0
+    cols = tuple([rs.pack[a] for a in rs.simple])
+    level = [([0 if i in on else 1 for i in range(1, rank + 1)], cols, "", rank)]
+    kept, length = [(0, cols, "")], 0
+    keep = kept.append
     while level:
-        kept += [(length, cols, word) for mu, cols, word, d in level
-                 if all(mu[k] >= 0 for k in Kt)]
         length += 1
         children = []
+        add = children.append
         for mu, cols, word, d in level:
-            for i, m in enumerate(mu):
-                if m <= 0 or (i > d and not rs.cartan[d][i]):
+            for i in allowed[d]:
+                m = mu[i]
+                if m <= 0:
                     continue
                 nu = mu[:]
-                for j, a in alphas[i]:
+                nu[i] = -m
+                for j, a in off[i]:
                     nu[j] -= m * a
                 if i > d and min(nu[:i]) < 0:  # a smaller descent is nu's parent
                     continue
                 c, ci = list(cols), cols[i]
                 for j, a in rows[i]:
                     c[j] -= a * ci
-                children.append((nu, tuple(c), word + str(i + 1), i))
+                c, w = tuple(c), word + letters[i]
+                add((nu, c, w, i))
+                for k in Kt:
+                    if nu[k] < 0:
+                        break
+                else:
+                    keep((length, c, w))
         level = children
     kept.sort()  # (length, cols) is unique, so words are never compared
     return [WeylElt(rs, tuple([rs.unpack[c] for c in cols]), length, word)

@@ -42,6 +42,10 @@ OTHER_REPORT_SHA256 = "7309d269a024f899edc9b0f1419d78ccba1e276489276541af51999c3
 # `--all` runs it (the default manifest pins D = 8); with the two above,
 # every byte of `e8g2 --all --json` apart from the runtimes is frozen
 END_TO_END_D10_SHA256 = "e0d2c4dbec29cf804d1c256b89276882c1accd2e790deabf8d94ec91c2dbbf2d"
+# sha256 of the full `weyl-enumerate --left M2 --right 4,7` stdout: the
+# count line, then the 6576 words in (length, cols) order (bench/worker.py
+# checks the same digest)
+CENSUS_SHA256 = "49b159e244a0cd8f8d410703f5d7294de393d88c68b3f6b18bf500cc6068c135"
 
 
 def synthetic_report(check_id: str, status: str) -> CheckReport:
@@ -71,6 +75,9 @@ class TestConfig:
     def test_parallelism_checked(self):
         with pytest.raises(UsageError):
             RunConfig(parallelism=0)
+        with pytest.raises(UsageError, match=f"1..{cli.MAX_JOBS}, got {cli.MAX_JOBS + 1}"):
+            RunConfig(parallelism=cli.MAX_JOBS + 1)
+        assert RunConfig(parallelism=cli.MAX_JOBS).parallelism == cli.MAX_JOBS
 
     def test_defaults(self):
         config = RunConfig()
@@ -216,10 +223,10 @@ class TestRunner:
     def test_parallel_matches_serial(self):
         assert normalized_json(RunConfig(parallelism=2)) == normalized_json(RunConfig())
 
-    def test_pool_forks_its_workers(self, monkeypatch):
-        # the workers see a patched registry only because they are forked
-        # from this process, so the start method must be named rather than
-        # left to the platform default (forkserver on Linux from Python 3.14)
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """Stands in for ProcessPoolExecutor: records its keyword arguments
+        and runs each submitted call in this process, forking nothing."""
         seen = {}
 
         class Recorder:
@@ -238,12 +245,39 @@ class TestRunner:
                 return done
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        return seen
+
+    def test_pool_forks_its_workers(self, pool):
+        # the workers see a patched registry only because they are forked
+        # from this process, so the start method must be named rather than
+        # left to the platform default (forkserver on Linux from Python 3.14)
         with patch.dict(cli.REGISTRY, synthetic_registry(["pass", "fail"])):
             status, _ = run(Manifest((ManifestEntry("syn.0"), ManifestEntry("syn.1"))),
                             RunConfig(parallelism=2))
         assert status == 1
-        assert seen["max_workers"] == 2
-        assert seen["mp_context"].get_start_method() == "fork"
+        assert pool["max_workers"] == 2
+        assert pool["mp_context"].get_start_method() == "fork"
+
+    def test_pool_starts_no_more_workers_than_entries(self, pool):
+        with patch.dict(cli.REGISTRY, synthetic_registry(["pass", "pass", "fail"])):
+            status, reports = run(Manifest(tuple(ManifestEntry(f"syn.{i}") for i in range(3))),
+                                  RunConfig(parallelism=cli.MAX_JOBS))
+        assert status == 1 and len(reports) == 3
+        assert pool["max_workers"] == 3
+
+    def test_jobs_over_the_bound_exit_2_before_any_work(self, pool, capsys):
+        # a fork-context pool forks all its workers at its first submit, so
+        # an unbounded --jobs would fork that many before any check runs
+        def no_check(params, config):
+            raise AssertionError("a check ran")
+
+        with patch.dict(cli.REGISTRY, {"syn.0": (no_check, {}, False),
+                                       "syn.1": (no_check, {}, False)}):
+            code = cli.main(["e8g2", "--check", "syn.0", "--check", "syn.1",
+                             "--jobs", str(cli.MAX_JOBS + 1)])
+        assert code == 2
+        assert f"1..{cli.MAX_JOBS}" in capsys.readouterr().err
+        assert pool == {}
 
     def test_import_loads_no_process_pool(self):
         # only a run with --jobs > 1 imports the pool, so a fresh import of
@@ -464,9 +498,12 @@ class TestMain:
     def test_enumerate_flagship_counts(self, capsys):
         code = cli.main(["weyl-enumerate", "--left", "M2", "--right", "4,7"])
         assert code == 0
-        lines = capsys.readouterr().out.splitlines()
+        out = capsys.readouterr().out
+        lines = out.splitlines()
         assert lines[0] == "6576"
         assert len(lines) == 6577
         # spot-check: every emitted word is nonempty past the identity and
         # uses only node labels
         assert all(set(w) <= set("12345678") for w in lines[1:])
+        # the full stdout, so a reordered or respelled word fails here too
+        assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_SHA256

@@ -9,6 +9,7 @@ from e8g2.weyl import (
     M2_INDICES,
     WORD_COSET_LONG,
     WORD_COSET_SHORT,
+    WORD_INTERTWINER,
     WORD_SWAP47_A,
     WORD_SWAP47_B,
     WeylElt,
@@ -95,6 +96,14 @@ def test_swap_inversion_set():
 
 def test_identity_inversions_empty():
     assert WeylElt.identity(E8).inversion_set() == []
+
+
+def test_inversion_set_matches_the_action():
+    # by column heights, against the definition: w(alpha) < 0 for alpha > 0
+    words = [WORD_COSET_SHORT, WORD_COSET_LONG, WORD_SWAP47_A, WORD_INTERTWINER]
+    cases = [(E8, evaluate_word(E8, word)) for word in words]
+    for rs, w in cases + [(G2, w) for w in enumerate_group(G2)]:
+        assert w.inversion_set() == [a for a in rs.positive if sum(w.act(a)) < 0]
 
 
 def test_target_words_reduced():
