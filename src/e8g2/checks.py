@@ -20,7 +20,7 @@ exceed ``MAX_SERIES_DEGREE`` either way and is reported as the report's
 
 The three checks of the main identity (``zeta.check3``, ``zeta.sum_cases``
 and ``zeta.end_to_end``) compare by highest weight: each side is a map
-lam -> (x, q) sum, ``_differing_weights`` lists the lam where two sides
+lam -> (x, q) sum, ``_differing_keys`` lists the lam where two sides
 differ, and ``_first_difference`` locates a series check's failure in the
 same sums: the lowest x-degree, then the first lam, then the first
 monomial.  ``zeta.end_to_end`` is check3's comparison, located as check3
@@ -31,8 +31,8 @@ per process, at the largest D asked for, and cuts them to a smaller D.
 
 ``zeta.closed_forms`` proves the t2-unit and t2-nonunit closed forms for
 every valuation pair: each side is a finite sum of exponentials in (n, m),
-grouped by base (``_by_base``) and compared base by base
-(``_differing_bases``), the one comparator for such sums.
+grouped by base (``_by_base``) and compared base by base by the same
+``_differing_keys``.
 """
 
 from __future__ import annotations
@@ -52,19 +52,20 @@ from .cheval import (
     symbolic_conjugator,
 )
 from .g2chars import (
+    FULL_VARS,
     POSITIVE_ROOTS,
     Q,
+    RHO,
     S0,
     V7_WEIGHTS,
+    WEYL_GROUP,
     Weight,
     _pairing_with_double_rho,
-    character_sum,
-    dimension,
-    spherical,
-    weyl_character,
+    alt_sum,
+    irreducible_dimension,
 )
 from .rootsys import e8
-from .symra import LaurentPoly, RatFunc, _summed, one_minus
+from .symra import LaurentPoly, RatFunc, _summed, _times_binomials, one_minus
 from .weyl import (
     M2_INDICES,
     classify_survivors,
@@ -198,7 +199,7 @@ def _first_difference(got: dict, want: dict) -> dict:
     descending) order, with its coefficient on each side."""
     zero = LaurentPoly.zero(zeta.XQ)
     low, lam = min(((got.get(lam, zero) - want.get(lam, zero)).low_degree("x"), lam)
-                   for lam in _differing_weights(got, want))
+                   for lam in _differing_keys(got, want))
     left, right = got.get(lam, zero), want.get(lam, zero)
     e, _ = LaurentPoly(zeta.XQ, {e: c for e, c in (left - right).coeffs.items()
                                  if e[0] == low}).leading_term()
@@ -207,13 +208,14 @@ def _first_difference(got: dict, want: dict) -> dict:
             "computed": left.coeffs.get(e, 0), "expected": right.coeffs.get(e, 0)}
 
 
-def _differing_weights(got: dict, want: dict) -> list:
-    """The sorted lam at which two maps lam -> (x, q) sum differ, a missing
-    lam's sum being zero: the per-lam comparison of every check of the main
-    identity."""
+def _differing_keys(got: dict, want: dict) -> list:
+    """The sorted keys at which two maps to (x, q) values, ``LaurentPoly``
+    or ``RatFunc``, differ, a missing key's value being zero: the per-lam
+    comparison of every check of the main identity and the per-base
+    comparison of ``zeta.closed_forms`` (``==`` on a ``RatFunc`` compares
+    over the common denominator)."""
     zero = LaurentPoly.zero(zeta.XQ)
-    return sorted(lam for lam in got.keys() | want.keys()
-                  if got.get(lam, zero) != want.get(lam, zero))
+    return sorted(k for k in got.keys() | want.keys() if got.get(k, zero) != want.get(k, zero))
 
 
 def _normalization_identity() -> bool:
@@ -328,19 +330,11 @@ def _by_base(terms) -> dict:
     Distinct bases are distinct characters of w, which are linearly
     independent over Q(x, q) (E. Artin, Galois Theory, 1942), on every
     translate of the w's domain too; so two such sums agree at every w iff
-    ``_differing_bases`` finds no base."""
+    ``_differing_keys`` finds no base."""
     by: dict = {}
     for base, (ex, eq), c in terms:
         by.setdefault(base, []).append(c * zeta._mono(1, x=ex, q=eq))
     return {base: cs[0] if len(cs) == 1 else _summed(cs) for base, cs in by.items()}
-
-
-def _differing_bases(got: dict, want: dict) -> list:
-    """The sorted bases at which two maps base -> RatFunc differ, a missing
-    base's coefficient being zero."""
-    zero = zeta._ZERO_RF
-    return sorted(b for b in got.keys() | want.keys()
-                  if not got.get(b, zero).equals(want.get(b, zero)))
 
 
 def _closed_case_bases(case: str) -> tuple[dict, dict]:
@@ -423,7 +417,7 @@ def _closed_forms():
     cases_ok &= Counter(zeta.Z_FACTOR_KEYS) == zeta._closed_factor()[0] + Counter({(2, 12): 1})
     for case in ("t2-unit", "t2-nonunit"):
         got, want = _closed_case_bases(case)
-        differ = _differing_bases(got, want)
+        differ = _differing_keys(got, want)
         if differ:
             cases_ok = False
             located = located or {
@@ -517,7 +511,7 @@ def _main_identity_series(D):
     forming no weight coefficient or character, whether it passes or
     fails: ``_first_difference`` locates a failure in the same sums."""
     got, want = _series_sides(D)
-    ok = not _differing_weights(got, want)
+    ok = not _differing_keys(got, want)
     computed = {"equal": ok, "pairs_summed": len(zeta._pair_triangle(D))}
     if not ok:
         computed["first_difference"] = _first_difference(got, want)
@@ -543,7 +537,7 @@ def _main_identity_cases(n_max=6, m_max=4):
     sums = zeta.highest_weight_sums([w for w in ws if w.dominant], zeta._q_clear,
                                     lams=set(box))
     want = {Weight(n, 0): zeta._Z0Q * zeta._tau0((n, 0)) for n in range(n_max + 1)}
-    failures = [f"{n},{m}" for n, m in _differing_weights(sums, want)]
+    failures = [f"{n},{m}" for n, m in _differing_keys(sums, want)]
     return not failures, f"all pairs with n <= {n_max}, m <= {m_max} collapse", {
         "pairs_checked": (n_max + 1) * (m_max + 1), "failures": failures}
 
@@ -561,14 +555,14 @@ def _end_to_end(D):
     every pair.  Where check3's sides differ, the report locates their
     first difference as check3's does; where only (iii) fails, it has none."""
     got, want = _series_sides(D)
-    differ = bool(_differing_weights(got, want))
+    differ = bool(_differing_keys(got, want))
     identity_ok = _normalization_identity() and not differ
     correction = zeta.highest_weight_sums([w for w in zeta._pair_triangle(D) if not (w.n and w.m)],
                                           lambda w: Q - zeta._q_clear(w), D)
     zero = LaurentPoly.zero(zeta.XQ)
     control = {lam: got.get(lam, zero) + correction.get(lam, zero)
                for lam in got.keys() | correction.keys()}
-    control_ok = bool(_differing_weights(control, want))
+    control_ok = bool(_differing_keys(control, want))
     computed = {"identity": identity_ok, "negative_control_differs": control_ok}
     if differ:
         computed["first_difference"] = _first_difference(got, want)
@@ -579,16 +573,29 @@ def _end_to_end(D):
 
 @check("g2chars.characters", "spherical-character-layer")
 def _characters():
-    sph_ok = spherical((0, 0)).equals(1)
-    dim7 = dimension(weyl_character((1, 0)))
-    # the plethysm identity through t^8: the L-factor prod_{mu in V7}
-    # (1 - t tau^mu)^-1 = sum_r t^r char Sym^r V7, times (1 - t^2), is
-    # sum_r t^r chi_(r,0)
+    """Three exact polynomial identities, with no division by A(rho) and no
+    series.  ``plethysm_identity``: (1 - t^2) prod_{mu in V7} (1 - t tau^mu)^-1
+    = sum_r t^r chi_(r,0).  A(rho) times the right side is
+    sum_u sign(u) tau^(u rho) / (1 - t tau^(u omega1)), u omega1 in V7, so
+    times A(rho) prod_mu (1 - t tau^mu) the identity is
+    sum_u sign(u) tau^(u rho) prod_{mu != u omega1} (1 - t tau^mu) =
+    A(rho) (1 - t^2), in every power of t; u = ((a, b), (c, d)) maps omega1
+    to (a, c).  ``spherical_unit``: P(0) = Q, Macdonald's formula at 0 times
+    A(rho).  ``dim_fundamental``: Weyl's dimension formula at omega1."""
     tab = ("t", "a", "b")
-    l_factor = RatFunc(one_minus(tab, t=2), {(1, mu.n, mu.m): 1 for mu in V7_WEIGHTS})
-    plethysm_ok = l_factor.truncate("t", 8) == character_sum(
-        tab, {Weight(r, 0): LaurentPoly.monomial(("t",), 1, t=r) for r in range(9)})
-    computed = {"spherical_unit": sph_ok, "dim_fundamental": dim7,
+    alt_rho = alt_sum(RHO)
+    orbit_sum = LaurentPoly.zero(tab)
+    for ((a, b), (c, d)), sign in WEYL_GROUP:
+        top = LaurentPoly.monomial(tab, sign, a=a * RHO.n + b * RHO.m, b=c * RHO.n + d * RHO.m)
+        orbit_sum = orbit_sum + _times_binomials(
+            top, {(1, mu.n, mu.m): 1 for mu in V7_WEIGHTS if mu != (a, c)})
+    plethysm_ok = orbit_sum == alt_rho.rename(tab) * one_minus(tab, t=2)
+    macdonald_sum = LaurentPoly.zero(FULL_VARS)
+    for nu, p in S0.items():
+        macdonald_sum = macdonald_sum + p.rename(FULL_VARS) * alt_sum(
+            (RHO.n - nu.n, RHO.m - nu.m)).rename(FULL_VARS)
+    sph_ok = alt_rho.rename(FULL_VARS) * Q.rename(FULL_VARS) == macdonald_sum
+    computed = {"spherical_unit": sph_ok, "dim_fundamental": irreducible_dimension((1, 0)),
                 "plethysm_identity": plethysm_ok}
     return computed == CHARACTERS, CHARACTERS, computed
 

@@ -12,10 +12,11 @@ is Cartan column i, and s_i(mu) = mu - mu_i*alpha_i, that is
 
 Provides the one Weyl action (``weyl_images``, the 12 signed images of a
 weight, whose sum is the alternating sum A(w) of tau^w, ``alt_sum``), the
-one division by A(rho) (``over_a_rho``), Weyl characters
-A(w + rho) / A(rho), the weight coefficients, the identity-coset mass Q,
-the spherical-function formula, and the weights ``V7_WEIGHTS`` of the
-7-dimensional representation.
+weight coefficients, the identity-coset mass Q, Weyl's dimension formula
+(``irreducible_dimension``) and the weights ``V7_WEIGHTS`` of the
+7-dimensional representation.  Nothing here divides by A(rho): a character
+chi_lam = A(lam + rho) / A(rho) is named by lam, and ``e8g2.checks``
+compares sums in characters lam by lam, or multiplied through by A(rho).
 
 The weight coefficients follow Macdonald's formula ("Spherical functions on
 a group of p-adic type", 1971):
@@ -29,19 +30,15 @@ to a wall, where A vanishes, or to lam + rho with lam dominant, where
 A(w + rho - nu) = sign(u) A(lam + rho) and A(lam + rho) / A(rho) = chi_lam.
 So P(w) = sum_lam p_lam(w) chi_lam, the p_lam(w) collected by
 ``weight_expansion``; the main identity's checks in ``e8g2.checks`` sum by
-these lam, and locate a failure by lam too.  ``character_sum`` forms any
-such sum sum_lam chi_lam c_lam as one ``symra.sum_of_products`` call:
-``weight_coefficient`` in (q, a, b), and the one-row series
-sum_r chi_(r,0) t^r of the plethysm check.
+these lam, and locate a failure by lam too.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .rootsys import G2_CARTAN, RootSystem
-from .symra import LaurentPoly, RatFunc, _times_binomials, sum_of_products
+from .symra import LaurentPoly, _times_binomials
 from .weyl import enumerate_min_left_reps
 
 CHAR_VARS = ("a", "b")
@@ -75,15 +72,27 @@ def _omega(alpha) -> Weight:
 POSITIVE_ROOTS = tuple(_omega(a) for a in sorted(G2.positive, key=lambda a: (sum(a), a[::-1])))
 RHO = Weight(*(sum(c) // 2 for c in zip(*POSITIVE_ROOTS)))
 
-# 2 rho^vee over the simple coroots: the sum of the positive coroots is the
-# two_rho of the dual root system, whose Cartan matrix is the transpose
-_DOUBLE_RHO_VEE = RootSystem(tuple(zip(*G2_CARTAN))).two_rho
+# the dual root system, whose Cartan matrix is the transpose: its positive
+# roots are the positive coroots over the simple coroots, and its two_rho
+# is 2 rho^vee, their sum
+_COROOTS = RootSystem(tuple(zip(*G2_CARTAN)))
 
 
 def _pairing_with_double_rho(w) -> int:
     """<w, 2 rho^vee> on fundamental-weight coordinates, where
     <omega_i, alpha_j^vee> = delta_ij."""
-    return sum(c * k for c, k in zip(_DOUBLE_RHO_VEE, w))
+    return sum(c * k for c, k in zip(_COROOTS.two_rho, w))
+
+
+def irreducible_dimension(lam) -> int:
+    """The dimension of the irreducible representation with highest weight
+    lam by Weyl's formula: prod <lam + rho, alpha^vee> / <rho, alpha^vee>
+    over the positive coroots, with one exact division."""
+    num = den = 1
+    for c1, c2 in _COROOTS.positive:
+        num *= c1 * (lam[0] + RHO.n) + c2 * (lam[1] + RHO.m)
+        den *= c1 * RHO.n + c2 * RHO.m
+    return num // den
 
 
 # the simple roots on weight coordinates, alpha_1 then alpha_2
@@ -144,7 +153,7 @@ def weyl_images(w) -> list[tuple[Weight, int]]:
 V7_WEIGHTS = (Weight(0, 0),) + tuple(sorted({img for img, _ in weyl_images((1, 0))}))
 
 
-# -- alternating sums and characters ---------------------------------------------------
+# -- alternating sums ---------------------------------------------------
 
 
 def alt_sum(w) -> LaurentPoly:
@@ -154,35 +163,6 @@ def alt_sum(w) -> LaurentPoly:
     for (n, m), sign in weyl_images(w):
         out[n, m] = out.get((n, m), 0) + sign
     return LaurentPoly(CHAR_VARS, out)
-
-
-def over_a_rho(p: LaurentPoly) -> LaurentPoly:
-    """p / A(rho) for p over vars that hold a and b.  By the Weyl
-    denominator formula A(rho) = tau^rho prod_{alpha > 0} (1 - tau^-alpha),
-    so the quotient is tau^-rho p divided by those six binomials; raises
-    ``symra.InexactDivision`` unless A(rho) divides p."""
-    ia, ib = p.vars.index("a"), p.vars.index("b")
-    out = p * LaurentPoly.monomial(p.vars, 1, a=-RHO.n, b=-RHO.m)
-    for alpha in POSITIVE_ROOTS:
-        v = [0] * len(p.vars)
-        v[ia], v[ib] = -alpha.n, -alpha.m
-        out = out.divexact(tuple(v))
-    return out
-
-
-@lru_cache(maxsize=4096)
-def weyl_character(w) -> LaurentPoly:
-    """Character of the irreducible representation with highest weight w,
-    as the exact ratio A(w + rho) / A(rho) of alternating sums."""
-    w = _wt(w)
-    if not w.dominant:
-        raise ValueError(f"highest weight must be dominant, got {tuple(w)}")
-    return over_a_rho(alt_sum(Weight(w.n + RHO.n, w.m + RHO.m)))
-
-
-def dimension(char: LaurentPoly) -> int:
-    """Dimension = sum of weight multiplicities."""
-    return sum(char.coeffs.values())
 
 
 # -- weight coefficients ---------------------------------------------------
@@ -220,38 +200,9 @@ def weight_expansion(w) -> dict[Weight, LaurentPoly]:
     return {lam: p for lam, terms in out.items() if (p := LaurentPoly(Q_VARS, terms))}
 
 
-def character_sum(vars: tuple[str, ...], by_lam) -> LaurentPoly:
-    """sum_lam chi_lam c_lam over the (lam, c_lam) of ``by_lam``, over
-    ``vars``, which hold a and b and every variable of each c_lam; one
-    ``sum_of_products`` over the pairs (chi_lam, c_lam)."""
-    return sum_of_products(vars, [(weyl_character(lam), c) for lam, c in by_lam.items()])
-
-
-def weight_coefficient(w) -> LaurentPoly:
-    """The weight coefficient P(w) = sum_lam p_lam(w) chi_lam over
-    ``weight_expansion(w)``: Macdonald's sum_nu P_nu A(w + rho - nu) / A(rho)
-    in irreducible characters, with no division by A(rho).  Exact in
-    (q, a, b), as one ``character_sum``."""
-    return character_sum(FULL_VARS, weight_expansion(w))
-
-
 # -- measure constants ---------------------------------------------------
 
 
 # the mass Q of the identity double coset, a polynomial in 1/q
 Q = LaurentPoly(Q_VARS, {(0,): 1, (-1,): 2, (-2,): 2, (-3,): 2, (-4,): 2, (-5,): 2, (-6,): 1})
 
-
-# -- spherical function ---------------------------------------------------
-
-
-def spherical(w) -> RatFunc:
-    """Value of the normalized spherical function at the torus coset of
-    valuation pair w = (n, m): q^{-<w, rho^vee>}/Q times the weight
-    coefficient P(w).  Exact in (q, a, b); the 1/Q denominator is carried as
-    (1 - 1/q)^2 / ((1 - 1/q^2)(1 - 1/q^6))."""
-    w = _wt(w)
-    pref = LaurentPoly.monomial(FULL_VARS, 1, q=-(_pairing_with_double_rho(w) // 2))
-    unit = LaurentPoly(FULL_VARS, {(0, 0, 0): 1, (-1, 0, 0): -1})
-    num = pref * weight_coefficient(w) * unit * unit
-    return RatFunc(num, {(-2, 0, 0): 1, (-6, 0, 0): 1})

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .g2chars import Q, Q_VARS, Weight, weight_coefficient, weight_expansion
+from .g2chars import Q, Q_VARS, Weight, weight_expansion
 from .rootsys import e8
 from .symra import (
     LaurentPoly,
@@ -667,7 +667,7 @@ def closed_I(n: int, m: int, case: str) -> RatFunc:
 
 _ONE_Q = LaurentPoly.const(Q_VARS, 1)
 # Q over the edge mass 1 + 1/q: Q = (1 + 1/q)(1 + 1/q + ... + 1/q^5)
-_EDGE_CLEAR = one_minus(Q_VARS, q=-6).divexact((-1,))
+_EDGE_CLEAR = LaurentPoly(Q_VARS, {(-k,): 1 for k in range(6)})
 
 
 def _q_clear(w) -> LaurentPoly:
@@ -684,10 +684,10 @@ def _q_clear(w) -> LaurentPoly:
     return Q
 
 
-# the cached weight coefficient; no check calls it.  ``bench/spans.py``
-# reads it by name to count its cache misses, and the tests' product
-# oracles for the series identities build their weight coefficients with it
-_p_char = lru_cache(maxsize=4096)(weight_coefficient)
+# the cached weight coefficient on irreducible characters, kept only for
+# ``bench/spans.py``, which wraps it by name and reads its cache misses; no
+# code of the package calls it
+_p_char = lru_cache(maxsize=4096)(weight_expansion)
 
 
 # -- truncated series ---------------------------------------------------

@@ -15,6 +15,13 @@ does not take, so that agreement is evidence rather than repetition:
 * ``antisymmetrize`` -- the signed sum of a polynomial's Weyl images, term
   by term through ``alt_sum``, the reference for Macdonald's formula as
   written and for ``over_a_rho`` on antisymmetric polynomials;
+* ``over_a_rho``, ``weyl_character``, ``dimension``, ``character_sum``,
+  ``weight_coefficient`` -- the Weyl characters A(lam + rho) / A(rho) by
+  six exact divisions, their weight counts, and the sums
+  sum_lam chi_lam c_lam formed from them, the weight coefficients in
+  (q, a, b) among them: the division route for the facts that
+  ``g2chars.characters`` checks as polynomial identities, and the
+  reference for the main identity's sums by highest weight;
 * ``p_coefficient`` -- one coefficient of Macdonald's expansion by an
   exhaustive search over the 12 Weyl images of lam + rho, the reference
   for ``weight_expansion``'s straightening;
@@ -22,8 +29,8 @@ does not take, so that agreement is evidence rather than repetition:
   subsets of the positive roots, the reference for ``S0``'s expansion by
   binomial shift passes;
 * ``sym_powers_by_multisets`` -- char Sym^r V7 by counting the multisets
-  of V7's weights, the reference for the L-factor series that the
-  plethysm check of ``g2chars.characters`` expands by ``RatFunc.truncate``;
+  of V7's weights, the reference for the L-factor's series by
+  ``RatFunc.truncate`` and for the dimensions of the chi_(r,0);
 * ``truncate_var`` -- truncation after a full product, the reference for
   ``mul_trunc`` and the series routes;
 * ``measure_sum_by_products``, ``normalized_series`` -- the main identity's
@@ -78,7 +85,6 @@ from e8g2.g2chars import (
     Weight,
     alt_sum,
     weight_expansion,
-    weyl_character,
     weyl_images,
 )
 from e8g2.symra import LaurentPoly, RatFunc, sum_of_products
@@ -89,7 +95,6 @@ from e8g2.zeta import (
     _Z,
     _i0_expanded,
     _i0_poly,
-    _p_char,
     _q_clear,
     _tau0,
     closed_I,
@@ -247,6 +252,52 @@ def antisymmetrize(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(p.vars, out)
 
 
+def over_a_rho(p: LaurentPoly) -> LaurentPoly:
+    """p / A(rho) for p over vars that hold a and b.  By the Weyl
+    denominator formula A(rho) = tau^rho prod_{alpha > 0} (1 - tau^-alpha),
+    so the quotient is tau^-rho p divided by those six binomials, one
+    ``divexact`` each; raises ``symra.InexactDivision`` unless A(rho)
+    divides p."""
+    ia, ib = p.vars.index("a"), p.vars.index("b")
+    out = p * LaurentPoly.monomial(p.vars, 1, a=-RHO.n, b=-RHO.m)
+    for alpha in POSITIVE_ROOTS:
+        v = [0] * len(p.vars)
+        v[ia], v[ib] = -alpha.n, -alpha.m
+        out = out.divexact(tuple(v))
+    return out
+
+
+@lru_cache(maxsize=4096)
+def weyl_character(w) -> LaurentPoly:
+    """Character of the irreducible representation with highest weight w,
+    as the exact ratio A(w + rho) / A(rho) of alternating sums."""
+    w = Weight(*w)
+    if not w.dominant:
+        raise ValueError(f"highest weight must be dominant, got {tuple(w)}")
+    return over_a_rho(alt_sum(Weight(w.n + RHO.n, w.m + RHO.m)))
+
+
+def dimension(char: LaurentPoly) -> int:
+    """Dimension = sum of weight multiplicities."""
+    return sum(char.coeffs.values())
+
+
+def character_sum(vars: tuple[str, ...], by_lam) -> LaurentPoly:
+    """sum_lam chi_lam c_lam over the (lam, c_lam) of ``by_lam``, over
+    ``vars``, which hold a and b and every variable of each c_lam; one
+    ``sum_of_products`` over the pairs (chi_lam, c_lam)."""
+    return sum_of_products(vars, [(weyl_character(lam), c) for lam, c in by_lam.items()])
+
+
+@lru_cache(maxsize=4096)
+def weight_coefficient(w) -> LaurentPoly:
+    """The weight coefficient P(w) = sum_lam p_lam(w) chi_lam over
+    ``weight_expansion(w)``: Macdonald's sum_nu P_nu A(w + rho - nu) / A(rho)
+    in irreducible characters, exact in (q, a, b), as one
+    ``character_sum``."""
+    return character_sum(FULL_VARS, weight_expansion(w))
+
+
 def weyl_dimension(w) -> int:
     """Product formula for the dimension: independent of the character
     expansion, used to cross-check it.  The six factors are the pairings
@@ -375,7 +426,7 @@ def measure_sum_by_products(D: int, perturb_mass: bool = False) -> LaurentPoly:
     for n in range(D + 1):
         for m in range((D - n) // 2 + 1):
             mass = Q if perturb_mass else _q_clear((n, m))
-            coeff = (_p_char((n, m)) * mass.rename(FULL_VARS)).rename(sv)
+            coeff = (weight_coefficient((n, m)) * mass.rename(FULL_VARS)).rename(sv)
             term = coeff * _i0_poly(n, m).rename(sv)
             acc = acc + term * LaurentPoly.monomial(sv, 1, x=n + 2 * m, q=8 * n + 15 * m)
     return acc

@@ -103,6 +103,7 @@ def test_criterion_7_end_to_end():
 
 def test_criterion_8_character_layer():
     with criterion(8, "spherical normalization, 7-dimensional fundamental "
-                      "character, and the symmetric-power series identity"):
+                      "representation, and the symmetric-power identity in "
+                      "every power of t, each with no division"):
         rep = run_default("g2chars.characters")["g2chars.characters"]
         assert rep.computed == CHARACTERS

@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from e8g2 import checks, g2chars
+from e8g2 import checks, g2chars, symra
 from e8g2.cli import Manifest, ManifestEntry, RunConfig, run
 from e8g2.g2chars import (
     CHAR_VARS,
@@ -16,13 +18,8 @@ from e8g2.g2chars import (
     WEYL_GROUP,
     Weight,
     alt_sum,
-    character_sum,
-    dimension,
-    over_a_rho,
-    spherical,
-    weight_coefficient,
+    irreducible_dimension,
     weight_expansion,
-    weyl_character,
 )
 from e8g2.rootsys import G2_CARTAN, RootSystem
 from e8g2.symra import InexactDivision, LaurentPoly, RatFunc, one_minus
@@ -30,12 +27,17 @@ from oracles import (
     SERIES_VARS,
     antisymmetrize,
     boundary_series_by_product,
+    character_sum,
     decompose,
+    dimension,
     enumerate_group,
+    over_a_rho,
     p_coefficient,
     subset_sums_by_subsets,
     sym_powers_by_multisets,
     twist,
+    weight_coefficient,
+    weyl_character,
     weyl_dimension,
 )
 
@@ -184,6 +186,7 @@ def test_dimensions_match_product_formula():
     for n in range(5):
         for m in range(5):
             assert dimension(weyl_character((n, m))) == weyl_dimension((n, m))
+            assert irreducible_dimension((n, m)) == weyl_dimension((n, m))
 
 
 def test_characters_weyl_invariant():
@@ -269,6 +272,7 @@ def test_weight_coefficient_never_renames(monkeypatch):
 
     monkeypatch.setattr(LaurentPoly, "rename", forbidden)
     weyl_character.cache_clear()
+    weight_coefficient.cache_clear()
     assert weight_coefficient(w) == want
     assert character_sum(SERIES_VARS, checks._boundary_by_weight(6)) == series_want
 
@@ -306,31 +310,18 @@ def test_q_constants():
 
 
 def test_spherical_normalization():
-    assert spherical((0, 0)).equals(1)
+    # the spherical function at 0 is 1, that is P(0) = Q, by the division
+    # route: the weight coefficient formed in characters, each A(lam + rho)
+    # divided by A(rho), against the check's identity multiplied through
+    assert weight_coefficient((0, 0)) == Q.rename(FULL_VARS)
 
 
-def test_spherical_rejects_non_dominant():
-    with pytest.raises(ValueError):
-        spherical((-1, 2))
-
-
-def test_spherical_leading_term():
-    # Q * omega(n, m) has the full character chi_(n,m) as its coefficient
-    # at q^{-3n-5m}: this pins which valuation pairs with which weight
+def test_weight_coefficient_leading_term():
+    # the q^0 part of P(w) is the full character chi_w: this pins which
+    # valuation pair goes with which weight
     for n, m in [(1, 0), (0, 1), (1, 1)]:
-        val = spherical((n, m))
-        qomega = val * RatFunc.from_poly(Q.rename(FULL_VARS))
-        cleared = (LaurentPoly.monomial(FULL_VARS, 1, q=-(3 * n + 5 * m))
-                   * weight_coefficient((n, m)))
-        assert qomega.equals(RatFunc.from_poly(cleared)), "Q * omega should be a polynomial"
-        lead = cleared.coefficient_of("q", -(3 * n + 5 * m))
+        lead = weight_coefficient((n, m)).coefficient_of("q", 0)
         assert lead == weyl_character((n, m))
-
-
-def test_spherical_weyl_invariant():
-    val = spherical((1, 0))
-    for M, _ in WEYL_GROUP:
-        assert twist(val.num, M) == val.num
 
 
 def test_sym_series_brion():
@@ -380,6 +371,55 @@ def test_plethysm_negative_controls(name, stand_in, monkeypatch):
     _, (rep,) = run(Manifest((ManifestEntry("g2chars.characters"),)), RunConfig())
     assert rep.computed["plethysm_identity"] is False
     assert rep.status == "fail"
+
+
+def flip_one_sign(group):
+    (M, sign), *rest = group
+    return ((M, -sign), *rest)
+
+
+@pytest.mark.parametrize("name,stand_in,key", [
+    ("WEYL_GROUP", flip_one_sign(WEYL_GROUP), "plethysm_identity"),
+    ("V7_WEIGHTS", V7_WEIGHTS[1:], "plethysm_identity"),
+    ("Q", Q + LaurentPoly.monomial(Q_VARS, 1, q=-7), "spherical_unit"),
+], ids=["one Weyl sign flipped", "V7 without its zero weight", "Q + q^-7"])
+def test_character_identity_negative_controls(name, stand_in, key, monkeypatch):
+    # each stand-in must make its key false and leave the other keys true
+    assert V7_WEIGHTS[0] == (0, 0)  # so V7_WEIGHTS[1:] drops the zero weight
+    monkeypatch.setattr(checks, name, stand_in)
+    _, (rep,) = run(Manifest((ManifestEntry("g2chars.characters"),)), RunConfig())
+    assert rep.computed == {**checks.CHARACTERS, key: False}
+    assert rep.status == "fail"
+
+
+def test_characters_divide_by_nothing_and_expand_no_series(monkeypatch):
+    # the three identities are polynomial: no exact division, no truncated
+    # series and no packed sum of products is formed
+    def forbidden(*args, **kwargs):
+        raise AssertionError("division, series or packed product formed")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("e8g2")]:
+        for name, value in list(vars(module).items()):
+            if value is symra.sum_of_products:
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(LaurentPoly, "divexact", forbidden)
+    monkeypatch.setattr(RatFunc, "truncate", forbidden)
+    _, (rep,) = run(Manifest((ManifestEntry("g2chars.characters"),)), RunConfig())
+    assert rep.status == "pass" and rep.computed == checks.CHARACTERS
+
+
+def test_irreducible_dimension_by_weight_counts():
+    # Weyl's product over the coroots against counts that use no product
+    # formula: the weights of the characters formed by division; the
+    # adjoint representation (0, 1), whose weights are the twelve roots and
+    # the rank-2 zero weight space; and dim chi_(r,0) = dim Sym^r V7 -
+    # dim Sym^(r-2) V7, each counted over the multisets of V7's weights
+    for lam, dim in (((1, 0), 7), ((0, 1), 14), ((1, 1), 64)):
+        assert irreducible_dimension(lam) == dim == dimension(weyl_character(lam))
+    assert irreducible_dimension((0, 1)) == len(RootSystem(G2_CARTAN).roots) + 2
+    counts = [dimension(s) for s in sym_powers_by_multisets(8)]
+    for r in range(9):
+        assert irreducible_dimension((r, 0)) == counts[r] - (counts[r - 2] if r >= 2 else 0)
 
 
 def test_weight_dominance():
