@@ -29,6 +29,16 @@ series sum elsewhere is one call to it.  A degree bound cuts its operands
 before they multiply and drops the rest on unpack, with no sorting.
 ``divexact`` and ``RatFunc.truncate`` are the other packed kernels.
 
+``_times_binomials`` (the shifts behind every ``RatFunc`` sum and equality)
+and ``LaurentPoly.__mul__`` keep tuple keys instead, with a path for two
+variables that unpacks each key as (a, b) and adds entry by entry; other
+arities sum tuples generically.  Their operands are mostly small (x, q)
+polynomials, on which packing costs more than it saves.  Replayed on the
+calls of one ``closed`` benchmark op (2-vCPU VM, Python 3.11.7), packed
+shifts took 0.079 s and a packed ``__mul__`` (through ``sum_of_products``)
+0.038 s, against 0.048 s and 0.018 s for the generic tuple loops and
+0.023 s and 0.009 s for the two-variable paths.
+
 >>> x_q = ("x", "q")
 >>> f = LaurentPoly.monomial(x_q, 1) - LaurentPoly.monomial(x_q, 1, x=1, q=7)
 >>> g = LaurentPoly.monomial(x_q, 1) + LaurentPoly.monomial(x_q, 1, x=1, q=7)
@@ -200,10 +210,10 @@ class LaurentPoly:
                 out[e] = v
             else:
                 out.pop(e, None)
-        return LaurentPoly(self.vars, out)
+        return LaurentPoly._of(self.vars, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.vars, {e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._of(self.vars, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -219,10 +229,16 @@ class LaurentPoly:
             a, b = b, a
         out: dict[tuple[int, ...], int] = {}
         get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                k = tuple(map(add, ea, eb))
-                out[k] = get(k, 0) + ca * cb
+        if len(self.vars) == 2:  # unpacked keys: cheaper than a tuple sum
+            for (a0, a1), ca in a.items():
+                for (b0, b1), cb in b.items():
+                    k = (a0 + b0, a1 + b1)
+                    out[k] = get(k, 0) + ca * cb
+        else:
+            for ea, ca in a.items():
+                for eb, cb in b.items():
+                    k = tuple(map(add, ea, eb))
+                    out[k] = get(k, 0) + ca * cb
         return LaurentPoly(self.vars, out)
 
     __rmul__ = __mul__
@@ -410,18 +426,36 @@ def _times_binomials(p: LaurentPoly, factors: Mapping[tuple[int, ...], int]) -> 
     """p * prod (1 - X^v)^m; a nonpositive multiplicity m contributes nothing.
 
     Each unit of multiplicity is one pass over the terms, a shift: p - X^v p
-    is p with every term e also subtracted at e + v.
+    is p with every term e also subtracted at e + v.  Keys stay exponent
+    tuples; over two variables a key is unpacked as (a, b) and shifted to
+    (a + v0, b + v1), which costs less than a general tuple sum.  A factor
+    vector must have one entry per variable of p.
     """
+    n = len(p.vars)
+    for v in factors:
+        if len(v) != n:
+            raise ValueError(f"exponent vector {v} does not match variables {p.vars}")
     for v, m in factors.items():
         for _ in range(m):
             out = dict(p.coeffs)
-            for e, c in p.coeffs.items():
-                k = tuple(map(add, e, v))
-                s = out.get(k, 0) - c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            get = out.get
+            if n == 2:
+                v0, v1 = v
+                for (a, b), c in p.coeffs.items():
+                    k = (a + v0, b + v1)
+                    s = get(k, 0) - c
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+            else:
+                for e, c in p.coeffs.items():
+                    k = tuple(map(add, e, v))
+                    s = get(k, 0) - c
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
             p = LaurentPoly._of(p.vars, out)
     return p
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -20,6 +21,7 @@ from oracles import evaluate, truncate_var
 
 XQ = ("x", "q")
 VARS4 = ("x", "y", "z", "w")
+QSX = ("q", "s", "x")
 
 
 def mono(c=1, **p):
@@ -184,18 +186,28 @@ def test_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a - a == LaurentPoly.zero(XQ)
+    # sums and negations wrap their dicts uncopied, so they must make no zero
+    for p in (a + b, b + c, a - a, -a, (a + b) - b):
+        assert 0 not in p.coeffs.values()
 
 
 @settings(max_examples=100, deadline=None)
 @given(laurent_polys(), laurent_polys(), st.integers(-3, 3))
 def test_product_matches_packed_route_and_stores_no_zero(a, b, k):
     # each product against the one-pair packed sum, cancelling ones
-    # included: a * -a, (a + b)(a - b) and (1 - x)(1 + x)
+    # included: a * -a, (a + b)(a - b) and (1 - x)(1 + x).  (x, q)
+    # products take the two-variable path and three-variable ones the
+    # generic loop: embedded into (q, s, x), each product is the embedded
+    # (x, q) product term for term
     one, x = LaurentPoly.const(XQ, 1), mono(1, x=1)
     for f, g in ((a, b), (a, -a), (a + b, a - b), (one - x, one + x)):
         p = f * g
         assert p == sum_of_products(XQ, [(f, g)])
         assert 0 not in p.coeffs.values()
+        embedded = f.rename(QSX) * g.rename(QSX)
+        assert embedded.vars == QSX
+        assert embedded.coeffs == p.rename(QSX).coeffs
+        assert 0 not in embedded.coeffs.values()
     for p in (a * k, k * a):
         assert p == sum_of_products(XQ, [(a, LaurentPoly.const(XQ, k))])
         assert 0 not in p.coeffs.values()
@@ -211,31 +223,50 @@ def binomial(v):
 
 @st.composite
 def binomial_products(draw):
-    """(p, v, m) over 2 to 4 variables with negative exponents allowed;
-    half the time p is 1 + X^v + ... + X^(k v) times a monomial, whose
-    product with 1 - X^v telescopes to two terms."""
-    vars = VARS4[:draw(st.integers(2, 4))]
+    """(p, factors) over 1 to 4 variables with negative exponents allowed:
+    one to three factors {v: m}, m from -1 to 3 as ``_lifted`` passes them;
+    half the time p is 1 + X^v + ... + X^(k v) times a monomial for the
+    first v, whose product with 1 - X^v telescopes to two terms."""
+    vars = VARS4[:draw(st.integers(1, 4))]
     exps = st.tuples(*[st.integers(-3, 3)] * len(vars))
-    v = draw(exps.filter(any))
+    factors = draw(st.dictionaries(exps.filter(any), st.integers(-1, 3), min_size=1, max_size=3))
     if draw(st.booleans()):
+        v = next(iter(factors))
         e0, c = draw(exps), draw(st.integers(-9, 9).filter(bool))
         p = LaurentPoly(vars, {tuple(x + k * y for x, y in zip(e0, v)): c
                                for k in range(draw(st.integers(1, 4)))})
     else:
         p = LaurentPoly(vars, draw(st.dictionaries(exps, st.integers(-9, 9), max_size=6)))
-    return p, v, draw(st.integers(0, 3))
+    return p, factors
 
 
 @settings(max_examples=150, deadline=None)
 @given(binomial_products())
 def test_times_binomials_matches_generic_products(case):
-    p, v, m = case
-    want = p
-    for _ in range(m):
-        want = want * LaurentPoly(p.vars, {(0,) * len(p.vars): 1, v: -1})
-    got = _times_binomials(p, {v: m})
-    assert got == want
+    # against p times each binomial by __mul__, and against one packed
+    # product of p with the binomials' product, itself formed packed
+    p, factors = case
+    by_mul, binomials = p, LaurentPoly.const(p.vars, 1)
+    for v, m in factors.items():
+        for _ in range(m):
+            b = LaurentPoly(p.vars, {(0,) * len(p.vars): 1, v: -1})
+            by_mul = by_mul * b
+            binomials = sum_of_products(p.vars, [(binomials, b)])
+    got = _times_binomials(p, factors)
+    assert got == by_mul
+    assert got == sum_of_products(p.vars, [(p, binomials)])
     assert all(got.coeffs.values())
+
+
+@pytest.mark.parametrize("v", [(1,), (1, 0, 5)], ids=["too short", "too long"])
+def test_times_binomials_refuses_a_vector_of_another_length(v):
+    # a shorter vector would add 1-tuple keys and a longer one be cut to
+    # (1, 0); either is refused, even for zero and at multiplicity 0
+    for p in (one_minus(XQ, x=1, q=7), LaurentPoly.zero(XQ)):
+        for m in (1, 0):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"exponent vector {v} does not match variables ('x', 'q')")):
+                _times_binomials(p, {(1, 0): 1, v: m})
 
 
 @settings(max_examples=100, deadline=None)
