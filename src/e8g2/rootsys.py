@@ -15,9 +15,10 @@ A sum of two roots is a root exactly when its integer is in unpack.  The
 sum and a root whose integer it matches differ by at most 2c < R in each
 coordinate: a sum of roots of opposite signs lies in [-c, c], and any
 other sum shares its sign with the matched root.  A vector whose digits
-are all smaller than R in size packs to 0 only if it is 0.  The census
-walk in weyl and the sign table, Jacobi sweep and word calculus in cheval
-all run on these integers.
+are all smaller than R in size packs to 0 only if it is 0.  The sign
+table, Jacobi sweep and word calculus in cheval run on these integers, and
+the census walk in weyl packs an element's column packings into one integer,
+offset digits with column 1 most significant, decoded only when read.
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
 """Weyl-group element arithmetic and parabolic double-coset combinatorics.
 
-An element w is stored only as its images w(alpha_i) of the simple roots
+An element w is stored as its images w(alpha_i) of the simple roots
 (rank-many root vectors); the action on arbitrary roots is linear.  Left
 descents, the one fact that would need w^{-1}, are read off w(2 rho).
 The full group is never materialized: enumeration walks the W-orbit of
-omega_J as a tree, one level at a time, on packed columns (RootSystem.pack);
-each minimal left-coset representative gets its cols, length and canonical
-word from its parent's in one step, and only the distinguished double-coset
-representatives are kept and built as WeylElts.
+omega_J as a tree, one level at a time.  A point of the walk is two ints:
+mu in offset digits, whose top bits say which coordinates are >= 0, and
+the element's packed columns (RootSystem.pack), column 1 most significant.
+Each minimal left-coset representative gets both ints, its length and its
+canonical word from its parent's in one step.  Only the distinguished
+double-coset representatives are kept, as WeylElts that carry the column
+int and decode cols on first read.
 
 Words are written over the simple-reflection indices 1..8 and printed as
 digit strings, matching the w[...] notation used in all reports.
@@ -15,6 +18,7 @@ digit strings, matching the w[...] notation used in all reports.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Iterable, Sequence
 
@@ -46,11 +50,10 @@ def parse_word(word: str | Sequence[int]) -> tuple[int, ...]:
 class WeylElt:
     __slots__ = ("rs", "cols", "_len", "_word")
 
-    def __init__(self, rs: RootSystem, cols: tuple[Root, ...], length=None, word=None):
+    def __init__(self, rs: RootSystem, cols: tuple[Root, ...]):
         self.rs = rs
         self.cols = cols
-        self._len = length
-        self._word = word
+        self._len = self._word = None
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "WeylElt":
@@ -127,6 +130,23 @@ class WeylElt:
         return f"WeylElt(w[{self.word()}])"
 
 
+class _WalkElt(WeylElt):
+    """An element the orbit walk built, with its length and word set.  It
+    carries its column int _c (see _column_digits) and decodes cols on
+    first read; the other elements keep plain slots and pay nothing."""
+    __slots__ = ("_c", "_cols")
+
+    @property
+    def cols(self) -> tuple[Root, ...]:
+        try:
+            return self._cols
+        except AttributeError:
+            half, mask, shifts = _column_digits(self.rs)
+            unpack = self.rs.unpack
+            self._cols = tuple([unpack[((self._c >> s) & mask) - half] for s in shifts])
+            return self._cols
+
+
 def evaluate_word(rs: RootSystem, word: str | Sequence[int]) -> WeylElt:
     w = WeylElt.identity(rs)
     for i in parse_word(word):
@@ -139,6 +159,25 @@ def evaluate_word(rs: RootSystem, word: str | Sequence[int]) -> WeylElt:
 # -- coset machinery ------------------------------------------------------
 
 
+def _nodes(rs: RootSystem, J: Iterable[int]) -> tuple[int, ...]:
+    """J as a tuple of simple-root indices, refusing any outside 1..rank."""
+    Jt = tuple(J)
+    if Jt and not 1 <= min(Jt) <= max(Jt) <= rs.rank:
+        raise ValueError(f"simple-root indices {Jt} not all in 1..{rs.rank}")
+    return Jt
+
+
+@functools.lru_cache(maxsize=None)
+def _column_digits(rs: RootSystem) -> tuple[int, int, tuple[int, ...]]:
+    """(offset, mask, shift of each column) of a walk-built column int, whose
+    column k is the digit pack(w(alpha_k)) + offset, column 1 highest.  As
+    |pack| <= p, the offset 2^bitlen(p) > p keeps each digit in [0, 2*offset):
+    none wraps, and integer order is the lexicographic order of the cols."""
+    half = 1 << max(rs.pack.values()).bit_length()
+    width = half.bit_length()
+    return half, 2 * half - 1, tuple(width * k for k in reversed(range(rs.rank)))
+
+
 def min_coset_rep(J: Iterable[int], w: WeylElt, K: Iterable[int] = ()) -> WeylElt:
     """The unique minimal-length element of W_J*w*W_K.  Left descents in J
     and right descents in K are dropped until none remain; each step
@@ -148,8 +187,8 @@ def min_coset_rep(J: Iterable[int], w: WeylElt, K: Iterable[int] = ()) -> WeylEl
     left descent iff w^{-1} alpha_j < 0, iff <w(2 rho), alpha_j^vee> < 0.
     No element is longer than the number of positive roots, so more steps
     than that prove a wrong descent test: RuntimeError."""
-    Jt, Kt = tuple(J), tuple(K)
     rs = w.rs
+    Jt, Kt = _nodes(rs, J), _nodes(rs, K)
     steps = 0
     changed = True
     while changed:
@@ -184,65 +223,72 @@ def enumerate_double_cosets(rs: RootSystem, J: Iterable[int], K: Iterable[int]) 
     cols), each with its length and canonical word from the walk.
 
     A minimal left representative w is the point mu = w^{-1} omega_J of the
-    W-orbit of omega_J = sum of omega_j over j not in J, in fundamental-weight
-    coordinates.  s_i(mu) = mu - mu_i*alpha_i, alpha_i column i of the Cartan
-    matrix; mu_i > 0 iff w*s_i is a representative one longer, mu_i < 0 iff
-    i is a right descent of w (Casselman, Invent. Math. 1994).  Each point's
-    parent is its smallest descent, so the orbit is a tree that a walk
-    reaches each point of once, keeping one level and no visited set (Avis
-    and Fukuda's reverse search, Discrete Appl. Math. 65, 1996).  A point
-    carries that descent d.  s_i raises mu_j for j != i, so s_i(mu) has no
-    descent below i if i < d, and keeps d if i > d and a_di = 0.  So a
-    point tries only the letters allowed[d], a table built once per call:
-    i < d, and i > d with a_di != 0; the root, with d = rank, tries every
-    letter.  As a_ii = 2, nu_i = -mu_i.  A child's length is the level, its
-    word its parent's plus the letter, and its packed cols its parent's
-    with a_ij times column i taken from column j for the non-zero a_ij of
-    Cartan row i.  w is minimal in w*W_K too iff mu_k >= 0 for every k in
-    K; each child is tested as it is made (the root, with no descent, always
-    passes), and only the points kept are sorted on packed cols (packing
-    keeps lexicographic order) and built as WeylElts."""
+    W-orbit of omega_J = sum of omega_j, j not in J, in fundamental-weight
+    coordinates: s_i(mu) = mu - mu_i*alpha_i (alpha_i column i of the Cartan
+    matrix); mu_i > 0 iff w*s_i is a representative one longer, mu_i < 0
+    iff i is a right descent of w (Casselman, Invent. Math. 1994).  Each
+    point's parent is its smallest descent d, so the orbit is a tree that a
+    walk covers once, level by level with no visited set (Avis and Fukuda's
+    reverse search, Discrete Appl. Math. 65, 1996).  s_i raises mu_j for
+    j != i, so a point tries only table[d]: i < d, and i > d with a_di != 0
+    (every letter at the root, d = rank).
+
+    A point is two ints.  P holds mu_j + h in digit j, h = 2^bitlen(b) for
+    b the largest <omega_J, beta^vee> over the positive coroots, which
+    bounds every |mu_j|: no digit wraps, and digit j's top bit is set iff
+    mu_j >= 0.  So s_i is P - mu_i*ALPHA_i, "no descent below i" is
+    P & TOP_<i == TOP_<i, and w is minimal in w*W_K iff P & TOP_K == TOP_K.
+    C holds the columns (_column_digits), and w*s_i is C - c_i*ROW_i, ROW_i
+    Cartan row i in column digits.  The kept points are sorted on (length,
+    C), which is (length, cols) order, and carry C as _WalkElts."""
     rank, cartan = rs.rank, rs.cartan
-    allowed = [[i for i in range(rank) if i < d or (i > d and cartan[d][i])]
-               for d in range(rank)] + [range(rank)]
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
-    off = [[(j, a) for j, a in enumerate(col) if a and j != i]
-           for i, col in enumerate(zip(*cartan))]
-    letters = [str(i + 1) for i in range(rank)]
-    on, Kt = set(J), [k - 1 for k in K]
-    cols = tuple([rs.pack[a] for a in rs.simple])
-    level = [([0 if i in on else 1 for i in range(1, rank + 1)], cols, "", rank)]
-    kept, length = [(0, cols, "")], 0
-    keep = kept.append
+    Jt, Kt = _nodes(rs, J), _nodes(rs, K)
+    dual = tuple(zip(*cartan))
+    coroots = rs.positive if dual == cartan else RootSystem(dual).positive
+    b = max(sum(e[j] for j in range(rank) if j + 1 not in Jt) for e in coroots)
+    h = 1 << b.bit_length()
+    width, mask = h.bit_length(), 2 * h - 1
+    half, cmask, cs = _column_digits(rs)
+    top = [h << (width * i) for i in range(rank)]
+    letters = [(width * i, sum(top[:i]),
+                sum(cartan[j][i] << (width * j) for j in range(rank)),
+                cs[i], sum(a << s for a, s in zip(cartan[i], cs)), i, str(i + 1))
+               for i in range(rank)]
+    table = [[letters[i] for i in range(rank) if i < d or (i > d and cartan[d][i])]
+             for d in range(rank)] + [letters]
+    top_k = sum(top[k - 1] for k in Kt)
+    P = sum((h if i + 1 in Jt else h + 1) << (width * i) for i in range(rank))
+    C = sum((rs.pack[a] + half) << s for a, s in zip(rs.simple, cs))
+    level, levels = [(P, C, "", rank)], [[(C, "")]]
     while level:
-        length += 1
-        children = []
-        add = children.append
-        for mu, cols, word, d in level:
-            for i in allowed[d]:
-                m = mu[i]
+        children, kept = [], []
+        add, keep = children.append, kept.append
+        for P, C, word, d in level:
+            for s, below, alpha, t, row, i, letter in table[d]:
+                m = ((P >> s) & mask) - h
                 if m <= 0:
                     continue
-                nu = mu[:]
-                nu[i] = -m
-                for j, a in off[i]:
-                    nu[j] -= m * a
-                if i > d and min(nu[:i]) < 0:  # a smaller descent is nu's parent
+                P2 = P - m * alpha
+                if P2 & below != below:  # a smaller descent is P2's parent
                     continue
-                c, ci = list(cols), cols[i]
-                for j, a in rows[i]:
-                    c[j] -= a * ci
-                c, w = tuple(c), word + letters[i]
-                add((nu, c, w, i))
-                for k in Kt:
-                    if nu[k] < 0:
-                        break
-                else:
-                    keep((length, c, w))
+                C2 = C - (((C >> t) & cmask) - half) * row
+                w = word + letter
+                add((P2, C2, w, i))
+                if P2 & top_k == top_k:
+                    keep((C2, w))
+        levels.append(kept)
         level = children
-    kept.sort()  # (length, cols) is unique, so words are never compared
-    return [WeylElt(rs, tuple([rs.unpack[c] for c in cols]), length, word)
-            for length, cols, word in kept]
+    new, out = _WalkElt.__new__, []
+    for length, kept in enumerate(levels):
+        kept.sort(key=operator.itemgetter(0))  # C is unique within a level
+        for C, word in kept:
+            w = new(_WalkElt)
+            w.rs = rs
+            w._c = C
+            w._len = length
+            w._word = word
+            out.append(w)
+    return out
 
 
 def parabolic_order(rs: RootSystem, J: Iterable[int] | None = None) -> int:
@@ -250,7 +296,7 @@ def parabolic_order(rs: RootSystem, J: Iterable[int] | None = None) -> int:
     positive roots alpha supported on J of (ht alpha + 1) / ht alpha
     (Macdonald, "The Poincare series of a Coxeter group", Math. Ann. 199,
     1972).  J defaults to every node."""
-    on = set(range(1, rs.rank + 1) if J is None else J)
+    on = set(range(1, rs.rank + 1) if J is None else _nodes(rs, J))
     num = den = 1
     for a in rs.positive:
         if all(i + 1 in on for i, c in enumerate(a) if c):
@@ -267,15 +313,23 @@ def parabolic_order(rs: RootSystem, J: Iterable[int] | None = None) -> int:
 
 def support_filter(reps: Iterable[WeylElt], supp: Iterable[Root]) -> list[WeylElt]:
     """Keep exactly those w mapping every support root to a negative root,
-    signing w(a) by its packing, the dot product sum_k a_k*pack(w(alpha_k))."""
+    signing w(a) by its packing, the dot product sum_k a_k*pack(w(alpha_k)).
+    A walk-built w's packings are read straight off its column int."""
     supp = list(supp)
     for a in supp:
         if sum(a) <= 0:
             raise ValueError("support roots must be positive")
     out = []
     for w in reps:
-        cols = [w.rs.pack[c] for c in w.cols]
-        if all(sum(map(operator.mul, a, cols)) < 0 for a in supp):
+        if isinstance(w, _WalkElt):
+            half, mask, shifts = _column_digits(w.rs)
+            cols = [((w._c >> s) & mask) - half for s in shifts]
+        else:
+            cols = [w.rs.pack[c] for c in w.cols]
+        for a in supp:
+            if sum(map(operator.mul, a, cols)) >= 0:
+                break
+        else:
             out.append(w)
     return out
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e8g2 import checks, cli, symra, zeta
+from e8g2 import checks, cli, symra, weyl, zeta
 from e8g2.cli import (
     DEFAULT_MANIFEST,
     REGISTRY,
@@ -521,3 +521,17 @@ class TestMain:
         assert all(set(w) <= set("12345678") for w in lines[1:])
         # the full stdout, so a reordered or respelled word fails here too
         assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_SHA256
+
+    def test_enumerate_decodes_no_column(self, monkeypatch, capsys):
+        # the census prints the words and lengths the walk built: no kept
+        # element's columns are decoded from its column int
+        def forbidden(self):
+            raise AssertionError("walk-built columns decoded")
+
+        monkeypatch.setattr(weyl._WalkElt, "cols", property(forbidden))
+        assert cli.main(["weyl-enumerate", "--left", "M2", "--right", "4,7"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_SHA256
+        reps = weyl.enumerate_double_cosets(cli._e8(), weyl.M2_INDICES, (4, 7))
+        with pytest.raises(AssertionError, match="columns decoded"):
+            reps[1].cols

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -641,10 +642,23 @@ def test_ratfunc_equals_matches_sympy(a, b, same, w, k):
 @given(st.lists(ratfuncs(), min_size=1, max_size=4))
 def test_summed_matches_sympy(fs):
     # the sum of many over one common denominator is the running sum, and
-    # its denominator holds each factor at its largest multiplicity
+    # its denominator holds each factor at its largest multiplicity.  Both
+    # sides are multiplied by each operand's binomials, the sum's own
+    # included, at their largest multiplicity, so each term is a Laurent
+    # polynomial and expand decides the identity exactly, without a gcd
     sympy = pytest.importorskip("sympy")
     got = _summed(fs)
-    want = sympy.Add(*(sympy_expr(sympy, f) for f in fs))
-    assert sympy.cancel(sympy_expr(sympy, got) - want) == 0
+    x, q = sympy.symbols("x q")
+    total = Counter()
+    for f in fs + [got]:
+        total |= Counter(f.den)
+
+    def cleared(f):
+        rest = sympy.Mul(*((1 - x ** v[0] * q ** v[1]) ** (m - f.den.get(v, 0))
+                           for v, m in total.items()))
+        return sympy_expr(sympy, f.num) * rest
+
+    diff = cleared(got) - sympy.Add(*(cleared(f) for f in fs))
+    assert sympy.expand(diff) == 0
     if not got.is_zero():
         assert got.den == {v: max(f.den.get(v, 0) for f in fs) for f in fs for v in f.den}

@@ -30,6 +30,9 @@ from oracles import enumerate_group, group_order, min_left_reps_by_bfs, words_by
 E8 = e8()
 G2 = RootSystem(G2_CARTAN)
 A2 = RootSystem([[2, -1], [-1, 2]])
+# alpha_3 short in B3 and long in C3: each one's coroots are the other's roots
+B3 = RootSystem([[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
+C3 = RootSystem([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
 
 SWAP_INVERSIONS = ROOT_DATA["swap_inversions"]
 # complement of the inner radical subgroup inside the big radical
@@ -249,6 +252,98 @@ def _walk_keeping_the_largest_descent(rs, J):
         level = children
     out.sort(key=lambda w: (w.length(), w.cols))
     return out
+
+
+G2_SUBSETS = [(), (1,), (2,), (1, 2)]
+
+
+def _evaluate_words(rs, words):
+    """evaluate_word of each word, by one right_mul per word from its
+    prefix's element: each prefix of a canonical word is evaluated once."""
+    memo = {"": WeylElt.identity(rs)}
+
+    def evaluate(word):
+        if word not in memo:
+            memo[word] = evaluate(word[:-1]).right_mul(int(word[-1]))
+        return memo[word]
+
+    return [evaluate(word) for word in words]
+
+
+@pytest.mark.parametrize("rs, J, K", [(E8, M2_INDICES, (4, 7))] + [
+    (G2, J, K) for J in G2_SUBSETS for K in G2_SUBSETS], ids=["E8-census"] + [
+    f"G2-{''.join(map(str, J))}-{''.join(map(str, K))}" for J in G2_SUBSETS for K in G2_SUBSETS])
+def test_walk_built_elements_decode_their_words(rs, J, K):
+    # every element the walk builds carries a column int: its decoded cols
+    # are those of its word's element, and its length its inversion count
+    reps = enumerate_double_cosets(rs, J, K)
+    assert {type(w) for w in reps} == {weyl._WalkElt}
+    words = [w.word() for w in reps]
+    for w, v in zip(reps, _evaluate_words(rs, words)):
+        assert w.cols == v.cols
+        assert w.length() == len(w.inversion_set()) == len(w.word())
+    for w in reps[::300]:
+        assert evaluate_word(rs, w.word()).cols == w.cols
+    # an element built any other way keeps plain slots, with no fallback
+    assert type(evaluate_word(rs, words[-1])) is WeylElt
+    assert not hasattr(WeylElt, "__getattr__")
+
+
+def test_walk_past_the_census_digits():
+    # omega_J with nodes 1 and 8 outside J pairs up to 4 with a coroot, past
+    # the census's 3: the walk's digits must hold it without wrapping
+    J = (2, 3, 4, 5, 6, 7)
+    reps = enumerate_min_left_reps(E8, J)
+    assert len(reps) == parabolic_order(E8) // parabolic_order(E8, J) == 30240
+    assert len({w._c for w in reps}) == len(reps)
+    assert [w.length() for w in reps] == sorted(w.length() for w in reps)
+    for w in reps[::97]:
+        assert evaluate_word(E8, w.word()) == w
+        assert min_coset_rep(J, w) == w
+
+
+@pytest.mark.parametrize("rs", [B3, C3], ids=["B3", "C3"])
+def test_walk_digits_bound_the_coroot_pairings(rs):
+    # mu_j is <omega_J, beta^vee> for a coroot: with J = {2, 3}, B3's mu_1
+    # reaches 2 while its roots' first coefficients stop at 1, so digits
+    # sized from the roots would wrap
+    for J in [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]:
+        oracle = min_left_reps_by_bfs(rs, J)
+        reps = enumerate_min_left_reps(rs, J)
+        assert _rows(reps, [w._word for w in reps]) == _rows(oracle, words_by_descents(oracle))
+
+
+@pytest.mark.parametrize("rs, J, K, supp", [
+    (E8, M2_INDICES, (4, 7), [E8.parse_root(s) for s in CHARACTER_SUPPORT_ROOTS]),
+    (G2, (), (), [G2.positive[0]]),
+    (G2, (), (), G2.positive[-2:]),
+    (G2, (1,), (), [G2.positive[-1]]),
+], ids=["E8-census", "G2-one-root", "G2-two-roots", "G2-1"])
+def test_support_filter_reads_the_column_int(rs, J, K, supp):
+    # the same survivors on the walk's elements, signed from their column
+    # ints, as on the same elements rebuilt from their cols
+    reps = enumerate_double_cosets(rs, J, K)
+    rebuilt = [WeylElt(rs, w.cols) for w in reps]
+    got = [w.cols for w in support_filter(reps, supp)]
+    assert got == [w.cols for w in support_filter(rebuilt, supp)]
+    assert 0 < len(got) < len(reps)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_double_cosets(G2, (), (0,)),
+    lambda: enumerate_double_cosets(G2, (), (3,)),
+    lambda: enumerate_double_cosets(G2, (0,), ()),
+    lambda: enumerate_double_cosets(G2, (3,), ()),
+    lambda: enumerate_min_left_reps(G2, (1, 3)),
+    lambda: min_coset_rep((0,), WeylElt.identity(G2)),
+    lambda: min_coset_rep((), WeylElt.identity(G2), (3,)),
+    lambda: parabolic_order(G2, (0,)),
+    lambda: parabolic_order(E8, (9,)),
+], ids=["K-0", "K-3", "J-0", "J-3", "left-3", "min-J-0", "min-K-3", "order-0", "order-E8-9"])
+def test_out_of_range_nodes_are_refused(call):
+    # node 0 would wrap to the last node and node rank + 1 would be ignored
+    with pytest.raises(ValueError, match="not all in 1..[28]"):
+        call()
 
 
 def test_orbit_walk_comparison_catches_the_largest_descent_parent():
