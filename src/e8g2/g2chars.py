@@ -72,10 +72,9 @@ def _omega(alpha) -> Weight:
 POSITIVE_ROOTS = tuple(_omega(a) for a in sorted(G2.positive, key=lambda a: (sum(a), a[::-1])))
 RHO = Weight(*(sum(c) // 2 for c in zip(*POSITIVE_ROOTS)))
 
-# the dual root system, whose Cartan matrix is the transpose: its positive
-# roots are the positive coroots over the simple coroots, and its two_rho
-# is 2 rho^vee, their sum
-_COROOTS = RootSystem(tuple(zip(*G2_CARTAN)))
+# the dual root system: its positive roots are the positive coroots over
+# the simple coroots, and its two_rho is 2 rho^vee, their sum
+_COROOTS = G2.dual
 
 
 def _pairing_with_double_rho(w) -> int:

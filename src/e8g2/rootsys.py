@@ -92,10 +92,26 @@ class RootSystem:
         place = [self.radix ** k for k in reversed(range(self.rank))]
         self.pack = {a: sum(map(operator.mul, a, place)) for a in self.roots}
         self.unpack = {p: a for a, p in self.pack.items()}
+        # the census walk in weyl packs an element's columns into one int:
+        # column k is the digit pack(w(alpha_k)) + half, column 1 highest.
+        # |pack| <= p < half = 2^bitlen(p) keeps each digit in [0, 2*half):
+        # none wraps, and integer order is the lexicographic order of the cols
+        half = 1 << max(self.pack.values()).bit_length()
+        width = half.bit_length()
+        self.col_digits = (half, 2 * half - 1,
+                           tuple(width * k for k in reversed(range(self.rank))))
         # sanity: roots come in +/- pairs and signs are coherent
         for a in self.positive:
             if any(c < 0 for c in a):
                 raise ValueError("mixed-sign root produced; input is not a valid Cartan matrix")
+
+    @functools.cached_property
+    def dual(self) -> "RootSystem":
+        """The dual root system, from the transposed Cartan matrix: its
+        roots are the coroots over the simple coroots, and its two_rho is
+        2 rho^vee.  self when the Cartan matrix is symmetric."""
+        cartan = tuple(zip(*self.cartan))
+        return self if cartan == self.cartan else RootSystem(cartan)
 
     # -- basic queries -------------------------------------------------
 

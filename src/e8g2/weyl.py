@@ -18,7 +18,6 @@ digit strings, matching the w[...] notation used in all reports.
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Iterable, Sequence
 
@@ -132,19 +131,18 @@ class WeylElt:
 
 class _WalkElt(WeylElt):
     """An element the orbit walk built, with its length and word set.  It
-    carries its column int _c (see _column_digits) and decodes cols on
-    first read; the other elements keep plain slots and pay nothing."""
+    carries its column int _c (see RootSystem.col_digits) and decodes cols
+    on first read; the other elements keep plain slots and pay nothing."""
     __slots__ = ("_c", "_cols")
 
     @property
     def cols(self) -> tuple[Root, ...]:
-        try:
-            return self._cols
-        except AttributeError:
-            half, mask, shifts = _column_digits(self.rs)
-            unpack = self.rs.unpack
-            self._cols = tuple([unpack[((self._c >> s) & mask) - half] for s in shifts])
-            return self._cols
+        cols = self._cols
+        if cols is None:
+            half, mask, shifts = self.rs.col_digits
+            unpack, c = self.rs.unpack, self._c
+            cols = self._cols = tuple([unpack[((c >> s) & mask) - half] for s in shifts])
+        return cols
 
 
 def evaluate_word(rs: RootSystem, word: str | Sequence[int]) -> WeylElt:
@@ -165,17 +163,6 @@ def _nodes(rs: RootSystem, J: Iterable[int]) -> tuple[int, ...]:
     if Jt and not 1 <= min(Jt) <= max(Jt) <= rs.rank:
         raise ValueError(f"simple-root indices {Jt} not all in 1..{rs.rank}")
     return Jt
-
-
-@functools.lru_cache(maxsize=None)
-def _column_digits(rs: RootSystem) -> tuple[int, int, tuple[int, ...]]:
-    """(offset, mask, shift of each column) of a walk-built column int, whose
-    column k is the digit pack(w(alpha_k)) + offset, column 1 highest.  As
-    |pack| <= p, the offset 2^bitlen(p) > p keeps each digit in [0, 2*offset):
-    none wraps, and integer order is the lexicographic order of the cols."""
-    half = 1 << max(rs.pack.values()).bit_length()
-    width = half.bit_length()
-    return half, 2 * half - 1, tuple(width * k for k in reversed(range(rs.rank)))
 
 
 def min_coset_rep(J: Iterable[int], w: WeylElt, K: Iterable[int] = ()) -> WeylElt:
@@ -238,17 +225,15 @@ def enumerate_double_cosets(rs: RootSystem, J: Iterable[int], K: Iterable[int]) 
     bounds every |mu_j|: no digit wraps, and digit j's top bit is set iff
     mu_j >= 0.  So s_i is P - mu_i*ALPHA_i, "no descent below i" is
     P & TOP_<i == TOP_<i, and w is minimal in w*W_K iff P & TOP_K == TOP_K.
-    C holds the columns (_column_digits), and w*s_i is C - c_i*ROW_i, ROW_i
-    Cartan row i in column digits.  The kept points are sorted on (length,
-    C), which is (length, cols) order, and carry C as _WalkElts."""
+    C holds the columns (RootSystem.col_digits), and w*s_i is C - c_i*ROW_i,
+    ROW_i Cartan row i in column digits.  The kept points are sorted on
+    (length, C), which is (length, cols) order, and carry C as _WalkElts."""
     rank, cartan = rs.rank, rs.cartan
     Jt, Kt = _nodes(rs, J), _nodes(rs, K)
-    dual = tuple(zip(*cartan))
-    coroots = rs.positive if dual == cartan else RootSystem(dual).positive
-    b = max(sum(e[j] for j in range(rank) if j + 1 not in Jt) for e in coroots)
+    b = max(sum(e[j] for j in range(rank) if j + 1 not in Jt) for e in rs.dual.positive)
     h = 1 << b.bit_length()
     width, mask = h.bit_length(), 2 * h - 1
-    half, cmask, cs = _column_digits(rs)
+    half, cmask, cs = rs.col_digits
     top = [h << (width * i) for i in range(rank)]
     letters = [(width * i, sum(top[:i]),
                 sum(cartan[j][i] << (width * j) for j in range(rank)),
@@ -285,6 +270,7 @@ def enumerate_double_cosets(rs: RootSystem, J: Iterable[int], K: Iterable[int]) 
             w = new(_WalkElt)
             w.rs = rs
             w._c = C
+            w._cols = None
             w._len = length
             w._word = word
             out.append(w)
@@ -313,23 +299,15 @@ def parabolic_order(rs: RootSystem, J: Iterable[int] | None = None) -> int:
 
 def support_filter(reps: Iterable[WeylElt], supp: Iterable[Root]) -> list[WeylElt]:
     """Keep exactly those w mapping every support root to a negative root,
-    signing w(a) by its packing, the dot product sum_k a_k*pack(w(alpha_k)).
-    A walk-built w's packings are read straight off its column int."""
+    signing w(a) by its packing, the dot product sum_k a_k*pack(w(alpha_k))."""
     supp = list(supp)
     for a in supp:
         if sum(a) <= 0:
             raise ValueError("support roots must be positive")
     out = []
     for w in reps:
-        if isinstance(w, _WalkElt):
-            half, mask, shifts = _column_digits(w.rs)
-            cols = [((w._c >> s) & mask) - half for s in shifts]
-        else:
-            cols = [w.rs.pack[c] for c in w.cols]
-        for a in supp:
-            if sum(map(operator.mul, a, cols)) >= 0:
-                break
-        else:
+        cols = [w.rs.pack[c] for c in w.cols]
+        if all(sum(map(operator.mul, a, cols)) < 0 for a in supp):
             out.append(w)
     return out
 

@@ -171,6 +171,37 @@ def test_radix_is_derived_from_the_highest_root(cartan, radix):
     assert all(abs(x) <= c for a in rs.roots for x in a)
 
 
+@pytest.mark.parametrize("cartan", [
+    G2_CARTAN, [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+], ids=["G2", "B3"])
+def test_dual_roots_are_the_coroots(cartan):
+    # a map beta -> beta - <beta, c> a with <a, c> = 2 permutes the roots
+    # only if it is s_a, so c = a^vee: each positive root must find exactly
+    # one such c among the dual's positive roots
+    rs = RootSystem(cartan)
+    dual = rs.dual
+    assert dual is rs.dual and dual is not rs and dual.cartan == tuple(zip(*rs.cartan))
+    assert len(dual.positive) == len(rs.positive)
+    roots = set(rs.roots)
+
+    def pair(beta, c):
+        return sum(n * rs.pairing(beta, j + 1) for j, n in enumerate(c) if n)
+
+    found = []
+    for a in rs.positive:
+        match = [c for c in dual.positive if pair(a, c) == 2 and roots == {
+            tuple(b - pair(beta, c) * x for b, x in zip(beta, a)) for beta in roots}]
+        assert len(match) == 1
+        found += match
+    assert sorted(found) == sorted(dual.positive)
+
+
+def test_a_symmetric_cartan_matrix_is_its_own_dual():
+    # simply laced: every coroot has the coordinates of its root
+    a2 = RootSystem(A2_CARTAN)
+    assert E8.dual is E8 and a2.dual is a2
+
+
 def test_restrict_z_roots():
     tr = DEFAULT_EMBEDDING
     assert restrict_root(tr, E8, E8.parse_root("00011100")) == (0, 1)

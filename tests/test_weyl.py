@@ -319,9 +319,9 @@ def test_walk_digits_bound_the_coroot_pairings(rs):
     (G2, (), (), G2.positive[-2:]),
     (G2, (1,), (), [G2.positive[-1]]),
 ], ids=["E8-census", "G2-one-root", "G2-two-roots", "G2-1"])
-def test_support_filter_reads_the_column_int(rs, J, K, supp):
-    # the same survivors on the walk's elements, signed from their column
-    # ints, as on the same elements rebuilt from their cols
+def test_support_filter_on_walk_built_elements(rs, J, K, supp):
+    # the same survivors on the walk's elements, whose cols are decoded from
+    # their column ints, as on the same elements rebuilt from their cols
     reps = enumerate_double_cosets(rs, J, K)
     rebuilt = [WeylElt(rs, w.cols) for w in reps]
     got = [w.cols for w in support_filter(reps, supp)]
