@@ -98,9 +98,11 @@ REGISTRY: dict = {}
 
 # the largest truncation degree a series check accepts, from a manifest
 # param or the fallback alike.  Neither series check is near it: on a
-# 2-vCPU VM (Python 3.11), check3 takes about 0.02 s and 17 MB peak RSS at
-# D = 16 and 0.04 s and 17 MB at D = 20; end_to_end (check3's work plus
-# the edge-and-origin correction) 0.05 s / 17 MB and 0.06 s / 18 MB
+# 2-vCPU VM (Python 3.11.7; each body called directly in a fresh process,
+# three runs), check3 takes 0.035-0.039 s and 17 MB peak RSS at D = 16 and
+# 0.042-0.057 s and 17 MB at D = 20; end_to_end (check3's work plus the
+# edge-and-origin correction) 0.033-0.047 s / 17 MB and 0.059-0.089 s /
+# 18 MB
 MAX_SERIES_DEGREE = 16
 
 
@@ -519,9 +521,9 @@ def _main_identity_series(D):
 
 
 # the largest box sum_cases accepts: the valuation pairs check3 sums at
-# its largest degree, about 0.13 s and 18 MB peak RSS on a 2-vCPU VM
-# (Python 3.11); the box's weight count, and so its time, grows with
-# n_max * m_max
+# its largest degree, 0.11-0.14 s and 18 MB peak RSS on a 2-vCPU VM
+# (Python 3.11.7; the body called directly in a fresh process, three
+# runs); the box's weight count, and so its time, grows with n_max * m_max
 @check("zeta.sum_cases", "main-identity-finite-cases",
        params={"n_max": (0, MAX_SERIES_DEGREE), "m_max": (0, MAX_SERIES_DEGREE // 2)})
 def _main_identity_cases(n_max=6, m_max=4):

@@ -20,24 +20,32 @@ The canonical monomial order is graded lexicographic over the declared
 variable list; canonical text serialization sorts by it, so equal Laurent
 polynomials always print identically.
 
-The public API keys terms by exponent tuples.  The hot kernels pack each
-tuple into one integer inside, in a format private to this module
-(``_Packing``), so a monomial product is one integer add and a degree bound
-one comparison; each unpacks once, on return.  ``sum_of_products`` is the
-one packed accumulator: ``mul_trunc`` is its one-pair case, and every
-series sum elsewhere is one call to it.  A degree bound cuts its operands
-before they multiply and drops the rest on unpack, with no sorting.
-``divexact`` and ``RatFunc.truncate`` are the other packed kernels.
+The public API keys terms by exponent tuples.  ``divexact`` and
+``RatFunc.truncate`` pack each tuple into one integer inside, in a format
+private to this module (``_Packing``), so a monomial product is one integer
+add and a degree bound one comparison; each unpacks once, on return.
 
-``_times_binomials`` (the shifts behind every ``RatFunc`` sum and equality)
-and ``LaurentPoly.__mul__`` keep tuple keys instead, with a path for two
-variables that unpacks each key as (a, b) and adds entry by entry; other
-arities sum tuples generically.  Their operands are mostly small (x, q)
-polynomials, on which packing costs more than it saves.  Replayed on the
-calls of one ``closed`` benchmark op (2-vCPU VM, Python 3.11.7), packed
-shifts took 0.079 s and a packed ``__mul__`` (through ``sum_of_products``)
-0.038 s, against 0.048 s and 0.018 s for the generic tuple loops and
-0.023 s and 0.009 s for the two-variable paths.
+``sum_of_products`` is the one accumulator behind ``mul_trunc`` and every
+series sum elsewhere, and it chooses its loop from its input.  When the
+context has two variables and every operand is over exactly those, in the
+same order, it keeps tuple keys, unpacks each as (a, b) and skips each
+product above the degree bound before forming it.  Any other input (three
+or four variables, an operand over a sub-context or in another order) takes
+the packed loop: a degree bound cuts the operands before they multiply and
+drops the rest on unpack, with no sorting.  ``_times_binomials`` (the
+shifts behind every ``RatFunc`` sum and equality) and
+``LaurentPoly.__mul__`` keep tuple keys too, with the same two-variable
+path; other arities sum tuples generically.
+
+The operands of the benchmarked callers are mostly small (x, q)
+polynomials, on which packing costs more than it saves (2-vCPU VM, Python
+3.11.7).  Replayed on the calls of one ``closed`` op, packed shifts took
+0.079 s and a packed ``__mul__`` 0.038 s, against 0.048 s and 0.018 s for
+the generic tuple loops and 0.023 s and 0.009 s for the two-variable paths.
+Replayed on the 69 ``sum_of_products`` calls of one ``series`` op (10,204
+term pairs, all cut at an x-degree), the packed loop took 8.4-14.6 ms and
+the two-variable path 2.6-4.5 ms (best of 30 each, five alternating
+processes per side).
 
 >>> x_q = ("x", "q")
 >>> f = LaurentPoly.monomial(x_q, 1) - LaurentPoly.monomial(x_q, 1, x=1, q=7)
@@ -224,21 +232,17 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented  # let RatFunc.__rmul__ handle poly * ratfunc
         self._check(other)
+        if len(self.vars) == 2:  # unpacked keys: cheaper than a tuple sum
+            return _sum_of_pair_products(self.vars, [(self, other)])
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
         out: dict[tuple[int, ...], int] = {}
         get = out.get
-        if len(self.vars) == 2:  # unpacked keys: cheaper than a tuple sum
-            for (a0, a1), ca in a.items():
-                for (b0, b1), cb in b.items():
-                    k = (a0 + b0, a1 + b1)
-                    out[k] = get(k, 0) + ca * cb
-        else:
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    k = tuple(map(add, ea, eb))
-                    out[k] = get(k, 0) + ca * cb
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                k = tuple(map(add, ea, eb))
+                out[k] = get(k, 0) + ca * cb
         return LaurentPoly(self.vars, out)
 
     __rmul__ = __mul__
@@ -378,6 +382,35 @@ def _cut(p: LaurentPoly, other: LaurentPoly, var: str, degree: int) -> LaurentPo
     return LaurentPoly._of(p.vars, {e: c for e, c in p.coeffs.items() if e[i] <= room})
 
 
+def _sum_of_pair_products(vars: tuple[str, str], pairs: list, var: str | None = None,
+                          degree: int | None = None) -> LaurentPoly:
+    """``sum_of_products`` when every operand is over the two variables
+    ``vars`` in that order, and ``LaurentPoly.__mul__`` over two variables:
+    tuple keys unpacked as (a, b), with each product above ``degree`` in
+    ``var`` skipped before it is formed."""
+    out: dict[tuple[int, int], int] = {}
+    get = out.get
+    i = None if var is None else vars.index(var)
+    for a, b in pairs:
+        a, b = a.coeffs, b.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        if i is None:
+            for (a0, a1), ca in a.items():
+                for (b0, b1), cb in b.items():
+                    k = (a0 + b0, a1 + b1)
+                    out[k] = get(k, 0) + ca * cb
+            continue
+        bs = [(e[i], e[0], e[1], c) for e, c in b.items()]
+        for ea, ca in a.items():
+            room, (a0, a1) = degree - ea[i], ea
+            for d, b0, b1, cb in bs:
+                if d <= room:
+                    k = (a0 + b0, a1 + b1)
+                    out[k] = get(k, 0) + ca * cb
+    return LaurentPoly(vars, out)
+
+
 def sum_of_products(vars: tuple[str, ...], pairs: Iterable[tuple[LaurentPoly, LaurentPoly]],
                     var: str | None = None, degree: int | None = None) -> LaurentPoly:
     """The sum of a*b over the (a, b) in ``pairs`` (any iterable, read
@@ -393,13 +426,24 @@ def sum_of_products(vars: tuple[str, ...], pairs: Iterable[tuple[LaurentPoly, La
     dropped once, on unpack; a partner free of ``var``, or a monomial,
     leaves nothing there.
 
+    Over two variables with every operand over exactly ``vars``, tuple
+    keys are multiplied directly instead (see the module doc): a product
+    above the bound is skipped before it is formed, so no cut or unpack
+    is needed.
+
     >>> sum_of_products(("x", "a"), [(one_minus(("x",), x=1), one_minus(("a",), a=1))]).to_text()
     'x*a - x - a + 1'
+    >>> x_q = ("x", "q")
+    >>> sum_of_products(x_q, [(one_minus(x_q, x=1, q=7), one_minus(x_q, x=1, q=-1)),
+    ...                       (one_minus(x_q, q=2), one_minus(x_q, x=2))], "x", 1).to_text()
+    '-x*q^7 - q^2 - x*q^-1 + 2'
     """
     pairs = list(pairs)
     missing = {name for pair in pairs for p in pair for name in p.vars} - set(vars)
     if missing:
         raise ValueError(f"operand variables {sorted(missing)} are not in {vars}")
+    if len(vars) == 2 and all(p.vars == vars for pair in pairs for p in pair):
+        return _sum_of_pair_products(vars, pairs, var, degree)
     if var is not None:
         pairs = [(_cut(a, b, var, degree), _cut(b, a, var, degree)) for a, b in pairs]
     pairs = [(a, b) if len(a) >= len(b) else (b, a) for a, b in pairs]

@@ -517,7 +517,9 @@ def substitute_by_running_sum(f, B: int, C: int, E: int | None = None) -> RatFun
 def highest_weight_sums_by_lam(ws, mass, D: int | None = None, lams=None) -> dict:
     """lam -> the sum of p_lam(w) K(w) mass(w) over the w in ws, one
     ``sum_of_products`` per lam over the pairs (p_lam(w), K(w) mass(w)),
-    cut at x-degree D when D is given; a lam whose sum is zero is kept."""
+    cut at x-degree D when D is given; a lam whose sum is zero is kept.
+    Each p_lam(w) is over ("q",), so these sums take the packed loop, not
+    the two-variable path of ``zeta.highest_weight_sums``."""
     pairs: dict = {}
     for w in ws:
         term = _i0_expanded(*w) * _tau0(w) * mass(w).rename(XQ)

@@ -394,9 +394,9 @@ def test_character_identity_negative_controls(name, stand_in, key, monkeypatch):
 
 def test_characters_divide_by_nothing_and_expand_no_series(monkeypatch):
     # the three identities are polynomial: no exact division, no truncated
-    # series and no packed sum of products is formed
+    # series and no sum of products is formed
     def forbidden(*args, **kwargs):
-        raise AssertionError("division, series or packed product formed")
+        raise AssertionError("division, series or sum of products formed")
 
     for module in [m for name, m in sys.modules.items() if name.startswith("e8g2")]:
         for name, value in list(vars(module).items()):

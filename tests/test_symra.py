@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from e8g2 import symra
 from e8g2.symra import (
     InexactDivision,
     LaurentPoly,
@@ -23,6 +24,7 @@ from oracles import evaluate, truncate_var
 XQ = ("x", "q")
 VARS4 = ("x", "y", "z", "w")
 QSX = ("q", "s", "x")
+QX = ("q", "x")
 
 
 def mono(c=1, **p):
@@ -196,21 +198,22 @@ def test_ring_laws(a, b, c):
 @given(laurent_polys(), laurent_polys(), st.integers(-3, 3))
 def test_product_matches_packed_route_and_stores_no_zero(a, b, k):
     # each product against the one-pair packed sum, cancelling ones
-    # included: a * -a, (a + b)(a - b) and (1 - x)(1 + x).  (x, q)
-    # products take the two-variable path and three-variable ones the
-    # generic loop: embedded into (q, s, x), each product is the embedded
-    # (x, q) product term for term
+    # included: a * -a, (a + b)(a - b) and (1 - x)(1 + x).  An operand over
+    # (q, x) keeps the sum on its packed loop.  (x, q) products take the
+    # two-variable path and three-variable ones the generic loop: embedded
+    # into (q, s, x), each product is the embedded (x, q) product term for
+    # term
     one, x = LaurentPoly.const(XQ, 1), mono(1, x=1)
     for f, g in ((a, b), (a, -a), (a + b, a - b), (one - x, one + x)):
         p = f * g
-        assert p == sum_of_products(XQ, [(f, g)])
+        assert p == sum_of_products(XQ, [(f.rename(QX), g)])
         assert 0 not in p.coeffs.values()
         embedded = f.rename(QSX) * g.rename(QSX)
         assert embedded.vars == QSX
         assert embedded.coeffs == p.rename(QSX).coeffs
         assert 0 not in embedded.coeffs.values()
     for p in (a * k, k * a):
-        assert p == sum_of_products(XQ, [(a, LaurentPoly.const(XQ, k))])
+        assert p == sum_of_products(XQ, [(a.rename(QX), LaurentPoly.const(XQ, k))])
         assert 0 not in p.coeffs.values()
     assert (a * 0).coeffs == {}
 
@@ -245,17 +248,20 @@ def binomial_products(draw):
 @given(binomial_products())
 def test_times_binomials_matches_generic_products(case):
     # against p times each binomial by __mul__, and against one packed
-    # product of p with the binomials' product, itself formed packed
+    # product of p with the binomials' product, itself formed packed: an
+    # operand over the variables reversed keeps a two-variable sum on its
+    # packed loop
     p, factors = case
+    rev = p.vars[::-1]
     by_mul, binomials = p, LaurentPoly.const(p.vars, 1)
     for v, m in factors.items():
         for _ in range(m):
             b = LaurentPoly(p.vars, {(0,) * len(p.vars): 1, v: -1})
             by_mul = by_mul * b
-            binomials = sum_of_products(p.vars, [(binomials, b)])
+            binomials = sum_of_products(p.vars, [(binomials, b.rename(rev))])
     got = _times_binomials(p, factors)
     assert got == by_mul
-    assert got == sum_of_products(p.vars, [(p, binomials)])
+    assert got == sum_of_products(p.vars, [(p.rename(rev), binomials)])
     assert all(got.coeffs.values())
 
 
@@ -361,17 +367,18 @@ def test_truncate_matches_geometric_route(case):
 @settings(max_examples=25, deadline=None)
 @given(series_ratfuncs())
 def test_truncate_matches_sympy_series(case):
+    # the denominator prod (1 - x^a q^b)^m is 1 mod x, a unit of
+    # Z[q^+-1]((x)), so T = r.truncate("x", D) is the expansion through D
+    # iff every term of T has x-degree <= D and T * den - num has no term
+    # of x-degree <= D; sympy.expand decides the second exactly
     sympy = pytest.importorskip("sympy")
     x, q = sympy.symbols("x q")
-
-    def to_sympy(p):
-        return sympy.Add(*(c * x ** e[0] * q ** e[1] for e, c in p.coeffs.items()))
-
     r, degree = case
-    expr = to_sympy(r.num) / sympy.Mul(
-        *((1 - x ** v[0] * q ** v[1]) ** m for v, m in r.den.items()))
-    want = sympy.series(expr, x, 0, degree + 1).removeO()
-    assert sympy.expand(want - to_sympy(r.truncate("x", degree))) == 0
+    got = r.truncate("x", degree)
+    assert all(e[0] <= degree for e in got.coeffs)
+    den = sympy.Mul(*((1 - x ** v[0] * q ** v[1]) ** m for v, m in r.den.items()))
+    rest = sympy.expand(sympy_expr(sympy, got) * den - sympy_expr(sympy, r.num))
+    assert all(t.as_coeff_exponent(x)[1] > degree for t in sympy.Add.make_args(rest) if t)
 
 
 def test_truncate_negative_degree_numerator_and_cancellation():
@@ -585,6 +592,49 @@ def test_sum_of_products_radix_covers_every_pair(bound):
         assert sum_of_products(SERIES, pairs) == want
     else:
         assert sum_of_products(SERIES, pairs, *bound) == truncate_var(want, *bound)
+
+
+@st.composite
+def xq_pairs(draw):
+    """Up to four (x, q) pairs with exponents in +-3; half the time each
+    pair is followed by its negation, so that the sum cancels."""
+    pairs = []
+    for a, b in draw(st.lists(st.tuples(laurent_polys(), laurent_polys()), max_size=4)):
+        pairs.append((a, b))
+        if draw(st.booleans()):
+            pairs.append((b, -a))
+    return pairs
+
+
+@pytest.mark.parametrize("var", [None, "x", "q"], ids=["unbounded", "x-bound", "q-bound"])
+@settings(max_examples=100, deadline=None)
+@given(xq_pairs(), st.integers(-7, 7))
+def test_sum_of_products_two_variable_path_matches_packed_loop(var, pairs, degree):
+    # (x, q) operands take the two-variable path; renamed into (q, s, x)
+    # the same pairs take the packed loop.  Both read the pairs once
+    bound = () if var is None else (var, degree)
+    got = sum_of_products(XQ, iter(pairs), *bound)
+    packed = sum_of_products(QSX, iter([(a.rename(QSX), b.rename(QSX)) for a, b in pairs]), *bound)
+    assert got.vars == XQ
+    assert got.rename(QSX) == packed
+    assert 0 not in got.coeffs.values()
+
+
+def test_sum_of_products_takes_the_two_variable_path_only_on_exact_contexts(monkeypatch):
+    # operands over ("q", "x") or ("q",) in an (x, q) sum take the packed
+    # loop, and agree with the same pairs renamed into (x, q), which take
+    # the two-variable path
+    calls = []
+    two_variable = symra._sum_of_pair_products
+    monkeypatch.setattr(symra, "_sum_of_pair_products",
+                        lambda *args: calls.append(args) or two_variable(*args))
+    qx = LaurentPoly(QX, {(2, -1): 3, (0, 1): -1, (-1, 2): 2})
+    q = LaurentPoly(("q",), {(1,): 1, (-2,): 4})
+    pairs = [(qx, mono(2, x=1, q=1) + mono(-1, x=-1)), (q, qx)]
+    in_xq = [(a.rename(XQ), b.rename(XQ)) for a, b in pairs]
+    for bound in ((), ("x", 1), ("q", 0)):
+        assert sum_of_products(XQ, pairs, *bound) == sum_of_products(XQ, in_xq, *bound)
+    assert len(calls) == 3 and all(args[1] == in_xq for args in calls)
 
 
 # -- rational functions against sympy ---------------------------------------

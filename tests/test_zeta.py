@@ -763,13 +763,6 @@ class TestSeriesChecks:
         assert rep.status == "fail"
         assert rep.computed == {"identity": True, "negative_control_differs": False}
 
-    def test_end_to_end_forms_no_weight_coefficient(self, monkeypatch):
-        def no_coefficient(w):
-            raise AssertionError("weight coefficient formed")
-
-        monkeypatch.setattr(z, "_p_char", no_coefficient)
-        assert run_check("zeta.end_to_end", D=4).status == "pass"
-
     def test_series_sequence_forms_no_coefficient_character_division_or_truncation(
             self, monkeypatch):
         # the benchmark's series op, check3 at D = 10 then end_to_end at
